@@ -1,19 +1,16 @@
 package sim
 
-// Temporary development aid: snapshots exact Result values for a matrix of
-// configurations so that semantics-preserving hot-path rewrites can be
-// verified bit-for-bit. Run with GOLDEN_OUT=/tmp/golden.json to write a
-// snapshot; GOLDEN_IN=/tmp/golden.json to compare against one.
+// The solo golden matrix. TestGoldenSolo (golden_test.go, package
+// sim_test) runs it and compares the marshaled results byte for byte
+// against testdata/golden.json; GoldenMatrix is exported so that external
+// test file can reach the in-package profile helpers.
 
 import (
-	"encoding/json"
-	"os"
-	"testing"
-
 	"repro/internal/dtm"
 	"repro/internal/floorplan"
 	"repro/internal/power"
 	"repro/internal/sensor"
+	"repro/internal/telemetry"
 	"repro/internal/workload"
 )
 
@@ -50,13 +47,22 @@ func fpProfile() workload.Profile {
 	}
 }
 
-func goldenMatrix() map[string]Config {
+// GoldenMatrix returns the solo configurations the committed golden pins:
+// every policy family, each per-cycle feature (leakage, scaling, hierarchy,
+// lateral flow, proxies, sensors, monitored blocks, the coupled sink,
+// traces) and the pipeline surrogate, on hot, cold and FP workloads.
+func GoldenMatrix() map[string]Config {
 	const n = 300_000
+	const sn = 1_500_000 // long enough for replay legs to engage
 	mkInterrupt := func() *dtm.Manager {
 		m := dtm.NewManager(dtm.NewToggle1(110.3, 5))
 		m.Mechanism = dtm.Interrupt
 		return m
 	}
+	// Telemetry sinks observe the run without steering it, but they clamp
+	// the fast path's windows to their sampling strides.
+	mkMetrics := func() *telemetry.SimMetrics { return telemetry.NewSimMetrics(telemetry.NewRegistry()) }
+	mkRecorder := func() *telemetry.Recorder { return telemetry.NewRecorder(discard{}, int(floorplan.NumBlocks), 64) }
 	return map[string]Config{
 		"hot/none":      {Workload: hotProfile(), MaxInsts: n},
 		"hot/pi":        {Workload: hotProfile(), MaxInsts: n, Manager: newPIManager(111.1)},
@@ -84,54 +90,14 @@ func goldenMatrix() map[string]Config {
 		"fp/pi":      {Workload: fpProfile(), MaxInsts: n, Manager: newPIManager(111.1)},
 		"fp/toggle2": {Workload: fpProfile(), MaxInsts: n, Manager: dtm.NewManager(dtm.NewToggle2(110.3, 5))},
 		"fp/leak":    {Workload: fpProfile(), MaxInsts: n, Leakage: power.DefaultLeakage()},
-	}
-}
 
-type goldenEntry struct {
-	Result *Result
-	Trace  []float64 // flattened TempTrace Ys when present
-}
+		"hot/none+euler":   {Workload: hotProfile(), MaxInsts: n, ThermalStride: 1},
+		"hot/fscale+euler": {Workload: hotProfile(), MaxInsts: n, ThermalStride: 1, Scaling: dtm.NewFreqScaling(110.3, 0.5, 5)},
+		"hot/pi+telemetry": {Workload: hotProfile(), MaxInsts: n, Manager: newPIManager(111.1),
+			Metrics: mkMetrics(), Trace: mkRecorder(), TraceInterval: 1500},
 
-func TestGoldenSnapshot(t *testing.T) {
-	out := os.Getenv("GOLDEN_OUT")
-	in := os.Getenv("GOLDEN_IN")
-	if out == "" && in == "" {
-		t.Skip("set GOLDEN_OUT or GOLDEN_IN")
-	}
-	got := map[string]goldenEntry{}
-	for name, cfg := range goldenMatrix() {
-		res, err := Run(cfg)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		e := goldenEntry{Result: res}
-		if res.TempTrace != nil {
-			e.Trace = res.TempTrace.Ys
-		}
-		got[name] = e
-	}
-	if out != "" {
-		buf, err := json.MarshalIndent(got, "", " ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(out, buf, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("wrote %d golden entries to %s", len(got), out)
-	}
-	if in != "" {
-		buf, err := os.ReadFile(in)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gotBuf, err := json.MarshalIndent(got, "", " ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if string(buf) != string(gotBuf) {
-			t.Errorf("results diverge from golden snapshot %s", in)
-			os.WriteFile(in+".new", gotBuf, 0o644)
-		}
+		"hot/pi+surrogate":     {Workload: hotProfile(), MaxInsts: sn, Manager: newPIManager(111.1), PipelineSurrogate: true},
+		"hot/fscale+surrogate": {Workload: hotProfile(), MaxInsts: sn, Scaling: dtm.NewFreqScaling(110.3, 0.5, 5), PipelineSurrogate: true},
+		"fp/none+surrogate":    {Workload: fpProfile(), MaxInsts: sn, PipelineSurrogate: true},
 	}
 }
