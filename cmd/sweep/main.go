@@ -16,8 +16,6 @@ package main
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"flag"
 	"fmt"
 	"os"
@@ -103,17 +101,20 @@ func main() {
 		for _, nc := range counts {
 			cells = append(cells, cell{nc, "none"}, cell{nc, pol})
 		}
-		// Multicore runs have no solo cache entry, so grid-fill keys them
-		// synthetically off the full cell coordinates.
-		keyOf := func(c cell) string {
-			sum := sha256.Sum256(fmt.Appendf(nil, "multicore|%s|%s|%d|%d", scenario, c.policy, c.cores, *insts))
-			return hex.EncodeToString(sum[:])
+		// Grid-fill keys each cell by the content hash of its config.
+		cfgs := make([]sim.MulticoreConfig, len(cells))
+		keys := make([]string, len(cells))
+		for i, c := range cells {
+			if cfgs[i], err = bench.NewMulticoreRun(scenario, c.policy, c.cores, *insts); err != nil {
+				fatal(err)
+			}
+			keys[i] = sim.MulticoreCacheKey(cfgs[i])
 		}
 		recs := make([]runindex.Record, len(cells))
 		var cold []int
-		for i, c := range cells {
+		for i := range cells {
 			if catalog != nil {
-				if rec, ok := catalog.Get(keyOf(c)); ok {
+				if rec, ok := catalog.Get(keys[i]); ok {
 					recs[i] = rec
 					continue
 				}
@@ -129,11 +130,7 @@ func main() {
 		if len(cold) > 0 {
 			outs, err := runner.Map(ctx, runner.Options{Workers: *workers}, cold,
 				func(ctx context.Context, i int) (*sim.MulticoreResult, error) {
-					cfg, err := bench.NewMulticoreRun(scenario, cells[i].policy, cells[i].cores, *insts)
-					if err != nil {
-						return nil, err
-					}
-					return sim.RunMulticore(ctx, cfg)
+					return sim.RunMulticore(ctx, cfgs[i])
 				})
 			if err != nil {
 				sinks.Close()
@@ -141,7 +138,7 @@ func main() {
 			}
 			for j, i := range cold {
 				cycles += outs[j].Cycles
-				recs[i] = runindex.FromMulticore(keyOf(cells[i]), *insts, outs[j])
+				recs[i] = runindex.FromMulticore(keys[i], *insts, outs[j])
 				if catalog != nil {
 					catalog.Ingest(recs[i])
 				}

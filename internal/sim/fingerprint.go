@@ -12,7 +12,8 @@ package sim
 // hashed by default; fields that must NOT contribute to the key (telemetry
 // sinks and their labeling, which do not affect the simulated trajectory)
 // are listed in cacheKeyExcluded, and TestCacheKeyCoversConfig fails when
-// Config grows a field that has not been explicitly classified.
+// Config or MulticoreConfig grows a field that has not been explicitly
+// classified.
 
 import (
 	"crypto/sha256"
@@ -45,17 +46,30 @@ func CacheKey(cfg Config) (key string, ok bool) {
 	if cfg.Metrics != nil || cfg.Trace != nil {
 		return "", false
 	}
+	return fingerprint(reflect.ValueOf(cfg), cacheKeyExcluded), true
+}
+
+// MulticoreCacheKey returns the content hash of a multicore configuration,
+// keying multicore runs the way CacheKey keys solo ones. MulticoreConfig
+// carries no telemetry sink, so every field is hashed and every
+// configuration is cacheable. Solo and multicore keys cannot collide: the
+// two encodings start with different field names.
+func MulticoreCacheKey(cfg MulticoreConfig) string {
+	return fingerprint(reflect.ValueOf(cfg), nil)
+}
+
+// fingerprint hashes the fields of the struct v not named in excluded.
+func fingerprint(v reflect.Value, excluded map[string]bool) string {
 	h := sha256.New()
-	v := reflect.ValueOf(cfg)
 	t := v.Type()
 	for i := 0; i < t.NumField(); i++ {
-		if cacheKeyExcluded[t.Field(i).Name] {
+		if excluded[t.Field(i).Name] {
 			continue
 		}
 		fmt.Fprintf(h, "%s=", t.Field(i).Name)
 		hashValue(h, v.Field(i))
 	}
-	return hex.EncodeToString(h.Sum(nil)), true
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 // hashValue canonically encodes v into h. Every kind that can appear in a

@@ -42,7 +42,39 @@ var cacheKeyCovered = map[string]bool{
 	"PipelineSurrogate": true,
 }
 
+// multicoreKeyCovered lists every MulticoreConfig field. MulticoreCacheKey
+// hashes them all (it has no exclusion list); a new field must be added
+// here after checking it belongs in the key.
+var multicoreKeyCovered = map[string]bool{
+	"Workloads":     true,
+	"Pipeline":      true,
+	"Gating":        true,
+	"Thresholds":    true,
+	"Managers":      true,
+	"DVFS":          true,
+	"Budget":        true,
+	"Sensors":       true,
+	"MaxInsts":      true,
+	"MaxCycles":     true,
+	"ThermalStride": true,
+	"InitTemps":     true,
+}
+
 func TestCacheKeyCoversConfig(t *testing.T) {
+	mtyp := reflect.TypeOf(MulticoreConfig{})
+	for i := 0; i < mtyp.NumField(); i++ {
+		if name := mtyp.Field(i).Name; !multicoreKeyCovered[name] {
+			t.Errorf("MulticoreConfig.%s is not classified for the run-cache fingerprint: "+
+				"MulticoreCacheKey hashes every field, so add it to multicoreKeyCovered "+
+				"if it affects the trajectory, or give MulticoreCacheKey an exclusion list", name)
+		}
+	}
+	for name := range multicoreKeyCovered {
+		if _, ok := mtyp.FieldByName(name); !ok {
+			t.Errorf("multicoreKeyCovered lists %s, which MulticoreConfig no longer has", name)
+		}
+	}
+
 	typ := reflect.TypeOf(Config{})
 	for i := 0; i < typ.NumField(); i++ {
 		name := typ.Field(i).Name

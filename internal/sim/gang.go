@@ -30,9 +30,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
-	"sort"
 
-	"repro/internal/dtm"
 	"repro/internal/pipeline"
 	"repro/internal/power"
 	"repro/internal/workload"
@@ -149,20 +147,13 @@ const mergeCheckStride = 4096
 const mergeCheckCalls = max(1, mergeCheckStride/classBurst)
 
 // gangSchedKey derives the config's thermal-window sampling schedule: the
-// set of clamp intervals nextWindowLen applies. Members are only gang-able
-// within one schedule group — surrogate replay advances whole thermal
-// windows, so members whose windows end on different cycles cannot share
-// a replay leg even while their actuator states agree.
+// clamp intervals its fast-path windows end on (windowClamps, the list
+// the engine itself schedules by). Members are only gang-able within one
+// schedule group — surrogate replay advances whole thermal windows, so
+// members whose windows end on different cycles cannot share a replay leg
+// even while their actuator states agree.
 func gangSchedKey(cfg *Config) string {
-	var iv []uint64
-	if cfg.Manager != nil && cfg.Manager.Interval != 0 {
-		iv = append(iv, cfg.Manager.Interval)
-	}
-	if cfg.Scaling != nil || cfg.Hierarchy != nil {
-		iv = append(iv, dtm.DefaultSampleInterval)
-	}
-	sort.Slice(iv, func(i, j int) bool { return iv[i] < iv[j] })
-	return fmt.Sprint(iv)
+	return fmt.Sprint(windowClamps(cfg))
 }
 
 // NewGang validates cfgs and builds a gang. Every config must describe
@@ -517,7 +508,7 @@ func (g *Gang) tryMerge() {
 func mergeable(a, b *gclass) bool {
 	la, lb := a.members[0], b.members[0]
 	if sigOf(la) != sigOf(lb) || la.cycle != lb.cycle ||
-		la.winLen != lb.winLen || la.winLeft != lb.winLeft ||
+		la.acct.winLen != lb.acct.winLen || la.acct.winLeft != lb.acct.winLeft ||
 		la.surCarry != lb.surCarry || la.virtInsts != lb.virtInsts {
 		return false
 	}

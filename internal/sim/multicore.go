@@ -125,12 +125,11 @@ type Multicore struct {
 	nb    int // blocks per core
 	cores []*pipeline.Core
 	pms   []*power.Model
-	net   *thermal.Network
+	acct  thermAcct // die network and thermal bookkeeping, one group per core
 	res   *MulticoreResult
 
 	act      pipeline.Activity
 	powerVec []float64 // flat die power, core-major
-	temps    []float64
 	sensed   []float64 // per-core sensor scratch (nb)
 
 	duty      []float64
@@ -148,17 +147,7 @@ type Multicore struct {
 	powScratch []float64
 	dutyTarget []float64
 
-	blockTemp []stats.Running
-	blkMax    []float64
-	blkEmerg  []uint64
-	blkStress []uint64
-	coreEmerg []uint64
-	coreStr   []uint64
 	chipPower stats.Running
-
-	// Window-flush scratch: per-core prefix/suffix above-set maxima.
-	emPre, emSuf []uint64
-	stPre, stSuf []uint64
 
 	interval  uint64
 	hasMgr    bool
@@ -168,13 +157,6 @@ type Multicore struct {
 
 	dt    float64
 	cycle uint64
-
-	fast     bool
-	stride   uint64
-	winLen   uint64
-	winLeft  uint64
-	powerAcc []float64
-	winTss   []float64
 
 	finished bool
 }
@@ -261,10 +243,8 @@ func NewMulticore(cfg MulticoreConfig) (*Multicore, error) {
 		nb:    nb,
 		cores: make([]*pipeline.Core, nc),
 		pms:   make([]*power.Model, nc),
-		net:   net,
 
 		powerVec: make([]float64, nblk),
-		temps:    make([]float64, nblk),
 		sensed:   make([]float64, nb),
 
 		duty:      make([]float64, nc),
@@ -279,18 +259,6 @@ func NewMulticore(cfg MulticoreConfig) (*Multicore, error) {
 		hotScratch: make([]float64, nc),
 		powScratch: make([]float64, nc),
 		dutyTarget: make([]float64, nc),
-
-		blockTemp: make([]stats.Running, nblk),
-		blkMax:    make([]float64, nblk),
-		blkEmerg:  make([]uint64, nblk),
-		blkStress: make([]uint64, nblk),
-		coreEmerg: make([]uint64, nc),
-		coreStr:   make([]uint64, nc),
-
-		emPre: make([]uint64, nc),
-		emSuf: make([]uint64, nc),
-		stPre: make([]uint64, nc),
-		stSuf: make([]uint64, nc),
 
 		interval:  interval,
 		hasMgr:    len(cfg.Managers) > 0,
@@ -319,7 +287,6 @@ func NewMulticore(cfg MulticoreConfig) (*Multicore, error) {
 		s.duty[c] = 1
 		s.freq[c] = 1
 	}
-	net.Temps(s.temps)
 
 	policy := "none"
 	switch {
@@ -341,20 +308,26 @@ func NewMulticore(cfg MulticoreConfig) (*Multicore, error) {
 		Cores:    nc,
 		PerCore:  make([]CoreResult, nc),
 	}
+	// Each core's results view its slice of the die's block results.
+	blocks := make([]BlockResult, nblk)
 	for c := range s.res.PerCore {
-		s.res.PerCore[c].Workload = cfg.Workloads[c].Name
+		cr := &s.res.PerCore[c]
+		cr.Workload = cfg.Workloads[c].Name
+		cr.Blocks = blocks[c*nb : (c+1)*nb : (c+1)*nb]
+		for k := range cr.Blocks {
+			cr.Blocks[k].Name = floorplan.BlockID(k).String()
+		}
 	}
 
+	// Windows end on the controller sampling boundaries, so every control
+	// decision observes freshly flushed temperatures.
 	stride := cfg.ThermalStride
 	if stride == 0 {
 		stride = DefaultThermalStride
 	}
-	if stride > 1 {
-		s.fast = true
-		s.stride = stride
-		s.powerAcc = make([]float64, nblk)
-		s.winTss = make([]float64, nblk)
-		s.startWindow()
+	s.acct = newThermAcct(net, cfg.Thresholds, blocks, nb, stride, []uint64{interval}, cfg.MaxCycles)
+	if s.acct.fast {
+		s.acct.open(s.acct.nextWindowLen(0))
 	}
 	return s, nil
 }
@@ -442,18 +415,15 @@ func (s *Multicore) Step() {
 		res.MaxChipPower = chip
 	}
 
-	if s.fast {
-		acc := s.powerAcc
-		for i, p := range s.powerVec {
-			acc[i] += p
-		}
-		res.WallSeconds += s.dt
-		if s.winLeft--; s.winLeft == 0 {
-			s.flushWindow(s.winLen)
-			s.startWindow()
+	res.WallSeconds += s.dt
+	if s.acct.fast {
+		if s.acct.add(s.powerVec) {
+			s.acct.flush(s.acct.winLen, 1)
+			s.acct.open(s.acct.nextWindowLen(cycle))
 		}
 	} else {
-		s.stepEuler()
+		s.acct.net.Step(s.powerVec)
+		s.acct.observe()
 	}
 
 	if cycle%s.interval == 0 {
@@ -465,191 +435,17 @@ func (s *Multicore) Step() {
 	}
 }
 
-// stepEuler advances the coupled RC network one cycle and does exact
-// per-cycle bookkeeping: per-block stats plus per-core and chip-wide
-// any-block-above unions.
-func (s *Multicore) stepEuler() {
-	s.net.Step(s.powerVec)
-	s.res.WallSeconds += s.dt
-	s.net.Temps(s.temps)
-	emTh := s.cfg.Thresholds.Emergency
-	stTh := s.cfg.Thresholds.Stress
-	chipEm, chipSt := false, false
-	for c := 0; c < s.nc; c++ {
-		coreEm, coreSt := false, false
-		base := c * s.nb
-		for k := 0; k < s.nb; k++ {
-			i := base + k
-			t := s.temps[i]
-			s.blockTemp[i].Add(t)
-			if t > s.blkMax[i] {
-				s.blkMax[i] = t
-			}
-			if t > emTh {
-				s.blkEmerg[i]++
-				coreEm = true
-			}
-			if t > stTh {
-				s.blkStress[i]++
-				coreSt = true
-			}
-		}
-		if coreEm {
-			s.coreEmerg[c]++
-			chipEm = true
-		}
-		if coreSt {
-			s.coreStr[c]++
-			chipSt = true
-		}
-	}
-	if chipEm {
-		s.res.EmergencyCycles++
-	}
-	if chipSt {
-		s.res.StressCycles++
-	}
-}
-
-// startWindow opens a new fast-path accumulation window.
-func (s *Multicore) startWindow() {
-	s.winLen = s.nextWindowLen()
-	s.winLeft = s.winLen
-}
-
-// nextWindowLen clamps the stride so windows end exactly on controller
-// sample boundaries and the cycle bound — every control decision then
-// observes freshly flushed temperatures, as in the solo fast path.
-func (s *Multicore) nextWindowLen() uint64 {
-	c := s.cycle
-	w := s.stride
-	if d := (c/s.interval+1)*s.interval - c; d < w {
-		w = d
-	}
-	if s.cfg.MaxCycles > c {
-		if d := s.cfg.MaxCycles - c; d < w {
-			w = d
-		}
-	}
-	if w == 0 {
-		w = 1
-	}
-	return w
-}
-
-// flushWindow advances the whole die across a w-cycle window with the
-// closed-form exponential solution (lateral flows frozen at window-start
-// temperatures, including the cross-core edges) and reconstructs the
-// per-cycle bookkeeping analytically. Per-block above-sets are prefixes
-// (cooling) or suffixes (heating) of the window, so the per-core union is
-// min(max prefix + max suffix, w) over the core's blocks, and the chip
-// union the same over all blocks — exactly the solo flushWindow argument
-// applied at two levels.
-func (s *Multicore) flushWindow(w uint64) {
-	res := s.res
-	acc := s.powerAcc
-	fw := float64(w)
-	for i := range acc {
-		acc[i] /= fw
-	}
-	q1, qn, qsum := s.net.WindowCoef(w, 1)
-	s.net.StepWindow(acc, w, 1, s.winTss)
-
-	emTh := s.cfg.Thresholds.Emergency
-	stTh := s.cfg.Thresholds.Stress
-	for c := 0; c < s.nc; c++ {
-		s.emPre[c], s.emSuf[c], s.stPre[c], s.stSuf[c] = 0, 0, 0, 0
-	}
-	for i := range acc {
-		c := i / s.nb
-		tss := s.winTss[i]
-		d0 := s.temps[i] - tss
-		t1 := tss + d0*q1[i]
-		tw := tss + d0*qn[i]
-		lo, hi := t1, tw
-		if lo > hi {
-			lo, hi = hi, lo
-		}
-		s.blockTemp[i].AddSpan(w, tss*fw+d0*qsum[i], lo, hi)
-		if hi > s.blkMax[i] {
-			s.blkMax[i] = hi
-		}
-		lnq := s.net.LogDecay(i)
-		if n, prefix := windowAbove(tss, d0, lnq, w, emTh, t1, tw); n > 0 {
-			s.blkEmerg[i] += n
-			if prefix {
-				if n > s.emPre[c] {
-					s.emPre[c] = n
-				}
-			} else if n > s.emSuf[c] {
-				s.emSuf[c] = n
-			}
-		}
-		if n, prefix := windowAbove(tss, d0, lnq, w, stTh, t1, tw); n > 0 {
-			s.blkStress[i] += n
-			if prefix {
-				if n > s.stPre[c] {
-					s.stPre[c] = n
-				}
-			} else if n > s.stSuf[c] {
-				s.stSuf[c] = n
-			}
-		}
-		acc[i] = 0
-	}
-	var chipEmPre, chipEmSuf, chipStPre, chipStSuf uint64
-	for c := 0; c < s.nc; c++ {
-		if u := s.emPre[c] + s.emSuf[c]; u > 0 {
-			if u > w {
-				u = w
-			}
-			s.coreEmerg[c] += u
-		}
-		if u := s.stPre[c] + s.stSuf[c]; u > 0 {
-			if u > w {
-				u = w
-			}
-			s.coreStr[c] += u
-		}
-		if s.emPre[c] > chipEmPre {
-			chipEmPre = s.emPre[c]
-		}
-		if s.emSuf[c] > chipEmSuf {
-			chipEmSuf = s.emSuf[c]
-		}
-		if s.stPre[c] > chipStPre {
-			chipStPre = s.stPre[c]
-		}
-		if s.stSuf[c] > chipStSuf {
-			chipStSuf = s.stSuf[c]
-		}
-	}
-	if u := chipEmPre + chipEmSuf; u > 0 {
-		if u > w {
-			u = w
-		}
-		res.EmergencyCycles += u
-	}
-	if u := chipStPre + chipStSuf; u > 0 {
-		if u > w {
-			u = w
-		}
-		res.StressCycles += u
-	}
-	s.net.Temps(s.temps)
-}
-
 // coreObs returns core c's observed block temperatures: the true model
 // temperatures, or the sensor bank's view of them.
 func (s *Multicore) coreObs(c int) []float64 {
 	if s.hasSensor {
-		return s.cfg.Sensors.Read(c, s.temps, s.sensed)
+		return s.cfg.Sensors.Read(c, s.acct.temps, s.sensed)
 	}
-	return s.temps[c*s.nb : (c+1)*s.nb]
+	return s.acct.temps[c*s.nb : (c+1)*s.nb]
 }
 
 // sample runs every controller at a sampling boundary. Windows are clamped
-// to end here, so s.temps is fresh on both thermal paths.
+// to end here, so the block temperatures are fresh on both thermal paths.
 func (s *Multicore) sample(cycle uint64) {
 	for c := 0; c < s.nc; c++ {
 		if s.stallLeft[c] > 0 {
@@ -703,12 +499,10 @@ func (s *Multicore) Finish() *MulticoreResult {
 		return res
 	}
 	s.finished = true
-	if s.fast {
-		if elapsed := s.winLen - s.winLeft; elapsed > 0 {
-			s.flushWindow(elapsed)
-		}
-	}
+	s.acct.finish(1)
 	res.Cycles = s.cycle
+	res.EmergencyCycles = s.acct.chipEm
+	res.StressCycles = s.acct.chipSt
 	var insts uint64
 	for c := 0; c < s.nc; c++ {
 		cr := &res.PerCore[c]
@@ -724,19 +518,8 @@ func (s *Multicore) Finish() *MulticoreResult {
 			cr.AvgDuty = s.dutySum[c] / float64(s.cycle)
 			cr.AvgFreq = s.freqSum[c] / float64(s.cycle)
 		}
-		cr.EmergencyCycles = s.coreEmerg[c]
-		cr.StressCycles = s.coreStr[c]
-		cr.Blocks = make([]BlockResult, s.nb)
-		for k := 0; k < s.nb; k++ {
-			i := c*s.nb + k
-			cr.Blocks[k] = BlockResult{
-				Name:            floorplan.BlockID(k).String(),
-				AvgTemp:         s.blockTemp[i].Mean(),
-				MaxTemp:         s.blkMax[i],
-				EmergencyCycles: s.blkEmerg[i],
-				StressCycles:    s.blkStress[i],
-			}
-		}
+		cr.EmergencyCycles = s.acct.groupEm[c]
+		cr.StressCycles = s.acct.groupSt[c]
 		insts += cr.Insts
 	}
 	res.Insts = insts

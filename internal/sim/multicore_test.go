@@ -2,6 +2,7 @@ package sim_test
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"repro/internal/bench"
@@ -158,5 +159,48 @@ func TestMulticoreValidation(t *testing.T) {
 	bad.InitTemps = []float64{100}
 	if _, err := sim.NewMulticore(bad); err == nil {
 		t.Error("accepted short InitTemps")
+	}
+}
+
+// TestMulticoreCacheKey checks the multicore run key on every registered
+// scenario, policy and two core counts: independently built identical
+// configurations share a key, every cell has its own, and changing the
+// budget or thermal stride changes it.
+func TestMulticoreCacheKey(t *testing.T) {
+	build := func(scenario, policy string, cores int) sim.MulticoreConfig {
+		t.Helper()
+		cfg, err := bench.NewMulticoreRun(scenario, policy, cores, 50_000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cfg
+	}
+	seen := map[string]string{}
+	for _, scenario := range bench.MulticoreWorkloads() {
+		for _, policy := range bench.MulticorePolicies() {
+			for _, cores := range []int{1, 2} {
+				cell := fmt.Sprintf("%s/%s/%d", scenario, policy, cores)
+				key := sim.MulticoreCacheKey(build(scenario, policy, cores))
+				if again := sim.MulticoreCacheKey(build(scenario, policy, cores)); again != key {
+					t.Errorf("%s: identical configs hash differently", cell)
+				}
+				if prev, dup := seen[key]; dup {
+					t.Errorf("%s and %s share a key", prev, cell)
+				}
+				seen[key] = cell
+			}
+		}
+	}
+	base := build("hotneighbor", "PID", 2)
+	key := sim.MulticoreCacheKey(base)
+	for name, mutate := range map[string]func(*sim.MulticoreConfig){
+		"MaxInsts":      func(c *sim.MulticoreConfig) { c.MaxInsts++ },
+		"ThermalStride": func(c *sim.MulticoreConfig) { c.ThermalStride = 1 },
+	} {
+		cfg := build("hotneighbor", "PID", 2)
+		mutate(&cfg)
+		if sim.MulticoreCacheKey(cfg) == key {
+			t.Errorf("%s: mutation does not change the key", name)
+		}
 	}
 }

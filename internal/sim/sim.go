@@ -15,7 +15,6 @@ package sim
 import (
 	"context"
 	"fmt"
-	"math"
 	"runtime"
 	"time"
 
@@ -323,7 +322,7 @@ type Sim struct {
 	cfg      Config
 	core     *pipeline.Core
 	pmodel   *power.Model
-	net      *thermal.Network
+	acct     thermAcct // network, temperatures and thermal bookkeeping
 	mgr      *dtm.Manager
 	chipNode *thermal.ChipModel
 	res      *Result
@@ -331,10 +330,8 @@ type Sim struct {
 	// Per-cycle state. Every slice is sized at construction.
 	act       pipeline.Activity
 	powerVec  []float64
-	temps     []float64
 	sensed    []float64
 	leakPeak  []float64 // hoisted net.Block(i).PeakPower lookups
-	blockTemp []stats.Running
 	chipPower stats.Running
 	proxies   []proxyPair
 	monitor   []int
@@ -356,21 +353,14 @@ type Sim struct {
 	actFetchLimit    int
 	actMaxUnresolved int
 
-	// Macro-stepped thermal fast path. While fast is set, per-cycle
-	// block power is accumulated into powerAcc and the RC network is
-	// advanced once per window with the exact exponential solution;
-	// s.temps holds the window-start temperatures in between (frozen
-	// for the leakage term). winLen/winLeft track the current window,
-	// whose length is the stride clamped to the next cycle that needs
-	// fresh temperatures.
-	fast        bool
-	stride      uint64
-	winLen      uint64
-	winLeft     uint64
-	winFlushed  bool // this cycle ended a window
+	// Macro-stepped thermal fast path (acct.fast): per-cycle block power
+	// accumulates in the accounting, which advances the RC network once
+	// per window with the exact exponential solution; acct.temps holds
+	// the window-start temperatures in between (frozen for the leakage
+	// term). winFlushed/winFlushLen report a window that ended this
+	// cycle to the trace tail.
+	winFlushed  bool
 	winFlushLen uint64
-	powerAcc    []float64
-	winTss      []float64
 
 	// Pipeline surrogate (Config.PipelineSurrogate). gen is the live
 	// workload generator, retained so replay can advance the stream and
@@ -587,23 +577,36 @@ func newWith(cfg Config, gen *workload.Generator, core *pipeline.Core, pmodel *p
 		chipNode.T = cfg.Thresholds.SinkTemp
 	}
 
+	// Thermal integration mode. Power proxies need the per-cycle
+	// emergency signal and the coupled chip/sink model re-couples the
+	// sink temperature every cycle, so both require the Euler path.
+	fastOK := len(proxies) == 0 && !cfg.CoupleChipSink
+	stride := cfg.ThermalStride
+	if stride == 0 {
+		stride = 1
+		if fastOK {
+			stride = DefaultThermalStride
+		}
+	}
+	if stride > 1 && !fastOK {
+		return nil, fmt.Errorf("sim: ThermalStride %d requires per-cycle temperatures (proxies/coupled sink); set ThermalStride to 0 or 1", cfg.ThermalStride)
+	}
+
 	s := &Sim{
 		cfg:      cfg,
 		core:     core,
 		pmodel:   pmodel,
-		net:      net,
+		acct:     newThermAcct(net, cfg.Thresholds, res.Blocks, nblk, stride, windowClamps(&cfg), cfg.MaxCycles),
 		mgr:      mgr,
 		chipNode: chipNode,
 		res:      res,
 		gen:      gen,
 
-		powerVec:  make([]float64, nblk),
-		temps:     make([]float64, nblk),
-		sensed:    make([]float64, nblk),
-		leakPeak:  make([]float64, nblk),
-		blockTemp: make([]stats.Running, nblk),
-		proxies:   proxies,
-		monitor:   monitorIdx,
+		powerVec: make([]float64, nblk),
+		sensed:   make([]float64, nblk),
+		leakPeak: make([]float64, nblk),
+		proxies:  proxies,
+		monitor:  monitorIdx,
 
 		dt:         tcfg.CycleTime,
 		duty:       1,
@@ -623,32 +626,12 @@ func newWith(cfg Config, gen *workload.Generator, core *pipeline.Core, pmodel *p
 	for i := 0; i < nblk; i++ {
 		s.leakPeak[i] = net.Block(i).PeakPower
 	}
-	net.Temps(s.temps) // prime last-cycle temperatures for the leakage term
-
-	// Thermal integration mode. Power proxies need the per-cycle
-	// emergency signal and the coupled chip/sink model re-couples the
-	// sink temperature every cycle, so both require the Euler path.
-	fastOK := !s.hasProxies && !cfg.CoupleChipSink
-	stride := cfg.ThermalStride
-	if stride == 0 {
-		stride = 1
-		if fastOK {
-			stride = DefaultThermalStride
-		}
-	}
-	if stride > 1 && !fastOK {
-		return nil, fmt.Errorf("sim: ThermalStride %d requires per-cycle temperatures (proxies/coupled sink); set ThermalStride to 0 or 1", cfg.ThermalStride)
-	}
-	if stride > 1 {
-		s.fast = true
-		s.stride = stride
-		s.powerAcc = make([]float64, nblk)
-		s.winTss = make([]float64, nblk)
-		s.startWindow()
+	if s.acct.fast {
+		s.acct.open(s.windowLen())
 	}
 
 	if cfg.PipelineSurrogate {
-		if !s.fast {
+		if !s.acct.fast {
 			return nil, fmt.Errorf("sim: PipelineSurrogate requires the macro-stepped thermal fast path (incompatible with power proxies, CoupleChipSink and ThermalStride 1)")
 		}
 		s.sur = true
@@ -676,10 +659,7 @@ func newWith(cfg Config, gen *workload.Generator, core *pipeline.Core, pmodel *p
 	}
 	if cfg.Trace != nil {
 		s.rec = cfg.Trace
-		s.recEvery = cfg.TraceInterval
-		if s.recEvery == 0 {
-			s.recEvery = dtm.DefaultSampleInterval
-		}
+		s.recEvery = traceEvery(&cfg)
 		s.traceID = cfg.TraceID
 		if s.traceID == "" {
 			s.traceID = cfg.Workload.Name + "/" + policyName
@@ -705,10 +685,19 @@ const metricsFlushMask = 1<<13 - 1
 // time.Now() pair is invisible in the per-cycle budget.
 const thermalTimeMask = 1<<10 - 1
 
+// traceEvery is the structured-trace sampling stride: TraceInterval, or
+// the DTM sampling interval by default.
+func traceEvery(cfg *Config) uint64 {
+	if cfg.TraceInterval != 0 {
+		return cfg.TraceInterval
+	}
+	return dtm.DefaultSampleInterval
+}
+
 // hottestTemp returns the maximum current block temperature.
 func (s *Sim) hottestTemp() float64 {
-	hot := s.temps[0]
-	for _, t := range s.temps[1:] {
+	hot := s.acct.temps[0]
+	for _, t := range s.acct.temps[1:] {
 		if t > hot {
 			hot = t
 		}
@@ -733,13 +722,13 @@ func (s *Sim) flushMetrics() {
 		m.StallCycles.Add(int64(res.StallCycles - s.mStalls))
 		s.mStalls = res.StallCycles
 	}
-	if res.EmergencyCycles > s.mEmerg {
-		m.EmergencyCycles.Add(int64(res.EmergencyCycles - s.mEmerg))
-		s.mEmerg = res.EmergencyCycles
+	if em := s.acct.chipEm; em > s.mEmerg {
+		m.EmergencyCycles.Add(int64(em - s.mEmerg))
+		s.mEmerg = em
 	}
-	if res.StressCycles > s.mStress {
-		m.StressCycles.Add(int64(res.StressCycles - s.mStress))
-		s.mStress = res.StressCycles
+	if st := s.acct.chipSt; st > s.mStress {
+		m.StressCycles.Add(int64(st - s.mStress))
+		s.mStress = st
 	}
 	m.HotTemp.Set(s.hottestTemp())
 	m.Duty.Set(s.duty)
@@ -756,7 +745,7 @@ func (s *Sim) recordTrace(chip float64) {
 		Duty:        s.duty,
 		FreqFactor:  s.freqFactor,
 		ChipPower:   chip,
-		BlockTemps:  s.temps,
+		BlockTemps:  s.acct.temps,
 	}
 	if s.pid != nil {
 		smp.PTerm, smp.ITerm, smp.DTerm = s.pid.Terms()
@@ -862,7 +851,7 @@ func (s *Sim) stepMember(act *pipeline.Activity, base []float64, stalled bool) f
 		// power, using last cycle's temperatures.
 		leak := s.cfg.Leakage
 		for i := range powerVec {
-			powerVec[i] += leak.Power(s.leakPeak[i], s.temps[i])
+			powerVec[i] += leak.Power(s.leakPeak[i], s.acct.temps[i])
 		}
 	}
 	chip := s.pmodel.ChipPower(act, powerVec)
@@ -882,23 +871,19 @@ func (s *Sim) stepMember(act *pipeline.Activity, base []float64, stalled bool) f
 	// path carries the fractional remainder across cycles, the fast path
 	// advances in continuous time so thermal time tracks wall time
 	// exactly.
-	if s.fast {
+	if s.acct.fast {
 		stepDt := s.dt
 		if s.freqFactor != 1 {
 			stepDt = s.dt / s.freqFactor
 		}
-		acc := s.powerAcc
-		for i, p := range powerVec {
-			acc[i] += p
-		}
 		res.WallSeconds += stepDt
 		res.ThermalSeconds += stepDt
 		s.winFlushed = false
-		if s.winLeft--; s.winLeft == 0 {
-			s.flushWindow(s.winLen)
+		if s.acct.add(powerVec) {
+			s.flush(s.acct.winLen)
 			s.winFlushed = true
-			s.winFlushLen = s.winLen
-			s.startWindow()
+			s.winFlushLen = s.acct.winLen
+			s.acct.open(s.windowLen())
 		}
 	} else {
 		s.stepEuler(powerVec, chip, cycle)
@@ -921,24 +906,24 @@ func (s *Sim) stepTail(chip float64) {
 	// phase is advanced over the window interior in one Bump and a single
 	// sample is offered at the boundary, where temperatures are fresh.
 	if s.hasTrace {
-		if s.fast {
+		if s.acct.fast {
 			if s.winFlushed {
-				_, hot := s.net.Hottest()
+				_, hot := s.acct.net.Hottest()
 				res.TempTrace.Bump(s.winFlushLen - 1)
 				res.TempTrace.Add(cycle, hot)
 				res.DutyTrace.Bump(s.winFlushLen - 1)
 				res.DutyTrace.Add(cycle, s.duty)
 				for i := range res.BlockTrace {
 					res.BlockTrace[i].Bump(s.winFlushLen - 1)
-					res.BlockTrace[i].Add(cycle, s.temps[i])
+					res.BlockTrace[i].Add(cycle, s.acct.temps[i])
 				}
 			}
 		} else {
-			_, hot := s.net.Hottest()
+			_, hot := s.acct.net.Hottest()
 			res.TempTrace.Add(cycle, hot)
 			res.DutyTrace.Add(cycle, s.duty)
 			for i := range res.BlockTrace {
-				res.BlockTrace[i].Add(cycle, s.temps[i])
+				res.BlockTrace[i].Add(cycle, s.acct.temps[i])
 			}
 		}
 	}
@@ -964,16 +949,16 @@ func (s *Sim) stepTail(chip float64) {
 func (s *Sim) sampleDTM(cycle uint64) {
 	if s.mgr != nil &&
 		(s.hasHier || (s.mgr.Interval != 0 && cycle%s.mgr.Interval == 0)) {
-		obs := s.temps
+		obs := s.acct.temps
 		if s.monitor != nil {
 			s.sensed = s.sensed[:0]
 			for _, i := range s.monitor {
-				s.sensed = append(s.sensed, s.cfg.Sensor.Read(s.temps[i]))
+				s.sensed = append(s.sensed, s.cfg.Sensor.Read(s.acct.temps[i]))
 			}
 			obs = s.sensed
 		} else if s.hasSensor {
-			s.sensed = s.sensed[:len(s.temps)]
-			for i, t := range s.temps {
+			s.sensed = s.sensed[:len(s.acct.temps)]
+			for i, t := range s.acct.temps {
 				s.sensed[i] = s.cfg.Sensor.Read(t)
 			}
 			obs = s.sensed
@@ -993,12 +978,12 @@ func (s *Sim) sampleDTM(cycle uint64) {
 		}
 	}
 	if s.hasScaling && cycle%dtm.DefaultSampleInterval == 0 {
-		f, stall := s.cfg.Scaling.Sample(s.temps)
+		f, stall := s.cfg.Scaling.Sample(s.acct.temps)
 		s.freqFactor = f
 		s.stallLeft += stall
 	}
 	if s.hasHier && cycle%dtm.DefaultSampleInterval == 0 {
-		d, f, stall := s.cfg.Hierarchy.SampleHierarchy(s.temps)
+		d, f, stall := s.cfg.Hierarchy.SampleHierarchy(s.acct.temps)
 		d = control.Quantize(d, 8)
 		if d != s.duty {
 			s.duty = d
@@ -1013,11 +998,12 @@ func (s *Sim) sampleDTM(cycle uint64) {
 }
 
 // stepEuler is the per-cycle thermal path: one (or, under frequency
-// scaling, carry-accumulated) Euler step, exact per-cycle bookkeeping,
-// and the per-cycle consumers that require it (Section 6 power proxies
-// and the coupled chip/sink extension).
+// scaling, carry-accumulated) Euler step, the shared per-cycle
+// bookkeeping, and the per-cycle consumers that require it (Section 6
+// power proxies and the coupled chip/sink extension).
 func (s *Sim) stepEuler(powerVec []float64, chip float64, cycle uint64) {
 	res := s.res
+	net := s.acct.net
 	timeStep := s.hasMetrics && cycle&thermalTimeMask == 0
 	var t0 time.Time
 	if timeStep {
@@ -1025,7 +1011,7 @@ func (s *Sim) stepEuler(powerVec []float64, chip float64, cycle uint64) {
 	}
 	stepDt := s.dt
 	if s.freqFactor == 1 {
-		s.net.Step(powerVec)
+		net.Step(powerVec)
 		res.ThermalSeconds += s.dt
 	} else {
 		stepDt = s.dt / s.freqFactor
@@ -1033,7 +1019,7 @@ func (s *Sim) stepEuler(powerVec []float64, chip float64, cycle uint64) {
 		steps := int(s.stepCarry)
 		s.stepCarry -= float64(steps)
 		for k := 0; k < steps; k++ {
-			s.net.Step(powerVec)
+			net.Step(powerVec)
 		}
 		res.ThermalSeconds += float64(steps) * s.dt
 	}
@@ -1042,30 +1028,7 @@ func (s *Sim) stepEuler(powerVec []float64, chip float64, cycle uint64) {
 		s.cfg.Metrics.ThermalStep.Observe(time.Since(t0).Seconds())
 	}
 
-	// Thermal bookkeeping.
-	s.net.Temps(s.temps)
-	anyEmerg, anyStress := false, false
-	for i, t := range s.temps {
-		s.blockTemp[i].Add(t)
-		br := &res.Blocks[i]
-		if t > br.MaxTemp {
-			br.MaxTemp = t
-		}
-		if t > s.cfg.Thresholds.Emergency {
-			br.EmergencyCycles++
-			anyEmerg = true
-		}
-		if t > s.cfg.Thresholds.Stress {
-			br.StressCycles++
-			anyStress = true
-		}
-	}
-	if anyEmerg {
-		res.EmergencyCycles++
-	}
-	if anyStress {
-		res.StressCycles++
-	}
+	anyEmerg := s.acct.observe()
 
 	// Proxies.
 	if s.hasProxies {
@@ -1080,206 +1043,48 @@ func (s *Sim) stepEuler(powerVec []float64, chip float64, cycle uint64) {
 	// Heatsink drift (extension).
 	if s.chipNode != nil {
 		s.chipNode.Step(chip, stepDt)
-		s.net.SetSinkTemp(s.chipNode.T)
+		net.SetSinkTemp(s.chipNode.T)
 	}
 }
 
-// startWindow opens a new accumulation window at the current cycle.
-func (s *Sim) startWindow() {
-	s.winLen = s.nextWindowLen()
-	s.winLeft = s.winLen
-}
-
-// nextWindowLen clamps the configured stride so the window ends no later
-// than the next cycle that must observe fresh temperatures: DTM sample
-// boundaries, scaling/hierarchy samples, telemetry timing and flush
-// points, structured-trace samples, time-series record cycles and the
-// cycle budget. Every clamp yields a length of at least one cycle
-// because the next boundary is always strictly ahead of the current
-// cycle.
-func (s *Sim) nextWindowLen() uint64 {
+// windowLen returns the length of the next fast-path window: the shared
+// schedule (DTM, scaling, telemetry and cycle-budget boundaries), further
+// clamped so every time-series record cycle — 1, 1+stride, 1+2·stride, …,
+// where the Euler path offers a sample — ends a window.
+func (s *Sim) windowLen() uint64 {
 	c := s.cycle
-	w := s.stride
-	clampTo := func(interval uint64) {
-		if interval == 0 {
-			return
-		}
-		if d := (c/interval+1)*interval - c; d < w {
-			w = d
-		}
-	}
-	if s.mgr != nil {
-		clampTo(s.mgr.Interval)
-	}
-	if s.hasScaling || s.hasHier {
-		clampTo(dtm.DefaultSampleInterval)
-	}
-	if s.hasMetrics {
-		// Aligning windows to the timing-sample stride also aligns them
-		// to the (coarser, multiple) metrics-flush stride.
-		clampTo(thermalTimeMask + 1)
-	}
-	if s.rec != nil {
-		clampTo(s.recEvery)
-	}
+	w := s.acct.nextWindowLen(c)
 	if s.hasTrace {
-		// Series record cycles are 1, 1+stride, 1+2·stride, …: the Euler
-		// path offers a sample every cycle starting at cycle 1.
 		ts := s.res.TempTrace.Stride
 		next := uint64(1)
 		if c > 0 {
 			next = ((c-1)/ts+1)*ts + 1
 		}
-		if d := next - c; d < w {
-			w = d
-		}
-	}
-	if s.cfg.MaxCycles > c {
-		if d := s.cfg.MaxCycles - c; d < w {
-			w = d
-		}
-	}
-	if w == 0 {
-		w = 1
+		w = min(w, next-c)
 	}
 	return w
 }
 
-// flushWindow advances the RC network across a w-cycle window with the
-// closed-form exponential solution and reconstructs the per-cycle thermal
-// bookkeeping analytically. Within a constant-power window each block's
-// trajectory T(k) = tss + (T0−tss)·q^k (k = 1..w) is monotone toward its
-// steady state, so the per-block temperature sum, extrema and
-// above-threshold cycle counts follow from the endpoints and one
-// logarithm; the chip-level any-block-above counts are the exact union
-// of the per-block prefix (cooling) and suffix (heating) above-sets.
-// Frequency factors change only on window-ending cycles after the flush
-// has run, so s.freqFactor is constant across the window, and s.temps
-// still holds the window-start temperatures when this is called.
-func (s *Sim) flushWindow(w uint64) {
-	res := s.res
-	invF := 1.0
+// invF is the thermal-time scale of one wall-clock cycle under frequency
+// scaling. Frequency factors change only on window-ending cycles, after
+// the flush, so it is constant across every fast-path window.
+func (s *Sim) invF() float64 {
 	if s.freqFactor != 1 {
-		invF = 1 / s.freqFactor
+		return 1 / s.freqFactor
 	}
-	acc := s.powerAcc
-	fw := float64(w)
-	for i := range acc {
-		acc[i] /= fw // accumulated energy -> mean window power
-	}
-	timeStep := s.hasMetrics && s.cycle&thermalTimeMask == 0
-	var t0 time.Time
-	if timeStep {
-		t0 = time.Now()
-	}
-	q1, qn, qsum := s.net.WindowCoef(w, invF)
-	s.net.StepWindow(acc, w, invF, s.winTss)
-	if timeStep {
-		s.cfg.Metrics.ThermalStep.Observe(time.Since(t0).Seconds())
-	}
-
-	emTh := s.cfg.Thresholds.Emergency
-	stTh := s.cfg.Thresholds.Stress
-	var emPre, emSuf, stPre, stSuf uint64
-	for i := range acc {
-		tss := s.winTss[i]
-		d0 := s.temps[i] - tss
-		t1 := tss + d0*q1[i]
-		tw := tss + d0*qn[i]
-		lo, hi := t1, tw
-		if lo > hi {
-			lo, hi = hi, lo
-		}
-		s.blockTemp[i].AddSpan(w, tss*fw+d0*qsum[i], lo, hi)
-		br := &res.Blocks[i]
-		if hi > br.MaxTemp {
-			br.MaxTemp = hi
-		}
-		lnq := invF * s.net.LogDecay(i)
-		if c, prefix := windowAbove(tss, d0, lnq, w, emTh, t1, tw); c > 0 {
-			br.EmergencyCycles += c
-			if prefix {
-				if c > emPre {
-					emPre = c
-				}
-			} else if c > emSuf {
-				emSuf = c
-			}
-		}
-		if c, prefix := windowAbove(tss, d0, lnq, w, stTh, t1, tw); c > 0 {
-			br.StressCycles += c
-			if prefix {
-				if c > stPre {
-					stPre = c
-				}
-			} else if c > stSuf {
-				stSuf = c
-			}
-		}
-		acc[i] = 0
-	}
-	// A prefix [1..p] and a suffix of length q union to min(p+q, w)
-	// cycles: disjoint when p+q <= w, the whole window otherwise.
-	if u := emPre + emSuf; u > 0 {
-		if u > w {
-			u = w
-		}
-		res.EmergencyCycles += u
-	}
-	if u := stPre + stSuf; u > 0 {
-		if u > w {
-			u = w
-		}
-		res.StressCycles += u
-	}
-	s.net.Temps(s.temps)
+	return 1
 }
 
-// windowAbove counts the cycles k in [1..w] whose closed-form temperature
-// tss + d0·exp(k·lnq) exceeds thr, and reports whether the above-set is a
-// prefix (true: cooling, or the whole window) or a suffix (false:
-// heating) of the window. t1 and tw are the precomputed endpoint
-// temperatures; monotonicity makes the endpoint checks decisive, and the
-// logarithmic crossing estimate is corrected with exact comparisons so
-// float error in the solve cannot shift the count.
-func windowAbove(tss, d0, lnq float64, w uint64, thr, t1, tw float64) (uint64, bool) {
-	if t1 <= thr && tw <= thr {
-		return 0, true
+// flush closes a w-cycle fast-path window, sampling the solve time into
+// the metrics bundle on timing cycles.
+func (s *Sim) flush(w uint64) {
+	if !s.hasMetrics || s.cycle&thermalTimeMask != 0 {
+		s.acct.flush(w, s.invF())
+		return
 	}
-	if t1 > thr && tw > thr {
-		return w, true
-	}
-	above := func(k uint64) bool {
-		return d0*math.Exp(float64(k)*lnq) > thr-tss
-	}
-	kf := math.Log((thr-tss)/d0) / lnq
-	var c uint64
-	switch {
-	case !(kf > 1):
-		c = 1
-	case kf >= float64(w):
-		c = w
-	default:
-		c = uint64(kf)
-	}
-	if d0 > 0 {
-		// Cooling: the above-set is the prefix [1..c].
-		for c > 0 && !above(c) {
-			c--
-		}
-		for c < w && above(c+1) {
-			c++
-		}
-		return c, true
-	}
-	// Heating: the above-set is the suffix [c..w].
-	for c > 1 && above(c-1) {
-		c--
-	}
-	for c <= w && !above(c) {
-		c++
-	}
-	return w - c + 1, false
+	t0 := time.Now()
+	s.acct.flush(w, s.invF())
+	s.cfg.Metrics.ThermalStep.Observe(time.Since(t0).Seconds())
 }
 
 // countDTMSample tallies one controller sampling event and, when the
@@ -1311,20 +1116,13 @@ func (s *Sim) Finish() *Result {
 		return res
 	}
 	s.finished = true
-	// Flush a partially filled fast-path window so every simulated cycle
-	// is accounted for in the thermal statistics. No record cycle can
-	// fall inside the partial span (the window was clamped to end at the
-	// next one), so the trace phase just advances.
-	if s.fast {
-		if elapsed := s.winLen - s.winLeft; elapsed > 0 {
-			s.flushWindow(elapsed)
-			if s.hasTrace {
-				res.TempTrace.Bump(elapsed)
-				res.DutyTrace.Bump(elapsed)
-				for i := range res.BlockTrace {
-					res.BlockTrace[i].Bump(elapsed)
-				}
-			}
+	// No record cycle can fall inside a partial fast-path window (it was
+	// clamped to end at the next one), so the trace phase just advances.
+	if elapsed := s.acct.finish(s.invF()); elapsed > 0 && s.hasTrace {
+		res.TempTrace.Bump(elapsed)
+		res.DutyTrace.Bump(elapsed)
+		for i := range res.BlockTrace {
+			res.BlockTrace[i].Bump(elapsed)
 		}
 	}
 	st := s.core.Stats()
@@ -1335,11 +1133,10 @@ func (s *Sim) Finish() *Result {
 		res.AvgDuty = s.dutySum / float64(s.cycle)
 	}
 	res.AvgChipPower = s.chipPower.Mean()
+	res.EmergencyCycles = s.acct.chipEm
+	res.StressCycles = s.acct.chipSt
 	if s.mgr != nil {
 		res.Engagements = s.mgr.Engagements()
-	}
-	for i := range res.Blocks {
-		res.Blocks[i].AvgTemp = s.blockTemp[i].Mean()
 	}
 	if s.chipNode != nil {
 		res.SinkDrift = s.chipNode.T - s.cfg.Thresholds.SinkTemp

@@ -216,7 +216,7 @@ func (s *Sim) lookup(key surKey) *surCal {
 // the instruction budget, or the calibration's replay budget is spent
 // (which also invalidates it, forcing a recalibration).
 func (s *Sim) replayable() *surCal {
-	if s.winLeft != s.winLen {
+	if s.acct.winLeft != s.acct.winLen {
 		return nil // let the partially accumulated window close first
 	}
 	key := s.curKey()
@@ -293,7 +293,7 @@ func (s *Sim) stepReplay(cal *surCal) {
 // sampling schedule, the leader-owned calibration), so one call serves the
 // whole class.
 func (s *Sim) replayWindow(cal *surCal) uint64 {
-	w := s.nextWindowLen()
+	w := s.windowLen()
 	if cal.ipc > 0 {
 		if rem := s.gen.PhaseInstsRemaining() - surPhaseMarginInsts; rem > 0 {
 			if maxW := uint64(float64(rem)/cal.ipc) + 1; maxW < w {
@@ -331,9 +331,9 @@ func (s *Sim) replayMember(cal *surCal, w, n uint64, carry float64) float64 {
 	for i, p := range cal.power {
 		p *= pf
 		if s.hasLeak {
-			p += s.cfg.Leakage.Power(s.leakPeak[i], s.temps[i])
+			p += s.cfg.Leakage.Power(s.leakPeak[i], s.acct.temps[i])
 		}
-		s.powerAcc[i] = p * fw
+		s.acct.powerAcc[i] = p * fw
 		chip += p
 	}
 	s.chipPower.AddSpan(w, chip*fw, chip, chip)
@@ -348,7 +348,7 @@ func (s *Sim) replayMember(cal *surCal, w, n uint64, carry float64) float64 {
 	res.ThermalSeconds += stepDt * fw
 
 	s.cycle += w
-	s.flushWindow(w)
+	s.flush(w)
 	s.winFlushed = true
 	s.winFlushLen = w
 
@@ -362,7 +362,7 @@ func (s *Sim) replayMember(cal *surCal, w, n uint64, carry float64) float64 {
 	s.dutySum += s.duty * (fw - 1)
 	s.sampleDTM(s.cycle)
 	s.dutySum += s.duty
-	s.startWindow()
+	s.acct.open(s.windowLen())
 	return chip
 }
 
@@ -373,14 +373,14 @@ func (s *Sim) replayTail(chip float64, w uint64) {
 	res := s.res
 	cycle := s.cycle
 	if s.hasTrace {
-		_, hot := s.net.Hottest()
+		_, hot := s.acct.net.Hottest()
 		res.TempTrace.Bump(w - 1)
 		res.TempTrace.Add(cycle, hot)
 		res.DutyTrace.Bump(w - 1)
 		res.DutyTrace.Add(cycle, s.duty)
 		for i := range res.BlockTrace {
 			res.BlockTrace[i].Bump(w - 1)
-			res.BlockTrace[i].Add(cycle, s.temps[i])
+			res.BlockTrace[i].Add(cycle, s.acct.temps[i])
 		}
 	}
 	if s.hasMetrics && cycle&metricsFlushMask == 0 {
