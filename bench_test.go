@@ -19,7 +19,6 @@ import (
 	"repro/internal/packstore"
 	"repro/internal/pipeline"
 	"repro/internal/power"
-	"repro/internal/runner"
 	"repro/internal/sensor"
 	"repro/internal/sim"
 	"repro/internal/thermal"
@@ -674,13 +673,12 @@ func BenchmarkAblationLeakage(b *testing.B) {
 	}
 }
 
-// BenchmarkResultStore compares the two persistent cache backends at the
+// BenchmarkResultStore measures the pack-volume result store at the
 // small-object regime the run cache lives in (a few hundred JSON bytes
-// per entry): one-file-per-entry flat store vs the append-only
-// pack-volume store. get lanes run against a pre-populated 10^5-entry
-// store; rebuild times the pack store's cold-start needle-index scan
-// over the same population. cmd/benchrec records the 10^6-entry numbers
-// into BENCH_runner.json.
+// per entry). get runs against a pre-populated 10^5-entry store;
+// rebuild times the cold-start needle-index scan over the same
+// population. cmd/benchrec records the 10^6-entry numbers into
+// BENCH_runner.json.
 func BenchmarkResultStore(b *testing.B) {
 	payload := []byte(`{"name":"gcc/PI","ipc":0.8732,"cycles":2290432,` +
 		`"avg_power":42.17,"max_temp":111.84,"emergency_cycles":18320,` +
@@ -689,18 +687,7 @@ func BenchmarkResultStore(b *testing.B) {
 	key := func(i int) string { return fmt.Sprintf("bench%059d", i) }
 	const population = 100_000
 
-	type blobStore interface {
-		Get(key string) ([]byte, error)
-		Put(key string, data []byte) error
-	}
-	openFlat := func(b *testing.B, dir string) blobStore {
-		s, err := runner.NewFlatStore(dir)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return s
-	}
-	openPack := func(b *testing.B, dir string) blobStore {
+	open := func(b *testing.B, dir string) *packstore.Store {
 		s, err := packstore.Open(dir, packstore.Options{NoAutoCompact: true})
 		if err != nil {
 			b.Fatal(err)
@@ -708,7 +695,7 @@ func BenchmarkResultStore(b *testing.B) {
 		b.Cleanup(func() { s.Close() })
 		return s
 	}
-	populate := func(b *testing.B, s blobStore) {
+	populate := func(b *testing.B, s *packstore.Store) {
 		for i := 0; i < population; i++ {
 			if err := s.Put(key(i), payload); err != nil {
 				b.Fatal(err)
@@ -716,40 +703,28 @@ func BenchmarkResultStore(b *testing.B) {
 		}
 	}
 
-	for _, backend := range []struct {
-		name string
-		open func(*testing.B, string) blobStore
-	}{
-		{"flat", openFlat},
-		{"pack", openPack},
-	} {
-		b.Run(backend.name+"/put", func(b *testing.B) {
-			s := backend.open(b, b.TempDir())
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := s.Put(key(i), payload); err != nil {
-					b.Fatal(err)
-				}
+	b.Run("pack/put", func(b *testing.B) {
+		s := open(b, b.TempDir())
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := s.Put(key(i), payload); err != nil {
+				b.Fatal(err)
 			}
-		})
-		b.Run(backend.name+"/get", func(b *testing.B) {
-			s := backend.open(b, b.TempDir())
-			populate(b, s)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := s.Get(key(i % population)); err != nil {
-					b.Fatal(err)
-				}
+		}
+	})
+	b.Run("pack/get", func(b *testing.B) {
+		s := open(b, b.TempDir())
+		populate(b, s)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := s.Get(key(i % population)); err != nil {
+				b.Fatal(err)
 			}
-		})
-	}
-
+		}
+	})
 	b.Run("pack/rebuild", func(b *testing.B) {
 		dir := b.TempDir()
-		s, err := packstore.Open(dir, packstore.Options{NoAutoCompact: true})
-		if err != nil {
-			b.Fatal(err)
-		}
+		s := open(b, dir)
 		populate(b, s)
 		s.Close()
 		b.ResetTimer()

@@ -65,8 +65,8 @@ type CacheStats struct {
 	StoredBytes       int64   `json:"stored_bytes"`
 }
 
-// StoreOpStats is one persistent-backend measurement: sequential puts,
-// then uniformly sampled gets with a p99 from per-op timings.
+// StoreOpStats is one result-store measurement: sequential puts, then
+// uniformly sampled gets with a p99 from per-op timings.
 type StoreOpStats struct {
 	Entries      int     `json:"entries"`
 	PutOpsPerSec float64 `json:"put_ops_per_sec"`
@@ -74,19 +74,14 @@ type StoreOpStats struct {
 	GetP99Micros float64 `json:"get_p99_micros"`
 }
 
-// StoreStats compares the flat one-file-per-entry store against the
-// pack-volume store at the run cache's small-object regime, plus the
-// pack store's cold-start needle-index rebuild over the full
-// population. Flat may be measured over a capped subset (its per-op
-// cost is entry-count-independent; a million file creates is not).
+// StoreStats measures the pack-volume result store at the run cache's
+// small-object regime, plus its cold-start needle-index rebuild over
+// the full population.
 type StoreStats struct {
-	PayloadBytes         int          `json:"payload_bytes"`
-	Flat                 StoreOpStats `json:"flat"`
-	Pack                 StoreOpStats `json:"pack"`
-	PackRebuildSeconds   float64      `json:"pack_cold_rebuild_seconds"`
-	PackVolumes          int64        `json:"pack_volumes"`
-	SpeedupPutPackVsFlat float64      `json:"speedup_put_pack_vs_flat"`
-	SpeedupGetPackVsFlat float64      `json:"speedup_get_pack_vs_flat"`
+	PayloadBytes       int          `json:"payload_bytes"`
+	Pack               StoreOpStats `json:"pack"`
+	PackRebuildSeconds float64      `json:"pack_cold_rebuild_seconds"`
+	PackVolumes        int64        `json:"pack_volumes"`
 }
 
 // GangModeStats is one execution mode of the gang lane: the whole
@@ -163,9 +158,10 @@ type ParallelStats struct {
 // baseline) and the run-cache cold/warm measurement. v3 normalizes
 // hot-loop cost by simulated cycles rather than Step calls (a surrogate
 // Step replays a whole thermal window) and adds the surrogate suite
-// comparison. v4 adds the result-store section (pack vs flat backend;
-// refresh it alone with -only store). v5 adds the gang-execution lane
-// (policy suite solo vs ganged; refresh with -only gang). v6 adds the
+// comparison. v4 adds the result-store section (pack store puts, gets
+// and cold rebuild; refresh it alone with -only store). v5 adds the
+// gang-execution lane (policy suite solo vs ganged; refresh with -only
+// gang). v6 adds the
 // run-catalog lane (point/range/composite queries vs full scan; refresh
 // with -only index) and the GOMAXPROCS=4 parallel reference (-only
 // parallel).
@@ -190,7 +186,7 @@ type Report struct {
 	Index *IndexStats `json:"run_index,omitempty"`
 	// Parallel is the fixed-GOMAXPROCS batch reference (see ParallelStats).
 	Parallel *ParallelStats `json:"parallel_reference,omitempty"`
-	Notes                   string      `json:"notes,omitempty"`
+	Notes    string         `json:"notes,omitempty"`
 	// SeedReference preserves the pre-engine numbers for comparison.
 	SeedReference map[string]any `json:"seed_reference,omitempty"`
 }
@@ -432,7 +428,7 @@ func measureCache(insts uint64) (CacheStats, error) {
 	}
 	defer os.RemoveAll(dir)
 	m := telemetry.NewCacheMetrics(telemetry.NewRegistry())
-	cache, err := runner.NewCache[*sim.Result](dir, m)
+	cache, err := runner.NewCacheWith[*sim.Result](runner.CacheConfig{Dir: dir}, m)
 	if err != nil {
 		return CacheStats{}, err
 	}
@@ -469,7 +465,7 @@ func measureCache(insts uint64) (CacheStats, error) {
 }
 
 // storePayload is a representative cached run result (a few hundred
-// JSON bytes) for the store comparison.
+// JSON bytes) for the store lane.
 var storePayload = []byte(`{"name":"gcc/PI","ipc":0.8732,"cycles":2290432,` +
 	`"avg_power":42.17,"max_temp":111.84,"emergency_cycles":18320,` +
 	`"temps":[110.2,109.7,108.9,111.1,107.3,109.9,110.6,108.1,109.2,` +
@@ -477,9 +473,9 @@ var storePayload = []byte(`{"name":"gcc/PI","ipc":0.8732,"cycles":2290432,` +
 
 func storeKey(i int) string { return fmt.Sprintf("bench%059d", i) }
 
-// measureBlobStore populates one backend with n entries and times puts,
-// then getSamples uniformly striding gets with per-op p99.
-func measureBlobStore(s runner.BlobStore, n int) (StoreOpStats, error) {
+// measureStoreOps populates the store with n entries and times puts,
+// then up to 200000 uniformly striding gets with per-op p99.
+func measureStoreOps(s *packstore.Store, n int) (StoreOpStats, error) {
 	st := StoreOpStats{Entries: n}
 	start := time.Now()
 	for i := 0; i < n; i++ {
@@ -512,26 +508,10 @@ func measureBlobStore(s runner.BlobStore, n int) (StoreOpStats, error) {
 	return st, nil
 }
 
-// measureStore runs the pack-vs-flat backend comparison. flatN caps the
-// flat store's population (per-op cost does not depend on entry count;
-// the cap keeps a million-entry run from spending minutes on file
-// creates), while the pack store carries the full n including the
-// cold-start rebuild scan.
-func measureStore(n, flatN int) (StoreStats, error) {
+// measureStore times n puts and sampled gets on a fresh pack store,
+// then its cold-start rebuild scan over the full population.
+func measureStore(n int) (StoreStats, error) {
 	st := StoreStats{PayloadBytes: len(storePayload)}
-
-	flatDir, err := os.MkdirTemp("", "benchrec-flat-*")
-	if err != nil {
-		return st, err
-	}
-	defer os.RemoveAll(flatDir)
-	flat, err := runner.NewFlatStore(flatDir)
-	if err != nil {
-		return st, err
-	}
-	if st.Flat, err = measureBlobStore(flat, flatN); err != nil {
-		return st, err
-	}
 
 	packDir, err := os.MkdirTemp("", "benchrec-pack-*")
 	if err != nil {
@@ -542,7 +522,7 @@ func measureStore(n, flatN int) (StoreStats, error) {
 	if err != nil {
 		return st, err
 	}
-	if st.Pack, err = measureBlobStore(pack, n); err != nil {
+	if st.Pack, err = measureStoreOps(pack, n); err != nil {
 		return st, err
 	}
 	if err := pack.Close(); err != nil {
@@ -560,9 +540,6 @@ func measureStore(n, flatN int) (StoreStats, error) {
 	}
 	st.PackVolumes = int64(pack2.Stats().Volumes)
 	pack2.Close()
-
-	st.SpeedupPutPackVsFlat = st.Pack.PutOpsPerSec / st.Flat.PutOpsPerSec
-	st.SpeedupGetPackVsFlat = st.Pack.GetOpsPerSec / st.Flat.GetOpsPerSec
 	return st, nil
 }
 
@@ -740,38 +717,24 @@ func main() {
 		only         = flag.String("only", "", "refresh a single section in the existing -out file: store | gang | index | parallel")
 		gangBench    = flag.String("gang-bench", "suite", "workloads for the gang-execution lane: \"suite\" or a comma-separated list")
 		gangInsts    = flag.Uint64("gang-insts", 2_000_000, "instructions per run in the gang-execution lane")
-		storeEntries = flag.Int("store-entries", 100_000, "entries for the result-store comparison")
-		storeFlatCap = flag.Int("store-flat-entries", 0, "flat-store population cap (0 = min(store-entries, 200000))")
+		storeEntries = flag.Int("store-entries", 100_000, "entries for the result-store lane")
 		indexEntries = flag.Int("index-entries", 120_000, "records for the run-catalog query lane")
 	)
 	flag.Parse()
-
-	flatN := *storeFlatCap
-	if flatN <= 0 {
-		flatN = *storeEntries
-		if flatN > 200_000 {
-			flatN = 200_000
-		}
-	}
 
 	if *only == "store" {
 		rep, err := loadReport(*out)
 		if err != nil {
 			fatal(fmt.Errorf("benchrec: -only store refreshes an existing report: %w", err))
 		}
-		store, err := measureStore(*storeEntries, flatN)
+		store, err := measureStore(*storeEntries)
 		if err != nil {
 			fatal(err)
 		}
 		rep.Schema = "repro/bench_runner/v4"
 		rep.ResultStore = &store
 		writeReport(*out, rep)
-		fmt.Fprintf(os.Stderr,
-			"result store (%d entries): pack put %.0f/s get %.0f/s (p99 %.0fus), flat put %.0f/s get %.0f/s (p99 %.0fus), %.1fx/%.1fx, rebuild %.3fs over %d volumes\n",
-			*storeEntries, store.Pack.PutOpsPerSec, store.Pack.GetOpsPerSec, store.Pack.GetP99Micros,
-			store.Flat.PutOpsPerSec, store.Flat.GetOpsPerSec, store.Flat.GetP99Micros,
-			store.SpeedupPutPackVsFlat, store.SpeedupGetPackVsFlat,
-			store.PackRebuildSeconds, store.PackVolumes)
+		printStore(*storeEntries, store)
 		return
 	}
 	if *only == "gang" {
@@ -894,13 +857,12 @@ func main() {
 	fmt.Fprintf(os.Stderr, "run cache: cold %.2fs warm %.2fs (%.0fx, %d hits)\n",
 		cacheStats.ColdSeconds, cacheStats.WarmSeconds,
 		cacheStats.SpeedupWarmVsCold, cacheStats.Hits)
-	store, err := measureStore(*storeEntries, flatN)
+	store, err := measureStore(*storeEntries)
 	if err != nil {
 		fatal(err)
 	}
 	rep.ResultStore = &store
-	fmt.Fprintf(os.Stderr, "result store (%d entries): pack %.1fx put / %.1fx get vs flat, rebuild %.3fs\n",
-		*storeEntries, store.SpeedupPutPackVsFlat, store.SpeedupGetPackVsFlat, store.PackRebuildSeconds)
+	printStore(*storeEntries, store)
 	idx, err := measureIndex(*indexEntries)
 	if err != nil {
 		fatal(err)
@@ -936,6 +898,13 @@ func gangBenchList(arg string) []string {
 		return core.Benchmarks()
 	}
 	return strings.Split(arg, ",")
+}
+
+func printStore(entries int, st StoreStats) {
+	fmt.Fprintf(os.Stderr,
+		"result store (%d entries): put %.0f/s get %.0f/s (p99 %.0fus), rebuild %.3fs over %d volumes\n",
+		entries, st.Pack.PutOpsPerSec, st.Pack.GetOpsPerSec, st.Pack.GetP99Micros,
+		st.PackRebuildSeconds, st.PackVolumes)
 }
 
 func printIndex(idx IndexStats) {

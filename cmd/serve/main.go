@@ -53,7 +53,6 @@ import (
 	"repro/internal/bench"
 	"repro/internal/cluster"
 	"repro/internal/experiments"
-	"repro/internal/packstore"
 	"repro/internal/runindex"
 	"repro/internal/runner"
 	"repro/internal/serving"
@@ -70,7 +69,6 @@ type serverConfig struct {
 	drainTimeout time.Duration
 	admission    serving.AdmissionConfig
 	cacheDir     string
-	cachePack    bool           // pack-volume store instead of one file per entry
 	cacheMem     int64          // in-memory cache layer cap in bytes (0 = default)
 	chaos        *serving.Chaos // nil = no fault injection
 }
@@ -90,16 +88,16 @@ type batchState struct {
 // server owns the shared registry, the admission controller, the batch
 // drainer and the batch table.
 type server struct {
-	cfg   serverConfig
+	cfg     serverConfig
 	reg     *telemetry.Registry
 	sm      *telemetry.ServingMetrics
 	cache   *runner.Cache[*sim.Result] // nil = no run cache
 	catalog *runindex.Catalog          // nil = no catalog (no cache dir)
-	adm   *serving.Admission
-	drain *serving.Drainer
-	ids   *serving.RequestIDs
-	logf  func(format string, args ...any)
-	start time.Time
+	adm     *serving.Admission
+	drain   *serving.Drainer
+	ids     *serving.RequestIDs
+	logf    func(format string, args ...any)
+	start   time.Time
 
 	mu           sync.Mutex
 	batches      map[int]*batchState
@@ -132,7 +130,6 @@ func newServer(parent context.Context, cfg serverConfig, logf func(format string
 	if cfg.cacheDir != "" {
 		cache, err := runner.NewCacheWith[*sim.Result](runner.CacheConfig{
 			Dir:      cfg.cacheDir,
-			Pack:     cfg.cachePack,
 			MemBytes: cfg.cacheMem,
 		}, telemetry.NewCacheMetrics(reg))
 		if err != nil {
@@ -153,8 +150,8 @@ func newServer(parent context.Context, cfg serverConfig, logf func(format string
 			cache.Close()
 			return nil, nil, err
 		}
-		if ps, ok := cache.Store().(*packstore.Store); ok && catalog.Len() == 0 && ps.Len() > 0 {
-			if n, err := catalog.RebuildFromStore(ps); err != nil {
+		if catalog.Len() == 0 {
+			if n, err := catalog.RebuildFromStore(cache.Store()); err != nil {
 				logf("catalog rebuild: %v", err)
 			} else if n > 0 {
 				logf("catalog rebuilt: %d records recovered from the pack store", n)
@@ -186,7 +183,6 @@ func main() {
 		workers      = flag.String("workers", "", "worker mode: parallel simulations per batch (a number; empty or 0 = GOMAXPROCS). coordinator mode: comma-separated worker base URLs")
 		maxBatches   = flag.Int("max-batches", 2, "concurrent /batch jobs admitted; overflow sheds with 429")
 		cacheDir     = flag.String("cache-dir", "", "persist /run results under this directory and replay identical requests (hit/miss counters on /metrics)")
-		cachePack    = flag.Bool("cache-pack", false, "use the pack-volume result store (append-only needle files) instead of one JSON file per entry")
 		cacheMemMiB  = flag.Int64("cache-mem", 0, "in-memory cache layer cap in MiB (0 = default 256, negative = unlimited)")
 		maxInFlight  = flag.Int("max-inflight", 0, "concurrent /run simulations admitted (0 = GOMAXPROCS)")
 		maxQueue     = flag.Int("queue", 8, "requests allowed to wait for a slot; overflow sheds with 429")
@@ -246,7 +242,6 @@ func main() {
 		runTimeout:   *runTimeout,
 		drainTimeout: *drainTimeout,
 		cacheDir:     *cacheDir,
-		cachePack:    *cachePack,
 		cacheMem:     memBytes(*cacheMemMiB),
 		admission: serving.AdmissionConfig{
 			MaxInFlight: *maxInFlight,

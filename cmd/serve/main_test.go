@@ -385,7 +385,7 @@ func TestChaosDiskFaultsStayGraceful(t *testing.T) {
 
 func TestQueryEndpoint(t *testing.T) {
 	dir := t.TempDir()
-	_, ts := testServer(t, serverConfig{cacheDir: dir, cachePack: true, runTimeout: 30 * time.Second})
+	_, ts := testServer(t, serverConfig{cacheDir: dir, runTimeout: 30 * time.Second})
 	// Three runs with distinct triggers (policy PI sets a setpoint, toggle1
 	// a trigger temperature); each Put flows into the catalog.
 	for _, p := range []string{"PI", "PID", "toggle1"} {
@@ -440,7 +440,7 @@ func TestQueryWithoutCacheIs404(t *testing.T) {
 
 func TestCatalogRebuildOnColdStart(t *testing.T) {
 	dir := t.TempDir()
-	s1, ts1 := testServer(t, serverConfig{cacheDir: dir, cachePack: true, runTimeout: 30 * time.Second})
+	s1, ts1 := testServer(t, serverConfig{cacheDir: dir, runTimeout: 30 * time.Second})
 	if r := getJSON(t, ts1.URL+"/run?insts=20000&policy=PI", nil); r.StatusCode != 200 {
 		t.Fatalf("seed run: %d", r.StatusCode)
 	}
@@ -452,7 +452,7 @@ func TestCatalogRebuildOnColdStart(t *testing.T) {
 	if err := os.RemoveAll(filepath.Join(dir, "catalog")); err != nil {
 		t.Fatal(err)
 	}
-	_, ts2 := testServer(t, serverConfig{cacheDir: dir, cachePack: true, runTimeout: 30 * time.Second})
+	_, ts2 := testServer(t, serverConfig{cacheDir: dir, runTimeout: 30 * time.Second})
 	var resp struct {
 		Records int `json:"records"`
 	}

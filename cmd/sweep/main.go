@@ -12,6 +12,7 @@
 //	sweep -param delay    -bench gcc            # toggle1 policy delay
 //	sweep -param trigger  -bench gcc            # toggle1 trigger level
 //	sweep -param cores    -bench hotneighbor -policy agi   # multicore scaling
+//	sweep -param trigger  -bench gcc -cache-dir .rc -fill  # pack-store cache + run catalog
 package main
 
 import (
@@ -26,7 +27,6 @@ import (
 	"repro/internal/bench"
 	"repro/internal/dtm"
 	"repro/internal/floorplan"
-	"repro/internal/packstore"
 	"repro/internal/runindex"
 	"repro/internal/runner"
 	"repro/internal/sim"
@@ -42,8 +42,7 @@ func main() {
 		workers   = flag.Int("workers", 0, "parallel simulations (0 = GOMAXPROCS)")
 		trace     = flag.String("trace", "", "write JSONL telemetry samples to this file")
 		metrics   = flag.String("metrics", "", "write a final Prometheus-text metrics dump to this file (\"-\" = stderr)")
-		cacheDir  = flag.String("cache-dir", "", "persist run results under this directory and reuse them (disabled with -trace/-metrics)")
-		cachePack = flag.Bool("cache-pack", false, "use the pack-volume result store (append-only needle files) instead of one JSON file per entry")
+		cacheDir  = flag.String("cache-dir", "", "persist run results as pack volumes (pack-*.dat) under this directory and reuse them (disabled with -trace/-metrics)")
 		cacheMem  = flag.Int64("cache-mem", 0, "in-memory cache layer cap in MiB (0 = default 256, negative = unlimited)")
 		gangSize  = flag.Int("gang-size", 16, "max members per lock-step gang; <= 1 runs every point solo (gangs are disabled while -trace/-metrics sinks are attached)")
 		fill      = flag.Bool("fill", false, "grid-fill: consult the run catalog under <cache-dir>/catalog and dispatch only cells it is missing (requires -cache-dir)")
@@ -242,7 +241,6 @@ func main() {
 		}
 		cache, err = runner.NewCacheWith[*sim.Result](runner.CacheConfig{
 			Dir:      *cacheDir,
-			Pack:     *cachePack,
 			MemBytes: memBytes,
 		}, cm)
 		if err != nil {
@@ -251,9 +249,9 @@ func main() {
 		defer cache.Close()
 		if catalog != nil {
 			// A cache populated before -fill existed has results the catalog
-			// never saw; a pack-backed store can replay them wholesale.
-			if ps, ok := cache.Store().(*packstore.Store); ok && catalog.Len() == 0 && ps.Len() > 0 {
-				if n, err := catalog.RebuildFromStore(ps); err == nil && n > 0 {
+			// never saw; the pack store can replay them wholesale.
+			if catalog.Len() == 0 {
+				if n, err := catalog.RebuildFromStore(cache.Store()); err == nil && n > 0 {
 					fmt.Fprintf(os.Stderr, "fill: rebuilt catalog from pack store (%d records)\n", n)
 				}
 			}

@@ -9,7 +9,7 @@
 //	tables -workers 4      # bound batch parallelism
 //	tables -metrics m.prom # dump final Prometheus-text metrics
 //	tables -trace t.jsonl  # stream per-run telemetry samples
-//	tables -cache-dir .rc  # reuse identical runs across invocations
+//	tables -cache-dir .rc  # reuse identical runs across invocations (pack store)
 //
 // Catalog mode renders reports from run history (the dimension-indexed
 // catalog maintained by sweep -fill and cmd/serve) without simulating:
@@ -38,18 +38,17 @@ import (
 
 func main() {
 	var (
-		table     = flag.Int("table", 0, "table number to regenerate (0 = all)")
-		insts     = flag.Uint64("insts", 2_000_000, "committed instructions per run")
-		workers   = flag.Int("workers", 0, "parallel simulations (0 = GOMAXPROCS)")
-		progress  = flag.Bool("progress", true, "report per-run batch progress on stderr")
-		trace     = flag.String("trace", "", "write JSONL telemetry samples to this file (\"-\" = stdout)")
-		metrics   = flag.String("metrics", "", "write a final Prometheus-text metrics dump to this file (\"-\" = stderr)")
-		cacheDir  = flag.String("cache-dir", "", "persist run results under this directory and reuse them (disabled with -trace/-metrics)")
-		cachePack = flag.Bool("cache-pack", false, "use the pack-volume result store (append-only needle files) instead of one JSON file per entry")
-		cacheMem  = flag.Int64("cache-mem", 0, "in-memory cache layer cap in MiB (0 = default 256, negative = unlimited)")
-		catDir    = flag.String("catalog", "", "render reports from the run catalog at this directory instead of simulating")
-		pareto    = flag.Bool("pareto", false, "with -catalog: print the per-benchmark IPC/emergency pareto frontier")
-		sensDim   = flag.String("sensitivity", "", "with -catalog: print mean metrics bucketed by this dimension (trigger|kp|ki|interval|stride|cores|insts)")
+		table    = flag.Int("table", 0, "table number to regenerate (0 = all)")
+		insts    = flag.Uint64("insts", 2_000_000, "committed instructions per run")
+		workers  = flag.Int("workers", 0, "parallel simulations (0 = GOMAXPROCS)")
+		progress = flag.Bool("progress", true, "report per-run batch progress on stderr")
+		trace    = flag.String("trace", "", "write JSONL telemetry samples to this file (\"-\" = stdout)")
+		metrics  = flag.String("metrics", "", "write a final Prometheus-text metrics dump to this file (\"-\" = stderr)")
+		cacheDir = flag.String("cache-dir", "", "persist run results as pack volumes (pack-*.dat) under this directory and reuse them (disabled with -trace/-metrics)")
+		cacheMem = flag.Int64("cache-mem", 0, "in-memory cache layer cap in MiB (0 = default 256, negative = unlimited)")
+		catDir   = flag.String("catalog", "", "render reports from the run catalog at this directory instead of simulating")
+		pareto   = flag.Bool("pareto", false, "with -catalog: print the per-benchmark IPC/emergency pareto frontier")
+		sensDim  = flag.String("sensitivity", "", "with -catalog: print mean metrics bucketed by this dimension (trigger|kp|ki|interval|stride|cores|insts)")
 	)
 	flag.Parse()
 
@@ -114,7 +113,6 @@ func main() {
 		}
 		p.Cache, err = runner.NewCacheWith[*sim.Result](runner.CacheConfig{
 			Dir:      *cacheDir,
-			Pack:     *cachePack,
 			MemBytes: memBytes,
 		}, cm)
 		if err != nil {

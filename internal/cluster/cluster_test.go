@@ -46,10 +46,11 @@ func newFleetWorker(t *testing.T, withCache bool) *fleetWorker {
 	t.Helper()
 	fw := &fleetWorker{}
 	if withCache {
-		c, err := runner.NewCache[*sim.Result](t.TempDir(), nil)
+		c, err := runner.NewCacheWith[*sim.Result](runner.CacheConfig{Dir: t.TempDir()}, nil)
 		if err != nil {
 			t.Fatalf("worker cache: %v", err)
 		}
+		t.Cleanup(func() { c.Close() })
 		fw.cache = c
 		cat, err := runindex.Open("", runindex.Options{})
 		if err != nil {

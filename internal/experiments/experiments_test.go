@@ -210,10 +210,11 @@ func TestBaselineProgressAndWorkers(t *testing.T) {
 // pass's headline metrics exactly (JSON encodes float64 losslessly), and
 // instrumented runs must bypass the cache entirely.
 func TestRunSimCacheRoundTrip(t *testing.T) {
-	cache, err := runner.NewCache[*sim.Result](t.TempDir(), nil)
+	cache, err := runner.NewCacheWith[*sim.Result](runner.CacheConfig{Dir: t.TempDir()}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { cache.Close() })
 	p := Params{Insts: 60_000, Cache: cache}
 	mkCfg := func() sim.Config {
 		prof, err := bench.ByName("gcc")
@@ -285,10 +286,11 @@ func TestGangBatchMatchesSolo(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	cache, err := runner.NewCache[*sim.Result](t.TempDir(), nil)
+	cache, err := runner.NewCacheWith[*sim.Result](runner.CacheConfig{Dir: t.TempDir()}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { cache.Close() })
 	gp := Params{Insts: 60_000, GangSize: 8, Cache: cache}
 	ganged, err := runBatch(gp, specs)
 	if err != nil {

@@ -10,8 +10,7 @@ package packstore
 // an earlier volume on the next cold-start rebuild.
 //
 // The audit pass re-verifies every live needle's CRC and quarantines
-// mismatches as misses, the same self-healing contract the flat-file
-// cache had per entry.
+// mismatches as misses, so a rotted entry is recomputed, never served.
 
 import (
 	"bufio"

@@ -1,11 +1,13 @@
-// Package packstore is an append-only pack-volume blob store for the
-// small-object regime the flat per-entry disk cache hits at millions of
-// cached runs: instead of one file per entry, entries are appended as
-// CRC-checked needles into bounded-size pack volumes and located through
-// an in-memory needle index (key → volume, offset, length) that is
-// rebuilt by scanning volume headers on cold start. One cached DTM run
-// costs one buffered write on store and one pread on load, rather than a
-// create+write+rename and an open+read+close per entry.
+// Package packstore is the run cache's persistent layer: an append-only
+// pack-volume blob store for millions of small cached runs. Entries are
+// appended as CRC-checked needles into bounded-size pack volumes and
+// located through an in-memory needle index (key → volume, offset,
+// length) that is rebuilt by scanning volume headers on cold start. One
+// cached DTM run costs one buffered write on store and one pread on
+// load, rather than a create+write+rename and an open+read+close per
+// entry. Only pack-%06d.dat volumes are read; any other file in the
+// directory (such as the per-entry <key>.json files older builds wrote)
+// is left untouched.
 //
 // Durability follows the run cache's contract, not a database's: there
 // is no fsync, and a crash may lose the tail of the active volume. What

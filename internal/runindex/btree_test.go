@@ -63,13 +63,13 @@ func TestBtreeRandomizedVsReference(t *testing.T) {
 		}
 	}
 
-	check(0, math.MaxUint64)     // everything
-	check(0, 1)                  // empty below
-	check(63*1000+1, 64*1000)    // empty above the top key
-	check(1000, 1001)            // one duplicate run
-	check(10*1000, 20*1000)      // middle band
-	check(5*1000+1, 5*1000+2)    // between keys: empty
-	for i := 0; i < 200; i++ {   // random bands
+	check(0, math.MaxUint64)   // everything
+	check(0, 1)                // empty below
+	check(63*1000+1, 64*1000)  // empty above the top key
+	check(1000, 1001)          // one duplicate run
+	check(10*1000, 20*1000)    // middle band
+	check(5*1000+1, 5*1000+2)  // between keys: empty
+	for i := 0; i < 200; i++ { // random bands
 		lo := uint64(rng.Intn(70)) * 1000
 		hi := lo + uint64(rng.Intn(20))*1000
 		check(lo, hi)

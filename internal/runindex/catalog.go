@@ -1,6 +1,6 @@
 // Package runindex is the queryable run catalog: a dimension-indexed
 // layer over completed simulation runs. The run cache (runner.Cache over
-// a flat or pack store) answers exact-key lookups only; the catalog
+// the pack store) answers exact-key lookups only; the catalog
 // ingests every stored result into a compact append-only record log plus
 // in-memory B+-tree secondary indexes keyed by config dimensions (policy,
 // trigger temperature, controller gains, workload, thermal stride, cores,
@@ -377,7 +377,7 @@ func (c *Catalog) Contains(key string) bool {
 	return id >= 0
 }
 
-// RebuildFromStore scans a pack-volume run cache and re-ingests every
+// RebuildFromStore scans the run cache's pack store and re-ingests every
 // decodable *sim.Result the catalog does not already hold — the recovery
 // path for a catalog whose log was lost or torn while the cache survived.
 // Recovered records are appended to the log (via the normal ingest path)

@@ -4,20 +4,22 @@ package runner
 // whose exact configuration has already been executed. The cache stores
 // the JSON encoding of the result under a caller-supplied key (usually
 // sim.CacheKey's SHA-256), in a size-capped in-memory LRU layer and
-// optionally in a persistent store. Entries are decoded on every hit so
-// callers always receive a private copy — cached results can be mutated
-// freely without poisoning later hits.
+// optionally in a persistent pack store. Entries are decoded on every hit
+// so callers always receive a private copy — cached results can be
+// mutated freely without poisoning later hits.
 //
-// The persistent layer is pluggable (BlobStore): the flat store keeps
-// one JSON file per entry, the pack store (internal/packstore) appends
-// CRC-checked needles into bounded pack volumes — the right choice at
-// millions of small entries. Both are crash-safe and self-healing: a
-// corrupted or unreadable entry is dropped and treated as a miss, so the
-// batch recomputes it instead of failing. Transient disk I/O failures
-// are retried with exponential backoff before the cache degrades to a
-// miss (reads) or drops the store (writes); an injectable per-op fault
-// hook (SetFaultHook) lets cmd/serve's chaos mode prove that degradation
-// stays graceful under probabilistic disk failure.
+// The persistent layer is the pack store (internal/packstore): entries
+// are appended as CRC-checked needles into bounded pack volumes. It is
+// crash-safe and self-healing: a corrupted or undecodable entry is
+// dropped and treated as a miss, so the batch recomputes it instead of
+// failing. Files in the directory that are not pack volumes — such as
+// the per-entry <key>.json files older builds wrote — are ignored, so a
+// directory from such a build opens as an empty store and its results
+// recompute. Transient disk I/O failures are retried with exponential
+// backoff before the cache degrades to a miss (reads) or drops the store
+// (writes); an injectable per-op fault hook (SetFaultHook) lets
+// cmd/serve's chaos mode prove that degradation stays graceful under
+// probabilistic disk failure.
 
 import (
 	"context"
@@ -25,8 +27,6 @@ import (
 	"errors"
 	"fmt"
 	"io/fs"
-	"os"
-	"path/filepath"
 	"sync"
 	"time"
 
@@ -47,24 +47,10 @@ var retryBackoff = 2 * time.Millisecond
 // million-entry disk store from pulling the whole volume into RAM.
 const DefaultMemBytes = 256 << 20
 
-// BlobStore is the persistent layer behind Cache: an opaque key→bytes
-// map. Get returns fs.ErrNotExist for a missing (or quarantined) entry —
-// that is a plain miss, never retried. Implementations inject their own
-// per-op faults ("read", "write", "rename") via SetFaultHook.
-type BlobStore interface {
-	Get(key string) ([]byte, error)
-	Put(key string, data []byte) error
-	Delete(key string) error
-	SetFaultHook(f func(op string) error)
-	Close() error
-}
-
-// CacheConfig selects and sizes the cache layers.
+// CacheConfig sizes the cache layers.
 type CacheConfig struct {
-	// Dir is the persistent store directory; empty means memory-only.
+	// Dir is the pack store directory; empty means memory-only.
 	Dir string
-	// Pack selects the pack-volume store instead of one file per entry.
-	Pack bool
 	// MemBytes caps the in-memory LRU layer: 0 means DefaultMemBytes,
 	// negative means unlimited.
 	MemBytes int64
@@ -76,21 +62,15 @@ type CacheConfig struct {
 type Cache[R any] struct {
 	mu      sync.Mutex
 	mem     *lruCache
-	store   BlobStore // nil = memory-only
+	store   *packstore.Store // nil = memory-only
 	metrics *telemetry.CacheMetrics
 	ingest  func(key string, v R) // optional Put observer (run catalog)
 }
 
-// NewCache returns a run cache over the flat-file store. dir, when
-// non-empty, adds a persistent on-disk layer (created if missing);
-// entries there survive across processes and warm the in-memory layer
-// on first hit. metrics, when non-nil, receives hit/miss/store/byte
-// counters.
-func NewCache[R any](dir string, metrics *telemetry.CacheMetrics) (*Cache[R], error) {
-	return NewCacheWith[R](CacheConfig{Dir: dir}, metrics)
-}
-
-// NewCacheWith returns a run cache with an explicit layer configuration.
+// NewCacheWith returns a run cache. cfg.Dir, when non-empty, adds a
+// persistent pack store (created if missing); entries there survive
+// across processes and warm the in-memory layer on first hit. metrics,
+// when non-nil, receives hit/miss/store/byte and pack counters.
 func NewCacheWith[R any](cfg CacheConfig, metrics *telemetry.CacheMetrics) (*Cache[R], error) {
 	memBytes := cfg.MemBytes
 	if memBytes == 0 {
@@ -100,19 +80,11 @@ func NewCacheWith[R any](cfg CacheConfig, metrics *telemetry.CacheMetrics) (*Cac
 	if cfg.Dir == "" {
 		return c, nil
 	}
-	if cfg.Pack {
-		s, err := packstore.Open(cfg.Dir, packstore.Options{Metrics: metrics})
-		if err != nil {
-			return nil, fmt.Errorf("runner: cache: %w", err)
-		}
-		c.store = s
-	} else {
-		s, err := NewFlatStore(cfg.Dir)
-		if err != nil {
-			return nil, err
-		}
-		c.store = s
+	s, err := packstore.Open(cfg.Dir, packstore.Options{Metrics: metrics})
+	if err != nil {
+		return nil, fmt.Errorf("runner: cache: %w", err)
 	}
+	c.store = s
 	return c, nil
 }
 
@@ -136,9 +108,9 @@ func (c *Cache[R]) SetIngest(f func(key string, v R)) {
 	}
 }
 
-// Store exposes the persistent layer (nil when memory-only) so derived
-// state — the run catalog — can rebuild itself from a store scan.
-func (c *Cache[R]) Store() BlobStore {
+// Store exposes the pack store (nil when memory-only) so derived state
+// — the run catalog — can rebuild itself from a store scan.
+func (c *Cache[R]) Store() *packstore.Store {
 	if c == nil {
 		return nil
 	}
@@ -202,8 +174,9 @@ func (c *Cache[R]) Get(key string) (R, bool) {
 	}
 	var v R
 	if err := json.Unmarshal(data, &v); err != nil {
-		// Corrupted entry (torn write from a crashed process, manual
-		// truncation): drop it everywhere and recompute.
+		// Undecodable entry (its CRC holds but the bytes are not an R,
+		// e.g. written by a build with another result type): drop it
+		// everywhere and recompute.
 		c.mu.Lock()
 		c.mem.remove(key)
 		c.mu.Unlock()
@@ -241,10 +214,10 @@ func (c *Cache[R]) Put(key string, v R) {
 	if c.store == nil {
 		return
 	}
-	// Atomic publish (temp + rename for the flat store, CRC-framed append
-	// for the pack store) so concurrent readers and future processes only
-	// ever see complete entries. Errors after the retry budget are
-	// swallowed by design — see the function comment.
+	// CRC-framed append, published to readers only once the needle index
+	// points at it, so concurrent readers and future processes only ever
+	// see complete entries. Errors after the retry budget are swallowed by
+	// design — see the function comment.
 	_ = c.withRetry(func() error { return c.store.Put(key, data) })
 }
 
@@ -273,110 +246,6 @@ func (c *Cache[R]) count(f func(*telemetry.CacheMetrics)) {
 		f(c.metrics)
 	}
 }
-
-// FlatStore is the one-file-per-entry BlobStore: simple, greppable, and
-// fine up to tens of thousands of entries. Entries are written to a temp
-// file and renamed into place, so readers never observe a torn write.
-type FlatStore struct {
-	dir    string
-	faults func(op string) error // nil = no fault injection
-}
-
-// NewFlatStore opens (creating if missing) a flat entry directory.
-func NewFlatStore(dir string) (*FlatStore, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("runner: cache dir: %w", err)
-	}
-	return &FlatStore{dir: dir}, nil
-}
-
-// SetFaultHook installs the per-op fault injector ("read", "write",
-// "rename"). Each op checks the hook separately, so chaos mode can fail
-// the rename stage independently of the temp-file write.
-func (s *FlatStore) SetFaultHook(f func(op string) error) { s.faults = f }
-
-func (s *FlatStore) fault(op string) error {
-	if s.faults == nil {
-		return nil
-	}
-	return s.faults(op)
-}
-
-// path maps a key to its disk entry. Keys are hex digests, but the hash
-// is not trusted to be path-safe: anything outside [0-9a-zA-Z_-] would
-// make the join traversable, so such keys simply never touch disk.
-func (s *FlatStore) path(key string) string {
-	for _, r := range key {
-		safe := r >= '0' && r <= '9' || r >= 'a' && r <= 'z' ||
-			r >= 'A' && r <= 'Z' || r == '-' || r == '_'
-		if !safe {
-			return ""
-		}
-	}
-	return filepath.Join(s.dir, key+".json")
-}
-
-// Get loads one entry file.
-func (s *FlatStore) Get(key string) ([]byte, error) {
-	p := s.path(key)
-	if p == "" {
-		return nil, fs.ErrNotExist
-	}
-	if err := s.fault("read"); err != nil {
-		return nil, err
-	}
-	return os.ReadFile(p)
-}
-
-// Put atomically publishes one entry file: temp write under the "write"
-// op, then rename under the "rename" op, so each stage is separately
-// fault-injectable.
-func (s *FlatStore) Put(key string, data []byte) error {
-	p := s.path(key)
-	if p == "" {
-		return nil // unsafe key: stays off disk, memory layer still serves it
-	}
-	if err := s.fault("write"); err != nil {
-		return err
-	}
-	tmp, err := os.CreateTemp(s.dir, "."+key+".tmp*")
-	if err != nil {
-		return err
-	}
-	_, werr := tmp.Write(data)
-	cerr := tmp.Close()
-	if werr != nil || cerr != nil {
-		os.Remove(tmp.Name())
-		if werr != nil {
-			return werr
-		}
-		return cerr
-	}
-	if err := s.fault("rename"); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := os.Rename(tmp.Name(), p); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	return nil
-}
-
-// Delete removes one entry; a missing entry is not an error.
-func (s *FlatStore) Delete(key string) error {
-	p := s.path(key)
-	if p == "" {
-		return nil
-	}
-	if err := os.Remove(p); err != nil && !errors.Is(err, fs.ErrNotExist) {
-		return err
-	}
-	return nil
-}
-
-// Close is a no-op: the flat store holds no open handles between ops.
-func (s *FlatStore) Close() error { return nil }
 
 // CachedJob wraps job so its result is served from (and stored into) the
 // cache under key. An empty key, or a nil cache, passes through.

@@ -92,7 +92,7 @@ type CacheMetrics struct {
 	MemEvictions *Counter
 
 	// Pack-store shape: volume count and live vs dead (reclaimable)
-	// bytes across all volumes. Zero when the flat-file backend is used.
+	// bytes across all volumes. Zero for a memory-only cache.
 	PackVolumes   *Gauge
 	PackLiveBytes *Gauge
 	PackDeadBytes *Gauge

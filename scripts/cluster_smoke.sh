@@ -14,7 +14,9 @@
 #   - the restarted worker is marked back up (log line + /healthz)
 #   - loadgen -check passes against the coordinator, and against the raw
 #     worker list (multi-target round-robin)
-#   - the coordinator answers a /query range scan merged across both pack
+#   - a second fleet's batch merge is byte-identical across a worker
+#     SIGKILL, and the killed worker restarts on its pack volumes
+#   - the coordinator answers a /query range scan merged across both
 #     workers' catalogs (more rows than either worker holds alone)
 #   - a repeated `sweep -fill` run dispatches zero cold cells
 set -euo pipefail
@@ -143,18 +145,14 @@ grep -q "drained, shut down" "${DIR}/coord.log" || {
 
 kill -INT "${W1_PID}" "${W2_PID}" 2>/dev/null || true
 
-echo "== pack-store backend: fleet on -cache-pack survives SIGKILL mid-batch"
+echo "== pack store: a second fleet survives SIGKILL mid-batch"
 P3=$((P0 + 3))
 P4=$((P0 + 4))
 W3="http://127.0.0.1:${P3}"
 W4="http://127.0.0.1:${P4}"
-start_pack_worker() { # $1 = port, $2 = log path, $3 = pack dir
-  "${DIR}/serve" -addr "127.0.0.1:$1" -insts 200000 -cache-dir "$3" -cache-pack \
-    -max-inflight 4 -queue 8 -workers 2 -run-timeout 30s >"$2" 2>&1 &
-}
-start_pack_worker "${P3}" "${DIR}/w3.log" "${DIR}/pack1"
+start_worker "${P3}" "${DIR}/w3.log" "${DIR}/pack1"
 W3_PID=$!
-start_pack_worker "${P4}" "${DIR}/w4.log" "${DIR}/pack2"
+start_worker "${P4}" "${DIR}/w4.log" "${DIR}/pack2"
 W4_PID=$!
 wait_healthy "${W3}" "pack worker 1"
 wait_healthy "${W4}" "pack worker 2"
@@ -186,7 +184,7 @@ echo "pack batch merge byte-identical across SIGKILL"
 echo "== killed pack worker restarts on its pack directory (cold index rebuild)"
 ls "${DIR}/pack1"/pack-*.dat >/dev/null 2>&1 || {
   echo "pack worker wrote no pack volumes"; ls -la "${DIR}/pack1"; exit 1; }
-start_pack_worker "${P3}" "${DIR}/w3b.log" "${DIR}/pack1"
+start_worker "${P3}" "${DIR}/w3b.log" "${DIR}/pack1"
 W3_PID=$!
 wait_healthy "${W3}" "rebuilt pack worker"
 curl -fsS "${W3}/run?bench=gcc&policy=PI&insts=100000" >/dev/null || {
@@ -216,11 +214,11 @@ kill -INT "${COORD_PID}" "${W3_PID}" "${W4_PID}" 2>/dev/null || true
 echo "== sweep -fill: a repeat run dispatches zero cold cells"
 go build -o "${DIR}/sweep" ./cmd/sweep
 "${DIR}/sweep" -param trigger -bench gcc -insts 100000 -fill \
-  -cache-dir "${DIR}/fillcache" -cache-pack >"${DIR}/fill1.csv" 2>"${DIR}/fill1.log"
+  -cache-dir "${DIR}/fillcache" >"${DIR}/fill1.csv" 2>"${DIR}/fill1.log"
 grep -q "dispatching 7 cold cells" "${DIR}/fill1.log" || {
   echo "first fill pass did not dispatch the full grid:"; cat "${DIR}/fill1.log"; exit 1; }
 "${DIR}/sweep" -param trigger -bench gcc -insts 100000 -fill \
-  -cache-dir "${DIR}/fillcache" -cache-pack >"${DIR}/fill2.csv" 2>"${DIR}/fill2.log"
+  -cache-dir "${DIR}/fillcache" >"${DIR}/fill2.csv" 2>"${DIR}/fill2.log"
 grep -q "dispatching 0 cold cells" "${DIR}/fill2.log" || {
   echo "repeat fill pass dispatched cells:"; cat "${DIR}/fill2.log"; exit 1; }
 cmp -s "${DIR}/fill1.csv" "${DIR}/fill2.csv" || {
