@@ -25,7 +25,6 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/control"
-	"repro/internal/core"
 	"repro/internal/dtm"
 	"repro/internal/experiments"
 	"repro/internal/packstore"
@@ -291,9 +290,9 @@ type SuiteStats struct {
 func measureSuite(policy string, insts uint64) (SuiteStats, error) {
 	st := SuiteStats{Policy: policy, InstsPerRun: insts}
 	var exactCycles, surCycles, replayed uint64
-	for _, b := range core.Benchmarks() {
+	for _, b := range bench.Names() {
 		for _, surrogate := range []bool{false, true} {
-			cfg, err := core.NewRun(b, policy, insts)
+			cfg, err := bench.NewRun(b, policy, insts)
 			if err != nil {
 				return st, err
 			}
@@ -327,12 +326,12 @@ func measureSuite(policy string, insts uint64) (SuiteStats, error) {
 // gang per workload with the shared calibration bank, all aggregated
 // into one suite-level comparison.
 func measureGang(benchNames []string, insts uint64) (GangLaneStats, error) {
-	policies := core.Policies()
+	policies := bench.Policies()
 	st := GangLaneStats{Benchmarks: benchNames, InstsPerRun: insts, Policies: len(policies)}
 	mkCfgs := func(benchName string) ([]sim.Config, error) {
 		cfgs := make([]sim.Config, 0, len(policies))
 		for _, p := range policies {
-			cfg, err := core.NewRun(benchName, p, insts)
+			cfg, err := bench.NewRun(benchName, p, insts)
 			if err != nil {
 				return nil, err
 			}
@@ -895,7 +894,7 @@ func main() {
 // gangBenchList resolves the -gang-bench flag.
 func gangBenchList(arg string) []string {
 	if arg == "suite" {
-		return core.Benchmarks()
+		return bench.Names()
 	}
 	return strings.Split(arg, ",")
 }

@@ -16,9 +16,7 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/experiments"
-	"repro/internal/floorplan"
 	"repro/internal/stats"
-	"repro/internal/viz"
 )
 
 func main() {
@@ -85,40 +83,16 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		xs := make([]float64, len(res.TempTrace.Xs))
-		for i, c := range res.TempTrace.Xs {
-			xs[i] = float64(c)
-		}
-		duty := make([]float64, len(res.DutyTrace.Ys))
-		for i, d := range res.DutyTrace.Ys {
-			duty[i] = 100 + d*11.5
-		}
-		svg := viz.LineChart(viz.ChartConfig{
-			Title:  fmt.Sprintf("%s under %s", res.Benchmark, res.Policy),
-			XLabel: "cycle", YLabel: "temperature (C)",
-			HLines: map[string]float64{"emergency D": bench.EmergencyTemp, "trigger": bench.NonCTTrigger},
-		},
-			viz.Series{Name: "hottest block", Xs: xs, Ys: res.TempTrace.Ys},
-			viz.Series{Name: "duty (scaled)", Xs: xs, Ys: duty})
+		svg := experiments.TraceChart(res, "hottest block", "duty (scaled)")
 		name := fmt.Sprintf("trace_%s_%s.svg", fig.benchName, fig.policy)
 		if err := os.WriteFile(filepath.Join(*out, name), []byte(svg), 0o644); err != nil {
 			fatal(err)
 		}
 		fmt.Fprintf(&md, "![%s](%s)\n\n", name, name)
 
-		temps := map[floorplan.BlockID]float64{}
-		for _, b := range res.Blocks {
-			for _, id := range floorplan.Blocks() {
-				if id.String() == b.Name {
-					temps[id] = b.MaxTemp
-				}
-			}
-		}
-		heat := viz.FloorplanHeatmap(viz.HeatmapConfig{
-			Title:  fmt.Sprintf("%s/%s peak temperatures (C)", fig.benchName, fig.policy),
-			TempLo: 100, TempHi: 114,
-			Marks: map[string]float64{"D": bench.EmergencyTemp},
-		}, floorplan.DefaultLayout(), temps)
+		heat := experiments.PeakHeatmap(res,
+			fmt.Sprintf("%s/%s peak temperatures (C)", fig.benchName, fig.policy),
+			map[string]float64{"D": bench.EmergencyTemp})
 		hname := fmt.Sprintf("heat_%s_%s.svg", fig.benchName, fig.policy)
 		if err := os.WriteFile(filepath.Join(*out, hname), []byte(heat), 0o644); err != nil {
 			fatal(err)

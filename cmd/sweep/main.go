@@ -3,9 +3,12 @@
 // discussions in Sections 2.1 (trigger level, policy delay) and 5.3
 // (sampling interval, setpoint).
 //
-// All sweep points (and the baseline) run concurrently through the
-// parallel experiment engine; Ctrl-C aborts mid-sweep, and the engine's
-// per-run throughput metrics are summarized on stderr.
+// All sweep points and the baseline run as one batch through the
+// experiments batch engine (experiments.RunConfigs): cached cells are
+// served without simulating, and the cold ones, which share one workload,
+// step as one lock-step gang. Points instrumented by -trace/-metrics
+// cannot join a gang and run solo. Ctrl-C aborts mid-sweep, and the
+// simulated throughput is summarized on stderr.
 //
 //	sweep -param setpoint -bench gcc -policy PI
 //	sweep -param interval -bench gcc -policy PID
@@ -26,6 +29,7 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/dtm"
+	"repro/internal/experiments"
 	"repro/internal/floorplan"
 	"repro/internal/runindex"
 	"repro/internal/runner"
@@ -40,11 +44,10 @@ func main() {
 		policy    = flag.String("policy", "PI", "controller for setpoint/interval sweeps")
 		insts     = flag.Uint64("insts", 1_000_000, "committed instructions per point")
 		workers   = flag.Int("workers", 0, "parallel simulations (0 = GOMAXPROCS)")
-		trace     = flag.String("trace", "", "write JSONL telemetry samples to this file")
-		metrics   = flag.String("metrics", "", "write a final Prometheus-text metrics dump to this file (\"-\" = stderr)")
+		trace     = flag.String("trace", "", "write JSONL telemetry samples to this file (every point then runs solo, not ganged)")
+		metrics   = flag.String("metrics", "", "write a final Prometheus-text metrics dump to this file (\"-\" = stderr; every point then runs solo, not ganged)")
 		cacheDir  = flag.String("cache-dir", "", "persist run results as pack volumes (pack-*.dat) under this directory and reuse them (disabled with -trace/-metrics)")
 		cacheMem  = flag.Int64("cache-mem", 0, "in-memory cache layer cap in MiB (0 = default 256, negative = unlimited)")
-		gangSize  = flag.Int("gang-size", 16, "max members per lock-step gang; <= 1 runs every point solo (gangs are disabled while -trace/-metrics sinks are attached)")
 		fill      = flag.Bool("fill", false, "grid-fill: consult the run catalog under <cache-dir>/catalog and dispatch only cells it is missing (requires -cache-dir)")
 	)
 	flag.Parse()
@@ -271,17 +274,15 @@ func main() {
 		cfgs = append(cfgs, cfg)
 	}
 
-	// Pre-flight probe: serve warm cells before anything is scheduled, so
-	// only the cold remainder competes for workers (and can be
-	// gang-grouped). With -fill the catalog answers first — its row is
-	// enough to render the CSV without touching the result cache — then
-	// the cache, whose hits are ingested so the catalog catches up on
-	// results that predate it. Instrumented runs are rejected by
-	// sim.CacheKey and always execute.
-	results := make([]*sim.Result, len(cfgs))
+	// With -fill the catalog answers first: its row is enough to render
+	// the CSV without touching the result cache. The rest run through the
+	// batch engine, which serves what it can from the cache and
+	// gang-schedules the cold remainder; its cache hits are ingested so
+	// the catalog catches up on results that predate it. Instrumented runs
+	// are rejected by sim.CacheKey and always execute.
 	recs := make([]runindex.Record, len(cfgs))
 	keys := make([]string, len(cfgs))
-	var cold []int
+	var pending []int
 	for i, cfg := range cfgs {
 		if cache != nil {
 			if key, ok := sim.CacheKey(cfg); ok {
@@ -292,102 +293,37 @@ func main() {
 						continue
 					}
 				}
-				if res, hit := cache.Get(key); hit {
-					results[i] = res
-					if catalog != nil {
-						catalog.Ingest(runindex.FromResult(key, res))
-					}
-					continue
-				}
 			}
 		}
-		cold = append(cold, i)
+		pending = append(pending, i)
+	}
+	batch := make([]sim.Config, len(pending))
+	for j, i := range pending {
+		batch[j] = cfgs[i]
+	}
+	p := experiments.Params{Context: ctx, Workers: *workers, Registry: sinks.Registry, Cache: cache}
+	start := time.Now()
+	outs, simulated, err := experiments.RunConfigs(p, batch)
+	if err != nil {
+		sinks.Close()
+		fatal(err)
+	}
+	cells, cycles := 0, uint64(0)
+	for j, i := range pending {
+		recs[i] = runindex.FromResult(keys[i], outs[j])
+		if simulated[j] {
+			cells++
+			cycles += outs[j].Cycles
+		} else if catalog != nil {
+			catalog.Ingest(recs[i])
+		}
 	}
 	if catalog != nil {
 		fmt.Fprintf(os.Stderr, "fill: %d/%d cells warm in catalog, dispatching %d cold cells\n",
-			len(cfgs)-len(cold), len(cfgs), len(cold))
+			len(cfgs)-cells, len(cfgs), cells)
 	} else if cache != nil {
 		fmt.Fprintf(os.Stderr, "cache pre-flight: %d/%d cells warm, %d cold\n",
-			len(cfgs)-len(cold), len(cfgs), len(cold))
-	}
-
-	opts := runner.Options{Workers: *workers}
-	if sinks.Registry != nil {
-		opts.Metrics = telemetry.NewRunnerMetrics(sinks.Registry)
-	}
-	start := time.Now()
-	var cells, cycles uint64
-	// All sweep points share one workload, so the cold cells gang-schedule
-	// directly: chunks of up to -gang-size members run lock-step, sharing
-	// the pipeline/power front half per operating-point class. Telemetry
-	// sinks force solo runs (gangs reject per-run sinks), as does any
-	// chunk the gang executor rejects.
-	useGangs := *gangSize > 1 && sinks.Registry == nil && sinks.Recorder == nil
-	if len(cold) > 0 && useGangs {
-		var chunks [][]int
-		for lo := 0; lo < len(cold); lo += *gangSize {
-			chunks = append(chunks, cold[lo:min(lo+*gangSize, len(cold))])
-		}
-		outs, err := runner.Map(ctx, opts, chunks,
-			func(ctx context.Context, idx []int) ([]*sim.Result, error) {
-				group := make([]sim.Config, len(idx))
-				for j, i := range idx {
-					group[j] = cfgs[i]
-				}
-				if len(group) > 1 {
-					if g, err := sim.NewGang(group, sim.GangOptions{}); err == nil {
-						return g.Run(ctx)
-					}
-				}
-				out := make([]*sim.Result, len(group))
-				for j, cfg := range group {
-					res, err := sim.RunContext(ctx, cfg)
-					if err != nil {
-						return nil, err
-					}
-					out[j] = res
-				}
-				return out, nil
-			})
-		if err != nil {
-			sinks.Close()
-			fatal(err)
-		}
-		for ci, idx := range chunks {
-			for j, i := range idx {
-				results[i] = outs[ci][j]
-			}
-		}
-	} else if len(cold) > 0 {
-		jobs := make([]runner.Job[*sim.Result], len(cold))
-		for j, i := range cold {
-			cfg := cfgs[i]
-			jobs[j] = func(ctx context.Context) (*sim.Result, error) {
-				return sim.RunContext(ctx, cfg)
-			}
-		}
-		outs, err := runner.Run(ctx, opts, jobs)
-		if err != nil {
-			sinks.Close()
-			fatal(err)
-		}
-		for j, i := range cold {
-			results[i] = outs[j].Value
-		}
-	}
-	for _, i := range cold {
-		cells++
-		cycles += results[i].Cycles
-		if cache != nil && keys[i] != "" {
-			cache.Put(keys[i], results[i])
-		}
-	}
-	// Catalog-warm cells already hold their row; everything else renders
-	// from the live result.
-	for i := range cfgs {
-		if results[i] != nil {
-			recs[i] = runindex.FromResult(keys[i], results[i])
-		}
+			len(cfgs)-cells, len(cfgs), cells)
 	}
 	base := &recs[0]
 

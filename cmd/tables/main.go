@@ -1,7 +1,8 @@
 // Command tables regenerates the paper's tables (see DESIGN.md for the
 // experiment index). With no flags it prints every table; -table selects
-// one. Batches run through the parallel experiment engine: Ctrl-C aborts
-// cleanly mid-batch, and -progress reports per-run completion on stderr.
+// one. Batches run through the experiments batch engine: Ctrl-C aborts
+// cleanly mid-batch, and -progress reports per-job completion on stderr,
+// where one job is a single run or a gang of one benchmark's runs.
 //
 //	tables                 # everything (several minutes)
 //	tables -table 4        # benchmark characterization only
@@ -41,7 +42,7 @@ func main() {
 		table    = flag.Int("table", 0, "table number to regenerate (0 = all)")
 		insts    = flag.Uint64("insts", 2_000_000, "committed instructions per run")
 		workers  = flag.Int("workers", 0, "parallel simulations (0 = GOMAXPROCS)")
-		progress = flag.Bool("progress", true, "report per-run batch progress on stderr")
+		progress = flag.Bool("progress", true, "report per-job batch progress on stderr (a gang of runs is one job)")
 		trace    = flag.String("trace", "", "write JSONL telemetry samples to this file (\"-\" = stdout)")
 		metrics  = flag.String("metrics", "", "write a final Prometheus-text metrics dump to this file (\"-\" = stderr)")
 		cacheDir = flag.String("cache-dir", "", "persist run results as pack volumes (pack-*.dat) under this directory and reuse them (disabled with -trace/-metrics)")
@@ -123,7 +124,7 @@ func main() {
 	}
 	if *progress {
 		p.Progress = func(pr runner.Progress) {
-			fmt.Fprintf(os.Stderr, "\r%d/%d runs (%d failed, %v)  ",
+			fmt.Fprintf(os.Stderr, "\r%d/%d jobs (%d failed, %v)  ",
 				pr.Done, pr.Total, pr.Failed, pr.Elapsed.Round(time.Second))
 			if pr.Done == pr.Total {
 				fmt.Fprintln(os.Stderr)

@@ -18,10 +18,7 @@ import (
 	"repro/internal/bench"
 	"repro/internal/experiments"
 	"repro/internal/floorplan"
-	"repro/internal/runner"
-	"repro/internal/sim"
 	"repro/internal/telemetry"
-	"repro/internal/viz"
 )
 
 func main() {
@@ -51,42 +48,16 @@ func main() {
 	p.Registry = sinks.Registry
 	p.Trace = sinks.Recorder
 	p.TraceInterval = *stride
-	// Run through the engine for Ctrl-C abort and throughput metrics.
-	opts := runner.Options{}
-	if sinks.Registry != nil {
-		opts.Metrics = telemetry.NewRunnerMetrics(sinks.Registry)
-	}
-	outs, err := runner.Run(ctx, opts, []runner.Job[*sim.Result]{
-		func(context.Context) (*sim.Result, error) {
-			return experiments.Trace(p, *benchName, *policy, *stride)
-		},
-	})
+	start := time.Now()
+	res, err := experiments.Trace(p, *benchName, *policy, *stride)
 	if err != nil {
 		sinks.Close()
 		fatal(err)
 	}
-	res, m := outs[0].Value, outs[0].Metrics
+	wall := time.Since(start)
 
 	if *svgPath != "" {
-		xs := make([]float64, len(res.TempTrace.Xs))
-		for i, c := range res.TempTrace.Xs {
-			xs[i] = float64(c)
-		}
-		temp := viz.Series{Name: "hottest block (C)", Xs: xs, Ys: res.TempTrace.Ys}
-		// Scale duty into the thermal band so both series share an axis.
-		duty := viz.Series{Name: "fetch duty (100=off..111.5=full)", Xs: xs, Ys: make([]float64, len(res.DutyTrace.Ys))}
-		for i, d := range res.DutyTrace.Ys {
-			duty.Ys[i] = 100 + d*11.5
-		}
-		svg := viz.LineChart(viz.ChartConfig{
-			Title:  fmt.Sprintf("%s under %s", res.Benchmark, res.Policy),
-			XLabel: "cycle",
-			YLabel: "temperature (C)",
-			HLines: map[string]float64{
-				"emergency D": bench.EmergencyTemp,
-				"trigger":     bench.NonCTTrigger,
-			},
-		}, temp, duty)
+		svg := experiments.TraceChart(res, "hottest block (C)", "fetch duty (100=off..111.5=full)")
 		if err := os.WriteFile(*svgPath, []byte(svg), 0o644); err != nil {
 			fatal(err)
 		}
@@ -94,20 +65,9 @@ func main() {
 	}
 
 	if *heatPath != "" {
-		temps := map[floorplan.BlockID]float64{}
-		for _, b := range res.Blocks {
-			for _, id := range floorplan.Blocks() {
-				if id.String() == b.Name {
-					temps[id] = b.MaxTemp
-				}
-			}
-		}
-		svg := viz.FloorplanHeatmap(viz.HeatmapConfig{
-			Title:  fmt.Sprintf("%s peak temperatures under %s (C)", res.Benchmark, res.Policy),
-			TempLo: 100,
-			TempHi: 114,
-			Marks:  map[string]float64{"D": bench.EmergencyTemp, "D-1": bench.NonCTTrigger},
-		}, floorplan.DefaultLayout(), temps)
+		svg := experiments.PeakHeatmap(res,
+			fmt.Sprintf("%s peak temperatures under %s (C)", res.Benchmark, res.Policy),
+			map[string]float64{"D": bench.EmergencyTemp, "D-1": bench.NonCTTrigger})
 		if err := os.WriteFile(*heatPath, []byte(svg), 0o644); err != nil {
 			fatal(err)
 		}
@@ -130,7 +90,7 @@ func main() {
 	}
 	fmt.Fprintf(os.Stderr, "%s under %s: IPC=%.3f emerg=%.2f%% avg duty=%.2f (%d cycles in %v, %.2g cycles/s)\n",
 		res.Benchmark, res.Policy, res.IPC, 100*res.EmergencyFrac(), res.AvgDuty,
-		m.Cycles, m.Wall.Round(time.Millisecond), m.CyclesPerSec)
+		res.Cycles, wall.Round(time.Millisecond), float64(res.Cycles)/wall.Seconds())
 	if err := sinks.Close(); err != nil {
 		fatal(err)
 	}

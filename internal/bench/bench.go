@@ -322,3 +322,26 @@ func ApplyPolicy(cfg *sim.Config, name string, setpointOverride float64) error {
 	cfg.Manager = dtm.NewManager(p)
 	return nil
 }
+
+// Policies returns the DTM policy names ApplyPolicy accepts.
+func Policies() []string {
+	return []string{
+		"none", "toggle1", "toggle2", "M", "P", "PI", "PID", "mPI", "mPID",
+		"throttle", "specctl", "fscale", "vfscale",
+	}
+}
+
+// NewRun builds a ready-to-run configuration for a named benchmark under a
+// named DTM policy at the paper's operating points. insts bounds the run
+// length in committed instructions.
+func NewRun(benchmark, policy string, insts uint64) (sim.Config, error) {
+	prof, err := ByName(benchmark)
+	if err != nil {
+		return sim.Config{}, err
+	}
+	cfg := sim.Config{Workload: prof, MaxInsts: insts}
+	if err := ApplyPolicy(&cfg, policy, 0); err != nil {
+		return sim.Config{}, err
+	}
+	return cfg, nil
+}

@@ -157,6 +157,80 @@ func TestApplyPolicy(t *testing.T) {
 	}
 }
 
+// Every listed policy name builds a run, on every benchmark's profile.
+func TestBenchmarksAndPolicies(t *testing.T) {
+	if len(Names()) != 18 {
+		t.Errorf("benchmarks = %d, want 18", len(Names()))
+	}
+	for _, pol := range Policies() {
+		var cfg sim.Config
+		if err := ApplyPolicy(&cfg, pol, 0); err != nil {
+			t.Errorf("ApplyPolicy(%s): %v", pol, err)
+		}
+		if _, err := NewRun("gcc", pol, 1000); err != nil {
+			t.Errorf("NewRun(gcc, %s): %v", pol, err)
+		}
+	}
+}
+
+func TestNewRunErrors(t *testing.T) {
+	if _, err := NewRun("nope", "PI", 1000); err == nil {
+		t.Error("unknown benchmark accepted")
+	}
+	if _, err := NewRun("gcc", "nope", 1000); err == nil {
+		t.Error("unknown policy accepted")
+	}
+}
+
+func TestRunEndToEnd(t *testing.T) {
+	cfg, err := NewRun("twolf", "PI", 50_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := sim.Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Insts < 50_000 || res.IPC <= 0 {
+		t.Errorf("result = %+v", res)
+	}
+	if res.Policy != "PI" || res.Benchmark != "twolf" {
+		t.Errorf("labels = %s/%s", res.Benchmark, res.Policy)
+	}
+}
+
+// The P/PI/PID policies carry the paper's tuned controllers at their
+// default setpoints.
+func TestTunedController(t *testing.T) {
+	for _, k := range []control.Kind{control.KindP, control.KindPI, control.KindPID} {
+		p, err := NewPolicy(k.String(), 0)
+		if err != nil {
+			t.Fatalf("%v: %v", k, err)
+		}
+		ct, ok := p.(*dtm.CT)
+		if !ok {
+			t.Fatalf("%v: policy %T is not a CT policy", k, p)
+		}
+		ctl := ct.Controller()
+		if ctl.Kp <= 0 {
+			t.Errorf("%v: Kp = %v", k, ctl.Kp)
+		}
+		if ctl.Setpoint < 110 || ctl.Setpoint > 111.3 {
+			t.Errorf("%v: setpoint = %v", k, ctl.Setpoint)
+		}
+	}
+}
+
+func TestBenchmarkLookup(t *testing.T) {
+	p, err := ByName("art")
+	if err != nil || p.Name != "art" {
+		t.Fatalf("ByName(art) = %v, %v", p.Name, err)
+	}
+	if len(p.Phases) < 2 {
+		t.Error("art should be multi-phase")
+	}
+}
+
 // The thresholds relate as the paper requires.
 func TestOperatingPointOrdering(t *testing.T) {
 	if !(NonCTTrigger < PSetpoint && PSetpoint < PISetpoint && PISetpoint < EmergencyTemp) {

@@ -2,8 +2,10 @@
 // evaluation (the index lives in DESIGN.md): benchmark characterization
 // (Tables 4-8), the boxcar-proxy comparison (Tables 9-10), the DTM policy
 // evaluation and headline result (Section 7), the setpoint study, and the
-// time-series traces behind the figures. cmd/tables and the root benchmark
-// harness are thin wrappers over this package.
+// time-series traces behind the figures. Every batch runs through one
+// engine, RunConfigs, which gang-schedules runs sharing a workload.
+// cmd/tables and the root benchmark harness are thin wrappers over this
+// package, and cmd/sweep calls RunConfigs directly.
 package experiments
 
 import (
@@ -34,13 +36,16 @@ type Params struct {
 	Context context.Context
 	// Workers bounds batch parallelism; <= 0 uses GOMAXPROCS.
 	Workers int
-	// Progress, when non-nil, observes every batch's per-run completion.
+	// Progress, when non-nil, observes every batch's per-job completion;
+	// a job is one solo run or one gang.
 	Progress func(runner.Progress)
 	// Registry, when non-nil, collects sim and runner telemetry from every
-	// batch run (shared metrics; per-run counter stripes).
+	// batch run (shared metrics; per-run counter stripes). Instrumented
+	// runs join no gang, so every run then executes solo.
 	Registry *telemetry.Registry
 	// Trace, when non-nil, receives structured controller/thermal samples
-	// from every run, labeled "benchmark/policy".
+	// from every run, labeled "benchmark/policy"; like Registry, it makes
+	// every run execute solo.
 	Trace *telemetry.Recorder
 	// TraceInterval is the cycle stride for Trace samples (0 = DTM
 	// sampling interval).
@@ -52,17 +57,6 @@ type Params struct {
 	// simulations entirely. Runs with live telemetry attached (Registry
 	// or Trace set) are not cacheable and always execute.
 	Cache *runner.Cache[*sim.Result]
-	// GangSize, when > 1, gang-schedules batches: cold specs sharing one
-	// workload are stepped as lock-step operating-point equivalence
-	// classes of up to GangSize members (sim.NewGang), so the shared
-	// pipeline and power-model work is evaluated once per class instead
-	// of once per run. Results are byte-identical to solo execution.
-	// Cached cells are served by a pre-flight probe and never scheduled;
-	// groups the gang executor rejects (per-cycle instrumentation,
-	// heterogeneous execution parameters) fall back to solo runs.
-	// Ignored while live telemetry (Registry/Trace) is attached, since
-	// per-run sinks require solo execution.
-	GangSize int
 }
 
 // ctx returns the effective batch context.
@@ -89,28 +83,24 @@ type runSpec struct {
 	cfg      func(*sim.Config)
 }
 
-// runBatch executes specs through the parallel experiment engine: bounded
-// workers, first-error abort, panic-to-error conversion, per-run metrics.
-// Results come back in spec order. With GangSize > 1 and no telemetry
-// attached, cold specs sharing a workload run as lock-step gangs instead
-// of independent runs.
+// maxGang caps gang membership: larger groups of one workload split into
+// several gangs, which the worker pool then runs in parallel.
+const maxGang = 16
+
+// runBatch materializes specs into instrumented configs and runs them
+// through the batch engine (RunConfigs). Results come back in spec order.
 func runBatch(p Params, specs []runSpec) ([]*sim.Result, error) {
-	if p.GangSize > 1 && p.Registry == nil && p.Trace == nil {
-		return runGangBatch(p, specs)
+	cfgs := make([]sim.Config, len(specs))
+	for i, sp := range specs {
+		cfg, err := p.buildConfig(sp)
+		if err != nil {
+			return nil, err
+		}
+		p.instrument(&cfg, sp.bench+"/"+sp.policy)
+		cfgs[i] = cfg
 	}
-	opts := runner.Options{Workers: p.Workers, Progress: p.Progress}
-	if p.Registry != nil {
-		opts.Metrics = telemetry.NewRunnerMetrics(p.Registry)
-	}
-	return runner.Map(p.ctx(), opts, specs,
-		func(ctx context.Context, sp runSpec) (*sim.Result, error) {
-			cfg, err := p.buildConfig(sp)
-			if err != nil {
-				return nil, err
-			}
-			p.instrument(&cfg, sp.bench+"/"+sp.policy)
-			return p.runSim(ctx, cfg)
-		})
+	res, _, err := RunConfigs(p, cfgs)
+	return res, err
 }
 
 // buildConfig materializes one spec into a run configuration, without
@@ -130,128 +120,96 @@ func (p Params) buildConfig(sp runSpec) (sim.Config, error) {
 	return cfg, nil
 }
 
-// gangGroup is one schedulable unit of a gang batch: the cold specs of
-// one workload, capped at GangSize members.
-type gangGroup struct {
-	idx  []int // positions in the batch's spec slice
-	cfgs []sim.Config
-	keys []string // cache keys, "" where uncacheable
-}
-
-// runGangBatch is the gang-scheduled batch engine. It pre-flights the
-// cache for every cell, groups the cold cells by workload, chunks each
-// group to GangSize and runs the groups through the worker pool — each
-// as one sim.NewGang, falling back to solo runs for singletons and for
-// groups the gang executor rejects. Result order and cache behavior are
-// identical to the solo path.
-func runGangBatch(p Params, specs []runSpec) ([]*sim.Result, error) {
-	out := make([]*sim.Result, len(specs))
-	cfgs := make([]sim.Config, len(specs))
-	keys := make([]string, len(specs))
-	var cold []int
-	for i, sp := range specs {
-		cfg, err := p.buildConfig(sp)
-		if err != nil {
-			return nil, err
-		}
-		cfgs[i] = cfg
+// RunConfigs is the batch engine. It serves every cacheable config it can
+// from p.Cache, then groups the cold ones by sim.GangCompatible into gangs
+// of up to maxGang members and runs each group as one job on the worker
+// pool (bounded workers, first-error abort, panic-to-error conversion,
+// per-job metrics and progress): multi-member groups through sim.NewGang,
+// singletons — including every config that can join no gang, such as the
+// instrumented ones — through sim.RunContext. Gang results are
+// byte-identical to solo runs. Cold results are stored in p.Cache.
+// Results come back in cfgs order; cold reports which were simulated.
+//
+// The configs are run as given: RunConfigs attaches no telemetry to them
+// (p.Registry only records runner metrics, p.Trace is unused), and each
+// must own its controllers, as sim.NewGang requires.
+func RunConfigs(p Params, cfgs []sim.Config) (res []*sim.Result, cold []bool, err error) {
+	res = make([]*sim.Result, len(cfgs))
+	cold = make([]bool, len(cfgs))
+	keys := make([]string, len(cfgs))
+	var groups [][]int // positions in cfgs; a group's first member leads
+	for i := range cfgs {
 		if p.Cache != nil {
-			if key, ok := sim.CacheKey(cfg); ok {
+			if key, ok := sim.CacheKey(cfgs[i]); ok {
 				keys[i] = key
-				if res, hit := p.Cache.Get(key); hit {
-					out[i] = res
+				if r, hit := p.Cache.Get(key); hit {
+					res[i] = r
 					continue
 				}
 			}
 		}
-		cold = append(cold, i)
+		cold[i] = true
+		groups = addToGroup(groups, cfgs, i)
 	}
-
-	var groups []gangGroup
-	open := map[string]int{} // workload name -> open group index
-	for _, i := range cold {
-		gi, ok := open[specs[i].bench]
-		if !ok || len(groups[gi].idx) >= p.GangSize {
-			groups = append(groups, gangGroup{})
-			gi = len(groups) - 1
-			open[specs[i].bench] = gi
-		}
-		g := &groups[gi]
-		g.idx = append(g.idx, i)
-		g.cfgs = append(g.cfgs, cfgs[i])
-		g.keys = append(g.keys, keys[i])
-	}
-
 	if len(groups) == 0 { // fully warm batch: nothing to schedule
-		return out, nil
+		return res, cold, nil
 	}
+
 	opts := runner.Options{Workers: p.Workers, Progress: p.Progress}
-	results, err := runner.Map(p.ctx(), opts, groups,
-		func(ctx context.Context, g gangGroup) ([]*sim.Result, error) {
-			return p.runGroup(ctx, g)
+	if p.Registry != nil {
+		opts.Metrics = telemetry.NewRunnerMetrics(p.Registry)
+	}
+	outs, err := runner.Map(p.ctx(), opts, groups,
+		func(ctx context.Context, idx []int) ([]*sim.Result, error) {
+			out, err := runGroup(ctx, cfgs, idx)
+			if err == nil && p.Cache != nil {
+				for j, i := range idx {
+					if keys[i] != "" {
+						p.Cache.Put(keys[i], out[j])
+					}
+				}
+			}
+			return out, err
 		})
+	if err != nil {
+		return nil, nil, err
+	}
+	for g, idx := range groups {
+		for j, i := range idx {
+			res[i] = outs[g][j]
+		}
+	}
+	return res, cold, nil
+}
+
+// addToGroup puts cfgs[i] into the first group with room whose lead it
+// may share a gang with, or into a new group of its own.
+func addToGroup(groups [][]int, cfgs []sim.Config, i int) [][]int {
+	for g, idx := range groups {
+		if len(idx) < maxGang && sim.GangCompatible(&cfgs[idx[0]], &cfgs[i]) == nil {
+			groups[g] = append(idx, i)
+			return groups
+		}
+	}
+	return append(groups, []int{i})
+}
+
+// runGroup runs one job of the batch engine: the configs at idx, as one
+// gang when there are several.
+func runGroup(ctx context.Context, cfgs []sim.Config, idx []int) ([]*sim.Result, error) {
+	if len(idx) == 1 {
+		r, err := sim.RunContext(ctx, cfgs[idx[0]])
+		return []*sim.Result{r}, err
+	}
+	members := make([]sim.Config, len(idx))
+	for j, i := range idx {
+		members[j] = cfgs[i]
+	}
+	gang, err := sim.NewGang(members, sim.GangOptions{})
 	if err != nil {
 		return nil, err
 	}
-	for gi := range groups {
-		for j, i := range groups[gi].idx {
-			out[i] = results[gi][j]
-		}
-	}
-	return out, nil
-}
-
-// runGroup executes one gang group. Singletons run solo; multi-member
-// groups run as one gang, and any configuration set the gang executor
-// rejects (proxy windows, trace strides, heterogeneous budgets) degrades
-// to per-member solo runs rather than failing the batch.
-func (p Params) runGroup(ctx context.Context, g gangGroup) ([]*sim.Result, error) {
-	var results []*sim.Result
-	if len(g.cfgs) > 1 {
-		if gang, err := sim.NewGang(g.cfgs, sim.GangOptions{}); err == nil {
-			if results, err = gang.Run(ctx); err != nil {
-				return nil, err
-			}
-		}
-	}
-	if results == nil {
-		for _, cfg := range g.cfgs {
-			res, err := sim.RunContext(ctx, cfg)
-			if err != nil {
-				return nil, err
-			}
-			results = append(results, res)
-		}
-	}
-	if p.Cache != nil {
-		for j, key := range g.keys {
-			if key != "" {
-				p.Cache.Put(key, results[j])
-			}
-		}
-	}
-	return results, nil
-}
-
-// runSim executes one configured run, serving it from the params' cache
-// when one is attached and the configuration is cacheable (no telemetry
-// sinks). The key is computed after instrumentation on purpose: a run
-// that will stream metrics or traces must never be replayed from cache,
-// and CacheKey rejects exactly those.
-func (p Params) runSim(ctx context.Context, cfg sim.Config) (*sim.Result, error) {
-	if p.Cache != nil {
-		if key, ok := sim.CacheKey(cfg); ok {
-			if res, hit := p.Cache.Get(key); hit {
-				return res, nil
-			}
-			res, err := sim.RunContext(ctx, cfg)
-			if err == nil {
-				p.Cache.Put(key, res)
-			}
-			return res, err
-		}
-	}
-	return sim.RunContext(ctx, cfg)
+	return gang.Run(ctx)
 }
 
 // instrument attaches the params' telemetry sinks to one run's config. A
@@ -453,9 +411,9 @@ type PolicyEval struct {
 }
 
 // RunPolicyEval executes the full policy-evaluation matrix. The whole
-// matrix — baseline plus every policy — goes through one batch, so gang
-// scheduling (Params.GangSize) can fold each benchmark's policy column
-// into a single lock-step gang.
+// matrix — baseline plus every policy — goes through one batch, so the
+// batch engine folds each benchmark's policy column into a single
+// lock-step gang.
 func RunPolicyEval(p Params) (*PolicyEval, error) {
 	names := bench.Names()
 	specs := make([]runSpec, 0, (1+len(p.Policies))*len(names))
@@ -622,16 +580,12 @@ func SetpointStudy(p Params) (*stats.Table, error) {
 // Trace runs one benchmark under one policy with time-series recording
 // (the temperature/duty figures).
 func Trace(p Params, benchName, policy string, stride uint64) (*sim.Result, error) {
-	prof, err := bench.ByName(benchName)
+	res, err := runBatch(p, []runSpec{{bench: benchName, policy: policy,
+		cfg: func(c *sim.Config) { c.TraceStride = stride }}})
 	if err != nil {
 		return nil, err
 	}
-	cfg := sim.Config{Workload: prof, MaxInsts: p.Insts, TraceStride: stride}
-	if err := bench.ApplyPolicy(&cfg, policy, 0); err != nil {
-		return nil, err
-	}
-	p.instrument(&cfg, benchName+"/"+policy)
-	return p.runSim(p.ctx(), cfg)
+	return res[0], nil
 }
 
 // SeedStats summarizes a benchmark's metric spread across workload seeds —
@@ -653,25 +607,13 @@ func SeedStudy(p Params, benchName, policy string, n int) (SeedStats, error) {
 	if err != nil {
 		return SeedStats{}, err
 	}
-	seeds := make([]uint64, n)
-	for i := range seeds {
-		seeds[i] = base.Seed + uint64(i)*0x9e3779b97f4a7c15
+	specs := make([]runSpec, n)
+	for i := range specs {
+		seed := base.Seed + uint64(i)*0x9e3779b97f4a7c15
+		specs[i] = runSpec{bench: benchName, policy: policy,
+			cfg: func(c *sim.Config) { c.Workload.Seed = seed }}
 	}
-	opts := runner.Options{Workers: p.Workers, Progress: p.Progress}
-	if p.Registry != nil {
-		opts.Metrics = telemetry.NewRunnerMetrics(p.Registry)
-	}
-	results, err := runner.Map(p.ctx(), opts, seeds,
-		func(ctx context.Context, seed uint64) (*sim.Result, error) {
-			prof := base
-			prof.Seed = seed
-			cfg := sim.Config{Workload: prof, MaxInsts: p.Insts}
-			if err := bench.ApplyPolicy(&cfg, policy, 0); err != nil {
-				return nil, err
-			}
-			p.instrument(&cfg, benchName+"/"+policy)
-			return p.runSim(ctx, cfg)
-		})
+	results, err := runBatch(p, specs)
 	if err != nil {
 		return SeedStats{}, err
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -109,7 +110,14 @@ func TestTraceExperiment(t *testing.T) {
 		t.Fatal(err)
 	}
 	if res.TempTrace == nil || res.TempTrace.Len() == 0 {
-		t.Error("no trace recorded")
+		t.Fatal("no trace recorded")
+	}
+	if svg := TraceChart(res, "hot", "duty"); !strings.Contains(svg, "twolf under PI") ||
+		!strings.Contains(svg, ">hot<") || !strings.Contains(svg, ">duty<") {
+		t.Errorf("trace chart lacks its title or series:\n%s", svg)
+	}
+	if svg := PeakHeatmap(res, "twolf peaks", map[string]float64{"D": bench.EmergencyTemp}); !strings.Contains(svg, "twolf peaks") {
+		t.Errorf("heat map lacks its title:\n%s", svg)
 	}
 	if _, err := Trace(Params{Insts: 1000}, "nope", "PI", 100); err == nil {
 		t.Error("unknown benchmark accepted")
@@ -216,28 +224,19 @@ func TestRunSimCacheRoundTrip(t *testing.T) {
 	}
 	t.Cleanup(func() { cache.Close() })
 	p := Params{Insts: 60_000, Cache: cache}
-	mkCfg := func() sim.Config {
-		prof, err := bench.ByName("gcc")
+	specs := []runSpec{{bench: "gcc", policy: "PI"}}
+	run := func() *sim.Result {
+		res, err := runBatch(p, specs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg := sim.Config{Workload: prof, MaxInsts: p.Insts}
-		if err := bench.ApplyPolicy(&cfg, "PI", 0); err != nil {
-			t.Fatal(err)
-		}
-		return cfg
+		return res[0]
 	}
-	cold, err := p.runSim(context.Background(), mkCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
+	cold := run()
 	if cache.Len() != 1 {
 		t.Fatalf("cache holds %d entries after cold run, want 1", cache.Len())
 	}
-	warm, err := p.runSim(context.Background(), mkCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
+	warm := run()
 	if warm == cold {
 		t.Fatal("warm run returned the same pointer; want a decoded copy")
 	}
@@ -252,22 +251,75 @@ func TestRunSimCacheRoundTrip(t *testing.T) {
 
 	// Telemetry-instrumented runs must execute, not replay.
 	p.Registry = telemetry.NewRegistry()
-	if _, err := p.runSim(context.Background(), func() sim.Config {
-		cfg := mkCfg()
-		p.instrument(&cfg, "gcc/PI")
-		return cfg
-	}()); err != nil {
-		t.Fatal(err)
+	if res := run(); res == warm || res.Cycles != cold.Cycles {
+		t.Errorf("instrumented run: %+v", res)
 	}
 	if cache.Len() != 1 {
 		t.Error("instrumented run touched the cache")
 	}
 }
 
-// TestGangBatchMatchesSolo: the gang-scheduled batch engine must return
-// results byte-identical to the solo engine for the same specs, serve
+// TestGangBatchGrouping is the batch engine's grouping rule: cold configs
+// sharing one experiment form one gang of up to maxGang members, and a
+// config that can join no gang, or differs in its workload, runs alone.
+func TestGangBatchGrouping(t *testing.T) {
+	p := Params{Insts: 40_000}
+	var cfgs []sim.Config
+	add := func(policy string, mut func(*sim.Config)) int {
+		cfg, err := p.buildConfig(runSpec{bench: "gcc", policy: policy, cfg: mut})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfgs = append(cfgs, cfg)
+		return len(cfgs) - 1
+	}
+	// A loner first, so no gang-able config may join a group it leads.
+	alone := map[string]int{"instrumented": add("PI", func(c *sim.Config) {
+		c.Metrics = telemetry.NewSimMetrics(telemetry.NewRegistry())
+	})}
+	var gang []int
+	for _, pol := range []string{"none", "toggle1", "PI", "fscale"} {
+		gang = append(gang, add(pol, nil))
+	}
+	alone["proxied"] = add("none", func(c *sim.Config) { c.ProxyWindows = []int{5_000} })
+	alone["trace-stride"] = add("PI", func(c *sim.Config) { c.TraceStride = 1000 })
+	alone["other-seed"] = add("PI", func(c *sim.Config) { c.Workload.Seed++ })
+	gang = append(gang, add("PID", nil)) // after the loners: still joins
+
+	var groups [][]int
+	for i := range cfgs {
+		groups = addToGroup(groups, cfgs, i)
+	}
+	if len(groups) != 1+len(alone) {
+		t.Fatalf("groups = %v, want one gang plus %d singletons", groups, len(alone))
+	}
+	for name, i := range alone {
+		found := false
+		for _, g := range groups {
+			found = found || (len(g) == 1 && g[0] == i)
+		}
+		if !found {
+			t.Errorf("%s config %d does not run alone: %v", name, i, groups)
+		}
+	}
+	if fmt.Sprint(groups[1]) != fmt.Sprint(gang) {
+		t.Errorf("gang = %v, want %v", groups[1], gang)
+	}
+
+	// A workload's column longer than maxGang splits into full gangs.
+	groups = nil
+	for i := 0; i < maxGang+1; i++ {
+		groups = addToGroup(groups, cfgs[gang[0]:gang[0]+1], 0)
+	}
+	if len(groups) != 2 || len(groups[0]) != maxGang || len(groups[1]) != 1 {
+		t.Errorf("maxGang+1 members grouped as %d groups of %d/%d", len(groups), len(groups[0]), len(groups[len(groups)-1]))
+	}
+}
+
+// TestGangBatchMatchesSolo: the batch engine must return results
+// byte-identical to solo sim.RunContext runs of the same configs, serve
 // cached cells from the pre-flight probe without scheduling them, and
-// fill the cache for cold cells just like the solo path.
+// fill the cache for cold cells.
 func TestGangBatchMatchesSolo(t *testing.T) {
 	if testing.Short() {
 		t.Skip("gang batch comparison is slow")
@@ -280,19 +332,24 @@ func TestGangBatchMatchesSolo(t *testing.T) {
 		{bench: "art", policy: "none"},
 		{bench: "art", policy: "PI"},
 	}
-	p := Params{Insts: 60_000}
-	solo, err := runBatch(p, specs)
-	if err != nil {
-		t.Fatal(err)
-	}
-
 	cache, err := runner.NewCacheWith[*sim.Result](runner.CacheConfig{Dir: t.TempDir()}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { cache.Close() })
-	gp := Params{Insts: 60_000, GangSize: 8, Cache: cache}
-	ganged, err := runBatch(gp, specs)
+	p := Params{Insts: 60_000, Cache: cache}
+	solo := make([]*sim.Result, len(specs))
+	for i, sp := range specs {
+		cfg, err := p.buildConfig(sp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if solo[i], err = sim.RunContext(context.Background(), cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	ganged, err := runBatch(p, specs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,8 +374,8 @@ func TestGangBatchMatchesSolo(t *testing.T) {
 	// scheduled work observes it.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	gp.Context = ctx
-	warm, err := runBatch(gp, specs)
+	p.Context = ctx
+	warm, err := runBatch(p, specs)
 	if err != nil {
 		t.Fatalf("warm gang batch scheduled work despite full cache: %v", err)
 	}
@@ -329,16 +386,16 @@ func TestGangBatchMatchesSolo(t *testing.T) {
 	}
 }
 
-// TestGangBatchFallback: specs the gang executor rejects (per-run proxy
-// windows make members heterogeneous) must degrade to solo runs inside
-// the group, not fail the batch.
+// TestGangBatchFallback: a config that can join no gang (per-run proxy
+// windows) runs alone next to its workload's gang-able configs, keeping
+// its own proxies without lending them to the others.
 func TestGangBatchFallback(t *testing.T) {
 	proxied := func(c *sim.Config) { c.ProxyWindows = []int{5_000} }
 	specs := []runSpec{
 		{bench: "gzip", policy: "none", cfg: proxied},
 		{bench: "gzip", policy: "none"},
 	}
-	p := Params{Insts: 40_000, GangSize: 4}
+	p := Params{Insts: 40_000}
 	res, err := runBatch(p, specs)
 	if err != nil {
 		t.Fatal(err)

@@ -12,7 +12,7 @@ import (
 	"math"
 	"testing"
 
-	"repro/internal/core"
+	"repro/internal/bench"
 	"repro/internal/sim"
 )
 
@@ -38,7 +38,7 @@ const (
 func runPair(t *testing.T, benchmark, policy string, mutate func(*sim.Config)) (euler, fast *sim.Result) {
 	t.Helper()
 	build := func(stride uint64) *sim.Result {
-		cfg, err := core.NewRun(benchmark, policy, eqInsts)
+		cfg, err := bench.NewRun(benchmark, policy, eqInsts)
 		if err != nil {
 			t.Fatalf("NewRun(%s,%s): %v", benchmark, policy, err)
 		}
@@ -117,7 +117,7 @@ func absDiff(a, b uint64) uint64 {
 
 func numBlocks(t *testing.T) int {
 	t.Helper()
-	cfg, err := core.NewRun("gcc", "none", 1000)
+	cfg, err := bench.NewRun("gcc", "none", 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func numBlocks(t *testing.T) int {
 // under the PI policy.
 func TestFastPathEquivalenceWorkloads(t *testing.T) {
 	nblk := numBlocks(t)
-	for _, b := range core.Benchmarks() {
+	for _, b := range bench.Names() {
 		b := b
 		t.Run(b, func(t *testing.T) {
 			t.Parallel()
@@ -146,7 +146,7 @@ func TestFastPathEquivalenceWorkloads(t *testing.T) {
 // benchmark.
 func TestFastPathEquivalencePolicies(t *testing.T) {
 	nblk := numBlocks(t)
-	for _, p := range core.Policies() {
+	for _, p := range bench.Policies() {
 		p := p
 		t.Run(p, func(t *testing.T) {
 			t.Parallel()
@@ -172,7 +172,7 @@ func TestFastPathTangentialTolerance(t *testing.T) {
 // TestFastPathRejectsIneligibleConfigs pins the explicit-stride
 // validation: per-cycle consumers must refuse a macro-stepped window.
 func TestFastPathRejectsIneligibleConfigs(t *testing.T) {
-	cfg, err := core.NewRun("gcc", "PI", 1000)
+	cfg, err := bench.NewRun("gcc", "PI", 1000)
 	if err != nil {
 		t.Fatal(err)
 	}

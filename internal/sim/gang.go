@@ -27,6 +27,7 @@ package sim
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"reflect"
 	"runtime"
@@ -156,14 +157,45 @@ func gangSchedKey(cfg *Config) string {
 	return fmt.Sprint(windowClamps(cfg))
 }
 
-// NewGang validates cfgs and builds a gang. Every config must describe
-// the same simulated experiment (workload, pipeline, gating, instruction
-// and cycle budgets, thermal stride, surrogate mode) and differ only in
-// the thermal/DTM dimension: policy, scaling, hierarchy, leakage, sensor
-// model, thresholds, monitored blocks, initial temperatures, tangential
-// flow. Per-cycle instrumentation (traces, metrics, proxies, the coupled
-// chip/sink model) is rejected — it observes individual cycles in ways
-// the class-shared front half cannot serve; run those configs solo.
+// GangCompatible is the rule for which configs may share a gang: it
+// returns nil when cfg may be stepped in one gang led by lead, or the
+// reason it may not. Members must describe the same simulated experiment
+// (workload, pipeline, gating, instruction and cycle budgets, thermal
+// stride, surrogate mode) and may differ only in the thermal/DTM
+// dimension: policy, scaling, hierarchy, leakage, sensor model,
+// thresholds, monitored blocks, initial temperatures, tangential flow.
+// Per-cycle instrumentation (traces, metrics, proxies, the coupled
+// chip/sink model) observes individual cycles in ways the class-shared
+// front half cannot serve, so a config carrying any of it, as lead or
+// member, joins no gang; GangCompatible(cfg, cfg) reports exactly that.
+func GangCompatible(lead, cfg *Config) error {
+	for _, c := range []*Config{lead, cfg} {
+		switch {
+		case len(c.ProxyWindows) > 0:
+			return errors.New("ProxyWindows require per-cycle execution; run solo")
+		case c.CoupleChipSink:
+			return errors.New("CoupleChipSink requires per-cycle execution; run solo")
+		case c.TraceStride != 0:
+			return errors.New("TraceStride is unsupported in a gang; run solo")
+		case c.Trace != nil || c.Metrics != nil:
+			return errors.New("telemetry instrumentation is unsupported in a gang; run solo")
+		}
+	}
+	switch {
+	case cfg.Gating != lead.Gating || cfg.MaxInsts != lead.MaxInsts ||
+		cfg.MaxCycles != lead.MaxCycles || cfg.ThermalStride != lead.ThermalStride ||
+		cfg.PipelineSurrogate != lead.PipelineSurrogate:
+		return errors.New("execution parameters (Gating/MaxInsts/MaxCycles/ThermalStride/PipelineSurrogate) differ from the lead's")
+	case !reflect.DeepEqual(cfg.Workload, lead.Workload):
+		return errors.New("workload differs from the lead's")
+	case !reflect.DeepEqual(cfg.Pipeline, lead.Pipeline):
+		return errors.New("pipeline config differs from the lead's")
+	}
+	return nil
+}
+
+// NewGang validates cfgs against GangCompatible, with config 0 as the
+// lead, and builds a gang. Each config must also own its controllers.
 func NewGang(cfgs []Config, opt GangOptions) (*Gang, error) {
 	if len(cfgs) == 0 {
 		return nil, fmt.Errorf("sim: gang needs at least one config")
@@ -172,26 +204,8 @@ func NewGang(cfgs []Config, opt GangOptions) (*Gang, error) {
 	seenCtl := make(map[interface{}]int)
 	for i := range cfgs {
 		cfg := &cfgs[i]
-		switch {
-		case len(cfg.ProxyWindows) > 0:
-			return nil, fmt.Errorf("sim: gang config %d: ProxyWindows require per-cycle execution; run solo", i)
-		case cfg.CoupleChipSink:
-			return nil, fmt.Errorf("sim: gang config %d: CoupleChipSink requires per-cycle execution; run solo", i)
-		case cfg.TraceStride != 0:
-			return nil, fmt.Errorf("sim: gang config %d: TraceStride is unsupported in a gang; run solo", i)
-		case cfg.Trace != nil || cfg.Metrics != nil:
-			return nil, fmt.Errorf("sim: gang config %d: telemetry instrumentation is unsupported in a gang; run solo", i)
-		}
-		if !reflect.DeepEqual(cfg.Workload, ref.Workload) {
-			return nil, fmt.Errorf("sim: gang config %d: Workload differs from config 0", i)
-		}
-		if !reflect.DeepEqual(cfg.Pipeline, ref.Pipeline) {
-			return nil, fmt.Errorf("sim: gang config %d: Pipeline differs from config 0", i)
-		}
-		if cfg.Gating != ref.Gating || cfg.MaxInsts != ref.MaxInsts ||
-			cfg.MaxCycles != ref.MaxCycles || cfg.ThermalStride != ref.ThermalStride ||
-			cfg.PipelineSurrogate != ref.PipelineSurrogate {
-			return nil, fmt.Errorf("sim: gang config %d: execution parameters (Gating/MaxInsts/MaxCycles/ThermalStride/PipelineSurrogate) differ from config 0", i)
+		if err := GangCompatible(ref, cfg); err != nil {
+			return nil, fmt.Errorf("sim: gang config %d: %w", i, err)
 		}
 		// Controllers are stateful and Reset by construction: sharing one
 		// instance across members would share controller state.

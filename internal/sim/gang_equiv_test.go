@@ -13,7 +13,7 @@ import (
 	"encoding/json"
 	"testing"
 
-	"repro/internal/core"
+	"repro/internal/bench"
 	"repro/internal/sim"
 )
 
@@ -26,7 +26,7 @@ const gangEquivInsts = 400_000
 // gangPolicies returns the full policy suite (the matrices here never
 // run under the race detector, see skipGangMatrixUnderRace).
 func gangPolicies() []string {
-	return core.Policies()
+	return bench.Policies()
 }
 
 // skipGangMatrixUnderRace: the gang executor is single-goroutine, so
@@ -46,7 +46,7 @@ func gangMatrixConfigs(t *testing.T, benchmark string, policies []string) []sim.
 	t.Helper()
 	cfgs := make([]sim.Config, 0, len(policies))
 	for _, p := range policies {
-		cfg, err := core.NewRun(benchmark, p, gangEquivInsts)
+		cfg, err := bench.NewRun(benchmark, p, gangEquivInsts)
 		if err != nil {
 			t.Fatalf("NewRun(%s,%s): %v", benchmark, p, err)
 		}
@@ -61,7 +61,7 @@ func gangMatrixConfigs(t *testing.T, benchmark string, policies []string) []sim.
 func TestGangGoldenEquivalence(t *testing.T) {
 	skipGangMatrixUnderRace(t)
 	policies := gangPolicies()
-	for _, b := range core.Benchmarks() {
+	for _, b := range bench.Names() {
 		b := b
 		t.Run(b, func(t *testing.T) {
 			t.Parallel()

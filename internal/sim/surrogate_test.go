@@ -16,7 +16,7 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"repro/internal/core"
+	"repro/internal/bench"
 	"repro/internal/sim"
 )
 
@@ -62,7 +62,7 @@ const (
 func runSurPair(t *testing.T, benchmark, policy string, mutate func(*sim.Config)) (exact, sur *sim.Result) {
 	t.Helper()
 	build := func(surrogate bool) *sim.Result {
-		cfg, err := core.NewRun(benchmark, policy, surInsts)
+		cfg, err := bench.NewRun(benchmark, policy, surInsts)
 		if err != nil {
 			t.Fatalf("NewRun(%s,%s): %v", benchmark, policy, err)
 		}
@@ -147,7 +147,7 @@ func TestSurrogateEquivalenceWorkloads(t *testing.T) {
 				100*f, 100*surAggregateFloor)
 		}
 	})
-	for _, b := range core.Benchmarks() {
+	for _, b := range bench.Names() {
 		b := b
 		if surRaceWorkloads != nil && !surRaceWorkloads[b] {
 			continue
@@ -167,7 +167,7 @@ func TestSurrogateEquivalenceWorkloads(t *testing.T) {
 // the bulk of the run once calibration completes.
 func TestSurrogateSteadyStateEngagement(t *testing.T) {
 	nblk := numBlocks(t)
-	cfg, err := core.NewRun("gcc", "none", 3_000_000)
+	cfg, err := bench.NewRun("gcc", "none", 3_000_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +189,7 @@ func TestSurrogateSteadyStateEngagement(t *testing.T) {
 // sample (or stall the pipeline) legitimately limit replay.
 func TestSurrogateEquivalencePolicies(t *testing.T) {
 	nblk := numBlocks(t)
-	for _, p := range core.Policies() {
+	for _, p := range bench.Policies() {
 		p := p
 		if surRacePolicies != nil && !surRacePolicies[p] {
 			continue
@@ -208,7 +208,7 @@ func TestSurrogateEquivalencePolicies(t *testing.T) {
 // must be an explicit error, as must an explicit per-cycle stride.
 func TestSurrogateRejectsIneligibleConfigs(t *testing.T) {
 	base := func() sim.Config {
-		cfg, err := core.NewRun("gcc", "PI", 1000)
+		cfg, err := bench.NewRun("gcc", "PI", 1000)
 		if err != nil {
 			t.Fatal(err)
 		}
