@@ -402,17 +402,37 @@ func BenchmarkPipelineCycle(b *testing.B) {
 	}
 }
 
+// BenchmarkPowerModel times one BlockPower call on a busy core (Active)
+// and on a core that has idled for 200 000 cycles (Idle), the regime of a
+// finished multicore core, where the power filter has decayed to its floor.
 func BenchmarkPowerModel(b *testing.B) {
-	m, err := power.New(power.DefaultConfig())
-	if err != nil {
-		b.Fatal(err)
-	}
-	act := pipeline.Activity{WindowInserts: 3, WindowIssues: 4, WindowWakeups: 4,
+	busy := pipeline.Activity{WindowInserts: 3, WindowIssues: 4, WindowWakeups: 4,
 		RegReads: 6, RegWrites: 3, IntOps: 3, DCacheAccess: 2, BPredAccess: 1}
-	out := make([]float64, m.NumBlocks())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.BlockPower(&act, out)
+	for _, bc := range []struct {
+		name     string
+		act      pipeline.Activity
+		idleWarm int
+	}{
+		{"Active", busy, 0},
+		{"Idle", pipeline.Activity{}, 200_000},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			m, err := power.New(power.DefaultConfig())
+			if err != nil {
+				b.Fatal(err)
+			}
+			out := make([]float64, m.NumBlocks())
+			for i := 0; i < 1000; i++ {
+				m.BlockPower(&busy, out)
+			}
+			for i := 0; i < bc.idleWarm; i++ {
+				m.BlockPower(&bc.act, out)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				m.BlockPower(&bc.act, out)
+			}
+		})
 	}
 }
 

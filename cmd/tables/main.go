@@ -25,6 +25,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"time"
@@ -38,20 +39,34 @@ import (
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the whole command: it parses args, writes the tables to stdout
+// and diagnostics to stderr, and returns the exit code (130 when
+// interrupted).
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet(os.Args[0], flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		table    = flag.Int("table", 0, "table number to regenerate (0 = all)")
-		insts    = flag.Uint64("insts", 2_000_000, "committed instructions per run")
-		workers  = flag.Int("workers", 0, "parallel simulations (0 = GOMAXPROCS)")
-		progress = flag.Bool("progress", true, "report per-job batch progress on stderr (a gang of runs is one job)")
-		trace    = flag.String("trace", "", "write JSONL telemetry samples to this file (\"-\" = stdout)")
-		metrics  = flag.String("metrics", "", "write a final Prometheus-text metrics dump to this file (\"-\" = stderr)")
-		cacheDir = flag.String("cache-dir", "", "persist run results as pack volumes (pack-*.dat) under this directory and reuse them (disabled with -trace/-metrics)")
-		cacheMem = flag.Int64("cache-mem", 0, "in-memory cache layer cap in MiB (0 = default 256, negative = unlimited)")
-		catDir   = flag.String("catalog", "", "render reports from the run catalog at this directory instead of simulating")
-		pareto   = flag.Bool("pareto", false, "with -catalog: print the per-benchmark IPC/emergency pareto frontier")
-		sensDim  = flag.String("sensitivity", "", "with -catalog: print mean metrics bucketed by this dimension (trigger|kp|ki|interval|stride|cores|insts)")
+		table    = fs.Int("table", 0, "table number to regenerate (0 = all)")
+		insts    = fs.Uint64("insts", 2_000_000, "committed instructions per run")
+		workers  = fs.Int("workers", 0, "parallel simulations (0 = GOMAXPROCS)")
+		progress = fs.Bool("progress", true, "report per-job batch progress on stderr (a gang of runs is one job)")
+		trace    = fs.String("trace", "", "write JSONL telemetry samples to this file (\"-\" = stdout)")
+		metrics  = fs.String("metrics", "", "write a final Prometheus-text metrics dump to this file (\"-\" = stderr)")
+		cacheDir = fs.String("cache-dir", "", "persist run results as pack volumes (pack-*.dat) under this directory and reuse them (disabled with -trace/-metrics)")
+		cacheMem = fs.Int64("cache-mem", 0, "in-memory cache layer cap in MiB (0 = default 256, negative = unlimited)")
+		catDir   = fs.String("catalog", "", "render reports from the run catalog at this directory instead of simulating")
+		pareto   = fs.Bool("pareto", false, "with -catalog: print the per-benchmark IPC/emergency pareto frontier")
+		sensDim  = fs.String("sensitivity", "", "with -catalog: print mean metrics bucketed by this dimension (trigger|kp|ki|interval|stride|cores|insts)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	// Catalog mode never simulates: open the history, print the requested
 	// reports (the rollup when neither -pareto nor -sensitivity asks for
@@ -59,33 +74,33 @@ func main() {
 	if *catDir != "" {
 		cat, err := runindex.Open(*catDir, runindex.Options{})
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, err)
+			return 1
 		}
 		defer cat.Close()
-		fmt.Fprintf(os.Stderr, "run catalog: %d records\n", cat.Len())
+		fmt.Fprintf(stderr, "run catalog: %d records\n", cat.Len())
 		if !*pareto && *sensDim == "" {
-			fmt.Printf("\n=== Run catalog: per benchmark/policy rollup ===\n")
-			fmt.Print(experiments.CatalogSummary(cat))
+			fmt.Fprintf(stdout, "\n=== Run catalog: per benchmark/policy rollup ===\n")
+			fmt.Fprint(stdout, experiments.CatalogSummary(cat))
 		}
 		if *pareto {
-			fmt.Printf("\n=== Run catalog: IPC / emergency-residency pareto frontier ===\n")
-			fmt.Print(experiments.CatalogPareto(cat))
+			fmt.Fprintf(stdout, "\n=== Run catalog: IPC / emergency-residency pareto frontier ===\n")
+			fmt.Fprint(stdout, experiments.CatalogPareto(cat))
 		}
 		if *sensDim != "" {
 			dim, err := runindex.ParseDim(*sensDim)
 			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
+				fmt.Fprintln(stderr, err)
+				return 1
 			}
-			fmt.Printf("\n=== Run catalog: sensitivity along %s ===\n", dim)
-			fmt.Print(experiments.CatalogSensitivity(cat, dim))
+			fmt.Fprintf(stdout, "\n=== Run catalog: sensitivity along %s ===\n", dim)
+			fmt.Fprint(stdout, experiments.CatalogSensitivity(cat, dim))
 		}
-		return
+		return 0
 	}
 	if *pareto || *sensDim != "" {
-		fmt.Fprintln(os.Stderr, "tables: -pareto/-sensitivity require -catalog")
-		os.Exit(1)
+		fmt.Fprintln(stderr, "tables: -pareto/-sensitivity require -catalog")
+		return 1
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
@@ -93,8 +108,8 @@ func main() {
 
 	sinks, err := telemetry.OpenSinks(*trace, *metrics, len(floorplan.Blocks()))
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, err)
+		return 1
 	}
 
 	p := experiments.DefaultParams()
@@ -117,48 +132,47 @@ func main() {
 			MemBytes: memBytes,
 		}, cm)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, err)
+			return 1
 		}
 		defer p.Cache.Close()
 	}
 	if *progress {
 		p.Progress = func(pr runner.Progress) {
-			fmt.Fprintf(os.Stderr, "\r%d/%d jobs (%d failed, %v)  ",
+			fmt.Fprintf(stderr, "\r%d/%d jobs (%d failed, %v)  ",
 				pr.Done, pr.Total, pr.Failed, pr.Elapsed.Round(time.Second))
 			if pr.Done == pr.Total {
-				fmt.Fprintln(os.Stderr)
+				fmt.Fprintln(stderr)
 			}
 		}
 	}
 
 	want := func(n int) bool { return *table == 0 || *table == n }
-	die := func(err error) {
-		if err != nil {
-			sinks.Close() // keep partial telemetry from aborted batches
-			if errors.Is(err, context.Canceled) {
-				fmt.Fprintln(os.Stderr, "\ninterrupted")
-				os.Exit(130)
-			}
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+	// fail reports a batch error and returns the exit code for it.
+	fail := func(err error) int {
+		sinks.Close() // keep partial telemetry from aborted batches
+		if errors.Is(err, context.Canceled) {
+			fmt.Fprintln(stderr, "\ninterrupted")
+			return 130
 		}
+		fmt.Fprintln(stderr, err)
+		return 1
 	}
 	banner := func(n int, title string) {
-		fmt.Printf("\n=== Table %d: %s ===\n", n, title)
+		fmt.Fprintf(stdout, "\n=== Table %d: %s ===\n", n, title)
 	}
 
 	if want(2) {
 		banner(2, "simulated processor configuration")
-		fmt.Print(experiments.Table2())
+		fmt.Fprint(stdout, experiments.Table2())
 	}
 	if want(3) {
 		banner(3, "per-structure thermal parameters")
-		fmt.Print(experiments.Table3())
+		fmt.Fprint(stdout, experiments.Table3())
 	}
 	if want(5) {
 		banner(5, "thermal categories")
-		fmt.Print(experiments.Table5())
+		fmt.Fprint(stdout, experiments.Table5())
 	}
 
 	var base []*sim.Result
@@ -167,64 +181,77 @@ func main() {
 		start := time.Now()
 		var err error
 		base, err = experiments.Baseline(p)
-		die(err)
-		fmt.Fprintf(os.Stderr, "baseline suite: %v\n", time.Since(start))
+		if err != nil {
+			return fail(err)
+		}
+		fmt.Fprintf(stderr, "baseline suite: %v\n", time.Since(start))
 	}
 	if want(4) {
 		banner(4, "benchmark characterization (no DTM)")
-		fmt.Print(experiments.Table4(base))
+		fmt.Fprint(stdout, experiments.Table4(base))
 	}
 	if want(6) {
 		banner(6, "per-structure avg/max temperature (C)")
-		fmt.Print(experiments.Table6(base))
+		fmt.Fprint(stdout, experiments.Table6(base))
 	}
 	if want(7) {
 		banner(7, "per-structure cycles in thermal emergency (> D)")
-		fmt.Print(experiments.Table7(base))
+		fmt.Fprint(stdout, experiments.Table7(base))
 	}
 	if want(8) {
 		banner(8, "per-structure cycles in thermal stress (> D-1)")
-		fmt.Print(experiments.Table8(base))
+		fmt.Fprint(stdout, experiments.Table8(base))
 	}
 	if want(9) || want(10) {
 		ps, cw, err := experiments.ProxyTables(p, nil)
-		die(err)
+		if err != nil {
+			return fail(err)
+		}
 		if want(9) {
 			banner(9, "per-structure boxcar power proxy vs RC model")
-			fmt.Print(ps)
+			fmt.Fprint(stdout, ps)
 		}
 		if want(10) {
 			banner(10, "chip-wide boxcar power proxy vs RC model")
-			fmt.Print(cw)
+			fmt.Fprint(stdout, cw)
 		}
 	}
 	if want(11) || want(12) {
 		start := time.Now()
 		ev, err := experiments.RunPolicyEval(p)
-		die(err)
-		fmt.Fprintf(os.Stderr, "policy evaluation: %v\n", time.Since(start))
+		if err != nil {
+			return fail(err)
+		}
+		fmt.Fprintf(stderr, "policy evaluation: %v\n", time.Since(start))
 		if want(11) {
 			banner(11, "DTM policy evaluation: % of non-DTM IPC (emergency residency)")
-			fmt.Print(ev.Table11())
+			fmt.Fprint(stdout, ev.Table11())
 		}
 		if want(12) {
 			banner(12, "headline aggregate (Section 7)")
-			fmt.Print(ev.Table12())
+			fmt.Fprint(stdout, ev.Table12())
 		}
 	}
 	if want(13) {
 		t, err := experiments.SetpointStudy(p)
-		die(err)
+		if err != nil {
+			return fail(err)
+		}
 		banner(13, "PI/PID setpoint sensitivity")
-		fmt.Print(t)
+		fmt.Fprint(stdout, t)
 	}
 	if want(14) {
 		start := time.Now()
 		t, err := experiments.MulticoreFaceOff(p, []int{1, 2, 4})
-		die(err)
-		fmt.Fprintf(os.Stderr, "multicore face-off: %v\n", time.Since(start))
+		if err != nil {
+			return fail(err)
+		}
+		fmt.Fprintf(stderr, "multicore face-off: %v\n", time.Since(start))
 		banner(14, "multicore controller face-off (per-core PID vs adaptive-gain DVFS vs power budget)")
-		fmt.Print(t)
+		fmt.Fprint(stdout, t)
 	}
-	die(sinks.Close())
+	if err := sinks.Close(); err != nil {
+		return fail(err)
+	}
+	return 0
 }

@@ -772,18 +772,23 @@ func (c *Core) dispatch(act *Activity) {
 			return
 		}
 		slot := c.slotAt(c.ruuCount)
+		// Every field is written in place: a composite-literal store
+		// would build the entry on the stack and block-copy it.
 		e := &c.ruu[slot]
-		*e = entry{
-			op:         f.op,
-			pred:       f.pred,
-			hasPred:    f.hasPred,
-			wrongPath:  f.wrongPath,
-			mispred:    f.mispred,
-			state:      stWaiting,
-			depHead:    nilIdx,
-			depNext:    [2]int16{nilIdx, nilIdx},
-			bucketNext: nilIdx,
-		}
+		e.op = f.op
+		e.pred = f.pred
+		e.hasPred = f.hasPred
+		e.wrongPath = f.wrongPath
+		e.mispred = f.mispred
+		e.state = stWaiting
+		e.doneCycle = 0
+		e.src = [2]producerRef{}
+		e.inLSQ = false
+		e.lsqIdx = 0
+		e.depHead = nilIdx
+		e.depNext = [2]int16{nilIdx, nilIdx}
+		e.bucketNext = nilIdx
+		e.pending = 0
 		for i, src := range [2]int16{f.op.Src1, f.op.Src2} {
 			if src == isa.RegNone {
 				continue
@@ -871,8 +876,10 @@ func (c *Core) fetch(act *Activity) {
 	}
 	readyAt := c.cycle + uint64(c.cfg.FrontEndDepth)
 	for n := 0; n < width && c.ifqCount < len(c.ifq); n++ {
-		var f fetched
+		// Fill the free IFQ slot in place rather than copying a local.
+		f := &c.ifq[(c.ifqHead+c.ifqCount)%len(c.ifq)]
 		f.readyAt = readyAt
+		f.pred, f.hasPred, f.mispred = bpred.Prediction{}, false, false
 		if c.wrongPathMode {
 			f.op = c.gen.WrongPath(c.wrongPC)
 			f.wrongPath = true
@@ -880,6 +887,7 @@ func (c *Core) fetch(act *Activity) {
 			c.stats.WrongPathOps++
 		} else {
 			f.op = c.gen.Next()
+			f.wrongPath = false
 		}
 		act.Fetched++
 		c.stats.Fetched++
@@ -920,7 +928,6 @@ func (c *Core) fetch(act *Activity) {
 				stop = true // fetch break at taken control transfer
 			}
 		}
-		c.ifq[(c.ifqHead+c.ifqCount)%len(c.ifq)] = f
 		c.ifqCount++
 		if stop {
 			break

@@ -78,6 +78,16 @@ type blockModel struct {
 // ewmaAlpha is the smoothing factor of the pre-clamp power filter.
 const ewmaAlpha = 1.0 / 32
 
+// minNormal is the smallest normal float64. An idle block's EWMA decays by
+// 31/32 a cycle until, after about 22 000 cycles, it turns subnormal and
+// stops decaying (α·x rounds away); every later cycle would then pay
+// subnormal arithmetic, which x86 runs through a microcode assist. BlockPower
+// flushes such a value to 0. Output bits do not move: a subnormal added to
+// the residual res·peakW, or to any dynamic watt value, rounds away, so the
+// only visible difference is GateIdeal's idle output reading 0 instead of a
+// subnormal (see DESIGN.md).
+const minNormal = 0x1p-1022
+
 // hotRates is the reference activity vector of the hottest sustained
 // workload: average events per cycle per kind, measured on the most
 // intense suite members (gcc/mesa/vortex for the integer side, the FP
@@ -389,8 +399,12 @@ func (m *Model) BlockPower(act *pipeline.Activity, out []float64) {
 		b := &m.blocks[i]
 		t := &m.terms[i]
 		dyn := av[t.s0]*t.e0 + av[t.s1]*t.e1 + av[t.s2]*t.e2
-		b.ewma += ewmaAlpha * (dyn/dt - b.ewma)
-		p := b.ewma + res*b.peakW
+		e := b.ewma + ewmaAlpha*(dyn/dt-b.ewma)
+		if e < minNormal {
+			e = 0 // idle tail: see minNormal
+		}
+		b.ewma = e
+		p := e + res*b.peakW
 		if p > b.peakW {
 			p = b.peakW
 		}

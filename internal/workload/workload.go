@@ -147,11 +147,67 @@ type body struct {
 	slots []slot
 }
 
+// mixClasses lists the op classes in sampling order; a classTable's
+// weights follow it. The last two (control) are drawn only into loop
+// bodies.
+var mixClasses = [...]isa.OpClass{
+	isa.OpIntALU, isa.OpIntMult, isa.OpIntDiv,
+	isa.OpFPALU, isa.OpFPMult, isa.OpFPDiv,
+	isa.OpLoad, isa.OpStore,
+	isa.OpBranch, isa.OpCall,
+}
+
+// numDataClasses is how many leading mixClasses are non-control.
+const numDataClasses = 8
+
+// classTable is one phase's class-sampling table, built once from its
+// Mix. The totals are summed left to right in mixClasses order, as a
+// per-draw sum would be, so every draw picks the same class.
+type classTable struct {
+	w         [len(mixClasses)]float64
+	dataTotal float64 // sum of the non-control weights
+	allTotal  float64 // dataTotal plus the control weights
+}
+
+func newClassTable(m Mix) classTable {
+	t := classTable{w: [...]float64{
+		m.IntALU, m.IntMult, m.IntDiv,
+		m.FPALU, m.FPMult, m.FPDiv,
+		m.Load, m.Store,
+		m.Branch, m.Call,
+	}}
+	for i, w := range t.w {
+		if i == numDataClasses {
+			t.dataTotal = t.allTotal
+		}
+		t.allTotal += w
+	}
+	return t
+}
+
+// sample draws an op class. Function bodies and wrong-path ops exclude
+// control (calls/branches), so functions remain leaves.
+func (t *classTable) sample(rnd *rng, allowCtrl bool) isa.OpClass {
+	n, total := numDataClasses, t.dataTotal
+	if allowCtrl {
+		n, total = len(t.w), t.allTotal
+	}
+	x := rnd.float() * total
+	for i, w := range t.w[:n] {
+		if x < w {
+			return mixClasses[i]
+		}
+		x -= w
+	}
+	return isa.OpIntALU
+}
+
 // phaseProgram is the compiled static structure of one phase.
 type phaseProgram struct {
-	spec  Phase
-	loops []body
-	funcs []body
+	spec    Phase
+	classes classTable
+	loops   []body
+	funcs   []body
 	// dataBase is the start of this phase's data region.
 	dataBase uint64
 }
@@ -213,16 +269,16 @@ func NewGenerator(prof Profile) (*Generator, error) {
 	}
 	structRnd := newRNG(prof.Seed ^ 0xabcdef0123456789)
 	for pi, ph := range prof.Phases {
-		pp := phaseProgram{spec: ph, dataBase: dataBase + uint64(pi)*0x0800_0000}
+		pp := phaseProgram{spec: ph, classes: newClassTable(ph.Mix), dataBase: dataBase + uint64(pi)*0x0800_0000}
 		base := uint64(codeBase + uint64(pi)*phaseSpan)
 		for li := 0; li < ph.NumLoops; li++ {
-			b := g.buildBody(structRnd, ph, base, ph.BodySize, true)
+			b := buildBody(structRnd, &pp, base, ph.BodySize, true)
 			base += uint64(ph.BodySize) * 4
 			pp.loops = append(pp.loops, b)
 		}
 		fbase := uint64(funcRegion + uint64(pi)*phaseSpan)
 		for fi := 0; fi < numFuncs; fi++ {
-			b := g.buildBody(structRnd, ph, fbase, funcBodySize, false)
+			b := buildBody(structRnd, &pp, fbase, funcBodySize, false)
 			fbase += uint64(funcBodySize) * 4
 			pp.funcs = append(pp.funcs, b)
 		}
@@ -237,7 +293,8 @@ func (g *Generator) Profile() Profile { return g.prof }
 // buildBody creates one static body. Loop bodies end in a backward
 // conditional branch; function bodies end in a return and contain no calls
 // or control transfers (leaf functions keep the RAS depth bounded at one).
-func (g *Generator) buildBody(rnd *rng, ph Phase, base uint64, size int, isLoop bool) body {
+func buildBody(rnd *rng, pp *phaseProgram, base uint64, size int, isLoop bool) body {
+	ph := &pp.spec
 	b := body{base: base, slots: make([]slot, size)}
 	// Running ring of recent destination registers for dependence wiring.
 	intRing := make([]int16, 0, 64)
@@ -277,7 +334,7 @@ func (g *Generator) buildBody(rnd *rng, ph Phase, base uint64, size int, isLoop 
 			s.src1, s.src2, s.dest = isa.RegNone, isa.RegNone, isa.RegNone
 			continue
 		}
-		cls := g.sampleClass(rnd, ph.Mix, isLoop)
+		cls := pp.classes.sample(rnd, isLoop)
 		s.class = cls
 		switch cls {
 		case isa.OpBranch:
@@ -334,35 +391,6 @@ func (g *Generator) buildBody(rnd *rng, ph Phase, base uint64, size int, isLoop 
 		}
 	}
 	return b
-}
-
-// sampleClass draws an op class from the mix. Function bodies exclude
-// control (calls/branches) so they remain leaves.
-func (g *Generator) sampleClass(rnd *rng, m Mix, allowCtrl bool) isa.OpClass {
-	type wc struct {
-		w float64
-		c isa.OpClass
-	}
-	ws := []wc{
-		{m.IntALU, isa.OpIntALU}, {m.IntMult, isa.OpIntMult}, {m.IntDiv, isa.OpIntDiv},
-		{m.FPALU, isa.OpFPALU}, {m.FPMult, isa.OpFPMult}, {m.FPDiv, isa.OpFPDiv},
-		{m.Load, isa.OpLoad}, {m.Store, isa.OpStore},
-	}
-	if allowCtrl {
-		ws = append(ws, wc{m.Branch, isa.OpBranch}, wc{m.Call, isa.OpCall})
-	}
-	var total float64
-	for _, w := range ws {
-		total += w.w
-	}
-	x := rnd.float() * total
-	for _, w := range ws {
-		if x < w.w {
-			return w.c
-		}
-		x -= w.w
-	}
-	return isa.OpIntALU
 }
 
 // Next returns the next correct-path micro-op. The stream is unbounded;
@@ -580,8 +608,8 @@ func (g *Generator) Skip(n uint64) {
 // is representative) but are always non-control, and the generator's
 // correct-path state is untouched.
 func (g *Generator) WrongPath(pc uint64) isa.MicroOp {
-	ph := g.phases[g.phaseIdx].spec
-	cls := g.sampleClass(g.wpRnd, ph.Mix, false)
+	pp := &g.phases[g.phaseIdx]
+	cls := pp.classes.sample(g.wpRnd, false)
 	op := isa.MicroOp{
 		Seq:   ^uint64(0), // never commits
 		PC:    pc,
@@ -591,7 +619,7 @@ func (g *Generator) WrongPath(pc uint64) isa.MicroOp {
 		Dest:  isa.RegNone,
 	}
 	if cls.IsMem() {
-		op.Addr = g.phases[g.phaseIdx].dataBase + (g.wpRnd.next()%ph.WorkingSet)&^7
+		op.Addr = pp.dataBase + (g.wpRnd.next()%pp.spec.WorkingSet)&^7
 		if cls == isa.OpStore {
 			// Wrong-path stores never write the cache; model them
 			// as loads for pollution purposes.
