@@ -177,8 +177,8 @@ func newClassTable(m Mix) classTable {
 		m.Branch, m.Call,
 	}}
 	for i, w := range t.w {
-		if i == numDataClasses {
-			t.dataTotal = t.allTotal
+		if i < numDataClasses {
+			t.dataTotal += w
 		}
 		t.allTotal += w
 	}
