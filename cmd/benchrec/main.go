@@ -98,23 +98,20 @@ type GangModeStats struct {
 	Classes   int     `json:"final_classes,omitempty"`
 }
 
-// GangLaneStats compares the full DTM policy suite run solo (pipeline
-// surrogate on) against the same configs as one gang per workload — in
-// exact mode (byte-identical results) and with the shared calibration
-// bank (surrogate-accuracy results) — aggregated across the measured
-// workloads. Aggregation matters: on cool workloads the policies never
-// diverge and a whole gang rides one class, while on the hottest
-// workloads every controller forks off early and the gang degrades
-// toward solo cost, so the suite-level number is the honest one.
+// GangLaneStats compares the full DTM policy suite run solo against the
+// same configs as one gang per workload (byte-identical results),
+// aggregated across the measured workloads. Aggregation matters: on cool
+// workloads the policies never diverge and a whole gang rides one class,
+// while on the hottest workloads every controller forks off early and the
+// gang degrades toward solo cost, so the suite-level number is the honest
+// one.
 type GangLaneStats struct {
-	Benchmarks          []string      `json:"benchmarks"`
-	InstsPerRun         uint64        `json:"insts_per_run"`
-	Policies            int           `json:"policies"`
-	Solo                GangModeStats `json:"solo_surrogate"`
-	Gang                GangModeStats `json:"gang"`
-	GangSharedCal       GangModeStats `json:"gang_shared_calibration"`
-	SpeedupGangVsSolo   float64       `json:"speedup_gang_vs_solo"`
-	SpeedupSharedVsSolo float64       `json:"speedup_shared_cal_vs_solo"`
+	Benchmarks        []string      `json:"benchmarks"`
+	InstsPerRun       uint64        `json:"insts_per_run"`
+	Policies          int           `json:"policies"`
+	Solo              GangModeStats `json:"solo"`
+	Gang              GangModeStats `json:"gang"`
+	SpeedupGangVsSolo float64       `json:"speedup_gang_vs_solo"`
 }
 
 // IndexStats is the run-catalog lane (T1-T5): a population of records
@@ -154,25 +151,20 @@ type ParallelStats struct {
 
 // Report is the BENCH_runner.json schema. v2 added the macro-stepped
 // fast path (dtm_pi measures it; dtm_pi_euler keeps the per-cycle Euler
-// baseline) and the run-cache cold/warm measurement. v3 normalizes
-// hot-loop cost by simulated cycles rather than Step calls (a surrogate
-// Step replays a whole thermal window) and adds the surrogate suite
-// comparison. v4 adds the result-store section (pack store puts, gets
-// and cold rebuild; refresh it alone with -only store). v5 adds the
-// gang-execution lane (policy suite solo vs ganged; refresh with -only
-// gang). v6 adds the
-// run-catalog lane (point/range/composite queries vs full scan; refresh
-// with -only index) and the GOMAXPROCS=4 parallel reference (-only
-// parallel).
+// baseline) and the run-cache cold/warm measurement. v3 normalized
+// hot-loop cost by simulated cycles and added a surrogate_suite section
+// this command no longer writes. v4 adds the result-store section
+// (pack store puts, gets and cold rebuild; refresh it alone with -only
+// store). v5 adds the gang-execution lane (policy suite solo vs ganged;
+// refresh with -only gang). v6 adds the run-catalog lane
+// (point/range/composite queries vs full scan; refresh with -only index)
+// and the GOMAXPROCS=4 parallel reference (-only parallel).
 type Report struct {
 	Schema     string                `json:"schema"`
 	Date       string                `json:"date"`
 	GoMaxProcs int                   `json:"gomaxprocs"`
 	NumCPU     int                   `json:"num_cpu"`
 	HotLoop    map[string]CycleStats `json:"hot_loop"`
-	// Suite is the full-suite cycle-exact vs pipeline-surrogate
-	// comparison (see SuiteStats).
-	Suite *SuiteStats `json:"surrogate_suite,omitempty"`
 	// Gang is the gang-execution lane (see GangLaneStats).
 	Gang    *GangLaneStats `json:"gang,omitempty"`
 	Batches []BatchStats   `json:"baseline_batches"`
@@ -215,26 +207,12 @@ func hotVariants() map[string]sim.Config {
 			Metrics: telemetry.NewSimMetrics(telemetry.NewRegistry()),
 			Trace:   telemetry.NewRecorder(io.Discard, 13, 256),
 		},
-		// Pipeline-surrogate counterparts of plain and dtm_pi: the same
-		// configurations with calibrated macro-window replay engaged.
-		"surrogate":        {PipelineSurrogate: true},
-		"dtm_pi_surrogate": {Manager: pi(), PipelineSurrogate: true},
 	}
 }
 
-// surWarm is the pre-measurement warm-up for surrogate hot-loop
-// variants: enough cycles for calibration plus several audit doublings
-// of the replay budget ladder.
-const surWarm = 3_000_000
-
 // measureCycles times one variant's steady-state loop and counts heap
-// allocations across it. Cost is normalized by simulated cycles, not
-// Step calls: under the pipeline surrogate one Step can replay a whole
-// thermal window, which is exactly the speedup being measured. warm is
-// the cycle count run before the measurement starts — surrogate
-// variants need enough for calibration and the replay budget ladder,
-// not just construction transients.
-func measureCycles(cfg sim.Config, cycles, warm uint64) (CycleStats, error) {
+// allocations across it.
+func measureCycles(cfg sim.Config, cycles uint64) (CycleStats, error) {
 	prof, err := bench.ByName("gcc")
 	if err != nil {
 		return CycleStats{}, err
@@ -246,7 +224,7 @@ func measureCycles(cfg sim.Config, cycles, warm uint64) (CycleStats, error) {
 	if err != nil {
 		return CycleStats{}, err
 	}
-	for s.Cycle() < warm {
+	for s.Cycle() < 20_000 { // past construction transients
 		s.Step()
 	}
 	var before, after runtime.MemStats
@@ -267,64 +245,9 @@ func measureCycles(cfg sim.Config, cycles, warm uint64) (CycleStats, error) {
 	}, nil
 }
 
-// SuiteStats compares cycle-exact and pipeline-surrogate execution over
-// the full benchmark suite at one horizon: total wall time, aggregate
-// ns per simulated cycle, and the replayed-cycle fraction.
-type SuiteStats struct {
-	Policy        string  `json:"policy"`
-	InstsPerRun   uint64  `json:"insts_per_run"`
-	Runs          int     `json:"runs"`
-	ExactSeconds  float64 `json:"exact_seconds"`
-	SurSeconds    float64 `json:"surrogate_seconds"`
-	ExactNsPerCyc float64 `json:"exact_ns_per_cycle"`
-	SurNsPerCyc   float64 `json:"surrogate_ns_per_cycle"`
-	// SpeedupNsPerCycle is exact over surrogate ns/cycle across the
-	// aggregated suite (cycle counts differ by under the documented
-	// drift bound, so this tracks the wall-time ratio closely).
-	SpeedupNsPerCycle float64 `json:"speedup_ns_per_cycle"`
-	ReplayFrac        float64 `json:"replayed_cycle_fraction"`
-}
-
-// measureSuite runs every benchmark in the suite cycle-exact and again
-// with the pipeline surrogate under the given policy.
-func measureSuite(policy string, insts uint64) (SuiteStats, error) {
-	st := SuiteStats{Policy: policy, InstsPerRun: insts}
-	var exactCycles, surCycles, replayed uint64
-	for _, b := range bench.Names() {
-		for _, surrogate := range []bool{false, true} {
-			cfg, err := bench.NewRun(b, policy, insts)
-			if err != nil {
-				return st, err
-			}
-			cfg.PipelineSurrogate = surrogate
-			start := time.Now()
-			res, err := sim.Run(cfg)
-			if err != nil {
-				return st, err
-			}
-			wall := time.Since(start).Seconds()
-			if surrogate {
-				st.SurSeconds += wall
-				surCycles += res.Cycles
-				replayed += res.SurrogateCycles
-			} else {
-				st.ExactSeconds += wall
-				exactCycles += res.Cycles
-			}
-		}
-		st.Runs++
-	}
-	st.ExactNsPerCyc = st.ExactSeconds * 1e9 / float64(exactCycles)
-	st.SurNsPerCyc = st.SurSeconds * 1e9 / float64(surCycles)
-	st.SpeedupNsPerCycle = st.ExactNsPerCyc / st.SurNsPerCyc
-	st.ReplayFrac = float64(replayed) / float64(surCycles)
-	return st, nil
-}
-
-// measureGang times the policy suite on the given workloads three ways:
-// solo surrogate runs, one gang per workload in exact mode, and one
-// gang per workload with the shared calibration bank, all aggregated
-// into one suite-level comparison.
+// measureGang times the policy suite on the given workloads two ways —
+// solo runs and one gang per workload — aggregated into one suite-level
+// comparison.
 func measureGang(benchNames []string, insts uint64) (GangLaneStats, error) {
 	policies := bench.Policies()
 	st := GangLaneStats{Benchmarks: benchNames, InstsPerRun: insts, Policies: len(policies)}
@@ -335,15 +258,12 @@ func measureGang(benchNames []string, insts uint64) (GangLaneStats, error) {
 			if err != nil {
 				return nil, err
 			}
-			cfg.PipelineSurrogate = true
 			cfgs = append(cfgs, cfg)
 		}
 		return cfgs, nil
 	}
 
-	var soloCycles uint64
-	var memberCycles, classCycles [2]uint64
-	var gangCycles [2]uint64
+	var soloCycles, gangCycles, memberCycles, classCycles uint64
 	for _, b := range benchNames {
 		cfgs, err := mkCfgs(b)
 		if err != nil {
@@ -359,44 +279,33 @@ func measureGang(benchNames []string, insts uint64) (GangLaneStats, error) {
 		}
 		st.Solo.Seconds += time.Since(start).Seconds()
 
-		for mode, shared := range []bool{false, true} {
-			cfgs, err := mkCfgs(b)
-			if err != nil {
-				return st, err
-			}
-			g, err := sim.NewGang(cfgs, sim.GangOptions{ShareCalibration: shared})
-			if err != nil {
-				return st, err
-			}
-			start := time.Now()
-			results, err := g.Run(context.Background())
-			if err != nil {
-				return st, err
-			}
-			wall := time.Since(start).Seconds()
-			for _, r := range results {
-				gangCycles[mode] += r.Cycles
-			}
-			gs := g.Stats()
-			memberCycles[mode] += gs.MemberCycles
-			classCycles[mode] += gs.ClassCycles
-			dst := &st.Gang
-			if shared {
-				dst = &st.GangSharedCal
-			}
-			dst.Seconds += wall
-			dst.Forks += gs.Forks
-			dst.Merges += gs.Merges
-			dst.Classes += gs.Classes
+		if cfgs, err = mkCfgs(b); err != nil {
+			return st, err
 		}
+		g, err := sim.NewGang(cfgs, sim.GangOptions{})
+		if err != nil {
+			return st, err
+		}
+		start = time.Now()
+		results, err := g.Run(context.Background())
+		if err != nil {
+			return st, err
+		}
+		st.Gang.Seconds += time.Since(start).Seconds()
+		for _, r := range results {
+			gangCycles += r.Cycles
+		}
+		gs := g.Stats()
+		memberCycles += gs.MemberCycles
+		classCycles += gs.ClassCycles
+		st.Gang.Forks += gs.Forks
+		st.Gang.Merges += gs.Merges
+		st.Gang.Classes += gs.Classes
 	}
 	st.Solo.NsPerCycleCfg = st.Solo.Seconds * 1e9 / float64(soloCycles)
-	for mode, dst := range []*GangModeStats{&st.Gang, &st.GangSharedCal} {
-		dst.NsPerCycleCfg = dst.Seconds * 1e9 / float64(gangCycles[mode])
-		dst.Occupancy = float64(memberCycles[mode]) / float64(classCycles[mode])
-	}
+	st.Gang.NsPerCycleCfg = st.Gang.Seconds * 1e9 / float64(gangCycles)
+	st.Gang.Occupancy = float64(memberCycles) / float64(classCycles)
 	st.SpeedupGangVsSolo = st.Solo.NsPerCycleCfg / st.Gang.NsPerCycleCfg
-	st.SpeedupSharedVsSolo = st.Solo.NsPerCycleCfg / st.GangSharedCal.NsPerCycleCfg
 	return st, nil
 }
 
@@ -711,8 +620,6 @@ func main() {
 		out          = flag.String("out", "BENCH_runner.json", "output JSON path")
 		insts        = flag.Uint64("insts", 200_000, "instructions per baseline run")
 		cycles       = flag.Uint64("cycles", 2_000_000, "cycles per hot-loop measurement")
-		suiteInsts   = flag.Uint64("suite-insts", 8_000_000, "instructions per suite surrogate-comparison run")
-		suitePol     = flag.String("suite-policy", "none", "DTM policy for the suite surrogate comparison")
 		only         = flag.String("only", "", "refresh a single section in the existing -out file: store | gang | index | parallel")
 		gangBench    = flag.String("gang-bench", "suite", "workloads for the gang-execution lane: \"suite\" or a comma-separated list")
 		gangInsts    = flag.Uint64("gang-insts", 2_000_000, "instructions per run in the gang-execution lane")
@@ -804,11 +711,7 @@ func main() {
 	}
 
 	for name, cfg := range hotVariants() {
-		warm := uint64(20_000) // past construction transients
-		if cfg.PipelineSurrogate {
-			warm = surWarm
-		}
-		st, err := measureCycles(cfg, *cycles, warm)
+		st, err := measureCycles(cfg, *cycles)
 		if err != nil {
 			fatal(err)
 		}
@@ -816,15 +719,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "hot loop %-8s %7.1f ns/cycle  %.4f allocs/cycle\n",
 			name, st.NsPerCycle, st.AllocsPerCycle)
 	}
-
-	suite, err := measureSuite(*suitePol, *suiteInsts)
-	if err != nil {
-		fatal(err)
-	}
-	rep.Suite = &suite
-	fmt.Fprintf(os.Stderr, "suite (%s, %d insts): exact %.1fs (%.0f ns/cyc) surrogate %.1fs (%.0f ns/cyc) %.1fx, replay %.0f%%\n",
-		suite.Policy, suite.InstsPerRun, suite.ExactSeconds, suite.ExactNsPerCyc,
-		suite.SurSeconds, suite.SurNsPerCyc, suite.SpeedupNsPerCycle, 100*suite.ReplayFrac)
 
 	gang, err := measureGang(gangBenchList(*gangBench), *gangInsts)
 	if err != nil {
@@ -922,11 +816,10 @@ func printParallel(p ParallelStats) {
 
 func printGang(g GangLaneStats) {
 	fmt.Fprintf(os.Stderr,
-		"gang (%d workloads, %d policies, %d insts): solo %.1f ns/cyc/cfg, gang %.1f (%.2fx, occ %.2f, %d forks), shared-cal %.1f (%.2fx, occ %.2f)\n",
+		"gang (%d workloads, %d policies, %d insts): solo %.1f ns/cyc/cfg, gang %.1f (%.2fx, occ %.2f, %d forks)\n",
 		len(g.Benchmarks), g.Policies, g.InstsPerRun,
 		g.Solo.NsPerCycleCfg,
-		g.Gang.NsPerCycleCfg, g.SpeedupGangVsSolo, g.Gang.Occupancy, g.Gang.Forks,
-		g.GangSharedCal.NsPerCycleCfg, g.SpeedupSharedVsSolo, g.GangSharedCal.Occupancy)
+		g.Gang.NsPerCycleCfg, g.SpeedupGangVsSolo, g.Gang.Occupancy, g.Gang.Forks)
 }
 
 func fatal(err error) {

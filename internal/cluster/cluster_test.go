@@ -544,6 +544,16 @@ func TestClusterHedgeInflightBalanced(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+	// Do returns with the winner while each cancelled loser is still
+	// unwinding its round trip; its deferred release runs on its own
+	// goroutine a moment later. So the quiescent check waits, bounded,
+	// for every count to settle, with the monitor still watching.
+	deadline := time.Now().Add(5 * time.Second)
+	for _, w := range s.Pool().Workers() {
+		for w.inflight.Load() != 0 && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
+	}
 	close(stop)
 	<-monitorDone
 

@@ -954,30 +954,3 @@ func (c *Core) FetchLimit() int { return c.fetchLimit }
 // MaxUnresolvedLimit returns the current speculation-control bound
 // (0 = disabled).
 func (c *Core) MaxUnresolvedLimit() int { return c.maxUnresolved }
-
-// CalSnapshot is the core state a calibration window needs: cumulative
-// progress counters plus the actuator settings in force. Differencing two
-// snapshots yields exact per-window rates (IPC, fetch rate) without any
-// per-cycle accumulation in the caller.
-type CalSnapshot struct {
-	Cycles    uint64
-	Committed uint64
-	Fetched   uint64
-
-	FetchDuty     float64
-	FetchLimit    int
-	MaxUnresolved int
-}
-
-// Snapshot captures the core's calibration-relevant state. It is
-// allocation-free and safe to call every cycle.
-func (c *Core) Snapshot() CalSnapshot {
-	return CalSnapshot{
-		Cycles:        c.stats.Cycles,
-		Committed:     c.stats.Committed,
-		Fetched:       c.stats.Fetched,
-		FetchDuty:     c.fetchDuty,
-		FetchLimit:    c.fetchLimit,
-		MaxUnresolved: c.maxUnresolved,
-	}
-}

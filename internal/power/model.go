@@ -426,9 +426,8 @@ func (m *Model) ChipPower(act *pipeline.Activity, blockPowers []float64) float64
 // ChipOverhead returns the non-block share of one cycle's chip power: the
 // always-on base (clock tree, I/O, decode) plus the dynamic share of the
 // untracked structures, scaled by a commit/fetch utilization estimate.
-// Surrogate replay calibrates the mean of this term over a cycle-exact
-// window and replays it per macro-window, which is exact for the mean
-// chip power because the term is additive in ChipPower.
+// ChipPower adds it to the block sum; the multicore engine calls it
+// directly to scale each core's share by that core's power factor.
 func (m *Model) ChipOverhead(act *pipeline.Activity) float64 {
 	util := float64(act.Commits) / m.commitWidth
 	if act.FetchEnabled {

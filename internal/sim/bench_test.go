@@ -24,8 +24,6 @@ func piManager() *dtm.Manager {
 
 // steadySim builds a Sim with an effectively unbounded budget and warms
 // it past construction transients so the measured loop is steady state.
-// Pipeline-surrogate configurations warm until replay has engaged, so
-// the measured loop is the regime the variant exists for.
 func steadySim(tb testing.TB, cfg Config) *Sim {
 	tb.Helper()
 	cfg.Workload = hotProfile()
@@ -36,12 +34,6 @@ func steadySim(tb testing.TB, cfg Config) *Sim {
 		tb.Fatal(err)
 	}
 	for i := 0; i < 20_000; i++ {
-		s.Step()
-	}
-	for i := 0; cfg.PipelineSurrogate && s.res.SurrogateCycles == 0; i++ {
-		if i >= 20_000_000 {
-			tb.Fatal("surrogate never engaged during warm-up")
-		}
 		s.Step()
 	}
 	return s
@@ -85,8 +77,6 @@ var benchVariants = []struct {
 			Trace:        telemetry.NewRecorder(io.Discard, 13, 256),
 		}
 	}},
-	{"Surrogate", func() Config { return Config{PipelineSurrogate: true} }},
-	{"DTMSurrogate", func() Config { return Config{Manager: piManager(), PipelineSurrogate: true} }},
 }
 
 // BenchmarkRunCycle measures the steady-state per-cycle cost of the sim
@@ -136,36 +126,6 @@ func TestZeroAllocStep(t *testing.T) {
 			})
 			if allocs > 0 {
 				t.Errorf("steady-state loop allocates %.2f times per 5k cycles; want 0", allocs)
-			}
-		})
-	}
-}
-
-// TestZeroAllocSurrogateReplay enforces the zero-allocation contract on
-// the surrogate replay loop specifically: steadySim warms until replay
-// has engaged, and the measured Steps then mix whole-window replay legs
-// with exact audit windows and recalibrations — none may allocate.
-func TestZeroAllocSurrogateReplay(t *testing.T) {
-	for _, v := range []struct {
-		name string
-		cfg  func() Config
-	}{
-		{"NoDTM", func() Config { return Config{PipelineSurrogate: true} }},
-		{"PI", func() Config { return Config{Manager: piManager(), PipelineSurrogate: true} }},
-	} {
-		t.Run(v.name, func(t *testing.T) {
-			s := steadySim(t, v.cfg())
-			before := s.res.SurrogateCycles
-			allocs := testing.AllocsPerRun(20, func() {
-				for i := 0; i < 2_000; i++ {
-					s.Step()
-				}
-			})
-			if allocs > 0 {
-				t.Errorf("replay loop allocates %.2f times per 2k steps; want 0", allocs)
-			}
-			if s.res.SurrogateCycles == before {
-				t.Error("no cycles were replayed during the measured loop")
 			}
 		})
 	}

@@ -36,10 +36,6 @@ var cacheKeyCovered = map[string]bool{
 	"MonitoredBlocks":   true,
 	"InitTemps":         true,
 	"ThermalStride":     true,
-	// The surrogate changes the simulated trajectory (calibrated replay
-	// carries bounded modeling error), so exact and surrogate runs of
-	// the same configuration must never share a cache entry.
-	"PipelineSurrogate": true,
 }
 
 // multicoreKeyCovered lists every MulticoreConfig field. MulticoreCacheKey

@@ -18,12 +18,8 @@ package sim
 //
 // Gang results are byte-identical to solo runs of the same configs: the
 // shared/member split reorders no floating-point arithmetic (see the
-// seam comments in Sim.Step and Sim.stepReplay), forks clone state
-// bit-exactly, and merges require bit-equal deep state. The optional
-// shared calibration bank (GangOptions.ShareCalibration) is the one
-// documented exception: it changes WHERE the pipeline surrogate engages
-// (bounded by the same engagement audit), not what an engaged window
-// replays.
+// seam comment in Sim.Step), forks clone state bit-exactly, and merges
+// require bit-equal deep state.
 
 import (
 	"context"
@@ -37,18 +33,10 @@ import (
 	"repro/internal/workload"
 )
 
-// GangOptions tunes gang execution.
-type GangOptions struct {
-	// ShareCalibration shares pipeline-surrogate calibrations across the
-	// gang through a read-mostly bank: a class reaching an operating
-	// point another class has already calibrated adopts the donor's
-	// stats and earned replay budget after one agreeing cycle-exact
-	// window, instead of re-climbing the slow-start budget ladder from
-	// scratch. Engagement is still audited per member against its own
-	// exact windows, but results are no longer bit-identical to solo
-	// runs (replay engages at different cycles). Off by default.
-	ShareCalibration bool
-}
+// GangOptions tunes gang execution. It has no options: gang execution
+// has one exact mode. The type keeps NewGang's signature stable for its
+// callers.
+type GangOptions struct{}
 
 // GangStats summarizes how much sharing a gang achieved.
 type GangStats struct {
@@ -59,7 +47,7 @@ type GangStats struct {
 
 	// MemberCycles counts member-cycles advanced; ClassCycles counts
 	// class-cycles, i.e. how many times the shared pipeline front half
-	// actually ran (replay windows count their full width once).
+	// actually ran.
 	MemberCycles uint64
 	ClassCycles  uint64
 }
@@ -97,13 +85,12 @@ func sigOf(m *Sim) gangSig {
 
 // gclass is one operating-point equivalence class: the members in
 // lock-step plus the shared objects their leader drives. members[0] is
-// the leader; its act/powerVec/surrogate state serve the whole class.
+// the leader; its act/powerVec serve the whole class.
 type gclass struct {
 	members []*Sim
 	gen     *workload.Generator
 	core    *pipeline.Core
 	pmodel  *power.Model
-	sched   int // sampling-schedule group (gangSchedKey) — merge barrier
 	done    bool
 }
 
@@ -129,7 +116,6 @@ func (c *gclass) diverged() bool {
 // A Gang is single-goroutine; parallelism comes from running many gangs.
 type Gang struct {
 	classes []*gclass
-	members []*Sim // config order
 	results []*Result
 	index   map[*Sim]int
 	live    int // classes not yet done
@@ -147,27 +133,19 @@ const mergeCheckStride = 4096
 // mergeCheckCalls is the stride expressed in Step calls.
 const mergeCheckCalls = max(1, mergeCheckStride/classBurst)
 
-// gangSchedKey derives the config's thermal-window sampling schedule: the
-// clamp intervals its fast-path windows end on (windowClamps, the list
-// the engine itself schedules by). Members are only gang-able within one
-// schedule group — surrogate replay advances whole thermal windows, so
-// members whose windows end on different cycles cannot share a replay leg
-// even while their actuator states agree.
-func gangSchedKey(cfg *Config) string {
-	return fmt.Sprint(windowClamps(cfg))
-}
-
 // GangCompatible is the rule for which configs may share a gang: it
 // returns nil when cfg may be stepped in one gang led by lead, or the
 // reason it may not. Members must describe the same simulated experiment
 // (workload, pipeline, gating, instruction and cycle budgets, thermal
-// stride, surrogate mode) and may differ only in the thermal/DTM
-// dimension: policy, scaling, hierarchy, leakage, sensor model,
-// thresholds, monitored blocks, initial temperatures, tangential flow.
-// Per-cycle instrumentation (traces, metrics, proxies, the coupled
-// chip/sink model) observes individual cycles in ways the class-shared
-// front half cannot serve, so a config carrying any of it, as lead or
-// member, joins no gang; GangCompatible(cfg, cfg) reports exactly that.
+// stride) and may differ only in the thermal/DTM dimension: policy,
+// scaling, hierarchy, leakage, sensor model, thresholds, monitored
+// blocks, initial temperatures, tangential flow. Each member keeps its
+// own thermal accounting, so members whose fast-path windows end on
+// different cycles still share a class. Per-cycle instrumentation
+// (traces, metrics, proxies, the coupled chip/sink model) observes
+// individual cycles in ways the class-shared front half cannot serve, so
+// a config carrying any of it, as lead or member, joins no gang;
+// GangCompatible(cfg, cfg) reports exactly that.
 func GangCompatible(lead, cfg *Config) error {
 	for _, c := range []*Config{lead, cfg} {
 		switch {
@@ -183,9 +161,8 @@ func GangCompatible(lead, cfg *Config) error {
 	}
 	switch {
 	case cfg.Gating != lead.Gating || cfg.MaxInsts != lead.MaxInsts ||
-		cfg.MaxCycles != lead.MaxCycles || cfg.ThermalStride != lead.ThermalStride ||
-		cfg.PipelineSurrogate != lead.PipelineSurrogate:
-		return errors.New("execution parameters (Gating/MaxInsts/MaxCycles/ThermalStride/PipelineSurrogate) differ from the lead's")
+		cfg.MaxCycles != lead.MaxCycles || cfg.ThermalStride != lead.ThermalStride:
+		return errors.New("execution parameters (Gating/MaxInsts/MaxCycles/ThermalStride) differ from the lead's")
 	case !reflect.DeepEqual(cfg.Workload, lead.Workload):
 		return errors.New("workload differs from the lead's")
 	case !reflect.DeepEqual(cfg.Pipeline, lead.Pipeline):
@@ -195,8 +172,9 @@ func GangCompatible(lead, cfg *Config) error {
 }
 
 // NewGang validates cfgs against GangCompatible, with config 0 as the
-// lead, and builds a gang. Each config must also own its controllers.
-func NewGang(cfgs []Config, opt GangOptions) (*Gang, error) {
+// lead, and builds a gang of one class in config order. Each config must
+// also own its controllers.
+func NewGang(cfgs []Config, _ GangOptions) (*Gang, error) {
 	if len(cfgs) == 0 {
 		return nil, fmt.Errorf("sim: gang needs at least one config")
 	}
@@ -220,63 +198,34 @@ func NewGang(cfgs []Config, opt GangOptions) (*Gang, error) {
 		}
 	}
 
+	lead, err := newWith(cfgs[0], nil, nil, nil)
+	if err != nil {
+		return nil, fmt.Errorf("sim: gang config 0: %w", err)
+	}
+	c := &gclass{
+		members: []*Sim{lead},
+		gen:     lead.gen,
+		core:    lead.core,
+		pmodel:  lead.pmodel,
+	}
+	for i := 1; i < len(cfgs); i++ {
+		m, err := newWith(cfgs[i], c.gen, c.core, c.pmodel)
+		if err != nil {
+			return nil, fmt.Errorf("sim: gang config %d: %w", i, err)
+		}
+		c.members = append(c.members, m)
+	}
 	g := &Gang{
-		members: make([]*Sim, 0, len(cfgs)),
+		classes: []*gclass{c},
 		results: make([]*Result, len(cfgs)),
 		index:   make(map[*Sim]int, len(cfgs)),
+		live:    1,
 	}
-	// Partition by sampling schedule, preserving config order within and
-	// across groups (first appearance orders the group).
-	groups := make(map[string]int)
-	var order []string
-	byGroup := make(map[string][]int)
-	for i := range cfgs {
-		k := gangSchedKey(&cfgs[i])
-		if _, ok := groups[k]; !ok {
-			groups[k] = len(order)
-			order = append(order, k)
-		}
-		byGroup[k] = append(byGroup[k], i)
+	for i, m := range c.members {
+		g.index[m] = i
 	}
-
-	var bank *calBank
-	for sched, k := range order {
-		idxs := byGroup[k]
-		lead, err := newWith(cfgs[idxs[0]], nil, nil, nil)
-		if err != nil {
-			return nil, fmt.Errorf("sim: gang config %d: %w", idxs[0], err)
-		}
-		c := &gclass{
-			members: []*Sim{lead},
-			gen:     lead.gen,
-			core:    lead.core,
-			pmodel:  lead.pmodel,
-			sched:   sched,
-		}
-		for _, i := range idxs[1:] {
-			m, err := newWith(cfgs[i], c.gen, c.core, c.pmodel)
-			if err != nil {
-				return nil, fmt.Errorf("sim: gang config %d: %w", i, err)
-			}
-			c.members = append(c.members, m)
-		}
-		if opt.ShareCalibration && lead.sur {
-			if bank == nil {
-				bank = newCalBank(len(lead.powerVec))
-			}
-			for _, m := range c.members {
-				m.surBank = bank
-			}
-		}
-		for j, i := range idxs {
-			g.index[c.members[j]] = i
-			g.members = append(g.members, c.members[j])
-		}
-		g.classes = append(g.classes, c)
-	}
-	g.live = len(g.classes)
 	g.stats.Members = len(cfgs)
-	g.stats.Classes = len(g.classes)
+	g.stats.Classes = 1
 	return g, nil
 }
 
@@ -299,8 +248,7 @@ func anyOf[T any](p *T) interface{} {
 const classBurst = 128
 
 // Step advances every unfinished class by one burst of class-steps; a
-// class-step is one exact cycle, or one whole replay window when the
-// class leader's surrogate engages. Classes forked during this call
+// class-step is one exact cycle. Classes forked during this call
 // start stepping on the next call (they are already caught up — a fork
 // happens after the cycle that revealed the divergence). Returns false
 // once every member has finished; results are collected by Run.
@@ -315,8 +263,8 @@ func (g *Gang) Step() bool {
 			g.stepClass(c)
 			if c.members[0].Done() {
 				// Done() is class-uniform: the committed count comes from
-				// the shared core and the budgets/virtual credits are
-				// validated/kept uniform.
+				// the shared core, the cycle count is lock-stepped and
+				// GangCompatible keeps the budgets uniform.
 				c.done = true
 				g.live--
 				for _, m := range c.members {
@@ -334,16 +282,10 @@ func (g *Gang) Step() bool {
 }
 
 // stepClass runs one class-step: the shared front half once, the member
-// fan-out, the divergence check, and the leader's calibration update.
-// Allocation-free except when a fork fires.
+// fan-out and the divergence check. Allocation-free except when a fork
+// fires.
 func (g *Gang) stepClass(c *gclass) {
 	lead := c.members[0]
-	if lead.sur && lead.stallLeft == 0 {
-		if cal := lead.replayable(); cal != nil {
-			g.replayClass(c, cal)
-			return
-		}
-	}
 	stalled := lead.stallLeft > 0
 	if stalled {
 		lead.act.Reset() // the clock runs but the shared pipeline is idle
@@ -351,20 +293,10 @@ func (g *Gang) stepClass(c *gclass) {
 		c.core.Step(&lead.act)
 	}
 	c.pmodel.BlockPower(&lead.act, lead.powerVec)
-	if lead.sur {
-		// Class-level calibration accumulators, exactly as in solo Step.
-		acc := lead.surPowAcc
-		for i, p := range lead.powerVec {
-			acc[i] += p
-		}
-		lead.surExtraAcc += c.pmodel.ChipOverhead(&lead.act)
-	}
 	// Fan out with the leader LAST: stepMember scales its powerVec in
 	// place (frequency factor, leakage), and the leader's powerVec IS the
 	// shared raw vector — stepping it first would hand every later member
-	// a base already scaled by the leader's factors. Leader-last also
-	// leaves the shared core's actuation registers holding the leader's
-	// own values, which its surUpdate reads through curKey.
+	// a base already scaled by the leader's factors.
 	for _, m := range c.members[1:] {
 		m.stepMember(&lead.act, lead.powerVec, stalled)
 	}
@@ -372,51 +304,6 @@ func (g *Gang) stepClass(c *gclass) {
 	g.stats.MemberCycles += uint64(len(c.members))
 	g.stats.ClassCycles++
 
-	// stepMember ran each member's DTM sample; fork before the leader's
-	// surUpdate so every partition's new leader starts its own span from
-	// a bit-exact copy of the pre-update accumulators and then advances
-	// it under its own operating point, exactly as its solo run would.
-	start := len(g.classes)
-	if len(c.members) > 1 && c.diverged() {
-		g.fork(c)
-	}
-	if lead.sur {
-		lead.surUpdate(stalled)
-		for _, nc := range g.classes[start:] {
-			nc.members[0].surUpdate(stalled)
-		}
-	}
-}
-
-// replayClass advances the whole class across one surrogate replay window
-// calibrated by the leader. Window length, instruction credit and carry
-// are computed once — every input is class-uniform — and fanned out;
-// class-level stream/calibration bookkeeping mirrors the solo stepReplay
-// line for line.
-func (g *Gang) replayClass(c *gclass, cal *surCal) {
-	lead := c.members[0]
-	w := lead.replayWindow(cal)
-	fw := float64(w)
-	insts := cal.ipc*fw + lead.surCarry
-	n := uint64(insts)
-	carry := insts - float64(n)
-	for _, m := range c.members {
-		m.replayMember(cal, w, n, carry)
-	}
-	g.stats.MemberCycles += uint64(len(c.members)) * w
-	g.stats.ClassCycles += w
-
-	c.gen.Skip(n)
-	cal.replayed += w
-	lead.surPause()
-	cal.splice = true
-	cal.legSince = true
-	lead.surAccOK = false
-
-	// The boundary DTM sample inside replayMember can diverge members.
-	// Forked leaders clone the post-splice surrogate state and the
-	// post-skip stream, so their next exact window resumes exactly where
-	// a solo run of that member would.
 	if len(c.members) > 1 && c.diverged() {
 		g.fork(c)
 	}
@@ -425,14 +312,13 @@ func (g *Gang) replayClass(c *gclass, cal *surCal) {
 // fork splits c into one class per distinct actuator signature. The
 // partition containing the old leader keeps the shared objects; every
 // other partition deep-clones the workload generator, core and power
-// model, promotes its first member to leader, and copies the old leader's
-// surrogate state into it. Each partition's actuation is then re-asserted
-// on its core: the setters are idempotent plain writes, so re-asserting
-// the signature the last DTM sample chose reproduces exactly the state a
-// solo run's core would hold. Forks allocate; they fire only on actuation
-// divergence, which is rare at the cycle scale.
+// model and promotes its first member to leader. Each partition's
+// actuation is then re-asserted on its core: the setters are idempotent
+// plain writes, so re-asserting the signature the last DTM sample chose
+// reproduces exactly the state a solo run's core would hold. Forks
+// allocate; they fire only on actuation divergence, which is rare at the
+// cycle scale.
 func (g *Gang) fork(c *gclass) {
-	oldLead := c.members[0]
 	var sigs []gangSig
 	var parts [][]*Sim
 	for _, m := range c.members {
@@ -462,12 +348,8 @@ func (g *Gang) fork(c *gclass) {
 		for _, m := range p {
 			m.gen, m.core, m.pmodel = gen2, core2, pm2
 		}
-		newLead := p[0]
-		if newLead.sur {
-			newLead.cloneSurrogateFrom(oldLead)
-		}
-		nc := &gclass{members: p, gen: gen2, core: core2, pmodel: pm2, sched: c.sched}
-		reassert(core2, newLead)
+		nc := &gclass{members: p, gen: gen2, core: core2, pmodel: pm2}
+		reassert(core2, p[0])
 		g.classes = append(g.classes, nc)
 		g.live++
 		g.stats.Forks++
@@ -485,12 +367,12 @@ func reassert(core *pipeline.Core, lead *Sim) {
 
 // tryMerge merges classes whose deep state has re-converged exactly.
 // Byte-identity admits no approximate merge: two classes may be merged
-// only when their shared objects (core, generator, power model), window
-// position, replay carry and calibration stores are bit-equal — then
+// only when their leaders' actuator signatures and cycles match and their
+// shared objects (core, generator, power model) are bit-equal — then
 // folding one class's members under the other's leader changes no
-// member's future trajectory. The cheap pre-checks (signature, cycle,
-// core snapshot) reject almost everything before the reflect.DeepEqual
-// deep compare runs.
+// member's future trajectory (each member keeps its own thermal and DTM
+// state). The cheap pre-checks (signature, cycle, core counters) reject
+// almost everything before the reflect.DeepEqual deep compare runs.
 func (g *Gang) tryMerge() {
 	for i := 0; i < len(g.classes); i++ {
 		a := g.classes[i]
@@ -499,7 +381,7 @@ func (g *Gang) tryMerge() {
 		}
 		for j := i + 1; j < len(g.classes); j++ {
 			b := g.classes[j]
-			if b.done || b.sched != a.sched {
+			if b.done {
 				continue
 			}
 			if !mergeable(a, b) {
@@ -521,30 +403,9 @@ func (g *Gang) tryMerge() {
 // mergeable runs the exact re-convergence test for two live classes.
 func mergeable(a, b *gclass) bool {
 	la, lb := a.members[0], b.members[0]
-	if sigOf(la) != sigOf(lb) || la.cycle != lb.cycle ||
-		la.acct.winLen != lb.acct.winLen || la.acct.winLeft != lb.acct.winLeft ||
-		la.surCarry != lb.surCarry || la.virtInsts != lb.virtInsts {
-		return false
-	}
-	if a.core.Snapshot() != b.core.Snapshot() || a.core.Stats() != b.core.Stats() {
-		return false
-	}
-	if !reflect.DeepEqual(a.core, b.core) || !reflect.DeepEqual(a.gen, b.gen) ||
-		!reflect.DeepEqual(a.pmodel, b.pmodel) {
-		return false
-	}
-	if la.sur {
-		// The surviving leader's calibration store will serve b's
-		// members: it must match what b's leader would have used.
-		if la.surAccKey != lb.surAccKey || la.surAccOK != lb.surAccOK ||
-			la.surWarm != lb.surWarm || la.surExtraAcc != lb.surExtraAcc ||
-			la.surSnap0 != lb.surSnap0 ||
-			!reflect.DeepEqual(la.surPowAcc, lb.surPowAcc) ||
-			!reflect.DeepEqual(la.surCals, lb.surCals) {
-			return false
-		}
-	}
-	return true
+	return sigOf(la) == sigOf(lb) && la.cycle == lb.cycle && a.core.Stats() == b.core.Stats() &&
+		reflect.DeepEqual(a.core, b.core) && reflect.DeepEqual(a.gen, b.gen) &&
+		reflect.DeepEqual(a.pmodel, b.pmodel)
 }
 
 // Stats returns the gang's sharing statistics so far.

@@ -4,9 +4,7 @@ package sim_test
 // execution promises BYTE-IDENTICAL results to solo runs of the same
 // configurations — the shared front half reorders no arithmetic, forks
 // clone state bit-exactly — so the comparison here is exact (marshaled
-// Result equality), not toleranced. The opt-in shared calibration bank
-// trades that for throughput: it changes where the surrogate engages, so
-// it is held to the surrogate A/B accuracy bounds instead.
+// Result equality), not toleranced.
 
 import (
 	"context"
@@ -17,10 +15,9 @@ import (
 	"repro/internal/sim"
 )
 
-// gangEquivInsts sizes the matrix runs: long enough that the surrogate
-// engages and PI-family policies fork the gang (both paths exercised),
-// short enough that 18 workloads x (13 solo + 1 gang) runs fit the
-// package budget.
+// gangEquivInsts sizes the matrix runs: long enough that PI-family
+// policies fork the gang, short enough that 18 workloads x (13 solo + 1
+// gang) runs fit the package budget.
 const gangEquivInsts = 400_000
 
 // gangPolicies returns the full policy suite (the matrices here never
@@ -30,9 +27,8 @@ func gangPolicies() []string {
 }
 
 // skipGangMatrixUnderRace: the gang executor is single-goroutine, so
-// byte-identity and calibration accuracy are not race properties — and
-// the matrices are far too slow under the ~15x race detector for the
-// package budget. Race coverage of the gang code paths comes from the
+// byte-identity is not a race property — and the matrix is far too slow
+// under the ~15x race detector for the package budget. Race coverage of the gang code paths comes from the
 // in-package TestGang* suite (gang_test.go); the full matrices run in
 // CI's dedicated non-race gang gate (bench-multicore job).
 func skipGangMatrixUnderRace(t *testing.T) {
@@ -50,7 +46,6 @@ func gangMatrixConfigs(t *testing.T, benchmark string, policies []string) []sim.
 		if err != nil {
 			t.Fatalf("NewRun(%s,%s): %v", benchmark, p, err)
 		}
-		cfg.PipelineSurrogate = true
 		cfgs = append(cfgs, cfg)
 	}
 	return cfgs
@@ -102,44 +97,6 @@ func TestGangGoldenEquivalence(t *testing.T) {
 			}
 			t.Logf("members=%d forks=%d merges=%d occupancy=%.2f",
 				st.Members, st.Forks, st.Merges, st.Occupancy())
-		})
-	}
-}
-
-// TestGangSharedCalibration holds the shared-calibration mode to the
-// surrogate A/B accuracy contract: sharing calibrations across the gang
-// may move replay engagement around, but every engaged window is still
-// audited per member, so results must stay within the same bounds the
-// solo surrogate is held to against cycle-exact execution.
-func TestGangSharedCalibration(t *testing.T) {
-	skipGangMatrixUnderRace(t)
-	policies := gangPolicies()
-	for _, b := range []string{"gzip", "art"} {
-		b := b
-		t.Run(b, func(t *testing.T) {
-			t.Parallel()
-			exact := make([]*sim.Result, len(policies))
-			for i, cfg := range gangMatrixConfigs(t, b, policies) {
-				cfg.PipelineSurrogate = false
-				res, err := sim.Run(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				exact[i] = res
-			}
-			g, err := sim.NewGang(gangMatrixConfigs(t, b, policies), sim.GangOptions{ShareCalibration: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			shared, err := g.Run(context.Background())
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := range shared {
-				t.Run(policies[i], func(t *testing.T) {
-					compareSurPair(t, exact[i], shared[i])
-				})
-			}
 		})
 	}
 }

@@ -15,17 +15,16 @@ import (
 	"repro/internal/dtm"
 )
 
-// gangPolicyConfigs builds a surrogate-enabled gang spec around
-// hotProfile: one uncontrolled member plus PI members at the given
-// setpoints (distinct manager instances, as NewGang requires).
+// gangPolicyConfigs builds a gang spec around hotProfile: one
+// uncontrolled member plus PI members at the given setpoints (distinct
+// manager instances, as NewGang requires).
 func gangPolicyConfigs(insts uint64, setpoints ...float64) []Config {
-	cfgs := []Config{{Workload: hotProfile(), MaxInsts: insts, PipelineSurrogate: true}}
+	cfgs := []Config{{Workload: hotProfile(), MaxInsts: insts}}
 	for _, sp := range setpoints {
 		cfgs = append(cfgs, Config{
-			Workload:          hotProfile(),
-			MaxInsts:          insts,
-			Manager:           newPIManager(sp),
-			PipelineSurrogate: true,
+			Workload: hotProfile(),
+			MaxInsts: insts,
+			Manager:  newPIManager(sp),
 		})
 	}
 	return cfgs
@@ -39,34 +38,43 @@ func TestGangMatchesSolo(t *testing.T) {
 	mk := func() []Config {
 		cfgs := gangPolicyConfigs(insts, 111.1, 110.8)
 		cfgs = append(cfgs, Config{
-			Workload:          hotProfile(),
-			MaxInsts:          insts,
-			Manager:           dtm.NewManager(dtm.NewToggle1(110.3, 5)),
-			PipelineSurrogate: true,
+			Workload: hotProfile(),
+			MaxInsts: insts,
+			Manager:  dtm.NewManager(dtm.NewToggle1(110.3, 5)),
 		})
 		return cfgs
-	}
-
-	solo := make([]*Result, len(mk()))
-	for i, cfg := range mk() {
-		r, err := Run(cfg)
-		if err != nil {
-			t.Fatalf("solo %d: %v", i, err)
-		}
-		solo[i] = r
 	}
 
 	g, err := NewGang(mk(), GangOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	runMatchesSolo(t, g, mk())
+	st := g.Stats()
+	if st.Members != len(mk()) {
+		t.Errorf("Members = %d, want %d", st.Members, len(mk()))
+	}
+	if st.MemberCycles <= st.ClassCycles {
+		t.Errorf("no sharing achieved: member=%d class=%d", st.MemberCycles, st.ClassCycles)
+	}
+	t.Logf("stats: %+v occupancy=%.2f", st, st.Occupancy())
+}
+
+// runMatchesSolo runs g to completion and requires every member's result
+// to marshal byte-identically to a solo run of the same config; cfgs must
+// be fresh copies of the configs g was built from.
+func runMatchesSolo(t *testing.T, g *Gang, cfgs []Config) {
+	t.Helper()
 	ganged, err := g.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	for i := range solo {
-		want, err1 := json.Marshal(solo[i])
+	for i, cfg := range cfgs {
+		solo, err := Run(cfg)
+		if err != nil {
+			t.Fatalf("solo %d: %v", i, err)
+		}
+		want, err1 := json.Marshal(solo)
 		got, err2 := json.Marshal(ganged[i])
 		if err1 != nil || err2 != nil {
 			t.Fatal(err1, err2)
@@ -75,30 +83,19 @@ func TestGangMatchesSolo(t *testing.T) {
 			t.Errorf("member %d diverged from solo run:\nsolo: %s\ngang: %s", i, want, got)
 		}
 	}
-	st := g.Stats()
-	if st.Members != len(solo) {
-		t.Errorf("Members = %d, want %d", st.Members, len(solo))
-	}
-	if st.MemberCycles <= st.ClassCycles {
-		t.Errorf("no sharing achieved: member=%d class=%d", st.MemberCycles, st.ClassCycles)
-	}
-	t.Logf("stats: %+v occupancy=%.2f", st, st.Occupancy())
 }
 
-// TestGangForkOnDivergence: two PI members at different setpoints start
-// in one class (same sampling schedule, same initial actuation) and must
-// fork once their duties diverge; the uncontrolled member sits in its own
-// schedule group from the start.
+// TestGangForkOnDivergence: an uncontrolled member and two PI members at
+// different setpoints start in one class (same initial actuation, even
+// though their thermal windows end on different cycles) and must fork
+// once their duties diverge.
 func TestGangForkOnDivergence(t *testing.T) {
 	g, err := NewGang(gangPolicyConfigs(600_000, 111.1, 110.5), GangOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(g.classes) != 2 {
-		t.Fatalf("initial classes = %d, want 2 (schedule groups)", len(g.classes))
-	}
-	if len(g.classes[1].members) != 2 {
-		t.Fatalf("PI schedule group has %d members, want 2", len(g.classes[1].members))
+	if len(g.classes) != 1 || len(g.classes[0].members) != 3 {
+		t.Fatalf("want one initial class of 3 members, got %d classes", len(g.classes))
 	}
 	if _, err := g.Run(context.Background()); err != nil {
 		t.Fatal(err)
@@ -113,8 +110,8 @@ func TestGangForkOnDivergence(t *testing.T) {
 // verifies tryMerge folds them back together.
 func TestGangMerge(t *testing.T) {
 	cfgs := []Config{
-		{Workload: hotProfile(), MaxInsts: 1 << 40, Manager: newPIManager(111.1), PipelineSurrogate: true},
-		{Workload: hotProfile(), MaxInsts: 1 << 40, Manager: newPIManager(111.1), PipelineSurrogate: true},
+		{Workload: hotProfile(), MaxInsts: 1 << 40, Manager: newPIManager(111.1)},
+		{Workload: hotProfile(), MaxInsts: 1 << 40, Manager: newPIManager(111.1)},
 	}
 	g, err := NewGang(cfgs, GangOptions{})
 	if err != nil {
@@ -130,28 +127,9 @@ func TestGangMerge(t *testing.T) {
 		t.Fatalf("identical members forked (%d) — divergence check broken", g.stats.Forks)
 	}
 
-	// Force-split: clone the shared state for the second member exactly
-	// as fork does.
-	c := g.classes[0]
-	m := c.members[1]
-	c.members = c.members[:1]
-	gen2 := c.gen.Clone()
-	core2 := c.core.Clone(gen2)
-	pm2 := c.pmodel.Clone()
-	m.gen, m.core, m.pmodel = gen2, core2, pm2
-	m.cloneSurrogateFrom(c.members[0])
-	reassert(core2, m)
-	g.classes = append(g.classes, &gclass{members: []*Sim{m}, gen: gen2, core: core2, pmodel: pm2, sched: c.sched})
-	g.live++
-
 	// Identical members in separate classes evolve identically, so the
 	// next merge check must fold them back.
-	for i := 0; i < 2*mergeCheckCalls && g.live == 2; i++ {
-		g.Step()
-	}
-	if g.stats.Merges != 1 || g.live != 1 {
-		t.Fatalf("merge never fired: merges=%d live=%d", g.stats.Merges, g.live)
-	}
+	splitAndMerge(t, g)
 	if n := len(g.classes[0].members); n != 2 {
 		t.Fatalf("surviving class has %d members, want 2", n)
 	}
@@ -163,6 +141,51 @@ func TestGangMerge(t *testing.T) {
 	if g.stats.Forks != 0 {
 		t.Errorf("members diverged after merge (%d forks)", g.stats.Forks)
 	}
+}
+
+// splitAndMerge force-splits the last member of g's only class into its
+// own class, cloning the shared state exactly as fork does, then steps
+// until the merge check folds the two classes back together.
+func splitAndMerge(t *testing.T, g *Gang) {
+	t.Helper()
+	c := g.classes[0]
+	m := c.members[len(c.members)-1]
+	c.members = c.members[:len(c.members)-1]
+	gen2 := c.gen.Clone()
+	core2 := c.core.Clone(gen2)
+	pm2 := c.pmodel.Clone()
+	m.gen, m.core, m.pmodel = gen2, core2, pm2
+	reassert(core2, m)
+	g.classes = append(g.classes, &gclass{members: []*Sim{m}, gen: gen2, core: core2, pmodel: pm2})
+	g.live++
+	for i := 0; i < 2*mergeCheckCalls && g.live == 2; i++ {
+		g.Step()
+	}
+	if g.stats.Merges != 1 || g.live != 1 {
+		t.Fatalf("merge never fired: merges=%d live=%d", g.stats.Merges, g.live)
+	}
+}
+
+// TestGangMergeAcrossSchedules: an uncontrolled member and a PI member
+// share a class although their fast-path windows end on different cycles
+// (the PI member's also end on every 1000-cycle DTM sample). A split of
+// that class must merge back — the merge compares shared state only, each
+// member keeps its own thermal windows — and both members must still
+// finish byte-identical to their solo runs.
+func TestGangMergeAcrossSchedules(t *testing.T) {
+	mk := func() []Config { return gangPolicyConfigs(200_000, 111.1) }
+	g, err := NewGang(mk(), GangOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 20_000/classBurst; i++ {
+		g.Step()
+	}
+	if g.stats.Forks != 0 {
+		t.Fatalf("members forked (%d) before the PI controller could act", g.stats.Forks)
+	}
+	splitAndMerge(t, g)
+	runMatchesSolo(t, g, mk())
 }
 
 func TestGangRejectsIneligibleConfigs(t *testing.T) {
@@ -196,11 +219,6 @@ func TestGangRejectsIneligibleConfigs(t *testing.T) {
 			b.MaxInsts = 200_000
 			return []Config{a, b}
 		},
-		"surrogate-mismatch": func() []Config {
-			a, b := base(), base()
-			b.PipelineSurrogate = true
-			return []Config{a, b}
-		},
 		"shared-manager": func() []Config {
 			a, b := base(), base()
 			mgr := newPIManager(111.1)
@@ -216,8 +234,7 @@ func TestGangRejectsIneligibleConfigs(t *testing.T) {
 }
 
 // steadyGang builds a same-class gang (identical configs, so it never
-// forks) and warms it past construction transients; surrogate gangs warm
-// until replay has engaged.
+// forks) and warms it past construction transients.
 func steadyGang(tb testing.TB, n int, cfg func() Config) *Gang {
 	tb.Helper()
 	cfgs := make([]Config, 0, n)
@@ -235,19 +252,12 @@ func steadyGang(tb testing.TB, n int, cfg func() Config) *Gang {
 	for i := 0; i < 40_000/classBurst; i++ {
 		g.Step()
 	}
-	lead := g.classes[0].members[0]
-	for i := 0; cfgs[0].PipelineSurrogate && lead.res.SurrogateCycles == 0; i++ {
-		if i >= 20_000_000 {
-			tb.Fatal("surrogate never engaged during warm-up")
-		}
-		g.Step()
-	}
 	return g
 }
 
 // TestZeroAllocGangStep enforces the zero-allocation contract on the
-// class-step loop (exact and replay paths; forks, which are rare and may
-// allocate, cannot occur here because the members are identical). Part of
+// class-step loop (forks, which are rare and may allocate, cannot occur
+// here because the members are identical). Part of
 // the repository's allocation gate (`go test -run TestZeroAlloc`).
 func TestZeroAllocGangStep(t *testing.T) {
 	for _, v := range []struct {
@@ -256,8 +266,6 @@ func TestZeroAllocGangStep(t *testing.T) {
 	}{
 		{"Exact", func() Config { return Config{} }},
 		{"DTM", func() Config { return Config{Manager: piManager()} }},
-		{"Surrogate", func() Config { return Config{PipelineSurrogate: true} }},
-		{"DTMSurrogate", func() Config { return Config{Manager: piManager(), PipelineSurrogate: true} }},
 	} {
 		t.Run(v.name, func(t *testing.T) {
 			g := steadyGang(t, 4, v.cfg)
@@ -288,8 +296,6 @@ func BenchmarkGangStep(b *testing.B) {
 		{"Exact1", 1, func() Config { return Config{} }},
 		{"Exact4", 4, func() Config { return Config{} }},
 		{"Exact13", 13, func() Config { return Config{} }},
-		{"Surrogate4", 4, func() Config { return Config{PipelineSurrogate: true} }},
-		{"Surrogate13", 13, func() Config { return Config{PipelineSurrogate: true} }},
 	} {
 		b.Run(v.name, func(b *testing.B) {
 			g := steadyGang(b, v.n, v.cfg)

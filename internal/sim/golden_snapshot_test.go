@@ -50,10 +50,9 @@ func fpProfile() workload.Profile {
 // GoldenMatrix returns the solo configurations the committed golden pins:
 // every policy family, each per-cycle feature (leakage, scaling, hierarchy,
 // lateral flow, proxies, sensors, monitored blocks, the coupled sink,
-// traces) and the pipeline surrogate, on hot, cold and FP workloads.
+// traces), on hot, cold and FP workloads.
 func GoldenMatrix() map[string]Config {
 	const n = 300_000
-	const sn = 1_500_000 // long enough for replay legs to engage
 	mkInterrupt := func() *dtm.Manager {
 		m := dtm.NewManager(dtm.NewToggle1(110.3, 5))
 		m.Mechanism = dtm.Interrupt
@@ -95,9 +94,5 @@ func GoldenMatrix() map[string]Config {
 		"hot/fscale+euler": {Workload: hotProfile(), MaxInsts: n, ThermalStride: 1, Scaling: dtm.NewFreqScaling(110.3, 0.5, 5)},
 		"hot/pi+telemetry": {Workload: hotProfile(), MaxInsts: n, Manager: newPIManager(111.1),
 			Metrics: mkMetrics(), Trace: mkRecorder(), TraceInterval: 1500},
-
-		"hot/pi+surrogate":     {Workload: hotProfile(), MaxInsts: sn, Manager: newPIManager(111.1), PipelineSurrogate: true},
-		"hot/fscale+surrogate": {Workload: hotProfile(), MaxInsts: sn, Scaling: dtm.NewFreqScaling(110.3, 0.5, 5), PipelineSurrogate: true},
-		"fp/none+surrogate":    {Workload: fpProfile(), MaxInsts: sn, PipelineSurrogate: true},
 	}
 }

@@ -89,8 +89,8 @@ func skipGoldenUnderRace(t *testing.T) {
 	}
 }
 
-// TestGoldenSolo pins every solo execution path: per-cycle Euler, the
-// macro-stepped fast path and the pipeline surrogate.
+// TestGoldenSolo pins both solo thermal paths: per-cycle Euler and the
+// macro-stepped fast path.
 func TestGoldenSolo(t *testing.T) {
 	skipGoldenUnderRace(t)
 	got := map[string]any{}

@@ -22,10 +22,10 @@ const mcEqInsts = 60000 // per core
 
 // skipMulticoreMatrixUnderRace: sim.Multicore steps on a single
 // goroutine, so fast-vs-Euler equivalence, controller engagement and
-// the allocation contract are not race properties — and the package's
-// race budget is already consumed by the surrogate exemplars on a
-// single-CPU host. The full multicore matrices run in CI's dedicated
-// non-race multicore job on every PR.
+// the allocation contract are not race properties — and the matrices
+// would take most of the package's race budget on a single-CPU host.
+// The full multicore matrices run in CI's dedicated non-race multicore
+// job on every PR.
 func skipMulticoreMatrixUnderRace(t *testing.T) {
 	t.Helper()
 	if raceDetector {

@@ -103,20 +103,6 @@ type Config struct {
 	// InitTemps optionally sets initial block temperatures (default:
 	// heatsink temperature everywhere).
 	InitTemps []float64
-	// PipelineSurrogate enables macro-stepped pipeline surrogate
-	// execution: during a workload phase's steady state the simulator
-	// calibrates per-block activity statistics (mean dynamic power, IPC,
-	// chip overhead) from a cycle-exact warm-up window keyed on (phase,
-	// duty, frequency, throttle, speculation bound), then replays them
-	// analytically one thermal window at a time, freezing the pipeline
-	// and advancing the workload stream by the calibrated IPC. Replay
-	// drops back to cycle-exact execution around phase transitions, on
-	// every DTM actuation or frequency-scaling change (new key), near
-	// the instruction budget, on trigger-mechanism stalls, and
-	// periodically for recalibration. Requires the macro-stepped thermal
-	// fast path (incompatible with ProxyWindows, CoupleChipSink and
-	// ThermalStride 1).
-	PipelineSurrogate bool
 	// ThermalStride selects the thermal integration mode. 0 (the
 	// default) auto-selects: the macro-stepped exponential fast path
 	// with DefaultThermalStride-cycle windows when the configuration
@@ -205,9 +191,10 @@ type Result struct {
 
 	Cycles uint64
 	Insts  uint64
-	// SurrogateCycles counts the cycles advanced analytically by the
-	// pipeline surrogate (0 without Config.PipelineSurrogate); the
-	// remainder ran cycle-exact.
+	// SurrogateCycles is always 0: every cycle runs cycle-exact since
+	// the pipeline surrogate was deleted. The field stays, serialized in
+	// the goldens and read by the benchmark's audit.surrogate_cycles,
+	// until the next benchmark change drops that metric.
 	SurrogateCycles uint64
 	WallSeconds     float64
 	// ThermalSeconds is the total time actually integrated by the thermal
@@ -362,32 +349,9 @@ type Sim struct {
 	winFlushed  bool
 	winFlushLen uint64
 
-	// Pipeline surrogate (Config.PipelineSurrogate). gen is the live
-	// workload generator, retained so replay can advance the stream and
-	// observe phase position. surCals is a fixed-capacity calibration
-	// store (slice + linear search rather than a map so the steady-state
-	// replay loop stays allocation-free); surPool/surPoolPow preallocate
-	// its entries. The surAcc* fields accumulate the in-progress
-	// calibration: per-block pre-scaling dynamic power, chip overhead,
-	// and a core snapshot at accumulation start. virtInsts counts
-	// instructions credited analytically during replay.
-	sur         bool
-	gen         *workload.Generator
-	surBank     *calBank // optional gang-shared calibration bank (nil = off)
-	surCals     []surEntry
-	surPool     []surCal
-	surPoolPow  []float64
-	surPoolAcc  []float64
-	surAccKey   surKey
-	surAccOK    bool
-	surAccCal   *surCal // calibration entry for surAccKey, nil if none yet
-	surWarm     uint64
-	surPowAcc   []float64
-	surWinPow   []float64 // scratch: the just-completed window's mean power
-	surExtraAcc float64
-	surSnap0    pipeline.CalSnapshot
-	surCarry    float64
-	virtInsts   uint64
+	// gen is the workload generator feeding core; gang execution hands it
+	// to the class that shares it.
+	gen *workload.Generator
 
 	// Telemetry. pid is the closed-loop controller (if the active policy
 	// wraps one), hoisted at construction so the hot loop reads its state
@@ -439,7 +403,7 @@ func New(cfg Config) (*Sim, error) { return newWith(cfg, nil, nil, nil) }
 // execution passes the shared objects of a lock-step equivalence class so
 // every member observes the same instruction/activity stream; New passes
 // nil and gets privately owned instances. The shared objects are only read
-// and snapshotted here — construction never mutates them.
+// here — construction never mutates them.
 func newWith(cfg Config, gen *workload.Generator, core *pipeline.Core, pmodel *power.Model) (*Sim, error) {
 	if cfg.MaxInsts == 0 {
 		return nil, fmt.Errorf("sim: MaxInsts must be positive")
@@ -630,20 +594,6 @@ func newWith(cfg Config, gen *workload.Generator, core *pipeline.Core, pmodel *p
 		s.acct.open(s.windowLen())
 	}
 
-	if cfg.PipelineSurrogate {
-		if !s.acct.fast {
-			return nil, fmt.Errorf("sim: PipelineSurrogate requires the macro-stepped thermal fast path (incompatible with power proxies, CoupleChipSink and ThermalStride 1)")
-		}
-		s.sur = true
-		s.surCals = make([]surEntry, 0, surMaxCals)
-		s.surPool = make([]surCal, surMaxCals)
-		s.surPoolPow = make([]float64, surMaxCals*nblk)
-		s.surPoolAcc = make([]float64, surMaxCals*nblk)
-		s.surPowAcc = make([]float64, nblk)
-		s.surWinPow = make([]float64, nblk)
-		s.surSnap0 = core.Snapshot()
-	}
-
 	// Telemetry wiring: find the PID behind the active policy (if any) so
 	// traces and metrics can read controller internals without per-cycle
 	// type assertions.
@@ -714,7 +664,7 @@ func (s *Sim) flushMetrics() {
 		m.Cycles.Add(int64(d))
 		s.mCycles = s.cycle
 	}
-	if total := s.core.Stats().Committed + s.virtInsts; total > s.mInsts {
+	if total := s.core.Stats().Committed; total > s.mInsts {
 		m.Insts.Add(int64(total - s.mInsts))
 		s.mInsts = total
 	}
@@ -758,10 +708,9 @@ func (s *Sim) recordTrace(chip float64) {
 }
 
 // Done reports whether the run has reached its instruction or cycle
-// budget. Instructions credited analytically by the pipeline surrogate
-// count toward the budget.
+// budget.
 func (s *Sim) Done() bool {
-	return s.core.Stats().Committed+s.virtInsts >= s.cfg.MaxInsts || s.cycle >= s.cfg.MaxCycles
+	return s.core.Stats().Committed >= s.cfg.MaxInsts || s.cycle >= s.cfg.MaxCycles
 }
 
 // Cycle returns the number of cycles simulated so far.
@@ -773,18 +722,11 @@ func (s *Sim) Cycle() uint64 { return s.cycle }
 // appends). Step must not be called after Finish.
 //
 // The body is split along the gang-execution seam: the shared prefix
-// (pipeline step, raw block power, surrogate calibration accumulators) is
-// evaluated once per operating-point equivalence class, and stepMember
-// fans the resulting power vector out into per-member state. Solo
-// execution is the one-member special case; the split introduces no
-// floating-point reordering (see stepMember).
+// (pipeline step, raw block power) is evaluated once per operating-point
+// equivalence class, and stepMember fans the resulting power vector out
+// into per-member state. Solo execution is the one-member special case;
+// the split introduces no floating-point reordering (see stepMember).
 func (s *Sim) Step() {
-	if s.sur && s.stallLeft == 0 {
-		if cal := s.replayable(); cal != nil {
-			s.stepReplay(cal)
-			return
-		}
-	}
 	stalled := s.stallLeft > 0
 	if stalled {
 		s.act.Reset() // clock runs but the pipeline is idle
@@ -794,24 +736,7 @@ func (s *Sim) Step() {
 
 	// Raw per-block dynamic power for this cycle.
 	s.pmodel.BlockPower(&s.act, s.powerVec)
-	if s.sur {
-		// Calibration accumulates the pre-scaling, pre-leakage dynamic
-		// power (frequency/leakage are re-applied per replay window) and
-		// the chip overhead. Both are class-level accumulators of pure
-		// per-cycle terms, so adding the overhead here rather than after
-		// ChipPower (its pre-refactor position) changes no observable
-		// value: the addend sequence into each accumulator is identical.
-		acc := s.surPowAcc
-		for i, p := range s.powerVec {
-			acc[i] += p
-		}
-		s.surExtraAcc += s.pmodel.ChipOverhead(&s.act)
-	}
-
 	chip := s.stepMember(&s.act, s.powerVec, stalled)
-	if s.sur {
-		s.surUpdate(stalled)
-	}
 	s.stepTail(chip)
 }
 
@@ -943,9 +868,7 @@ func (s *Sim) stepTail(chip float64) {
 // sample boundaries (StepActuation early-returns off-boundary with the
 // actuation unchanged and the core setters are idempotent), so the whole
 // block — including the sensor reads — runs only on boundaries. When a
-// hierarchy also drives the duty, the per-cycle re-assert is kept. Called
-// from both the cycle-exact Step and the surrogate replay path (whose
-// windows are clamped to end exactly on sample boundaries).
+// hierarchy also drives the duty, the per-cycle re-assert is kept.
 func (s *Sim) sampleDTM(cycle uint64) {
 	if s.mgr != nil &&
 		(s.hasHier || (s.mgr.Interval != 0 && cycle%s.mgr.Interval == 0)) {
@@ -1127,7 +1050,7 @@ func (s *Sim) Finish() *Result {
 	}
 	st := s.core.Stats()
 	res.Cycles = s.cycle
-	res.Insts = st.Committed + s.virtInsts
+	res.Insts = st.Committed
 	if s.cycle > 0 {
 		res.IPC = float64(res.Insts) / float64(s.cycle)
 		res.AvgDuty = s.dutySum / float64(s.cycle)
@@ -1151,9 +1074,9 @@ func (s *Sim) Finish() *Result {
 // yields the processor: every 1024 cycles (~0.4ms of work), so both
 // cancellation latency and the serving plane's scheduling latency stay in
 // the sub-millisecond range while the per-check cost stays well under
-// 0.1%. The loop compares against a moving threshold rather than masking
-// the cycle count because surrogate replay advances many cycles per Step
-// and can jump over any fixed alignment.
+// 0.1%. The loops compare against a moving threshold rather than masking
+// the cycle count because one Gang.Step advances many class-cycles and
+// can jump over any fixed alignment.
 const ctxCheckInterval = 1 << 10
 
 // Run steps the simulation to completion, polling ctx every few thousand

@@ -80,8 +80,7 @@ func newThermAcct(net *thermal.Network, th Thresholds, blocks []BlockResult, gsi
 // fast-path window because something observes fresh temperatures there:
 // DTM manager samples, scaling/hierarchy samples, the telemetry timing
 // stride (which also aligns the coarser metrics flushes) and structured
-// trace samples. Sorted, without zeros or duplicates, so equal schedules
-// compare equal (gangSchedKey).
+// trace samples, without zeros or duplicates.
 func windowClamps(cfg *Config) []uint64 {
 	var iv []uint64
 	add := func(x uint64) {
@@ -101,7 +100,6 @@ func windowClamps(cfg *Config) []uint64 {
 	if cfg.Trace != nil {
 		add(traceEvery(cfg))
 	}
-	slices.Sort(iv)
 	return iv
 }
 

@@ -552,56 +552,6 @@ func (g *Generator) Clone() *Generator {
 	return &q
 }
 
-// PhaseIndex returns the index of the phase the generator is currently
-// emitting. Surrogate execution keys its calibrations on this: a phase
-// switch invalidates every activity statistic sampled under the old mix.
-func (g *Generator) PhaseIndex() int { return g.phaseIdx }
-
-// PhaseInstsRemaining returns how many more instructions the current phase
-// visit will emit before the generator switches phases (an upper bound: a
-// visit inside a called function defers the switch to the next return-free
-// point). Macro-stepped replay uses it to drop back to cycle-exact
-// simulation before a phase transition.
-func (g *Generator) PhaseInstsRemaining() uint64 {
-	spec := g.phases[g.phaseIdx].spec.Insts
-	if g.phaseInsts >= spec {
-		return 0
-	}
-	return spec - g.phaseInsts
-}
-
-// Skip credits n correct-path micro-ops to the phase accounting without
-// emitting them, so phase transitions still trigger at the right totals.
-// Surrogate replay uses it to keep the instruction stream aligned with the
-// analytically simulated instruction count.
-//
-// The program position — loop/function cursor, branch history, RNG draws,
-// the pending lookahead — is deliberately left untouched. A phase's
-// instruction stream is statistically stationary, so resuming at the
-// pre-skip position is as representative as fast-forwarding; crucially it
-// is also CONSISTENT with the microarchitectural state frozen through the
-// replay leg. Fast-forwarding the position would make the caches and
-// predictors face an arbitrary point of the loop-set sweep they never
-// observed, injecting a miss storm after every replay splice that real
-// execution does not have (and would be re-measured as if it were
-// steady-state behaviour by the next calibration window). Skipping within
-// one phase is O(1); the rare skip that would cross a phase boundary
-// falls back to emitting ops so the switch happens at the same
-// return-free point it would in real execution.
-func (g *Generator) Skip(n uint64) {
-	if g.phaseInsts+n < g.phases[g.phaseIdx].spec.Insts {
-		g.phaseInsts += n
-		return
-	}
-	if n > 0 && g.hasPending {
-		g.hasPending = false
-		n--
-	}
-	for ; n > 0; n-- {
-		g.nextInternal()
-	}
-}
-
 // WrongPath synthesizes a wrong-path micro-op at the given PC: the ops a
 // real pipeline would fetch and partially execute past a mispredicted
 // branch. They carry the current phase's mix (so their cache/ALU pollution
