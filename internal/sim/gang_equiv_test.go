@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"repro/internal/bench"
+	"repro/internal/sensor"
 	"repro/internal/sim"
 )
 
@@ -90,6 +91,67 @@ func TestGangGoldenEquivalence(t *testing.T) {
 					t.Errorf("%s/%s: gang result differs from solo:\nsolo: %s\ngang: %s",
 						b, policies[i], solo[i], enc)
 				}
+			}
+			st := g.Stats()
+			if st.MemberCycles <= st.ClassCycles {
+				t.Errorf("no sharing achieved: member=%d class=%d", st.MemberCycles, st.ClassCycles)
+			}
+			t.Logf("members=%d forks=%d merges=%d occupancy=%.2f",
+				st.Members, st.Forks, st.Merges, st.Occupancy())
+		})
+	}
+}
+
+// TestGangSharedCalibration checks the gang's split between shared and
+// private state: members share one workload stream and the class's
+// calibrated pipeline/power front half, but each keeps its own sensor
+// calibration (offset and quantization error), which steers only its own
+// DTM policy. Every member must still be byte-identical to its solo run.
+func TestGangSharedCalibration(t *testing.T) {
+	skipGangMatrixUnderRace(t)
+	policies := gangPolicies()
+	sensors := func(t *testing.T, b string) []sim.Config {
+		cfgs := gangMatrixConfigs(t, b, policies)
+		for i := range cfgs {
+			cfgs[i].Sensor = sensor.Sensor{Offset: -0.6 + 0.1*float64(i)}
+			if i%2 == 1 {
+				cfgs[i].Sensor.Quantum = 0.25
+			}
+		}
+		return cfgs
+	}
+	for _, b := range []string{"gzip", "art"} {
+		b := b
+		t.Run(b, func(t *testing.T) {
+			t.Parallel()
+			solo := make([][]byte, len(policies))
+			for i, cfg := range sensors(t, b) {
+				res, err := sim.Run(cfg)
+				if err != nil {
+					t.Fatalf("solo %s: %v", policies[i], err)
+				}
+				if solo[i], err = json.Marshal(res); err != nil {
+					t.Fatal(err)
+				}
+			}
+			g, err := sim.NewGang(sensors(t, b), sim.GangOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			results, err := g.Run(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, res := range results {
+				t.Run(policies[i], func(t *testing.T) {
+					enc, err := json.Marshal(res)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if string(enc) != string(solo[i]) {
+						t.Errorf("gang result differs from solo:\nsolo: %s\ngang: %s", solo[i], enc)
+					}
+				})
 			}
 			st := g.Stats()
 			if st.MemberCycles <= st.ClassCycles {
