@@ -20,8 +20,10 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -38,26 +40,51 @@ import (
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the whole command: it parses args, writes the CSV to stdout and
+// diagnostics to stderr, and returns the exit code (130 when
+// interrupted).
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet(os.Args[0], flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		param     = flag.String("param", "setpoint", "setpoint | interval | delay | trigger | cores")
-		benchName = flag.String("bench", "gcc", "benchmark")
-		policy    = flag.String("policy", "PI", "controller for setpoint/interval sweeps")
-		insts     = flag.Uint64("insts", 1_000_000, "committed instructions per point")
-		workers   = flag.Int("workers", 0, "parallel simulations (0 = GOMAXPROCS)")
-		trace     = flag.String("trace", "", "write JSONL telemetry samples to this file (every point then runs solo, not ganged)")
-		metrics   = flag.String("metrics", "", "write a final Prometheus-text metrics dump to this file (\"-\" = stderr; every point then runs solo, not ganged)")
-		cacheDir  = flag.String("cache-dir", "", "persist run results as pack volumes (pack-*.dat) under this directory and reuse them (disabled with -trace/-metrics)")
-		cacheMem  = flag.Int64("cache-mem", 0, "in-memory cache layer cap in MiB (0 = default 256, negative = unlimited)")
-		fill      = flag.Bool("fill", false, "grid-fill: consult the run catalog under <cache-dir>/catalog and dispatch only cells it is missing (requires -cache-dir)")
+		param     = fs.String("param", "setpoint", "setpoint | interval | delay | trigger | cores")
+		benchName = fs.String("bench", "gcc", "benchmark")
+		policy    = fs.String("policy", "PI", "controller for setpoint/interval sweeps")
+		insts     = fs.Uint64("insts", 1_000_000, "committed instructions per point")
+		workers   = fs.Int("workers", 0, "parallel simulations (0 = GOMAXPROCS)")
+		trace     = fs.String("trace", "", "write JSONL telemetry samples to this file (every point then runs solo, not ganged)")
+		metrics   = fs.String("metrics", "", "write a final Prometheus-text metrics dump to this file (\"-\" = stderr; every point then runs solo, not ganged)")
+		cacheDir  = fs.String("cache-dir", "", "persist run results as pack volumes (pack-*.dat) under this directory and reuse them (disabled with -trace/-metrics)")
+		cacheMem  = fs.Int64("cache-mem", 0, "in-memory cache layer cap in MiB (0 = default 256, negative = unlimited)")
+		fill      = fs.Bool("fill", false, "grid-fill: consult the run catalog under <cache-dir>/catalog and dispatch only cells it is missing (requires -cache-dir)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
 	sinks, err := telemetry.OpenSinks(*trace, *metrics, len(floorplan.Blocks()))
 	if err != nil {
-		fatal(err)
+		fmt.Fprintln(stderr, err)
+		return 1
+	}
+	// fail reports an error and returns the exit code for it.
+	fail := func(err error) int {
+		sinks.Close() // keep partial telemetry from aborted sweeps
+		if errors.Is(err, context.Canceled) {
+			fmt.Fprintln(stderr, "interrupted")
+			return 130
+		}
+		fmt.Fprintln(stderr, err)
+		return 1
 	}
 
 	// Grid-fill mode: the catalog rides next to the result cache and
@@ -67,7 +94,7 @@ func main() {
 	var catalog *runindex.Catalog
 	if *fill {
 		if *cacheDir == "" {
-			fatal(fmt.Errorf("sweep: -fill requires -cache-dir"))
+			return fail(errors.New("sweep: -fill requires -cache-dir"))
 		}
 		var im *telemetry.IndexMetrics
 		if sinks.Registry != nil {
@@ -75,7 +102,7 @@ func main() {
 		}
 		catalog, err = runindex.Open(filepath.Join(*cacheDir, "catalog"), runindex.Options{Metrics: im})
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		defer catalog.Close()
 	}
@@ -108,7 +135,7 @@ func main() {
 		keys := make([]string, len(cells))
 		for i, c := range cells {
 			if cfgs[i], err = bench.NewMulticoreRun(scenario, c.policy, c.cores, *insts); err != nil {
-				fatal(err)
+				return fail(err)
 			}
 			keys[i] = sim.MulticoreCacheKey(cfgs[i])
 		}
@@ -124,7 +151,7 @@ func main() {
 			cold = append(cold, i)
 		}
 		if catalog != nil {
-			fmt.Fprintf(os.Stderr, "fill: %d/%d cells warm in catalog, dispatching %d cold cells\n",
+			fmt.Fprintf(stderr, "fill: %d/%d cells warm in catalog, dispatching %d cold cells\n",
 				len(cells)-len(cold), len(cells), len(cold))
 		}
 		start := time.Now()
@@ -135,8 +162,7 @@ func main() {
 					return sim.RunMulticore(ctx, cfgs[i])
 				})
 			if err != nil {
-				sinks.Close()
-				fatal(err)
+				return fail(err)
 			}
 			for j, i := range cold {
 				cycles += outs[j].Cycles
@@ -146,27 +172,28 @@ func main() {
 				}
 			}
 		}
-		fmt.Printf("cores,ipc,pct_of_none,emerg_pct,stress_pct,avg_duty,avg_freq\n")
+		fmt.Fprintf(stdout, "cores,ipc,pct_of_none,emerg_pct,stress_pct,avg_duty,avg_freq\n")
 		for i := 0; i < len(cells); i += 2 {
 			none, res := &recs[i], &recs[i+1]
-			fmt.Printf("%d,%.4f,%.2f,%.3f,%.3f,%.3f,%.3f\n",
+			fmt.Fprintf(stdout, "%d,%.4f,%.2f,%.3f,%.3f,%.3f,%.3f\n",
 				cells[i].cores, res.IPC, 100*res.IPC/none.IPC,
 				100*res.EmergFrac, 100*res.StressFrac,
 				res.AvgDuty, res.AvgFreq)
 		}
 		if wall := time.Since(start).Seconds(); len(cold) > 0 && wall > 0 {
-			fmt.Fprintf(os.Stderr, "sweep: %d cells simulated, %d cycles, %.0f cycles/s\n",
+			fmt.Fprintf(stderr, "sweep: %d cells simulated, %d cycles, %.0f cycles/s\n",
 				len(cold), cycles, float64(cycles)/wall)
 		}
 		if err := sinks.Close(); err != nil {
-			fatal(err)
+			fmt.Fprintln(stderr, err)
+			return 1
 		}
-		return
+		return 0
 	}
 
 	prof, err := bench.ByName(*benchName)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 
 	type point struct {
@@ -174,10 +201,14 @@ func main() {
 		cfg   sim.Config
 	}
 	var points []point
+	var mkErr error // the first point that failed to build
 	mk := func(label string, mut func(*sim.Config) error) {
 		cfg := sim.Config{Workload: prof, MaxInsts: *insts}
 		if err := mut(&cfg); err != nil {
-			fatal(err)
+			if mkErr == nil {
+				mkErr = err
+			}
+			return
 		}
 		points = append(points, point{label, cfg})
 	}
@@ -218,7 +249,10 @@ func main() {
 			})
 		}
 	default:
-		fatal(fmt.Errorf("unknown parameter %q", *param))
+		return fail(fmt.Errorf("unknown parameter %q", *param))
+	}
+	if mkErr != nil {
+		return fail(mkErr)
 	}
 
 	// instrument labels one point's run in the shared telemetry sinks.
@@ -247,7 +281,7 @@ func main() {
 			MemBytes: memBytes,
 		}, cm)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		defer cache.Close()
 		if catalog != nil {
@@ -255,7 +289,7 @@ func main() {
 			// never saw; the pack store can replay them wholesale.
 			if catalog.Len() == 0 {
 				if n, err := catalog.RebuildFromStore(cache.Store()); err == nil && n > 0 {
-					fmt.Fprintf(os.Stderr, "fill: rebuilt catalog from pack store (%d records)\n", n)
+					fmt.Fprintf(stderr, "fill: rebuilt catalog from pack store (%d records)\n", n)
 				}
 			}
 			cache.SetIngest(func(key string, res *sim.Result) {
@@ -305,8 +339,7 @@ func main() {
 	start := time.Now()
 	outs, simulated, err := experiments.RunConfigs(p, batch)
 	if err != nil {
-		sinks.Close()
-		fatal(err)
+		return fail(err)
 	}
 	cells, cycles := 0, uint64(0)
 	for j, i := range pending {
@@ -319,33 +352,30 @@ func main() {
 		}
 	}
 	if catalog != nil {
-		fmt.Fprintf(os.Stderr, "fill: %d/%d cells warm in catalog, dispatching %d cold cells\n",
+		fmt.Fprintf(stderr, "fill: %d/%d cells warm in catalog, dispatching %d cold cells\n",
 			len(cfgs)-cells, len(cfgs), cells)
 	} else if cache != nil {
-		fmt.Fprintf(os.Stderr, "cache pre-flight: %d/%d cells warm, %d cold\n",
+		fmt.Fprintf(stderr, "cache pre-flight: %d/%d cells warm, %d cold\n",
 			len(cfgs)-cells, len(cfgs), cells)
 	}
 	base := &recs[0]
 
-	fmt.Printf("%s,ipc,pct_of_base,emerg_pct,stress_pct,avg_duty,engagements\n", *param)
+	fmt.Fprintf(stdout, "%s,ipc,pct_of_base,emerg_pct,stress_pct,avg_duty,engagements\n", *param)
 	for i, pt := range points {
 		res := &recs[i+1]
-		fmt.Printf("%s,%.4f,%.2f,%.3f,%.3f,%.3f,%d\n",
+		fmt.Fprintf(stdout, "%s,%.4f,%.2f,%.3f,%.3f,%.3f,%d\n",
 			pt.label, res.IPC, 100*res.IPC/base.IPC,
 			100*res.EmergFrac, 100*res.StressFrac,
 			res.AvgDuty, res.Engagements)
 	}
-	fmt.Fprintf(os.Stderr, "baseline: IPC %.4f emerg %.2f%%\n", base.IPC, 100*base.EmergFrac)
+	fmt.Fprintf(stderr, "baseline: IPC %.4f emerg %.2f%%\n", base.IPC, 100*base.EmergFrac)
 	if wall := time.Since(start).Seconds(); cells > 0 && wall > 0 {
-		fmt.Fprintf(os.Stderr, "sweep: %d cells simulated, %d cycles, %.0f cycles/s\n",
+		fmt.Fprintf(stderr, "sweep: %d cells simulated, %d cycles, %.0f cycles/s\n",
 			cells, cycles, float64(cycles)/wall)
 	}
 	if err := sinks.Close(); err != nil {
-		fatal(err)
+		fmt.Fprintln(stderr, err)
+		return 1
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, err)
-	os.Exit(1)
+	return 0
 }

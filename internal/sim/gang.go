@@ -9,8 +9,8 @@ package sim
 // the exact same instruction and activity stream, so re-simulating the
 // pipeline per member is pure redundancy. Each class owns one shared
 // workload generator, core and power model; the class leader (members[0])
-// drives them and every member fans the resulting power vector into its
-// private thermal/DTM state via Sim.stepMember. When members' actuator
+// drives them and every member fans the resulting power vector and chip
+// power into its private thermal/DTM state via Sim.stepMember. When members' actuator
 // states diverge (duty, frequency, fetch/speculation limits, or a
 // trigger stall), the class forks: the divergent partitions get deep
 // clones of the shared state and continue independently. Classes whose
@@ -293,14 +293,15 @@ func (g *Gang) stepClass(c *gclass) {
 		c.core.Step(&lead.act)
 	}
 	c.pmodel.BlockPower(&lead.act, lead.powerVec)
+	chip := c.pmodel.ChipPower(&lead.act, lead.powerVec)
 	// Fan out with the leader LAST: stepMember scales its powerVec in
 	// place (frequency factor, leakage), and the leader's powerVec IS the
 	// shared raw vector — stepping it first would hand every later member
 	// a base already scaled by the leader's factors.
 	for _, m := range c.members[1:] {
-		m.stepMember(&lead.act, lead.powerVec, stalled)
+		m.stepMember(&lead.act, lead.powerVec, chip, stalled)
 	}
-	lead.stepMember(&lead.act, lead.powerVec, stalled)
+	lead.stepMember(&lead.act, lead.powerVec, chip, stalled)
 	g.stats.MemberCycles += uint64(len(c.members))
 	g.stats.ClassCycles++
 

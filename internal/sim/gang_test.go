@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"repro/internal/dtm"
+	"repro/internal/power"
 )
 
 // gangPolicyConfigs builds a gang spec around hotProfile: one
@@ -82,6 +83,33 @@ func runMatchesSolo(t *testing.T, g *Gang, cfgs []Config) {
 		if string(want) != string(got) {
 			t.Errorf("member %d diverged from solo run:\nsolo: %s\ngang: %s", i, want, got)
 		}
+	}
+}
+
+// TestGangLeakageSharesClass: leakage adds power on top of the class
+// vector, so a leakage member copies the shared vector (the leader adjusts
+// it in place) and sums its own chip power, while a member without leakage
+// reads the shared vector and chip power as they are. Neither actuates, so
+// they share one class for the whole run, with the leakage member as
+// leader and as follower; every member must match its solo run.
+func TestGangLeakageSharesClass(t *testing.T) {
+	const insts = 200_000
+	leak := Config{Workload: hotProfile(), MaxInsts: insts, Leakage: power.DefaultLeakage()}
+	plain := Config{Workload: hotProfile(), MaxInsts: insts}
+	for name, cfgs := range map[string][]Config{
+		"leader":   {leak, plain, plain},
+		"follower": {plain, plain, leak},
+	} {
+		t.Run(name, func(t *testing.T) {
+			g, err := NewGang(cfgs, GangOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			runMatchesSolo(t, g, cfgs)
+			if st := g.Stats(); st.Forks != 0 || st.MemberCycles != uint64(len(cfgs))*st.ClassCycles {
+				t.Errorf("members did not share one class: %+v", st)
+			}
+		})
 	}
 }
 
@@ -286,7 +314,8 @@ func TestZeroAllocGangStep(t *testing.T) {
 
 // BenchmarkGangStep measures the class-step cost at various gang sizes on
 // one shared class; the per-member cost should shrink toward the
-// member-fan-out cost as the gang grows.
+// member-fan-out cost as the gang grows. ns/member-cycle reports that
+// per-member cost.
 func BenchmarkGangStep(b *testing.B) {
 	for _, v := range []struct {
 		name string
@@ -300,10 +329,12 @@ func BenchmarkGangStep(b *testing.B) {
 		b.Run(v.name, func(b *testing.B) {
 			g := steadyGang(b, v.n, v.cfg)
 			b.ReportAllocs()
+			m0 := g.stats.MemberCycles
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				g.Step()
 			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(g.stats.MemberCycles-m0), "ns/member-cycle")
 		})
 	}
 }

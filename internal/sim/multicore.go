@@ -11,7 +11,6 @@ import (
 	"repro/internal/pipeline"
 	"repro/internal/power"
 	"repro/internal/sensor"
-	"repro/internal/stats"
 	"repro/internal/thermal"
 	"repro/internal/workload"
 )
@@ -147,7 +146,7 @@ type Multicore struct {
 	powScratch []float64
 	dutyTarget []float64
 
-	chipPower stats.Running
+	chipPowerSum float64 // chip power summed over the cycles so far
 
 	interval  uint64
 	hasMgr    bool
@@ -410,7 +409,7 @@ func (s *Multicore) Step() {
 		chip += corePow
 		s.sampPow[c] += corePow
 	}
-	s.chipPower.Add(chip)
+	s.chipPowerSum += chip
 	if chip > res.MaxChipPower {
 		res.MaxChipPower = chip
 	}
@@ -526,7 +525,7 @@ func (s *Multicore) Finish() *MulticoreResult {
 	if s.cycle > 0 {
 		res.IPC = float64(insts) / float64(s.cycle)
 	}
-	res.AvgChipPower = s.chipPower.Mean()
+	res.AvgChipPower = mean(s.chipPowerSum, s.cycle)
 	return res
 }
 

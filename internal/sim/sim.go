@@ -315,13 +315,13 @@ type Sim struct {
 	res      *Result
 
 	// Per-cycle state. Every slice is sized at construction.
-	act       pipeline.Activity
-	powerVec  []float64
-	sensed    []float64
-	leakPeak  []float64 // hoisted net.Block(i).PeakPower lookups
-	chipPower stats.Running
-	proxies   []proxyPair
-	monitor   []int
+	act          pipeline.Activity
+	powerVec     []float64
+	sensed       []float64
+	leakPeak     []float64 // hoisted net.Block(i).PeakPower lookups
+	chipPowerSum float64   // chip power summed over the cycles so far
+	proxies      []proxyPair
+	monitor      []int
 
 	dt         float64
 	duty       float64
@@ -734,20 +734,41 @@ func (s *Sim) Step() {
 		s.core.Step(&s.act)
 	}
 
-	// Raw per-block dynamic power for this cycle.
+	// Raw per-block dynamic power for this cycle. A run that scales or
+	// adds leakage sums its own modified vector in stepMember, so the raw
+	// chip power is only needed when the vector goes unmodified.
 	s.pmodel.BlockPower(&s.act, s.powerVec)
-	chip := s.stepMember(&s.act, s.powerVec, stalled)
+	var chip float64
+	if !s.hasLeak && s.powerFactor() == 1 {
+		chip = s.pmodel.ChipPower(&s.act, s.powerVec)
+	}
+	chip = s.stepMember(&s.act, s.powerVec, chip, stalled)
 	s.stepTail(chip)
 }
 
+// powerFactor is the multiplier this run's frequency scaling or hierarchy
+// applies to dynamic power this cycle.
+func (s *Sim) powerFactor() float64 {
+	switch {
+	case s.hasScaling:
+		return s.cfg.Scaling.PowerFactor()
+	case s.hasHier:
+		return s.cfg.Hierarchy.PowerFactor()
+	}
+	return 1
+}
+
 // stepMember advances this member's private state for one exact cycle
-// given the class-shared activity record and raw power vector: scaling and
-// leakage, chip power, thermal integration, DTM sampling and the duty
-// integral. base is the class leader's power vector; a member whose own
-// powerVec is a different buffer copies it first, so every member consumes
-// bit-identical inputs and the downstream arithmetic matches a solo run
-// exactly. Returns the member's chip power for the telemetry tail.
-func (s *Sim) stepMember(act *pipeline.Activity, base []float64, stalled bool) float64 {
+// given the class-shared activity record, raw power vector and its chip
+// power: scaling and leakage, thermal integration, DTM sampling and the
+// duty integral. base is the class leader's power vector and baseChip its
+// ChipPower. A member that keeps the raw power (factor 1, no leakage) reads
+// both as they are; one that adjusts it copies base into its own powerVec
+// first (the leader's powerVec is base, adjusted in place) and sums its
+// chip power again, so every member consumes bit-identical inputs and the
+// downstream arithmetic matches a solo run exactly. Returns the member's
+// chip power for the telemetry tail.
+func (s *Sim) stepMember(act *pipeline.Activity, base []float64, baseChip float64, stalled bool) float64 {
 	s.cycle++
 	cycle := s.cycle
 	res := s.res
@@ -756,31 +777,28 @@ func (s *Sim) stepMember(act *pipeline.Activity, base []float64, stalled bool) f
 		res.StallCycles++
 	}
 
-	powerVec := s.powerVec
-	if &powerVec[0] != &base[0] {
-		copy(powerVec, base)
-	}
-	pf := 1.0
-	if s.hasScaling {
-		pf = s.cfg.Scaling.PowerFactor()
-	} else if s.hasHier {
-		pf = s.cfg.Hierarchy.PowerFactor()
-	}
-	if pf != 1 {
-		for i := range powerVec {
-			powerVec[i] *= pf
+	powerVec, chip := base, baseChip
+	if pf := s.powerFactor(); pf != 1 || s.hasLeak {
+		powerVec = s.powerVec
+		if &powerVec[0] != &base[0] {
+			copy(powerVec, base)
 		}
-	}
-	if s.hasLeak {
-		// Static power rides on top of the (possibly scaled) dynamic
-		// power, using last cycle's temperatures.
-		leak := s.cfg.Leakage
-		for i := range powerVec {
-			powerVec[i] += leak.Power(s.leakPeak[i], s.acct.temps[i])
+		if pf != 1 {
+			for i := range powerVec {
+				powerVec[i] *= pf
+			}
 		}
+		if s.hasLeak {
+			// Static power rides on top of the (possibly scaled) dynamic
+			// power, using last cycle's temperatures.
+			leak := s.cfg.Leakage
+			for i := range powerVec {
+				powerVec[i] += leak.Power(s.leakPeak[i], s.acct.temps[i])
+			}
+		}
+		chip = s.pmodel.ChipPower(act, powerVec)
 	}
-	chip := s.pmodel.ChipPower(act, powerVec)
-	s.chipPower.Add(chip)
+	s.chipPowerSum += chip
 	if chip > res.MaxChipPower {
 		res.MaxChipPower = chip
 	}
@@ -1055,7 +1073,7 @@ func (s *Sim) Finish() *Result {
 		res.IPC = float64(res.Insts) / float64(s.cycle)
 		res.AvgDuty = s.dutySum / float64(s.cycle)
 	}
-	res.AvgChipPower = s.chipPower.Mean()
+	res.AvgChipPower = mean(s.chipPowerSum, s.cycle)
 	res.EmergencyCycles = s.acct.chipEm
 	res.StressCycles = s.acct.chipSt
 	if s.mgr != nil {

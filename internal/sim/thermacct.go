@@ -5,7 +5,6 @@ import (
 	"slices"
 
 	"repro/internal/dtm"
-	"repro/internal/stats"
 	"repro/internal/thermal"
 )
 
@@ -27,8 +26,11 @@ type thermAcct struct {
 	emTh, stTh float64
 	// temps holds the current block temperatures on the Euler path and
 	// the window-start temperatures on the fast path.
-	temps     []float64
-	blockTemp []stats.Running
+	temps []float64
+	// tempSum is each block's temperature summed over the tempN cycles
+	// accounted so far; only the mean is reported (see finish).
+	tempSum []float64
+	tempN   uint64
 	// blocks receives per-block MaxTemp and emergency/stress counts as
 	// the run goes and AvgTemp at finish; names are the engine's.
 	blocks           []BlockResult
@@ -58,7 +60,7 @@ func newThermAcct(net *thermal.Network, th Thresholds, blocks []BlockResult, gsi
 		emTh:      th.Emergency,
 		stTh:      th.Stress,
 		temps:     make([]float64, nblk),
-		blockTemp: make([]stats.Running, nblk),
+		tempSum:   make([]float64, nblk),
 		blocks:    blocks,
 		gsize:     gsize,
 		groupEm:   make([]uint64, ng),
@@ -108,12 +110,13 @@ func windowClamps(cfg *Config) []uint64 {
 // Returns whether any block is above the emergency level.
 func (a *thermAcct) observe() bool {
 	a.net.Temps(a.temps)
+	a.tempN++
 	chipEm, chipSt := false, false
 	for g := range a.groupEm {
 		em, st := false, false
 		for i := g * a.gsize; i < (g+1)*a.gsize; i++ {
 			t := a.temps[i]
-			a.blockTemp[i].Add(t)
+			a.tempSum[i] += t
 			br := &a.blocks[i]
 			if t > br.MaxTemp {
 				br.MaxTemp = t
@@ -196,6 +199,7 @@ func (a *thermAcct) flush(w uint64, invF float64) {
 	}
 	q1, qn, qsum := a.net.WindowCoef(w, invF)
 	a.net.StepWindow(acc, w, invF, a.winTss)
+	a.tempN += w
 
 	var chipEmPre, chipEmSuf, chipStPre, chipStSuf uint64
 	for g := range a.groupEm {
@@ -205,12 +209,12 @@ func (a *thermAcct) flush(w uint64, invF float64) {
 			d0 := a.temps[i] - tss
 			t1 := tss + d0*q1[i]
 			tw := tss + d0*qn[i]
-			lo, hi := t1, tw
-			if lo > hi {
-				lo, hi = hi, lo
-			}
-			a.blockTemp[i].AddSpan(w, tss*fw+d0*qsum[i], lo, hi)
+			a.tempSum[i] += tss*fw + d0*qsum[i]
 			br := &a.blocks[i]
+			hi := tw
+			if t1 > tw {
+				hi = t1
+			}
 			if hi > br.MaxTemp {
 				br.MaxTemp = hi
 			}
@@ -252,9 +256,19 @@ func (a *thermAcct) finish(invF float64) uint64 {
 		a.flush(elapsed, invF)
 	}
 	for i := range a.blocks {
-		a.blocks[i].AvgTemp = a.blockTemp[i].Mean()
+		a.blocks[i].AvgTemp = mean(a.tempSum[i], a.tempN)
 	}
 	return elapsed
+}
+
+// mean is sum/n, or 0 when n is 0: the same bits as stats.Running.Mean
+// over the n samples that summed to sum, without the running variance
+// update the hot loops would pay for and nothing reads.
+func mean(sum float64, n uint64) float64 {
+	if n == 0 {
+		return 0
+	}
+	return sum / float64(n)
 }
 
 // windowAbove counts the cycles k in [1..w] whose closed-form temperature

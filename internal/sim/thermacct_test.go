@@ -203,8 +203,8 @@ func TestFlushMatchesEnumeration(t *testing.T) {
 				if math.Abs(br.MaxTemp-hi[i]) > 1e-9 {
 					t.Fatalf("groups=%d trial %d block %d: max %.12f, enumeration %.12f", ng, trial, i, br.MaxTemp, hi[i])
 				}
-				if mean := sum[i] / float64(w); math.Abs(a.blockTemp[i].Mean()-mean) > 1e-9 {
-					t.Fatalf("groups=%d trial %d block %d: mean %.12f, enumeration %.12f", ng, trial, i, a.blockTemp[i].Mean(), mean)
+				if got, want := mean(a.tempSum[i], a.tempN), sum[i]/float64(w); math.Abs(got-want) > 1e-9 {
+					t.Fatalf("groups=%d trial %d block %d: mean %.12f, enumeration %.12f", ng, trial, i, got, want)
 				}
 				for _, n := range []uint64{blkEm[i], blkSt[i]} {
 					if n > 0 && n < w {

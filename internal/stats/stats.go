@@ -39,36 +39,6 @@ func (r *Running) Add(x float64) {
 	r.m2 += d * (x - r.mean)
 }
 
-// AddSpan folds a presummarized span of n samples with the given sum and
-// value range [lo, hi] into the accumulator, as if Add had been called n
-// times. Count, sum, min, max and mean stay exact; the variance update
-// treats the span as n samples at its mean (a lower bound on the true
-// spread), which is the accepted trade for strided hot paths that cannot
-// afford per-sample Welford updates.
-func (r *Running) AddSpan(n uint64, sum, lo, hi float64) {
-	if n == 0 {
-		return
-	}
-	if r.n == 0 {
-		r.min, r.max = lo, hi
-	} else {
-		if lo < r.min {
-			r.min = lo
-		}
-		if hi > r.max {
-			r.max = hi
-		}
-	}
-	m := sum / float64(n)
-	d := m - r.mean
-	nOld := float64(r.n)
-	r.n += n
-	r.sum += sum
-	nNew := float64(r.n)
-	r.mean += d * float64(n) / nNew
-	r.m2 += d * d * nOld * float64(n) / nNew
-}
-
 // N returns the sample count.
 func (r *Running) N() uint64 { return r.n }
 
