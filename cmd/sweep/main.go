@@ -108,10 +108,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	// The cores sweep runs the multicore engine (its own config and result
-	// types, no gang/cache layer), so it branches off before the solo sweep
+	// types, no result cache), so it branches off before the solo sweep
 	// machinery. -bench names a core-interaction scenario here and -policy
 	// a multicore controller; each core count is reported against the
-	// uncontrolled baseline at the same count.
+	// uncontrolled baseline at the same count, and the two run as one
+	// multicore group through the multicore batch engine
+	// (experiments.RunMulticoreConfigs).
 	if *param == "cores" {
 		scenario := *benchName
 		if scenario == "gcc" { // solo default; pick the multicore default instead
@@ -157,10 +159,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		start := time.Now()
 		var cycles uint64
 		if len(cold) > 0 {
-			outs, err := runner.Map(ctx, runner.Options{Workers: *workers}, cold,
-				func(ctx context.Context, i int) (*sim.MulticoreResult, error) {
-					return sim.RunMulticore(ctx, cfgs[i])
-				})
+			batch := make([]sim.MulticoreConfig, len(cold))
+			for j, i := range cold {
+				batch[j] = cfgs[i]
+			}
+			p := experiments.Params{Context: ctx, Workers: *workers}
+			outs, err := experiments.RunMulticoreConfigs(p, batch)
 			if err != nil {
 				return fail(err)
 			}

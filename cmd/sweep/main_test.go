@@ -63,3 +63,37 @@ func TestSweepMatchesBenchRef(t *testing.T) {
 		}
 	}
 }
+
+// TestSweepCoresMatchesRef pins the multicore cores sweep at a small
+// budget: its CSV digest and the simulated-cycle count on stderr, for a
+// controller that shares the uncontrolled run's group to the end (PID) and
+// one that leaves it (budget). A second run against the same catalog
+// renders the same CSV from cataloged rows without simulating.
+func TestSweepCoresMatchesRef(t *testing.T) {
+	for _, c := range []struct {
+		policy, sha256, cycles string
+	}{
+		{"PID", "1f05311f53933435c1502bfa18fbf4e6552fbc15243b7ecf51c219a5d9adaf1e", "sweep: 8 cells simulated, 1221134 cycles, "},
+		{"budget", "809f494f988608a9d3e44a1ce56e9f492a372e5455d43deab149475b239ef39e", "sweep: 8 cells simulated, 1222922 cycles, "},
+	} {
+		dir := t.TempDir()
+		args := []string{"-param", "cores", "-bench", "hotneighbor", "-policy", c.policy,
+			"-insts", "20000", "-cache-dir", dir, "-fill"}
+		for pass, want := range []string{
+			"fill: 0/8 cells warm in catalog, dispatching 8 cold cells\n" + c.cycles,
+			"fill: 8/8 cells warm in catalog, dispatching 0 cold cells\n",
+		} {
+			var stdout, stderr bytes.Buffer
+			if code := run(args, &stdout, &stderr); code != 0 {
+				t.Fatalf("sweep %v exited %d: %s", args, code, stderr.Bytes())
+			}
+			sum := sha256.Sum256(stdout.Bytes())
+			if got := hex.EncodeToString(sum[:]); got != c.sha256 {
+				t.Errorf("%s pass %d: CSV SHA-256 %s, want %s\n%s", c.policy, pass, got, c.sha256, stdout.Bytes())
+			}
+			if !strings.HasPrefix(stderr.String(), want) {
+				t.Errorf("%s pass %d: stderr %q, want prefix %q", c.policy, pass, stderr.String(), want)
+			}
+		}
+	}
+}

@@ -2,10 +2,12 @@
 // evaluation (the index lives in DESIGN.md): benchmark characterization
 // (Tables 4-8), the boxcar-proxy comparison (Tables 9-10), the DTM policy
 // evaluation and headline result (Section 7), the setpoint study, and the
-// time-series traces behind the figures. Every batch runs through one
-// engine, RunConfigs, which gang-schedules runs sharing a workload.
-// cmd/tables and the root benchmark harness are thin wrappers over this
-// package, and cmd/sweep calls RunConfigs directly.
+// time-series traces behind the figures. Every solo batch runs through one
+// engine, RunConfigs, which gang-schedules runs sharing a workload; every
+// multicore batch runs through RunMulticoreConfigs, which groups runs
+// differing only in controllers. cmd/tables and the root benchmark
+// harness are thin wrappers over this package, and cmd/sweep calls both
+// engines directly.
 package experiments
 
 import (

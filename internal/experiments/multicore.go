@@ -17,19 +17,44 @@ type mcSpec struct {
 	cores    int
 }
 
-// runMulticoreBatch executes multicore specs through the parallel
-// experiment engine. Multicore runs carry per-core pipelines and the
-// coupled die-wide network, so they always run solo (no gang/cache layer).
-func runMulticoreBatch(p Params, specs []mcSpec) ([]*sim.MulticoreResult, error) {
+// RunMulticoreConfigs runs multicore configs through the worker pool. It
+// groups them by sim.MulticoreGroupable, the first config of a group
+// leading, and runs each group as one job through sim.RunMulticoreGroup,
+// so configs that differ only in controllers share one die simulation
+// until their actuation diverges. Results are byte-identical to one
+// sim.RunMulticore per config and come back in cfgs order. Each config
+// must own its controllers.
+func RunMulticoreConfigs(p Params, cfgs []sim.MulticoreConfig) ([]*sim.MulticoreResult, error) {
+	var groups [][]int // positions in cfgs; a group's first member leads
+	for i := range cfgs {
+		g := 0
+		for g < len(groups) && !sim.MulticoreGroupable(&cfgs[groups[g][0]], &cfgs[i]) {
+			g++
+		}
+		if g == len(groups) {
+			groups = append(groups, nil)
+		}
+		groups[g] = append(groups[g], i)
+	}
 	opts := runner.Options{Workers: p.Workers, Progress: p.Progress}
-	return runner.Map(p.ctx(), opts, specs,
-		func(ctx context.Context, sp mcSpec) (*sim.MulticoreResult, error) {
-			cfg, err := bench.NewMulticoreRun(sp.scenario, sp.policy, sp.cores, p.Insts)
-			if err != nil {
-				return nil, err
+	outs, err := runner.Map(p.ctx(), opts, groups,
+		func(ctx context.Context, idx []int) ([]*sim.MulticoreResult, error) {
+			members := make([]sim.MulticoreConfig, len(idx))
+			for j, i := range idx {
+				members[j] = cfgs[i]
 			}
-			return sim.RunMulticore(ctx, cfg)
+			return sim.RunMulticoreGroup(ctx, members)
 		})
+	if err != nil {
+		return nil, err
+	}
+	res := make([]*sim.MulticoreResult, len(cfgs))
+	for g, idx := range groups {
+		for j, i := range idx {
+			res[i] = outs[g][j]
+		}
+	}
+	return res, nil
 }
 
 // MulticoreFaceOff runs the multicore controller face-off: every
@@ -52,10 +77,23 @@ func MulticoreFaceOff(p Params, coreCounts []int) (*stats.Table, error) {
 			}
 		}
 	}
-	results, err := runMulticoreBatch(p, specs)
+	cfgs := make([]sim.MulticoreConfig, len(specs))
+	for i, sp := range specs {
+		cfg, err := bench.NewMulticoreRun(sp.scenario, sp.policy, sp.cores, p.Insts)
+		if err != nil {
+			return nil, err
+		}
+		cfgs[i] = cfg
+	}
+	results, err := RunMulticoreConfigs(p, cfgs)
 	if err != nil {
 		return nil, err
 	}
+	return faceOffTable(specs, results), nil
+}
+
+// faceOffTable renders the face-off from one result per spec.
+func faceOffTable(specs []mcSpec, results []*sim.MulticoreResult) *stats.Table {
 
 	// Index the uncontrolled baseline of each scenario x cores cell.
 	baseIPC := map[[2]string]float64{}
@@ -89,5 +127,5 @@ func MulticoreFaceOff(p Params, coreCounts []int) (*stats.Table, error) {
 			fmt.Sprintf("%.3f", dutySum/nc),
 			fmt.Sprintf("%.3f", freqSum/nc))
 	}
-	return t, nil
+	return t
 }

@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"fmt"
+	"math"
 	"runtime"
 
 	"repro/internal/control"
@@ -131,8 +132,8 @@ type Multicore struct {
 	powerVec []float64 // flat die power, core-major
 	sensed   []float64 // per-core sensor scratch (nb)
 
-	duty      []float64
-	freq      []float64
+	ctl       controls      // the run's controllers and the actuation it applies
+	members   []groupMember // other configs sharing this run (see NewMulticoreGroup)
 	carry     []float64
 	dutySum   []float64
 	freqSum   []float64
@@ -149,9 +150,6 @@ type Multicore struct {
 	chipPowerSum float64 // chip power summed over the cycles so far
 
 	interval  uint64
-	hasMgr    bool
-	hasDVFS   bool
-	hasBudget bool
 	hasSensor bool
 
 	dt    float64
@@ -178,17 +176,9 @@ func NewMulticore(cfg MulticoreConfig) (*Multicore, error) {
 	if cfg.MaxCycles == 0 {
 		cfg.MaxCycles = 50 * cfg.MaxInsts
 	}
-	if len(cfg.Managers) != 0 && len(cfg.Managers) != nc {
-		return nil, fmt.Errorf("sim: %d managers for %d cores", len(cfg.Managers), nc)
-	}
-	if len(cfg.DVFS) != 0 && len(cfg.DVFS) != nc {
-		return nil, fmt.Errorf("sim: %d DVFS controllers for %d cores", len(cfg.DVFS), nc)
-	}
-	if cfg.Budget != nil && len(cfg.Managers) != 0 {
-		return nil, fmt.Errorf("sim: Budget is mutually exclusive with Managers")
-	}
-	if cfg.Budget != nil && cfg.Budget.Cores() != nc {
-		return nil, fmt.Errorf("sim: budget controller manages %d cores, run has %d", cfg.Budget.Cores(), nc)
+	ctl, interval, err := newControls(&cfg, nc)
+	if err != nil {
+		return nil, err
 	}
 
 	nb := int(floorplan.NumBlocks)
@@ -211,31 +201,6 @@ func NewMulticore(cfg MulticoreConfig) (*Multicore, error) {
 		}
 	}
 
-	interval := uint64(dtm.DefaultSampleInterval)
-	for i, m := range cfg.Managers {
-		if m == nil {
-			return nil, fmt.Errorf("sim: nil manager for core %d", i)
-		}
-		m.Reset()
-		if i == 0 {
-			interval = m.Interval
-		} else if m.Interval != interval {
-			return nil, fmt.Errorf("sim: managers disagree on sampling interval (%d vs %d)", m.Interval, interval)
-		}
-	}
-	if interval == 0 {
-		return nil, fmt.Errorf("sim: multicore managers need a nonzero sampling interval")
-	}
-	for i, d := range cfg.DVFS {
-		if d == nil {
-			return nil, fmt.Errorf("sim: nil DVFS controller for core %d", i)
-		}
-		d.Reset()
-	}
-	if cfg.Budget != nil {
-		cfg.Budget.Reset()
-	}
-
 	s := &Multicore{
 		cfg:   cfg,
 		nc:    nc,
@@ -246,8 +211,7 @@ func NewMulticore(cfg MulticoreConfig) (*Multicore, error) {
 		powerVec: make([]float64, nblk),
 		sensed:   make([]float64, nb),
 
-		duty:      make([]float64, nc),
-		freq:      make([]float64, nc),
+		ctl:       ctl,
 		carry:     make([]float64, nc),
 		dutySum:   make([]float64, nc),
 		freqSum:   make([]float64, nc),
@@ -260,9 +224,6 @@ func NewMulticore(cfg MulticoreConfig) (*Multicore, error) {
 		dutyTarget: make([]float64, nc),
 
 		interval:  interval,
-		hasMgr:    len(cfg.Managers) > 0,
-		hasDVFS:   len(cfg.DVFS) > 0,
-		hasBudget: cfg.Budget != nil,
 		hasSensor: cfg.Sensors != nil,
 
 		dt: tcfg.CycleTime,
@@ -283,27 +244,11 @@ func NewMulticore(cfg MulticoreConfig) (*Multicore, error) {
 		if err != nil {
 			return nil, err
 		}
-		s.duty[c] = 1
-		s.freq[c] = 1
 	}
 
-	policy := "none"
-	switch {
-	case s.hasBudget:
-		policy = cfg.Budget.Name()
-	case s.hasMgr:
-		policy = cfg.Managers[0].Policy.Name()
-	}
-	if s.hasDVFS {
-		if policy == "none" {
-			policy = cfg.DVFS[0].Name()
-		} else {
-			policy += "+" + cfg.DVFS[0].Name()
-		}
-	}
 	s.res = &MulticoreResult{
 		Workload: cfg.Workloads[0].Name,
-		Policy:   policy,
+		Policy:   policyName(&cfg),
 		Cores:    nc,
 		PerCore:  make([]CoreResult, nc),
 	}
@@ -329,6 +274,151 @@ func NewMulticore(cfg MulticoreConfig) (*Multicore, error) {
 		s.acct.open(s.acct.nextWindowLen(0))
 	}
 	return s, nil
+}
+
+// sampleInterval returns the controller sampling interval of cfg: its
+// managers' interval, or the default when it has none.
+func sampleInterval(cfg *MulticoreConfig) uint64 {
+	if len(cfg.Managers) > 0 && cfg.Managers[0] != nil {
+		return cfg.Managers[0].Interval
+	}
+	return dtm.DefaultSampleInterval
+}
+
+// policyName names cfg's controllers as results report them.
+func policyName(cfg *MulticoreConfig) string {
+	policy := "none"
+	switch {
+	case cfg.Budget != nil:
+		policy = cfg.Budget.Name()
+	case len(cfg.Managers) > 0:
+		policy = cfg.Managers[0].Policy.Name()
+	}
+	if len(cfg.DVFS) > 0 {
+		if policy == "none" {
+			policy = cfg.DVFS[0].Name()
+		} else {
+			policy += "+" + cfg.DVFS[0].Name()
+		}
+	}
+	return policy
+}
+
+// controls is one configuration's controllers together with the per-core
+// actuation they have commanded so far, which is what a run under them
+// applies to its cores. A run steps its own controls; a multicore group
+// also steps each member's on the same observations and compares.
+type controls struct {
+	managers []*dtm.Manager
+	dvfs     []*dtm.AdaptiveGain
+	budget   *dtm.PowerBudget
+
+	duty  []float64 // fetch duty
+	freq  []float64 // frequency factor
+	limit []int     // fetch limit (0 = full width)
+	unres []int     // max unresolved branches (0 = off)
+	stall []uint64  // stall cycles commanded at the core's latest sample
+}
+
+// newControls validates cfg's controllers for an nc-core run, resets them
+// and returns them with every core at full speed, together with the
+// sampling interval they share.
+func newControls(cfg *MulticoreConfig, nc int) (controls, uint64, error) {
+	if len(cfg.Managers) != 0 && len(cfg.Managers) != nc {
+		return controls{}, 0, fmt.Errorf("sim: %d managers for %d cores", len(cfg.Managers), nc)
+	}
+	if len(cfg.DVFS) != 0 && len(cfg.DVFS) != nc {
+		return controls{}, 0, fmt.Errorf("sim: %d DVFS controllers for %d cores", len(cfg.DVFS), nc)
+	}
+	if cfg.Budget != nil && len(cfg.Managers) != 0 {
+		return controls{}, 0, fmt.Errorf("sim: Budget is mutually exclusive with Managers")
+	}
+	if cfg.Budget != nil && cfg.Budget.Cores() != nc {
+		return controls{}, 0, fmt.Errorf("sim: budget controller manages %d cores, run has %d", cfg.Budget.Cores(), nc)
+	}
+	interval := sampleInterval(cfg)
+	for i, m := range cfg.Managers {
+		if m == nil {
+			return controls{}, 0, fmt.Errorf("sim: nil manager for core %d", i)
+		}
+		m.Reset()
+		if m.Interval != interval {
+			return controls{}, 0, fmt.Errorf("sim: managers disagree on sampling interval (%d vs %d)", m.Interval, interval)
+		}
+	}
+	if interval == 0 {
+		return controls{}, 0, fmt.Errorf("sim: multicore managers need a nonzero sampling interval")
+	}
+	for i, d := range cfg.DVFS {
+		if d == nil {
+			return controls{}, 0, fmt.Errorf("sim: nil DVFS controller for core %d", i)
+		}
+		d.Reset()
+	}
+	if cfg.Budget != nil {
+		cfg.Budget.Reset()
+	}
+	k := controls{
+		managers: cfg.Managers,
+		dvfs:     cfg.DVFS,
+		budget:   cfg.Budget,
+		duty:     make([]float64, nc),
+		freq:     make([]float64, nc),
+		limit:    make([]int, nc),
+		unres:    make([]int, nc),
+		stall:    make([]uint64, nc),
+	}
+	for c := 0; c < nc; c++ {
+		k.duty[c] = 1
+		k.freq[c] = 1
+	}
+	return k, interval, nil
+}
+
+// active reports whether any controller is configured.
+func (k *controls) active() bool {
+	return len(k.managers) > 0 || len(k.dvfs) > 0 || k.budget != nil
+}
+
+// sampleCore steps core c's fetch manager and DVFS controller on its
+// observed block temperatures.
+func (k *controls) sampleCore(c int, cycle uint64, obs []float64) {
+	if len(k.managers) > 0 {
+		a, stall := k.managers[c].StepActuation(cycle, obs)
+		if a.FetchDuty != k.duty[c] {
+			k.duty[c] = a.FetchDuty
+		}
+		k.limit[c] = a.FetchLimit
+		k.unres[c] = a.MaxUnresolved
+		k.stall[c] = stall
+	}
+	if len(k.dvfs) > 0 {
+		k.freq[c] = k.dvfs[c].Sample(obs)
+	}
+}
+
+// sampleBudget steps the chip budget on every core's hottest observed
+// block and mean power over the sample; target is per-core scratch.
+func (k *controls) sampleBudget(hot, pow, target []float64) {
+	k.budget.SampleAll(hot, pow, target)
+	for c, t := range target {
+		if d := control.Quantize(t, 8); d != k.duty[c] {
+			k.duty[c] = d
+		}
+	}
+}
+
+// sameActuation reports whether k commands, bit for bit, the actuation o
+// does on every core.
+func (k *controls) sameActuation(o *controls) bool {
+	for c := range k.duty {
+		if math.Float64bits(k.duty[c]) != math.Float64bits(o.duty[c]) ||
+			math.Float64bits(k.freq[c]) != math.Float64bits(o.freq[c]) ||
+			k.limit[c] != o.limit[c] || k.unres[c] != o.unres[c] || k.stall[c] != o.stall[c] {
+			return false
+		}
+	}
+	return true
 }
 
 // Cycle returns the number of cycles simulated so far.
@@ -370,12 +460,12 @@ func (s *Multicore) Step() {
 		case s.coreDone[c]:
 			// A finished core idles (clock still runs; its power model
 			// decays toward the gated floor).
-		case s.freq[c] == 1:
+		case s.ctl.freq[c] == 1:
 			execute = true
 		default:
 			// DVFS tick gating: at factor f the core executes f of the
 			// global clock ticks, carried exactly across cycles.
-			if s.carry[c] += s.freq[c]; s.carry[c] >= 1 {
+			if s.carry[c] += s.ctl.freq[c]; s.carry[c] >= 1 {
 				s.carry[c]--
 				execute = true
 			}
@@ -394,7 +484,7 @@ func (s *Multicore) Step() {
 		seg := s.powerVec[c*nb : (c+1)*nb]
 		s.pms[c].BlockPower(&s.act, seg)
 		pf := 1.0
-		if f := s.freq[c]; f != 1 {
+		if f := s.ctl.freq[c]; f != 1 {
 			pf = f * f
 			for i := range seg {
 				seg[i] *= pf
@@ -429,8 +519,8 @@ func (s *Multicore) Step() {
 		s.sample(cycle)
 	}
 	for c := 0; c < s.nc; c++ {
-		s.dutySum[c] += s.duty[c]
-		s.freqSum[c] += s.freq[c]
+		s.dutySum[c] += s.ctl.duty[c]
+		s.freqSum[c] += s.ctl.freq[c]
 	}
 }
 
@@ -443,50 +533,62 @@ func (s *Multicore) coreObs(c int) []float64 {
 	return s.acct.temps[c*s.nb : (c+1)*s.nb]
 }
 
-// sample runs every controller at a sampling boundary. Windows are clamped
-// to end here, so the block temperatures are fresh on both thermal paths.
+// sample runs every controller at a sampling boundary: the run's own,
+// then those of each member still sharing it, on the same observations.
+// Windows are clamped to end here, so the block temperatures are fresh on
+// both thermal paths. A member whose actuation now differs from the run's
+// leaves the group.
 func (s *Multicore) sample(cycle uint64) {
-	for c := 0; c < s.nc; c++ {
-		if s.stallLeft[c] > 0 {
-			continue // stalled cores skip sampling, as in the solo loop
+	observe, budget := s.ctl.active(), s.ctl.budget != nil
+	for i := range s.members {
+		if m := &s.members[i]; m.shared {
+			observe = observe || m.ctl.active()
+			budget = budget || m.ctl.budget != nil
 		}
-		if s.hasMgr || s.hasDVFS || s.hasBudget {
+	}
+	if observe {
+		for c := 0; c < s.nc; c++ {
+			if s.stallLeft[c] > 0 {
+				continue // stalled cores skip sampling, as in the solo loop
+			}
 			obs := s.coreObs(c)
-			if s.hasMgr {
-				a, stall := s.cfg.Managers[c].StepActuation(cycle, obs)
-				if a.FetchDuty != s.duty[c] {
-					s.duty[c] = a.FetchDuty
-					s.cores[c].SetFetchDuty(a.FetchDuty)
+			s.hotScratch[c] = maxOf(obs)
+			s.ctl.sampleCore(c, cycle, obs)
+			s.stallLeft[c] += s.ctl.stall[c]
+			for i := range s.members {
+				if m := &s.members[i]; m.shared {
+					m.ctl.sampleCore(c, cycle, obs)
 				}
-				s.cores[c].SetFetchLimit(a.FetchLimit)
-				s.cores[c].SetMaxUnresolvedBranches(a.MaxUnresolved)
-				s.stallLeft[c] += stall
-			}
-			if s.hasDVFS {
-				s.freq[c] = s.cfg.DVFS[c].Sample(obs)
-			}
-			if s.hasBudget {
-				s.hotScratch[c] = maxOf(obs)
 			}
 		}
 	}
-	if s.hasBudget {
+	if budget {
 		inv := 1 / float64(s.interval)
 		for c := 0; c < s.nc; c++ {
 			s.powScratch[c] = s.sampPow[c] * inv
-			s.sampPow[c] = 0
 		}
-		s.cfg.Budget.SampleAll(s.hotScratch, s.powScratch, s.dutyTarget)
-		for c := 0; c < s.nc; c++ {
-			d := control.Quantize(s.dutyTarget[c], 8)
-			if d != s.duty[c] {
-				s.duty[c] = d
-				s.cores[c].SetFetchDuty(d)
+		if s.ctl.budget != nil {
+			s.ctl.sampleBudget(s.hotScratch, s.powScratch, s.dutyTarget)
+		}
+		for i := range s.members {
+			if m := &s.members[i]; m.shared && m.ctl.budget != nil {
+				m.ctl.sampleBudget(s.hotScratch, s.powScratch, s.dutyTarget)
 			}
 		}
-	} else {
-		for c := 0; c < s.nc; c++ {
-			s.sampPow[c] = 0
+	}
+	for c := 0; c < s.nc; c++ {
+		s.sampPow[c] = 0
+	}
+	if s.ctl.active() {
+		for c, core := range s.cores {
+			core.SetFetchDuty(s.ctl.duty[c])
+			core.SetFetchLimit(s.ctl.limit[c])
+			core.SetMaxUnresolvedBranches(s.ctl.unres[c])
+		}
+	}
+	for i := range s.members {
+		if m := &s.members[i]; m.shared && !m.ctl.sameActuation(&s.ctl) {
+			m.shared = false
 		}
 	}
 }

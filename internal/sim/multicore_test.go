@@ -73,6 +73,37 @@ func TestZeroAllocMulticoreStep(t *testing.T) {
 			}
 		})
 	}
+	// A group: the uncontrolled run leads, and the PID, agi and budget
+	// members step their controllers on its observations each sample.
+	t.Run("group", func(t *testing.T) {
+		var cfgs []sim.MulticoreConfig
+		for _, policy := range []string{"none", "PID", "agi", "budget"} {
+			cfg, err := bench.NewMulticoreRun("hotneighbor", policy, 2, 1<<60)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg.MaxCycles = 1 << 62
+			cfgs = append(cfgs, cfg)
+		}
+		s, err := sim.NewMulticoreGroup(cfgs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 20000; i++ {
+			s.Step()
+		}
+		allocs := testing.AllocsPerRun(20, func() {
+			for i := 0; i < 5000; i++ {
+				s.Step()
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("grouped Step allocates %v bytes-ops per 5000 cycles", allocs)
+		}
+		if !s.InGroup(1) || !s.InGroup(2) {
+			t.Error("PID and agi left the cold group: member stepping was not measured")
+		}
+	})
 }
 
 // TestMulticoreControllersEngage pins the end-to-end behavior the face-off
