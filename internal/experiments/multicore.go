@@ -94,7 +94,6 @@ func MulticoreFaceOff(p Params, coreCounts []int) (*stats.Table, error) {
 
 // faceOffTable renders the face-off from one result per spec.
 func faceOffTable(specs []mcSpec, results []*sim.MulticoreResult) *stats.Table {
-
 	// Index the uncontrolled baseline of each scenario x cores cell.
 	baseIPC := map[[2]string]float64{}
 	for i, sp := range specs {
