@@ -9,6 +9,9 @@ package repro
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
+	"strconv"
 	"testing"
 
 	"repro/internal/bench"
@@ -19,6 +22,7 @@ import (
 	"repro/internal/packstore"
 	"repro/internal/pipeline"
 	"repro/internal/power"
+	"repro/internal/runindex"
 	"repro/internal/sensor"
 	"repro/internal/sim"
 	"repro/internal/thermal"
@@ -209,11 +213,11 @@ func BenchmarkTable13Setpoint(b *testing.B) {
 
 func BenchmarkFigureTraces(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Trace(benchParams(), "gcc", "PI", 2000)
+		res, err := experiments.Trace(benchParams(), []string{"gcc"}, "PI", 0, 2000)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if res.TempTrace.Len() == 0 {
+		if res[0].TempTrace.Len() == 0 {
 			b.Fatal("empty trace")
 		}
 	}
@@ -463,8 +467,8 @@ func BenchmarkPIDUpdate(b *testing.B) {
 // BenchmarkBaselineBatch measures a full uncontrolled-suite regeneration
 // through the parallel experiment engine, serial (1 worker) versus
 // parallel (GOMAXPROCS workers). The ratio of the two is the engine's
-// wall-time speedup on this host; cmd/benchrec records it to
-// BENCH_runner.json.
+// wall-time speedup on this host; run it under -cpu 4 to compare hosts
+// with the scheduler pinned to four procs.
 func BenchmarkBaselineBatch(b *testing.B) {
 	for _, tc := range []struct {
 		name    string
@@ -510,11 +514,12 @@ func BenchmarkAblationSensorPlacement(b *testing.B) {
 		// Record per-block temperature traces on three thermally
 		// diverse benchmarks.
 		var series [][]float64
-		for _, name := range []string{"gcc", "equake", "art"} {
-			res, err := experiments.Trace(experiments.Params{Insts: 600_000}, name, "none", 500)
-			if err != nil {
-				b.Fatal(err)
-			}
+		traced, err := experiments.Trace(experiments.Params{Insts: 600_000},
+			[]string{"gcc", "equake", "art"}, "none", 0, 500)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, res := range traced {
 			if series == nil {
 				series = make([][]float64, len(res.BlockTrace))
 			}
@@ -697,8 +702,7 @@ func BenchmarkAblationLeakage(b *testing.B) {
 // small-object regime the run cache lives in (a few hundred JSON bytes
 // per entry). get runs against a pre-populated 10^5-entry store;
 // rebuild times the cold-start needle-index scan over the same
-// population. cmd/benchrec records the 10^6-entry numbers into
-// BENCH_runner.json.
+// population.
 func BenchmarkResultStore(b *testing.B) {
 	payload := []byte(`{"name":"gcc/PI","ipc":0.8732,"cycles":2290432,` +
 		`"avg_power":42.17,"max_temp":111.84,"emergency_cycles":18320,` +
@@ -757,6 +761,140 @@ func BenchmarkResultStore(b *testing.B) {
 				b.Fatalf("rebuild lost entries: %d", s.Len())
 			}
 			s.Close()
+		}
+	})
+}
+
+var (
+	runIndexBenches  = []string{"gzip", "gcc", "art", "mesa", "vpr", "equake", "crafty", "wupwise"}
+	runIndexPolicies = []string{"", "PI", "PID", "toggle1", "toggle2", "M"}
+)
+
+// runIndexRecord fabricates one catalog row with realistic dimension
+// spreads: 400 distinct trigger values over [108,112), so a 0.04-wide
+// range filter selects ~1% of the population.
+func runIndexRecord(i int) runindex.Record {
+	return runindex.Record{
+		Key:    fmt.Sprintf("idx%061d", i),
+		Bench:  runIndexBenches[i%len(runIndexBenches)],
+		Policy: runIndexPolicies[i%len(runIndexPolicies)],
+
+		Trigger:  108 + float64(i%400)*0.01,
+		Kp:       float64(i%16) * 0.25,
+		Ki:       float64(i%8) * 0.5,
+		Interval: float64(int(250) << (i % 7)),
+		Stride:   float64((i % 4) * 64),
+		Cores:    1,
+		Insts:    1_000_000,
+
+		IPC:       0.5 + float64(i%1000)/2000,
+		AvgPower:  30 + float64(i%100)/10,
+		AvgDuty:   1 - float64(i%10)/20,
+		EmergFrac: float64(i%50) / 500,
+		Cycles:    2_000_000,
+	}
+}
+
+// BenchmarkRunIndex measures the on-disk run catalog (internal/runindex)
+// over 1.2*10^5 records, one sub-benchmark per test of a T1-T5 index
+// evaluation: T1 point lookup, T2 a ~1%-selectivity trigger range through
+// the B+-tree, T3 ingest of the whole population into a fresh catalog,
+// T4 a composite query (bench and policy equality narrowing a wide
+// trigger range), T5 the T2 filter answered by a full scan with no index
+// help, and reopen, a cold reopen that replays the catalog log. T2 and T5
+// answer one filter, so their ratio is the index's win over brute force.
+// Every sub-benchmark checks its answer, so -benchtime 1x is a
+// correctness pass.
+func BenchmarkRunIndex(b *testing.B) {
+	const population = 120_000
+	recs := make([]runindex.Record, population)
+	for i := range recs {
+		recs[i] = runIndexRecord(i)
+	}
+	ingest := func(b *testing.B, dir string) *runindex.Catalog {
+		cat, err := runindex.Open(dir, runindex.Options{Capacity: population})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for i := range recs {
+			if !cat.Ingest(recs[i]) {
+				b.Fatalf("duplicate ingest at %d", i)
+			}
+		}
+		return cat
+	}
+	dir := b.TempDir()
+	cat := ingest(b, dir)
+
+	visit := func(*runindex.Record) bool { return true }
+	// The T2/T5 filter: triggers in [110, 110.04].
+	q := runindex.Query{Limit: population}
+	q.Dims[runindex.DimTrigger] = runindex.RangeFilter{Lo: 110, Hi: 110.04, Set: true}
+	rangeRows := cat.Execute(&q, visit)
+	if rangeRows == 0 {
+		b.Fatal("T2 filter selects no rows")
+	}
+
+	b.Run("T1_lookup", func(b *testing.B) {
+		// Deterministic non-sequential order over the population.
+		for i := 0; i < b.N; i++ {
+			if _, ok := cat.Get(recs[i*1_000_003%population].Key); !ok {
+				b.Fatalf("lookup miss at %d", i)
+			}
+		}
+	})
+	b.Run("T2_range", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if rows := cat.Execute(&q, visit); rows != rangeRows {
+				b.Fatalf("range scan found %d rows, then %d", rangeRows, rows)
+			}
+		}
+		b.ReportMetric(float64(rangeRows), "rows")
+	})
+	b.Run("T3_ingest", func(b *testing.B) {
+		base := b.TempDir()
+		for i := 0; i < b.N; i++ {
+			dir := filepath.Join(base, strconv.Itoa(i))
+			fresh := ingest(b, dir)
+			b.StopTimer()
+			fresh.Close()
+			os.RemoveAll(dir)
+			b.StartTimer()
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*population), "ns/record")
+	})
+	b.Run("T4_composite", func(b *testing.B) {
+		qc := runindex.Query{Bench: "gcc", Policy: "PI", Limit: population}
+		qc.Dims[runindex.DimTrigger] = runindex.RangeFilter{Lo: 109, Hi: 111, Set: true}
+		want := cat.FullScan(&qc, visit)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if rows := cat.Execute(&qc, visit); rows != want {
+				b.Fatalf("composite query found %d rows, full scan %d", rows, want)
+			}
+		}
+		b.ReportMetric(float64(want), "rows")
+	})
+	b.Run("T5_fullscan", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if rows := cat.FullScan(&q, visit); rows != rangeRows {
+				b.Fatalf("full scan found %d rows, range scan %d", rows, rangeRows)
+			}
+		}
+	})
+	if err := cat.Close(); err != nil {
+		b.Fatal(err)
+	}
+	b.Run("reopen", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			reopened, err := runindex.Open(dir, runindex.Options{Capacity: population})
+			if err != nil {
+				b.Fatal(err)
+			}
+			if n := reopened.Len(); n != population {
+				b.Fatalf("cold reopen lost records: %d of %d", n, population)
+			}
+			reopened.Close()
 		}
 	})
 }

@@ -1,7 +1,7 @@
 // Command report regenerates the full reproduction bundle into a
 // directory: every table as text, the headline figures as SVG, and a
 // REPORT.md tying them together. It is the scripted equivalent of running
-// cmd/tables and cmd/traces by hand.
+// cmd/tables and `dtmsim -trace 2000 -svg -heatmap` by hand.
 //
 //	report -out results -insts 2000000
 package main
@@ -79,10 +79,11 @@ func main() {
 	for _, fig := range []struct{ benchName, policy string }{
 		{"gcc", "none"}, {"gcc", "toggle1"}, {"gcc", "PI"}, {"art", "none"},
 	} {
-		res, err := experiments.Trace(p, fig.benchName, fig.policy, 2000)
+		traced, err := experiments.Trace(p, []string{fig.benchName}, fig.policy, 0, 2000)
 		if err != nil {
 			fatal(err)
 		}
+		res := traced[0]
 		svg := experiments.TraceChart(res, "hottest block", "duty (scaled)")
 		name := fmt.Sprintf("trace_%s_%s.svg", fig.benchName, fig.policy)
 		if err := os.WriteFile(filepath.Join(*out, name), []byte(svg), 0o644); err != nil {

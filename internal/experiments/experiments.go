@@ -579,15 +579,18 @@ func SetpointStudy(p Params) (*stats.Table, error) {
 	return t, nil
 }
 
-// Trace runs one benchmark under one policy with time-series recording
-// (the temperature/duty figures).
-func Trace(p Params, benchName, policy string, stride uint64) (*sim.Result, error) {
-	res, err := runBatch(p, []runSpec{{bench: benchName, policy: policy,
-		cfg: func(c *sim.Config) { c.TraceStride = stride }}})
-	if err != nil {
-		return nil, err
+// Trace runs each named benchmark under one policy (setpoint 0 keeps the
+// policy's paper default) as one batch, recording the hottest-block
+// temperature, fetch duty and per-block temperatures every stride cycles
+// (the temperature/duty figures; stride 0 records none). Results come
+// back in names order.
+func Trace(p Params, names []string, policy string, setpoint float64, stride uint64) ([]*sim.Result, error) {
+	specs := make([]runSpec, len(names))
+	for i, n := range names {
+		specs[i] = runSpec{bench: n, policy: policy, setpoint: setpoint,
+			cfg: func(c *sim.Config) { c.TraceStride = stride }}
 	}
-	return res[0], nil
+	return runBatch(p, specs)
 }
 
 // SeedStats summarizes a benchmark's metric spread across workload seeds —

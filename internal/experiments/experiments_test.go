@@ -105,10 +105,11 @@ func TestPolicyEvalShapes(t *testing.T) {
 }
 
 func TestTraceExperiment(t *testing.T) {
-	res, err := Trace(Params{Insts: 60_000}, "twolf", "PI", 1000)
+	traced, err := Trace(Params{Insts: 60_000}, []string{"twolf"}, "PI", 0, 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := traced[0]
 	if res.TempTrace == nil || res.TempTrace.Len() == 0 {
 		t.Fatal("no trace recorded")
 	}
@@ -119,10 +120,10 @@ func TestTraceExperiment(t *testing.T) {
 	if svg := PeakHeatmap(res, "twolf peaks", map[string]float64{"D": bench.EmergencyTemp}); !strings.Contains(svg, "twolf peaks") {
 		t.Errorf("heat map lacks its title:\n%s", svg)
 	}
-	if _, err := Trace(Params{Insts: 1000}, "nope", "PI", 100); err == nil {
+	if _, err := Trace(Params{Insts: 1000}, []string{"nope"}, "PI", 0, 100); err == nil {
 		t.Error("unknown benchmark accepted")
 	}
-	if _, err := Trace(Params{Insts: 1000}, "gcc", "nope", 100); err == nil {
+	if _, err := Trace(Params{Insts: 1000}, []string{"gcc"}, "nope", 0, 100); err == nil {
 		t.Error("unknown policy accepted")
 	}
 }

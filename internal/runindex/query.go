@@ -5,7 +5,7 @@ package runindex
 // a bench/policy equality walks the interned-string tree — and the
 // remaining filters are verified per candidate record, so a query costs
 // O(selectivity of the driving filter), not O(catalog). FullScan is the
-// deliberate no-index baseline the T1-T5 benchrec lane compares against.
+// deliberate no-index baseline BenchmarkRunIndex's T5 compares T2 against.
 
 import (
 	"fmt"
@@ -214,7 +214,7 @@ func (c *Catalog) Execute(q *Query, visit func(rec *Record) bool) int {
 }
 
 // FullScan answers q by testing every record with no index help — the
-// baseline the benchrec T5 lane measures range scans against.
+// baseline BenchmarkRunIndex's T5 measures range scans against.
 func (c *Catalog) FullScan(q *Query, visit func(rec *Record) bool) int {
 	if c == nil {
 		return 0
