@@ -88,19 +88,6 @@ func phase(mix workload.Mix, dep float64, loops, body, iters int,
 	}
 }
 
-// All returns the 18 proxy profiles in table order.
-func All() []workload.Profile {
-	ps := make([]workload.Profile, 0, 18)
-	for _, n := range Names() {
-		p, err := ByName(n)
-		if err != nil {
-			panic(err) // registry and Names must agree
-		}
-		ps = append(ps, p)
-	}
-	return ps
-}
-
 // ByName returns one benchmark profile.
 func ByName(name string) (workload.Profile, error) {
 	var phases []workload.Phase

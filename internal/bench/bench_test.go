@@ -40,8 +40,8 @@ func TestRegistryCompleteAndValid(t *testing.T) {
 		}
 		gen.Next()
 	}
-	if len(All()) != 18 {
-		t.Error("All() does not return 18 profiles")
+	if len(Names()) != 18 {
+		t.Error("Names() does not list 18 benchmarks")
 	}
 }
 

@@ -72,9 +72,6 @@ func (b *PowerBudget) Cores() int { return len(b.locals) }
 // Alloc returns core i's current power allocation in watts.
 func (b *PowerBudget) Alloc(i int) float64 { return b.alloc[i] }
 
-// Local exposes core i's inner PI (tests and ablations).
-func (b *PowerBudget) Local(i int) *control.PID { return b.locals[i] }
-
 // Reset restores even allocations and resets every local PI.
 func (b *PowerBudget) Reset() {
 	for i := range b.locals {

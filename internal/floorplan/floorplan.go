@@ -166,15 +166,3 @@ func Default() []Block {
 func ChipBlock() Block {
 	return Block{ID: Chip, Area: 3.0e-4, PeakPower: 55, R: 0.34, C: 60}
 }
-
-// FirstPrinciples returns blocks whose R and C are derived purely from
-// area via NormalResistance/Capacitance, for studying the sensitivity of
-// the model to the lumped-value reconstruction.
-func FirstPrinciples() []Block {
-	bs := Default()
-	for i := range bs {
-		bs[i].R = NormalResistance(bs[i].Area)
-		bs[i].C = Capacitance(bs[i].Area)
-	}
-	return bs
-}

@@ -120,17 +120,13 @@ func TestTangentialDominatesNormal(t *testing.T) {
 	}
 }
 
+// TestFirstPrinciplesConsistent: R and C derived purely from a block's
+// area give RC = rho*cv*t^2, whatever the area.
 func TestFirstPrinciplesConsistent(t *testing.T) {
-	for _, b := range FirstPrinciples() {
-		if math.Abs(b.R-NormalResistance(b.Area)) > 1e-12 {
-			t.Errorf("%v first-principles R mismatch", b.ID)
-		}
-		if math.Abs(b.C-Capacitance(b.Area)) > 1e-12 {
-			t.Errorf("%v first-principles C mismatch", b.ID)
-		}
-		// The first-principles RC is rho*cv*t^2 regardless of area.
-		want := SiliconResistivity * SiliconVolumetricHeatCapacity *
-			WaferThickness * WaferThickness
+	want := SiliconResistivity * SiliconVolumetricHeatCapacity *
+		WaferThickness * WaferThickness
+	for _, b := range Default() {
+		b.R, b.C = NormalResistance(b.Area), Capacitance(b.Area)
 		if math.Abs(b.RC()-want) > 1e-12 {
 			t.Errorf("%v first-principles RC = %v, want %v", b.ID, b.RC(), want)
 		}

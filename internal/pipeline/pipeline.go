@@ -291,9 +291,9 @@ func (c *Core) Clone(gen workload.Source) *Core {
 	return &q
 }
 
-// New builds a core running the given instruction source — a live
-// workload.Generator or a recorded workload.TraceSource. The L2 is shared
-// between the instruction and data caches.
+// New builds a core running the given instruction source, normally a
+// workload.Generator. The L2 is shared between the instruction and data
+// caches.
 func New(cfg Config, gen workload.Source) (*Core, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err

@@ -1,7 +1,6 @@
 package pipeline
 
 import (
-	"bytes"
 	"testing"
 
 	"repro/internal/isa"
@@ -365,48 +364,6 @@ func TestDependenceDistanceControlsILP(t *testing.T) {
 	}
 	if parallel < serial*1.3 {
 		t.Errorf("parallel IPC %v not clearly above serial %v", parallel, serial)
-	}
-}
-
-// The core must run identically from a recorded trace (EIO-style replay):
-// same committed instruction stream, nearly identical timing (wrong-path
-// synthesis differs, which perturbs only squashed work).
-func TestCoreRunsFromRecordedTrace(t *testing.T) {
-	gen, err := workload.NewGenerator(testProfile(42))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	const n = 120_000
-	if err := workload.WriteTrace(&buf, gen, n); err != nil {
-		t.Fatal(err)
-	}
-	ts, err := workload.ReadTrace(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	live, _ := New(DefaultConfig(), mustGen(t, 42))
-	replay, _ := New(DefaultConfig(), ts)
-
-	var liveSeqs, replaySeqs []uint64
-	live.CommitHook = func(op *isa.MicroOp) { liveSeqs = append(liveSeqs, op.Seq) }
-	replay.CommitHook = func(op *isa.MicroOp) { replaySeqs = append(replaySeqs, op.Seq) }
-	var act Activity
-	for live.Stats().Committed < 100_000 {
-		live.Step(&act)
-	}
-	for replay.Stats().Committed < 100_000 {
-		replay.Step(&act)
-	}
-	for i := range liveSeqs[:100_000] {
-		if liveSeqs[i] != replaySeqs[i] {
-			t.Fatalf("commit stream diverges at %d: %d vs %d", i, liveSeqs[i], replaySeqs[i])
-		}
-	}
-	// Timing must be close (wrong-path details differ slightly).
-	lc, rc := float64(live.Stats().Cycles), float64(replay.Stats().Cycles)
-	if r := rc / lc; r < 0.9 || r > 1.1 {
-		t.Errorf("replay cycles %v vs live %v (ratio %.3f)", rc, lc, r)
 	}
 }
 

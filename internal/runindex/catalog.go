@@ -250,30 +250,6 @@ func (c *Catalog) growTable() {
 	}
 }
 
-// Reserve pre-grows every structure to hold n more records, restoring
-// the allocation-free ingest steady state before a large batch.
-func (c *Catalog) Reserve(n int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	need := len(c.recs) + n
-	if cap(c.recs) < need {
-		recs := make([]Record, len(c.recs), need)
-		copy(recs, c.recs)
-		c.recs = recs
-	}
-	for uint64(need)*2 > c.keyMask+1 {
-		c.growTable()
-	}
-	for d := range c.trees {
-		c.trees[d].reserve(n)
-	}
-	c.benchTree.reserve(n)
-	c.policyTree.reserve(n)
-	if cap(c.encBuf) < 4096 {
-		c.encBuf = make([]byte, 0, 4096)
-	}
-}
-
 // intern maps a string onto a stable small id for the given table,
 // assigning the next id on first sight.
 func intern(table map[string]uint64, s string) uint64 {

@@ -22,7 +22,6 @@ package runner
 // probabilistic disk failure.
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -244,23 +243,5 @@ func (c *Cache[R]) Len() int {
 func (c *Cache[R]) count(f func(*telemetry.CacheMetrics)) {
 	if c.metrics != nil {
 		f(c.metrics)
-	}
-}
-
-// CachedJob wraps job so its result is served from (and stored into) the
-// cache under key. An empty key, or a nil cache, passes through.
-func CachedJob[R any](c *Cache[R], key string, job Job[R]) Job[R] {
-	if c == nil || key == "" {
-		return job
-	}
-	return func(ctx context.Context) (R, error) {
-		if v, ok := c.Get(key); ok {
-			return v, nil
-		}
-		v, err := job(ctx)
-		if err == nil {
-			c.Put(key, v)
-		}
-		return v, err
 	}
 }

@@ -1,7 +1,6 @@
 package runner
 
 import (
-	"context"
 	"errors"
 	"os"
 	"path/filepath"
@@ -274,38 +273,6 @@ func TestCacheMissingEntryIsNotRetried(t *testing.T) {
 	}
 	if got := m.DiskRetries.Value(); got != 0 {
 		t.Errorf("a plain miss burned %d retries, want 0", got)
-	}
-}
-
-func TestCachedJob(t *testing.T) {
-	c, err := NewCacheWith[payload](CacheConfig{}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	runs := 0
-	job := func(context.Context) (payload, error) {
-		runs++
-		return samplePayload(), nil
-	}
-	wrapped := CachedJob(c, "key", job)
-	for i := 0; i < 3; i++ {
-		got, err := wrapped(context.Background())
-		if err != nil || got.Name != "gcc/PI" {
-			t.Fatalf("run %d: %+v, %v", i, got, err)
-		}
-	}
-	if runs != 1 {
-		t.Errorf("job executed %d times, want 1 (rest cached)", runs)
-	}
-	// Nil cache and empty key pass through untouched.
-	runs = 0
-	for _, w := range []Job[payload]{CachedJob(nil, "key", job), CachedJob(c, "", job)} {
-		if _, err := w(context.Background()); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if runs != 2 {
-		t.Errorf("passthrough wrappers executed %d times, want 2", runs)
 	}
 }
 

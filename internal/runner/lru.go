@@ -43,7 +43,7 @@ func (l *lruCache) get(key string) ([]byte, bool) {
 // put inserts or replaces an entry and evicts least-recently-used
 // entries until the cap holds, returning how many were evicted. An entry
 // larger than the whole cap is still admitted alone — a cache that
-// refuses the result it just computed would defeat CachedJob.
+// refuses the result it just computed would make every rerun a miss.
 func (l *lruCache) put(key string, data []byte) (evicted int) {
 	if el, ok := l.items[key]; ok {
 		e := el.Value.(*lruEntry)

@@ -260,17 +260,3 @@ func Values[R any](outs []Outcome[R]) []R {
 	}
 	return vs
 }
-
-// TotalMetrics aggregates batch metrics: summed wall time (CPU-seconds
-// across workers), summed cycles, and overall throughput.
-func TotalMetrics[R any](outs []Outcome[R]) Metrics {
-	var m Metrics
-	for i := range outs {
-		m.Wall += outs[i].Metrics.Wall
-		m.Cycles += outs[i].Metrics.Cycles
-	}
-	if s := m.Wall.Seconds(); s > 0 {
-		m.CyclesPerSec = float64(m.Cycles) / s
-	}
-	return m
-}

@@ -197,13 +197,9 @@ func TestRunMetricsAndProgress(t *testing.T) {
 		if o.Metrics.CyclesPerSec <= 0 {
 			t.Errorf("job %d: no throughput metric", i)
 		}
-	}
-	tot := TotalMetrics(outs)
-	if tot.Cycles != n*1000 {
-		t.Errorf("total cycles = %d, want %d", tot.Cycles, n*1000)
-	}
-	if tot.Wall < n*time.Millisecond {
-		t.Errorf("total wall %v below serial floor", tot.Wall)
+		if o.Metrics.Wall < time.Millisecond {
+			t.Errorf("job %d: wall %v below its sleep", i, o.Metrics.Wall)
+		}
 	}
 }
 

@@ -11,20 +11,9 @@ import (
 	"time"
 )
 
-// Quantile returns the q-quantile (0 <= q <= 1) of samples using linear
-// interpolation between order statistics. It returns 0 for an empty set
-// and does not modify samples.
-func Quantile(samples []time.Duration, q float64) time.Duration {
-	if len(samples) == 0 {
-		return 0
-	}
-	sorted := make([]time.Duration, len(samples))
-	copy(sorted, samples)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	return quantileSorted(sorted, q)
-}
-
-// Quantiles returns the requested quantiles in one sort.
+// Quantiles returns the requested quantiles (each 0 <= q <= 1) of samples
+// in one sort, interpolating linearly between order statistics. Every
+// quantile of an empty set is 0, and samples is not modified.
 func Quantiles(samples []time.Duration, qs ...float64) []time.Duration {
 	out := make([]time.Duration, len(qs))
 	if len(samples) == 0 {

@@ -118,15 +118,15 @@ func TestQuantiles(t *testing.T) {
 			t.Errorf("quantile %d = %v, want ~%v", i, qs[i], want[i])
 		}
 	}
-	if got := Quantile(nil, 0.5); got != 0 {
-		t.Errorf("empty quantile = %v, want 0", got)
+	if got := Quantiles(nil, 0.5, 1); len(got) != 2 || got[0] != 0 || got[1] != 0 {
+		t.Errorf("empty quantiles = %v, want [0 0]", got)
 	}
 	// Input order must not matter and the input must not be mutated.
 	shuffled := []time.Duration{30, 10, 20}
-	if got := Quantile(shuffled, 1); got != 30 {
-		t.Errorf("max of shuffled = %v, want 30", got)
+	if got := Quantiles(shuffled, 0, 1); got[0] != 10 || got[1] != 30 {
+		t.Errorf("min, max of shuffled = %v, want [10 30]", got)
 	}
-	if shuffled[0] != 30 {
-		t.Error("Quantile mutated its input")
+	if shuffled[0] != 30 || shuffled[1] != 10 || shuffled[2] != 20 {
+		t.Error("Quantiles mutated its input")
 	}
 }

@@ -25,6 +25,15 @@ import (
 	"sort"
 )
 
+// modelVersion salts every run-cache key with the simulator's behaviour:
+// pack volumes and catalog logs outlive the build that wrote them, and an
+// older build's result must not be served as current. It is the first 16
+// hex digits of the SHA-256 of testdata/golden.json followed by
+// testdata/golden_multicore.json, so a behaviour change that regenerates
+// the goldens must bump it (TestModelVersionTracksGoldens), and the old
+// cache entries become clean misses.
+const modelVersion = "fd34524c3663cca6"
+
 // cacheKeyExcluded lists the Config fields deliberately left out of the
 // fingerprint. Metrics and Trace are live side-channel sinks: runs that
 // stream telemetry are not cacheable at all (replaying a cached result
@@ -58,9 +67,11 @@ func MulticoreCacheKey(cfg MulticoreConfig) string {
 	return fingerprint(reflect.ValueOf(cfg), nil)
 }
 
-// fingerprint hashes the fields of the struct v not named in excluded.
+// fingerprint hashes modelVersion, then the fields of the struct v not
+// named in excluded.
 func fingerprint(v reflect.Value, excluded map[string]bool) string {
 	h := sha256.New()
+	fmt.Fprintf(h, "model=%s;", modelVersion)
 	t := v.Type()
 	for i := 0; i < t.NumField(); i++ {
 		if excluded[t.Field(i).Name] {

@@ -1,6 +1,9 @@
 package sim
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"os"
 	"reflect"
 	"testing"
 
@@ -104,6 +107,24 @@ func eligibleConfig() Config {
 		Manager:      piManager(),
 		MaxInsts:     100_000,
 		ProxyWindows: []int{10_000},
+	}
+}
+
+// TestModelVersionTracksGoldens ties the cache-key salt to the pinned
+// outputs: a change that regenerates the goldens changes the simulated
+// results, so it must also bump modelVersion, or caches written by the
+// older build would keep serving the old results as current.
+func TestModelVersionTracksGoldens(t *testing.T) {
+	h := sha256.New()
+	for _, name := range []string{"testdata/golden.json", "testdata/golden_multicore.json"} {
+		b, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.Write(b)
+	}
+	if want := hex.EncodeToString(h.Sum(nil))[:16]; modelVersion != want {
+		t.Errorf("modelVersion = %q, but the goldens hash to %q: set modelVersion to the new value", modelVersion, want)
 	}
 }
 

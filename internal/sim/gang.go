@@ -13,13 +13,15 @@ package sim
 // power into its private thermal/DTM state via Sim.stepMember. When members' actuator
 // states diverge (duty, frequency, fetch/speculation limits, or a
 // trigger stall), the class forks: the divergent partitions get deep
-// clones of the shared state and continue independently. Classes whose
-// state re-converges exactly are merged back opportunistically.
+// clones of the shared state and continue independently. A fork is final:
+// classes are never merged back. The 40 gangs of Tables 11 and 13 at
+// 2 000 000 instructions and of the four default sweep grids forked 109
+// times, and an exact re-convergence check of the shared deep state
+// (caches, predictor, workload position) never passed.
 //
 // Gang results are byte-identical to solo runs of the same configs: the
 // shared/member split reorders no floating-point arithmetic (see the
-// seam comment in Sim.Step), forks clone state bit-exactly, and merges
-// require bit-equal deep state.
+// seam comment in Sim.Step), and forks clone state bit-exactly.
 
 import (
 	"context"
@@ -43,7 +45,9 @@ type GangStats struct {
 	Members int // gang size
 	Classes int // live equivalence classes right now
 	Forks   int // class splits on actuation divergence
-	Merges  int // exact re-convergence merges
+	// Merges is always 0: forks are final. It stays until the benchmark,
+	// which reads it, drops it.
+	Merges int
 
 	// MemberCycles counts member-cycles advanced; ClassCycles counts
 	// class-cycles, i.e. how many times the shared pipeline front half
@@ -119,19 +123,8 @@ type Gang struct {
 	results []*Result
 	index   map[*Sim]int
 	live    int // classes not yet done
-	steps   uint64
 	stats   GangStats
 }
-
-// mergeCheckStride paces exact re-convergence checks in class-steps: the
-// pre-checks are cheap but pointless to run every cycle, since deep
-// state re-converges slowly if ever. Step calls advance classBurst
-// class-steps per class, so the check fires every
-// mergeCheckStride/classBurst calls.
-const mergeCheckStride = 4096
-
-// mergeCheckCalls is the stride expressed in Step calls.
-const mergeCheckCalls = max(1, mergeCheckStride/classBurst)
 
 // GangCompatible is the rule for which configs may share a gang: it
 // returns nil when cfg may be stepped in one gang led by lead, or the
@@ -240,11 +233,9 @@ func anyOf[T any](p *T) interface{} {
 
 // classBurst is how many class-steps Step advances one class before
 // moving to the next. Classes are fully independent after a fork, so
-// lock-step across classes is only needed opportunistically (merging
-// requires the classes to meet at the same cycle, which exact classes
-// advancing equal bursts still do); bursting keeps a class's working
-// set — pipeline, caches, workload tables, thermal state — hot instead
-// of evicting it on every round-robin turn.
+// they need no lock-step; bursting keeps a class's working set —
+// pipeline, caches, workload tables, thermal state — hot instead of
+// evicting it on every round-robin turn.
 const classBurst = 128
 
 // Step advances every unfinished class by one burst of class-steps; a
@@ -272,10 +263,6 @@ func (g *Gang) Step() bool {
 				}
 			}
 		}
-	}
-	g.steps++
-	if g.live > 1 && g.steps%mergeCheckCalls == 0 {
-		g.tryMerge()
 	}
 	g.stats.Classes = g.live
 	return g.live > 0
@@ -364,49 +351,6 @@ func reassert(core *pipeline.Core, lead *Sim) {
 	core.SetFetchDuty(lead.duty)
 	core.SetFetchLimit(lead.actFetchLimit)
 	core.SetMaxUnresolvedBranches(lead.actMaxUnresolved)
-}
-
-// tryMerge merges classes whose deep state has re-converged exactly.
-// Byte-identity admits no approximate merge: two classes may be merged
-// only when their leaders' actuator signatures and cycles match and their
-// shared objects (core, generator, power model) are bit-equal — then
-// folding one class's members under the other's leader changes no
-// member's future trajectory (each member keeps its own thermal and DTM
-// state). The cheap pre-checks (signature, cycle, core counters) reject
-// almost everything before the reflect.DeepEqual deep compare runs.
-func (g *Gang) tryMerge() {
-	for i := 0; i < len(g.classes); i++ {
-		a := g.classes[i]
-		if a.done {
-			continue
-		}
-		for j := i + 1; j < len(g.classes); j++ {
-			b := g.classes[j]
-			if b.done {
-				continue
-			}
-			if !mergeable(a, b) {
-				continue
-			}
-			// Fold b's members under a's leader and shared objects.
-			for _, m := range b.members {
-				m.gen, m.core, m.pmodel = a.gen, a.core, a.pmodel
-			}
-			a.members = append(a.members, b.members...)
-			b.members = nil
-			b.done = true
-			g.live--
-			g.stats.Merges++
-		}
-	}
-}
-
-// mergeable runs the exact re-convergence test for two live classes.
-func mergeable(a, b *gclass) bool {
-	la, lb := a.members[0], b.members[0]
-	return sigOf(la) == sigOf(lb) && la.cycle == lb.cycle && a.core.Stats() == b.core.Stats() &&
-		reflect.DeepEqual(a.core, b.core) && reflect.DeepEqual(a.gen, b.gen) &&
-		reflect.DeepEqual(a.pmodel, b.pmodel)
 }
 
 // Stats returns the gang's sharing statistics so far.

@@ -1,7 +1,7 @@
 // Package stats provides the small statistical utilities shared by the
 // simulator, the experiment harness and the table generators: running
-// scalars, histograms, exponentially-weighted and boxcar averages, and time
-// series with fixed-stride downsampling.
+// scalars, boxcar averages, time series with fixed-stride downsampling, and
+// table formatting.
 package stats
 
 import (
@@ -130,114 +130,12 @@ func (b *Boxcar) Avg() float64 {
 	return b.sum / float64(n)
 }
 
-// Full reports whether the window has filled at least once.
-func (b *Boxcar) Full() bool { return b.full }
-
 // Reset clears the window.
 func (b *Boxcar) Reset() {
 	for i := range b.buf {
 		b.buf[i] = 0
 	}
 	b.head, b.full, b.sum = 0, false, 0
-}
-
-// EWMA is an exponentially weighted moving average.
-type EWMA struct {
-	alpha float64
-	v     float64
-	init  bool
-}
-
-// NewEWMA returns an EWMA with the given smoothing factor in (0, 1].
-func NewEWMA(alpha float64) *EWMA {
-	if alpha <= 0 || alpha > 1 {
-		panic(fmt.Sprintf("stats: invalid EWMA alpha %g", alpha))
-	}
-	return &EWMA{alpha: alpha}
-}
-
-// Add folds in a sample and returns the updated average.
-func (e *EWMA) Add(x float64) float64 {
-	if !e.init {
-		e.v, e.init = x, true
-	} else {
-		e.v += e.alpha * (x - e.v)
-	}
-	return e.v
-}
-
-// Value returns the current average.
-func (e *EWMA) Value() float64 { return e.v }
-
-// Histogram counts samples into uniform bins over [lo, hi); out-of-range
-// samples land in the first or last bin.
-type Histogram struct {
-	lo, hi float64
-	bins   []uint64
-	n      uint64
-}
-
-// NewHistogram creates a histogram with nbins uniform bins spanning [lo, hi).
-func NewHistogram(lo, hi float64, nbins int) *Histogram {
-	if nbins <= 0 || !(hi > lo) {
-		panic(fmt.Sprintf("stats: invalid histogram [%g,%g)x%d", lo, hi, nbins))
-	}
-	return &Histogram{lo: lo, hi: hi, bins: make([]uint64, nbins)}
-}
-
-// Add records one sample.
-func (h *Histogram) Add(x float64) {
-	i := int(float64(len(h.bins)) * (x - h.lo) / (h.hi - h.lo))
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(h.bins) {
-		i = len(h.bins) - 1
-	}
-	h.bins[i]++
-	h.n++
-}
-
-// N returns the total sample count.
-func (h *Histogram) N() uint64 { return h.n }
-
-// Bin returns the count in bin i.
-func (h *Histogram) Bin(i int) uint64 { return h.bins[i] }
-
-// NumBins returns the bin count.
-func (h *Histogram) NumBins() int { return len(h.bins) }
-
-// BinCenter returns the midpoint value of bin i.
-func (h *Histogram) BinCenter(i int) float64 {
-	w := (h.hi - h.lo) / float64(len(h.bins))
-	return h.lo + w*(float64(i)+0.5)
-}
-
-// Quantile returns an approximate q-quantile (q in [0,1]) from the binned
-// distribution, or NaN with no samples. Quantile(0) returns the center of
-// the first non-empty bin (the binned minimum).
-func (h *Histogram) Quantile(q float64) float64 {
-	if h.n == 0 {
-		return math.NaN()
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	target := q * float64(h.n)
-	var cum float64
-	for i, c := range h.bins {
-		cum += float64(c)
-		// cum > 0 skips empty leading bins: with q = 0 the target is 0
-		// and a bare cum >= target would report BinCenter(0) even when
-		// no sample ever landed there.
-		if cum >= target && cum > 0 {
-			return h.BinCenter(i)
-		}
-	}
-	return h.BinCenter(len(h.bins) - 1)
 }
 
 // Series records a downsampled time series: every Stride-th sample is kept.
@@ -283,24 +181,6 @@ func (s *Series) Max() float64 {
 		}
 	}
 	return m
-}
-
-// GeoMean returns the geometric mean of xs; zero or negative entries are
-// skipped (they would otherwise poison the product). Returns 0 for an empty
-// or all-invalid input.
-func GeoMean(xs []float64) float64 {
-	var sum float64
-	var n int
-	for _, x := range xs {
-		if x > 0 {
-			sum += math.Log(x)
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return math.Exp(sum / float64(n))
 }
 
 // Mean returns the arithmetic mean of xs, or 0 when empty.

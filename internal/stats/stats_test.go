@@ -36,8 +36,8 @@ func TestRunningSingleNegative(t *testing.T) {
 
 func TestBoxcarWarmupAndSteady(t *testing.T) {
 	b := NewBoxcar(4)
-	if b.Full() {
-		t.Fatal("new boxcar reports full")
+	if got := b.Avg(); got != 0 {
+		t.Fatalf("empty avg = %v, want 0", got)
 	}
 	if got := b.Add(8); got != 8 {
 		t.Errorf("first avg = %v, want 8", got)
@@ -48,9 +48,6 @@ func TestBoxcarWarmupAndSteady(t *testing.T) {
 	}
 	b.Add(0)
 	b.Add(0)
-	if !b.Full() {
-		t.Error("boxcar should be full after window samples")
-	}
 	// Window now holds {8,0,0,0}; pushing 4 evicts the 8.
 	if got := b.Add(4); got != 1 {
 		t.Errorf("avg = %v, want 1", got)
@@ -59,11 +56,17 @@ func TestBoxcarWarmupAndSteady(t *testing.T) {
 
 func TestBoxcarReset(t *testing.T) {
 	b := NewBoxcar(3)
-	b.Add(5)
-	b.Add(5)
+	for i := 0; i < 3; i++ {
+		b.Add(5) // fill the window
+	}
 	b.Reset()
-	if b.Avg() != 0 || b.Full() {
-		t.Errorf("after reset: avg=%v full=%v", b.Avg(), b.Full())
+	if b.Avg() != 0 {
+		t.Errorf("after reset: avg=%v, want 0", b.Avg())
+	}
+	// A reset window warms up again: the average is over the new sample
+	// alone, not over a full window padded with zeros.
+	if got := b.Add(6); got != 6 {
+		t.Errorf("first avg after reset = %v, want 6", got)
 	}
 }
 
@@ -163,81 +166,6 @@ func TestBoxcarRecoversFromCatastrophicAbsorption(t *testing.T) {
 	}
 }
 
-func TestEWMAConvergesToConstant(t *testing.T) {
-	e := NewEWMA(0.25)
-	for i := 0; i < 200; i++ {
-		e.Add(7)
-	}
-	if math.Abs(e.Value()-7) > 1e-9 {
-		t.Errorf("EWMA of constant 7 = %v", e.Value())
-	}
-}
-
-func TestEWMAPanicsOnBadAlpha(t *testing.T) {
-	for _, a := range []float64{0, -1, 1.5} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("NewEWMA(%v) did not panic", a)
-				}
-			}()
-			NewEWMA(a)
-		}()
-	}
-}
-
-func TestHistogramBinningAndQuantile(t *testing.T) {
-	h := NewHistogram(0, 10, 10)
-	for i := 0; i < 10; i++ {
-		h.Add(float64(i) + 0.5)
-	}
-	for i := 0; i < 10; i++ {
-		if h.Bin(i) != 1 {
-			t.Errorf("bin %d = %d, want 1", i, h.Bin(i))
-		}
-	}
-	if q := h.Quantile(0.5); math.Abs(q-4.5) > 1.0 {
-		t.Errorf("median = %v, want ~4.5", q)
-	}
-	// Out-of-range samples clamp to edge bins.
-	h.Add(-100)
-	h.Add(+100)
-	if h.Bin(0) != 2 || h.Bin(9) != 2 {
-		t.Errorf("edge bins = %d,%d, want 2,2", h.Bin(0), h.Bin(9))
-	}
-}
-
-func TestHistogramEmptyQuantileIsNaN(t *testing.T) {
-	h := NewHistogram(0, 1, 4)
-	if !math.IsNaN(h.Quantile(0.5)) {
-		t.Error("quantile of empty histogram should be NaN")
-	}
-}
-
-// TestHistogramQuantileZeroSkipsEmptyBins pins the q=0 fix: with every
-// sample in the last bin, Quantile(0) must report that bin, not the empty
-// first one (target = 0 used to satisfy cum >= target immediately).
-func TestHistogramQuantileZeroSkipsEmptyBins(t *testing.T) {
-	h := NewHistogram(0, 10, 10)
-	for i := 0; i < 5; i++ {
-		h.Add(9.5)
-	}
-	if q := h.Quantile(0); q != h.BinCenter(9) {
-		t.Errorf("Quantile(0) = %v, want first non-empty bin center %v", q, h.BinCenter(9))
-	}
-	// With mass in bin 0 the answer is unchanged from the old behaviour.
-	h2 := NewHistogram(0, 10, 10)
-	h2.Add(0.2)
-	h2.Add(9.5)
-	if q := h2.Quantile(0); q != h2.BinCenter(0) {
-		t.Errorf("Quantile(0) = %v, want %v", q, h2.BinCenter(0))
-	}
-	// Negative q clamps to 0 and follows the same rule.
-	if q := h.Quantile(-1); q != h.BinCenter(9) {
-		t.Errorf("Quantile(-1) = %v, want %v", q, h.BinCenter(9))
-	}
-}
-
 func TestSeriesStride(t *testing.T) {
 	s := NewSeries(10)
 	for i := uint64(0); i < 100; i++ {
@@ -251,19 +179,6 @@ func TestSeriesStride(t *testing.T) {
 	}
 	if s.Max() != 90 {
 		t.Errorf("max = %v, want 90", s.Max())
-	}
-}
-
-func TestGeoMean(t *testing.T) {
-	if g := GeoMean([]float64{2, 8}); math.Abs(g-4) > 1e-12 {
-		t.Errorf("geomean(2,8) = %v, want 4", g)
-	}
-	if g := GeoMean(nil); g != 0 {
-		t.Errorf("geomean(nil) = %v, want 0", g)
-	}
-	// Non-positive entries are skipped.
-	if g := GeoMean([]float64{0, -3, 4}); math.Abs(g-4) > 1e-12 {
-		t.Errorf("geomean with invalid entries = %v, want 4", g)
 	}
 }
 

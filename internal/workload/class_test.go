@@ -32,8 +32,21 @@ var staticDigest = map[string]string{
 	"apsi":    "68f486bf529d7f8dad67f4f74138e24d1626ec68af73970beea2833f2be21ff8",
 }
 
+// suite returns the 18 benchmark profiles in table order.
+func suite(t *testing.T) []workload.Profile {
+	var ps []workload.Profile
+	for _, n := range bench.Names() {
+		p, err := bench.ByName(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ps = append(ps, p)
+	}
+	return ps
+}
+
 func TestStaticBodiesUnchanged(t *testing.T) {
-	for _, p := range bench.All() {
+	for _, p := range suite(t) {
 		g, err := workload.NewGenerator(p)
 		if err != nil {
 			t.Fatal(err)
@@ -48,7 +61,7 @@ func TestStaticBodiesUnchanged(t *testing.T) {
 // as from the per-draw sampler, with and without control classes, and
 // leaves the RNG in the same state.
 func TestClassTableMatchesReference(t *testing.T) {
-	for _, p := range bench.All() {
+	for _, p := range suite(t) {
 		for pi, ph := range p.Phases {
 			for _, ctrl := range []bool{true, false} {
 				if i := workload.ClassDrawMismatch(ph.Mix, p.Seed+uint64(pi), 100_000, ctrl); i >= 0 {
@@ -64,7 +77,7 @@ func TestClassTableMatchesReference(t *testing.T) {
 // op is drawn between wrong-path ops, so multi-phase profiles (art)
 // alternate phases throughout.
 func TestWrongPathMatchesReference(t *testing.T) {
-	for _, p := range bench.All() {
+	for _, p := range suite(t) {
 		p.Phases = append([]workload.Phase(nil), p.Phases...)
 		for i := range p.Phases {
 			p.Phases[i].Insts = 64

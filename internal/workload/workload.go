@@ -212,6 +212,22 @@ type phaseProgram struct {
 	dataBase uint64
 }
 
+// Source supplies instructions to the pipeline. The seeded Generator is
+// the one production source, and it already gives every simulation of a
+// benchmark the same instructions, the role SimpleScalar's EIO traces play
+// in the paper (Section 5.4). The interface lets a caller wrap the
+// generator, for example to time it apart from the pipeline.
+type Source interface {
+	// Next returns the next correct-path micro-op.
+	Next() isa.MicroOp
+	// PeekPC returns the next correct-path fetch address.
+	PeekPC() uint64
+	// WrongPath synthesizes a wrong-path micro-op at pc.
+	WrongPath(pc uint64) isa.MicroOp
+}
+
+var _ Source = (*Generator)(nil)
+
 // Generator expands a Profile into a dynamic micro-op stream.
 type Generator struct {
 	prof   Profile
