@@ -141,8 +141,10 @@ func TestNoTestOnlyExports(t *testing.T) {
 	}
 
 	var unused []string
+	declared := make(map[string]bool)
 	for _, d := range decls {
 		key := d.pkg[len("repro/internal/"):] + "." + d.name
+		declared[key] = true
 		if used[d.pkg+"."+d.name] {
 			if _, ok := testOnlyExports[key]; ok {
 				t.Errorf("%s is called by program code now; drop it from testOnlyExports", key)
@@ -151,6 +153,11 @@ func TestNoTestOnlyExports(t *testing.T) {
 		}
 		if _, ok := testOnlyExports[key]; !ok {
 			unused = append(unused, key+" ("+d.file+")")
+		}
+	}
+	for key := range testOnlyExports {
+		if !declared[key] {
+			t.Errorf("testOnlyExports lists %s, which is not an exported top-level function under internal/", key)
 		}
 	}
 	sort.Strings(unused)
