@@ -322,15 +322,3 @@ func (p *Predictor) Clone() *Predictor {
 	q.ras = append(p.ras[:0:0], p.ras...)
 	return &q
 }
-
-// History returns the current global history register (tests).
-func (p *Predictor) History() uint64 { return p.hist }
-
-// MispredictRate returns the conditional-branch direction misprediction
-// rate, or 0 before any conditional lookups.
-func (s Stats) MispredictRate() float64 {
-	if s.CondLookups == 0 {
-		return 0
-	}
-	return float64(s.CondMiss) / float64(s.CondLookups)
-}

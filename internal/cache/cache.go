@@ -55,14 +55,6 @@ type Stats struct {
 	Writebacks uint64
 }
 
-// MissRate returns misses/accesses, or 0 with no traffic.
-func (s Stats) MissRate() float64 {
-	if s.Accesses == 0 {
-		return 0
-	}
-	return float64(s.Misses) / float64(s.Accesses)
-}
-
 // Cache is one level of the hierarchy. Next points to the lower level; a
 // nil Next means misses go to main memory.
 type Cache struct {
@@ -105,9 +97,6 @@ func New(cfg Config, next *Cache) *Cache {
 		next:     next,
 	}
 }
-
-// Config returns the level's configuration.
-func (c *Cache) Config() Config { return c.cfg }
 
 // CountHit records a hit that bypassed the lookup. Callers that can prove
 // an access re-touches the most-recently-used line (e.g. sequential fetch
@@ -227,13 +216,6 @@ func (c *Cache) Clone(next *Cache) *Cache {
 	return &q
 }
 
-// Flush invalidates every line (tests and phase boundaries).
-func (c *Cache) Flush() {
-	for i := range c.lines {
-		c.lines[i] = line{}
-	}
-}
-
 // TLB is the 128-entry fully-associative translation buffer of Table 2.
 // The fully-associative lookup is implemented with a map plus per-slot LRU
 // stamps; behaviourally it is an exact LRU CAM.
@@ -248,7 +230,6 @@ type TLB struct {
 	}
 	index map[uint64]int // vpn -> slot
 	clock uint64
-	stats Stats
 }
 
 // DefaultTLB returns Table 2's TLB: 128 entries, fully associative,
@@ -274,13 +255,11 @@ func NewTLB(entries int, pageShift uint, missPenalty int) *TLB {
 // Access translates addr, returning the added latency (0 on hit).
 func (t *TLB) Access(addr uint64) (lat int, miss bool) {
 	t.clock++
-	t.stats.Accesses++
 	vpn := addr >> t.pageShift
 	if i, ok := t.index[vpn]; ok {
 		t.slots[i].lru = t.clock
 		return 0, false
 	}
-	t.stats.Misses++
 	victim := 0
 	for i := range t.slots {
 		if !t.slots[i].valid {
@@ -312,6 +291,3 @@ func (t *TLB) Clone() *TLB {
 	}
 	return &q
 }
-
-// Stats returns a copy of the TLB traffic counters.
-func (t *TLB) Stats() Stats { return t.stats }

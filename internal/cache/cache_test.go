@@ -134,21 +134,6 @@ func TestMissRateStats(t *testing.T) {
 	if s.Accesses != 200 || s.Misses != 100 {
 		t.Errorf("stats = %+v", s)
 	}
-	if s.MissRate() != 0.5 {
-		t.Errorf("miss rate = %v, want 0.5", s.MissRate())
-	}
-	if (Stats{}).MissRate() != 0 {
-		t.Error("empty miss rate != 0")
-	}
-}
-
-func TestFlush(t *testing.T) {
-	l1d, _, _ := newHierarchy()
-	l1d.Access(0x1000, false)
-	l1d.Flush()
-	if _, miss := l1d.Access(0x1000, false); !miss {
-		t.Error("access after Flush did not miss")
-	}
 }
 
 // Property: a working set smaller than the cache, accessed repeatedly,

@@ -281,7 +281,7 @@ func TestClusterBatchAffinityHitRatio(t *testing.T) {
 		}
 	}
 
-	hits, misses := s.Metrics().AffinityHits.Value(), s.Metrics().AffinityMisses.Value()
+	hits, misses := s.cm.AffinityHits.Value(), s.cm.AffinityMisses.Value()
 	if hits+misses == 0 {
 		t.Fatal("no dispatches counted")
 	}
@@ -345,7 +345,7 @@ func TestClusterWorkerKilledMidBatchIsRequeued(t *testing.T) {
 	if !bytes.Equal(body, refBody) {
 		t.Errorf("merged batch differs from single-worker reference:\n fleet: %s\n ref:   %s", body, refBody)
 	}
-	if got := s.Metrics().Requeued.Value(); got < 1 {
+	if got := s.cm.Requeued.Value(); got < 1 {
 		t.Errorf("cluster_requeued_total = %d, want >= 1", got)
 	}
 	// The victim's in-flight success can race its fatal failure, flapping
@@ -392,7 +392,7 @@ func TestClusterHedgeWinsWithoutDoubleCounting(t *testing.T) {
 		t.Fatalf("bad winning body (err %v): %s", err, resp.Body)
 	}
 
-	m := s.Metrics()
+	m := s.cm
 	if m.Dispatched.Value() != 1 {
 		t.Errorf("cluster_dispatched_total = %d, want 1 (hedge must not double-count the run)", m.Dispatched.Value())
 	}
@@ -451,8 +451,8 @@ func TestClusterHealthzAndMetricsSurface(t *testing.T) {
 	if status != http.StatusServiceUnavailable {
 		t.Fatalf("all-down healthz: status %d: %s", status, body)
 	}
-	if s.Metrics().WorkersUp.Value() != 0 {
-		t.Errorf("cluster_workers_up = %v, want 0", s.Metrics().WorkersUp.Value())
+	if s.cm.WorkersUp.Value() != 0 {
+		t.Errorf("cluster_workers_up = %v, want 0", s.cm.WorkersUp.Value())
 	}
 	for _, w := range workers {
 		w.dead.Store(false)
@@ -462,8 +462,8 @@ func TestClusterHealthzAndMetricsSurface(t *testing.T) {
 	if status != http.StatusOK {
 		t.Fatalf("revived healthz: status %d", status)
 	}
-	if s.Metrics().WorkersUp.Value() != 2 {
-		t.Errorf("cluster_workers_up = %v after revival, want 2", s.Metrics().WorkersUp.Value())
+	if s.cm.WorkersUp.Value() != 2 {
+		t.Errorf("cluster_workers_up = %v after revival, want 2", s.cm.WorkersUp.Value())
 	}
 }
 
@@ -565,7 +565,7 @@ func TestClusterHedgeInflightBalanced(t *testing.T) {
 			t.Errorf("worker %s inflight = %d after all exchanges settled, want 0", w.URL, n)
 		}
 	}
-	if s.Metrics().Hedges.Value() == 0 {
+	if s.cm.Hedges.Value() == 0 {
 		t.Error("no hedges fired: the test did not exercise the hedge path")
 	}
 }

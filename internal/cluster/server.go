@@ -106,12 +106,6 @@ func (s *Server) Pool() *Pool { return s.pool }
 // Dispatcher exposes the reliability layer.
 func (s *Server) Dispatcher() *Dispatcher { return s.disp }
 
-// Metrics exposes the cluster telemetry bundle.
-func (s *Server) Metrics() *telemetry.ClusterMetrics { return s.cm }
-
-// Registry exposes the coordinator's metric registry.
-func (s *Server) Registry() *telemetry.Registry { return s.reg }
-
 // WorkerHealth is one fleet member's row in the /healthz body.
 type WorkerHealth struct {
 	URL              string `json:"url"`

@@ -279,7 +279,6 @@ type PID struct {
 	integ      float64
 	prevErr    float64
 	primed     bool
-	lastU      float64
 	lastSat    bool
 	lastFrozen bool
 	lastP      float64
@@ -305,7 +304,7 @@ func NewPID(g Gains, setpoint, sensorRange, ts float64) *PID {
 
 // Reset clears the controller state.
 func (c *PID) Reset() {
-	c.integ, c.prevErr, c.primed, c.lastU, c.lastSat = 0, 0, false, 0, false
+	c.integ, c.prevErr, c.primed, c.lastSat = 0, 0, false, false
 	c.lastFrozen, c.lastP, c.lastI, c.lastD = false, 0, 0, 0
 }
 
@@ -321,9 +320,6 @@ func (c *PID) Frozen() bool { return c.lastFrozen }
 // accumulator) — the per-sample controller trace the telemetry layer
 // records.
 func (c *PID) Terms() (p, i, d float64) { return c.lastP, c.lastI, c.lastD }
-
-// Output returns the last computed actuator command.
-func (c *PID) Output() float64 { return c.lastU }
 
 // Integral returns the current integral accumulator (for tests/ablations).
 func (c *PID) Integral() float64 { return c.integ }
@@ -377,7 +373,7 @@ func (c *PID) Update(measured float64) float64 {
 		}
 	}
 	c.integ = newInteg
-	c.lastU, c.lastSat, c.lastFrozen = u, sat, frozen
+	c.lastSat, c.lastFrozen = sat, frozen
 	c.lastP, c.lastI, c.lastD = c.Kp*e, c.Ki*newInteg, c.Kd*deriv
 	return u
 }

@@ -329,7 +329,7 @@ func TestPIDResetClearsState(t *testing.T) {
 	c.Update(110)
 	c.Update(110.5)
 	c.Reset()
-	if c.Integral() != 0 || c.Output() != 0 || c.Saturated() {
+	if c.Integral() != 0 || c.primed || c.Saturated() {
 		t.Error("Reset did not clear controller state")
 	}
 }

@@ -28,8 +28,6 @@ type LoopConfig struct {
 	// Levels quantizes the actuator to n discrete settings; 0 keeps the
 	// command continuous.
 	Levels int
-	// InitTemp overrides the initial plant output; zero means Ambient.
-	InitTemp float64
 }
 
 // SimulateLoop runs the sampled-data control loop of Figure 1: at every
@@ -50,9 +48,6 @@ func SimulateLoop(p Plant, ctl *PID, cfg LoopConfig) Trace {
 		U:    make([]float64, 0, n),
 	}
 	temp := cfg.Ambient
-	if cfg.InitTemp != 0 {
-		temp = cfg.InitTemp
-	}
 	// Dead-time buffer in whole samples (>= 0). L = Ts/2 rounds to a
 	// one-sample-ish delay at the paper's parameters.
 	delaySamples := int(math.Round(p.Delay / dt))

@@ -142,9 +142,10 @@ func (s *SpecControl) SampleActuation(temps []float64) Actuation {
 	return a
 }
 
-// StepActuation is the Manager's full-actuation sampling entry point: like
-// Step, but returning every knob. Policies that only produce a duty are
-// wrapped as duty-only actuations.
+// StepActuation is called once per cycle with the current block
+// temperatures. It returns the actuation to apply (every knob) and any
+// stall cycles imposed by the trigger mechanism this cycle. Policies that
+// only produce a duty are wrapped as duty-only actuations.
 func (m *Manager) StepActuation(cycle uint64, temps []float64) (Actuation, uint64) {
 	if m.Interval == 0 || cycle%m.Interval != 0 {
 		return m.act, 0
@@ -164,7 +165,6 @@ func (m *Manager) StepActuation(cycle uint64, temps []float64) (Actuation, uint6
 		m.engagements++
 	}
 	m.act = a
-	m.duty = a.FetchDuty
 	if transition && m.Mechanism == Interrupt {
 		return a, m.InterruptCost
 	}

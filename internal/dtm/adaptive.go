@@ -74,6 +74,3 @@ func (a *AdaptiveGain) Sample(temps []float64) float64 {
 
 // Reset implements Policy.
 func (a *AdaptiveGain) Reset() { a.f = 1 }
-
-// FreqFactor returns the currently commanded frequency factor.
-func (a *AdaptiveGain) FreqFactor() float64 { return a.f }

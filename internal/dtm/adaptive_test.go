@@ -16,21 +16,21 @@ func TestAdaptiveGainSlewsAndRecovers(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		a.Sample([]float64{115})
 	}
-	if a.FreqFactor() != a.FMin {
-		t.Errorf("f=%v after sustained overshoot, want clamp at %v", a.FreqFactor(), a.FMin)
+	if a.f != a.FMin {
+		t.Errorf("f=%v after sustained overshoot, want clamp at %v", a.f, a.FMin)
 	}
 	// Back below the setpoint it recovers toward full speed.
 	for i := 0; i < 500; i++ {
 		a.Sample([]float64{105})
 	}
-	if a.FreqFactor() != 1 {
-		t.Errorf("f=%v after sustained headroom, want 1", a.FreqFactor())
+	if a.f != 1 {
+		t.Errorf("f=%v after sustained headroom, want 1", a.f)
 	}
 	a.Sample([]float64{115})
-	low := a.FreqFactor()
+	low := a.f
 	a.Reset()
-	if a.FreqFactor() != 1 || low >= 1 {
-		t.Errorf("Reset left f=%v (pre-reset %v)", a.FreqFactor(), low)
+	if a.f != 1 || low >= 1 {
+		t.Errorf("Reset left f=%v (pre-reset %v)", a.f, low)
 	}
 }
 
@@ -41,8 +41,8 @@ func TestAdaptiveGainSchedule(t *testing.T) {
 	far := NewAdaptiveGain(111.1)
 	near.Sample([]float64{111.3}) // |e| = 0.2 < knee
 	far.Sample([]float64{112.6})  // |e| = 1.5 > knee
-	dNear := 1 - near.FreqFactor()
-	dFar := 1 - far.FreqFactor()
+	dNear := 1 - near.f
+	dFar := 1 - far.f
 	if dNear <= 0 || dFar <= 0 {
 		t.Fatalf("no throttle response: near %v far %v", dNear, dFar)
 	}
@@ -61,7 +61,7 @@ func TestPowerBudgetRedistributes(t *testing.T) {
 	b := budgetForTest(4)
 	sum := 0.0
 	for i := 0; i < 4; i++ {
-		sum += b.Alloc(i)
+		sum += b.alloc[i]
 	}
 	if diff := sum - b.Budget; diff > 1e-9 || diff < -1e-9 {
 		t.Fatalf("initial allocations sum to %v, budget %v", sum, b.Budget)
@@ -72,19 +72,19 @@ func TestPowerBudgetRedistributes(t *testing.T) {
 	power := []float64{5, 5, 5, 5}
 	duties := make([]float64, 4)
 	b.SampleAll(hot, power, duties)
-	if b.Alloc(0) >= b.Alloc(1) {
-		t.Errorf("hot core alloc %v not below cool core alloc %v", b.Alloc(0), b.Alloc(1))
+	if b.alloc[0] >= b.alloc[1] {
+		t.Errorf("hot core alloc %v not below cool core alloc %v", b.alloc[0], b.alloc[1])
 	}
 	sum = 0
 	for i := 0; i < 4; i++ {
-		sum += b.Alloc(i)
+		sum += b.alloc[i]
 	}
 	if diff := sum - b.Budget; diff > 1e-9 || diff < -1e-9 {
 		t.Errorf("allocations sum to %v after redistribution, budget %v", sum, b.Budget)
 	}
 	for i := 1; i < 4; i++ {
-		if b.Alloc(i) != b.Alloc(1) {
-			t.Errorf("equal-headroom cores unequal: alloc[%d]=%v alloc[1]=%v", i, b.Alloc(i), b.Alloc(1))
+		if b.alloc[i] != b.alloc[1] {
+			t.Errorf("equal-headroom cores unequal: alloc[%d]=%v alloc[1]=%v", i, b.alloc[i], b.alloc[1])
 		}
 	}
 }
@@ -102,7 +102,7 @@ func TestPowerBudgetCapsOverdraw(t *testing.T) {
 	// Core 0 draws twice its allocation; its duty must be capped at
 	// alloc/power while core 1 stays at full speed.
 	b.SampleAll(hot, []float64{40, 5}, duties)
-	want := b.Alloc(0) / 40
+	want := b.alloc[0] / 40
 	if d := duties[0] - want; d > 1e-9 || d < -1e-9 {
 		t.Errorf("overdrawing core duty %v, want cap %v", duties[0], want)
 	}
@@ -116,18 +116,18 @@ func TestPowerBudgetReallocatesOnPeriodOnly(t *testing.T) {
 	duties := make([]float64, 2)
 	power := []float64{5, 5}
 	b.SampleAll([]float64{111.1, 104}, power, duties)
-	skewed := b.Alloc(0)
+	skewed := b.alloc[0]
 	// Mid-period the headroom picture inverts, but allocations must hold
 	// until the next global tick.
 	for i := 1; i < b.Period; i++ {
 		b.SampleAll([]float64{104, 111.1}, power, duties)
-		if b.Alloc(0) != skewed {
+		if b.alloc[0] != skewed {
 			t.Fatalf("alloc moved mid-period at sample %d", i)
 		}
 	}
 	b.SampleAll([]float64{104, 111.1}, power, duties)
-	if b.Alloc(0) <= skewed {
-		t.Errorf("alloc %v did not recover after period tick (was %v)", b.Alloc(0), skewed)
+	if b.alloc[0] <= skewed {
+		t.Errorf("alloc %v did not recover after period tick (was %v)", b.alloc[0], skewed)
 	}
 }
 

@@ -69,9 +69,6 @@ func (b *PowerBudget) Name() string { return "budget" }
 // Cores returns the number of cores the controller manages.
 func (b *PowerBudget) Cores() int { return len(b.locals) }
 
-// Alloc returns core i's current power allocation in watts.
-func (b *PowerBudget) Alloc(i int) float64 { return b.alloc[i] }
-
 // Reset restores even allocations and resets every local PI.
 func (b *PowerBudget) Reset() {
 	for i := range b.locals {

@@ -215,7 +215,6 @@ type Manager struct {
 	Mechanism     Mechanism
 	InterruptCost uint64
 
-	duty        float64
 	act         Actuation
 	engagements uint64
 }
@@ -234,30 +233,16 @@ func NewManager(p Policy) *Manager {
 		Levels:        8,
 		Mechanism:     Direct,
 		InterruptCost: DefaultInterruptCost,
-		duty:          1,
 		act:           FullSpeed(),
 	}
 }
 
 // Reset restores initial state.
 func (m *Manager) Reset() {
-	m.duty = 1
 	m.act = FullSpeed()
 	m.engagements = 0
 	m.Policy.Reset()
 }
 
-// Duty returns the currently applied duty.
-func (m *Manager) Duty() float64 { return m.duty }
-
 // Engagements returns the number of full-speed -> throttled transitions.
 func (m *Manager) Engagements() uint64 { return m.engagements }
-
-// Step is called once per cycle with the current block temperatures. It
-// returns the fetch duty to apply and any stall cycles imposed by the
-// trigger mechanism this cycle. Policies driving knobs beyond the duty
-// should be stepped through StepActuation instead.
-func (m *Manager) Step(cycle uint64, temps []float64) (duty float64, stall uint64) {
-	a, stall := m.StepActuation(cycle, temps)
-	return a.FetchDuty, stall
-}

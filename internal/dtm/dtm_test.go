@@ -130,15 +130,15 @@ func TestManagerSamplingCadence(t *testing.T) {
 	m := NewManager(tg)
 	m.Interval = 10
 	// Non-sample cycles return the held duty without consulting policy.
-	d, stall := m.Step(1, temps(120))
-	if d != 1 || stall != 0 {
-		t.Errorf("off-cycle step = %v,%v", d, stall)
+	a, stall := m.StepActuation(1, temps(120))
+	if a.FetchDuty != 1 || stall != 0 {
+		t.Errorf("off-cycle step = %v,%v", a.FetchDuty, stall)
 	}
-	d, _ = m.Step(10, temps(120))
-	if d != 0 {
-		t.Errorf("sample-cycle duty = %v, want 0", d)
+	a, _ = m.StepActuation(10, temps(120))
+	if a.FetchDuty != 0 {
+		t.Errorf("sample-cycle duty = %v, want 0", a.FetchDuty)
 	}
-	if m.Duty() != 0 {
+	if m.act.FetchDuty != 0 {
 		t.Error("manager did not hold duty")
 	}
 	if m.Engagements() != 1 {
@@ -154,9 +154,9 @@ func TestManagerQuantizesCTDuty(t *testing.T) {
 	m.Interval = 1
 	_ = plant
 	// error = 0.1 -> raw duty 0.25 -> nearest of 8 levels = 2/7.
-	d, _ := m.Step(0, []float64{111.0})
-	if math.Abs(d-2.0/7) > 1e-9 {
-		t.Errorf("quantized duty = %v, want 2/7", d)
+	a, _ := m.StepActuation(0, []float64{111.0})
+	if math.Abs(a.FetchDuty-2.0/7) > 1e-9 {
+		t.Errorf("quantized duty = %v, want 2/7", a.FetchDuty)
 	}
 }
 
@@ -165,25 +165,25 @@ func TestManagerInterruptCost(t *testing.T) {
 	m := NewManager(tg)
 	m.Interval = 1
 	m.Mechanism = Interrupt
-	_, stall := m.Step(0, temps(109))
+	_, stall := m.StepActuation(0, temps(109))
 	if stall != 0 {
 		t.Errorf("no-transition stall = %d", stall)
 	}
-	_, stall = m.Step(1, temps(112))
+	_, stall = m.StepActuation(1, temps(112))
 	if stall != DefaultInterruptCost {
 		t.Errorf("engage stall = %d, want %d", stall, DefaultInterruptCost)
 	}
-	_, stall = m.Step(2, temps(112))
+	_, stall = m.StepActuation(2, temps(112))
 	if stall != 0 {
 		t.Errorf("steady stall = %d", stall)
 	}
 	// One cool sample is absorbed by the policy delay...
-	_, stall = m.Step(3, temps(100))
+	_, stall = m.StepActuation(3, temps(100))
 	if stall != 0 {
 		t.Errorf("held stall = %d, want 0", stall)
 	}
 	// ...then the disengage transition raises the second interrupt.
-	_, stall = m.Step(4, temps(100))
+	_, stall = m.StepActuation(4, temps(100))
 	if stall != DefaultInterruptCost {
 		t.Errorf("disengage stall = %d, want %d", stall, DefaultInterruptCost)
 	}
@@ -191,9 +191,9 @@ func TestManagerInterruptCost(t *testing.T) {
 
 func TestManagerNilPolicyDefaultsToNone(t *testing.T) {
 	m := NewManager(nil)
-	d, _ := m.Step(0, temps(150))
-	if d != 1 {
-		t.Errorf("nil-policy duty = %v", d)
+	a, _ := m.StepActuation(0, temps(150))
+	if a.FetchDuty != 1 {
+		t.Errorf("nil-policy duty = %v", a.FetchDuty)
 	}
 	m.Reset()
 }
@@ -224,9 +224,6 @@ func TestScalingEngagement(t *testing.T) {
 	f, stall = s.Sample(temps(109))
 	if f != 1 || stall != DefaultResyncCycles {
 		t.Errorf("disengage = %v,%v", f, stall)
-	}
-	if s.Switches() != 2 {
-		t.Errorf("switches = %d", s.Switches())
 	}
 }
 

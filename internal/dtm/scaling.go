@@ -28,7 +28,6 @@ type Scaling struct {
 
 	engaged   bool
 	remaining int
-	switches  uint64
 }
 
 // DefaultResyncCycles is the default re-lock stall.
@@ -66,13 +65,10 @@ func (s *Scaling) Name() string {
 }
 
 // Reset clears engagement state.
-func (s *Scaling) Reset() { s.engaged, s.remaining, s.switches = false, 0, 0 }
+func (s *Scaling) Reset() { s.engaged, s.remaining = false, 0 }
 
 // Engaged reports whether scaling is currently active.
 func (s *Scaling) Engaged() bool { return s.engaged }
-
-// Switches returns the number of engage/disengage transitions.
-func (s *Scaling) Switches() uint64 { return s.switches }
 
 // Sample updates engagement from the hottest block temperature and returns
 // the current frequency factor (1 when disengaged) plus any resync stall
@@ -100,7 +96,6 @@ func (s *Scaling) SampleAt(temps []float64, trigger float64) (freqFactor float64
 		}
 	}
 	if s.engaged != was {
-		s.switches++
 		stall = s.ResyncCycles
 	}
 	if s.engaged {

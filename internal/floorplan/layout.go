@@ -1,29 +1,22 @@
 package floorplan
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
 
 // This file adds the geometric layer under the lumped model: a 2D
 // floorplan of block rectangles from which physical adjacency (the
-// Neighbors lists driving the tangential-resistance extension) and
-// center-to-center distances are *derived* rather than asserted. The
-// paper's areas come from an MIPS R10000 die photo; the rectangle
-// placement below is the corresponding reconstruction, laid out so that
-// derived adjacency matches the hand-written lists in Default().
+// Neighbors lists driving the tangential-resistance extension) is
+// *derived* rather than asserted. The paper's areas come from an MIPS
+// R10000 die photo; the rectangle placement below is the corresponding
+// reconstruction, laid out so that derived adjacency matches the
+// hand-written lists in Default().
 
 // Rect is an axis-aligned rectangle in meters.
 type Rect struct {
 	X, Y, W, H float64
 }
-
-// Area returns the rectangle area in m^2.
-func (r Rect) Area() float64 { return r.W * r.H }
-
-// Center returns the rectangle's center point.
-func (r Rect) Center() (x, y float64) { return r.X + r.W/2, r.Y + r.H/2 }
 
 // overlap1D returns the overlap length of [a0,a1) and [b0,b1).
 func overlap1D(a0, a1, b0, b1 float64) float64 {
@@ -115,46 +108,4 @@ func (l Layout) Adjacency(minEdge float64) map[BlockID][]BlockID {
 		}
 	}
 	return out
-}
-
-// Validate checks a layout for overlaps and area consistency against the
-// given block set (areas must match within tol fractionally).
-func (l Layout) Validate(blocks []Block, tol float64) error {
-	for _, b := range blocks {
-		r, ok := l.Rects[b.ID]
-		if !ok {
-			return fmt.Errorf("floorplan: no rectangle for %v", b.ID)
-		}
-		if r.W <= 0 || r.H <= 0 {
-			return fmt.Errorf("floorplan: degenerate rectangle for %v", b.ID)
-		}
-		if a := r.Area(); math.Abs(a-b.Area) > tol*b.Area {
-			return fmt.Errorf("floorplan: %v area %.3e != table %.3e", b.ID, a, b.Area)
-		}
-	}
-	// Pairwise overlap check.
-	ids := make([]BlockID, 0, len(l.Rects))
-	for id := range l.Rects {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for i, a := range ids {
-		for _, b := range ids[i+1:] {
-			ra, rb := l.Rects[a], l.Rects[b]
-			ox := overlap1D(ra.X, ra.X+ra.W, rb.X, rb.X+rb.W)
-			oy := overlap1D(ra.Y, ra.Y+ra.H, rb.Y, rb.Y+rb.H)
-			if ox > 1e-9 && oy > 1e-9 {
-				return fmt.Errorf("floorplan: %v overlaps %v", a, b)
-			}
-		}
-	}
-	return nil
-}
-
-// CenterDistance returns the center-to-center distance of two blocks in
-// meters.
-func (l Layout) CenterDistance(a, b BlockID) float64 {
-	ax, ay := l.Rects[a].Center()
-	bx, by := l.Rects[b].Center()
-	return math.Hypot(ax-bx, ay-by)
 }

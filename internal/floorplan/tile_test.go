@@ -146,7 +146,7 @@ func TestTileTangentialResistancePositive(t *testing.T) {
 // same way DefaultLayout validates against Default().
 func TestTileLayoutValidates(t *testing.T) {
 	for _, n := range []int{1, 2, 4, 9} {
-		if err := TileLayout(n).Validate(Tile(n), 0.02); err != nil {
+		if err := validate(TileLayout(n), Tile(n), 0.02); err != nil {
 			t.Errorf("TileLayout(%d): %v", n, err)
 		}
 	}

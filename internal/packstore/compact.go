@@ -8,9 +8,6 @@ package packstore
 // new complete volume. Tombstones are retained while their key is absent
 // from the index — dropping one early could resurrect an older needle in
 // an earlier volume on the next cold-start rebuild.
-//
-// The audit pass re-verifies every live needle's CRC and quarantines
-// mismatches as misses, so a rotted entry is recomputed, never served.
 
 import (
 	"bufio"
@@ -24,7 +21,7 @@ import (
 // sealed volume has decayed below the live-ratio threshold. Caller holds
 // the write lock.
 func (s *Store) maybeCompactLocked() {
-	if s.opts.NoAutoCompact || s.opts.CompactBelow < 0 || s.compacting || s.closed {
+	if s.opts.NoAutoCompact || s.compacting || s.closed {
 		return
 	}
 	if _, ok := s.candidateLocked(); !ok {
@@ -49,7 +46,7 @@ func (s *Store) maybeCompactLocked() {
 // candidateLocked picks the sealed volume with the lowest live ratio
 // under the threshold. Caller holds a lock.
 func (s *Store) candidateLocked() (uint32, bool) {
-	best, bestRatio, found := uint32(0), s.opts.CompactBelow, false
+	best, bestRatio, found := uint32(0), compactBelow, false
 	for _, id := range s.order {
 		v := s.vols[id]
 		if v == s.active || v.size == 0 {
@@ -189,48 +186,4 @@ func (s *Store) compactVolumeLocked(id uint32) error {
 		s.index[m.key] = m.loc
 	}
 	return nil
-}
-
-// Audit re-verifies the CRC of every live needle, quarantining
-// mismatches so they read as misses (and bumping the audit-failure
-// counter). It returns the number of needles quarantined. Dead bytes are
-// not audited — compaction discards them wholesale.
-func (s *Store) Audit() (int, error) {
-	s.mu.RLock()
-	type ent struct {
-		key string
-		loc needleLoc
-	}
-	snapshot := make([]ent, 0, len(s.index))
-	for k, loc := range s.index {
-		snapshot = append(snapshot, ent{k, loc})
-	}
-	s.mu.RUnlock()
-
-	failed := 0
-	for _, e := range snapshot {
-		s.mu.RLock()
-		cur, ok := s.index[e.key]
-		if !ok || cur != e.loc || s.closed {
-			s.mu.RUnlock()
-			continue
-		}
-		if err := s.fault("read"); err != nil {
-			s.mu.RUnlock()
-			return failed, err
-		}
-		buf := make([]byte, e.loc.span())
-		_, err := s.vols[e.loc.vol].f.ReadAt(buf, e.loc.off)
-		s.mu.RUnlock()
-		if err != nil {
-			s.quarantine(e.key, e.loc)
-			failed++
-			continue
-		}
-		if _, ok := verifyNeedle(buf, e.key); !ok {
-			s.quarantine(e.key, e.loc)
-			failed++
-		}
-	}
-	return failed, nil
 }

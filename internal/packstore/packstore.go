@@ -58,6 +58,10 @@ const (
 	// maxDataLen bounds one needle's payload; anything larger than this
 	// during a scan is treated as a torn header rather than followed.
 	maxDataLen = 1 << 30
+
+	// compactBelow is the live-byte ratio under which a sealed volume
+	// becomes a compaction candidate.
+	compactBelow = 0.5
 )
 
 // Options tunes a Store.
@@ -65,10 +69,6 @@ type Options struct {
 	// MaxVolumeBytes seals the active volume and rolls to a new one once
 	// its size passes this bound; <= 0 means 64 MiB.
 	MaxVolumeBytes int64
-	// CompactBelow is the live-byte ratio under which a sealed volume
-	// becomes a compaction candidate; 0 means 0.5, < 0 disables
-	// automatic compaction (CompactOnce still works).
-	CompactBelow float64
 	// NoAutoCompact disables the background compaction goroutine; tests
 	// drive CompactOnce deterministically.
 	NoAutoCompact bool
@@ -80,9 +80,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.MaxVolumeBytes <= 0 {
 		o.MaxVolumeBytes = 64 << 20
-	}
-	if o.CompactBelow == 0 {
-		o.CompactBelow = 0.5
 	}
 	return o
 }
@@ -210,7 +207,7 @@ func (s *Store) load() error {
 // the index. A structurally invalid header or a short tail truncates the
 // volume at the last valid boundary — the torn-append recovery path.
 // Payload CRCs are deliberately not verified here (cold start over
-// millions of needles must stay fast); Get and Audit verify them. The
+// millions of needles must stay fast); Get and Range verify them. The
 // scan is one buffered sequential read, not per-needle preads.
 func (s *Store) scanVolume(id uint32) error {
 	f, err := os.OpenFile(s.volumePath(id), os.O_RDWR, 0o644)
@@ -317,12 +314,6 @@ func (s *Store) locate(key string) (needleLoc, bool) {
 	loc, ok := s.index[key]
 	s.mu.RUnlock()
 	return loc, ok
-}
-
-// Contains reports whether key has a live needle, without touching disk.
-func (s *Store) Contains(key string) bool {
-	_, ok := s.locate(key)
-	return ok
 }
 
 // Get returns key's payload. A missing key returns fs.ErrNotExist. A
@@ -534,26 +525,6 @@ func (s *Store) Len() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return len(s.index)
-}
-
-// Stats is a point-in-time snapshot of the store's shape.
-type Stats struct {
-	Entries   int
-	Volumes   int
-	LiveBytes int64
-	DeadBytes int64
-}
-
-// Stats snapshots entry, volume and byte accounting.
-func (s *Store) Stats() Stats {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	st := Stats{Entries: len(s.index), Volumes: len(s.order)}
-	for _, v := range s.vols {
-		st.LiveBytes += v.live
-		st.DeadBytes += v.dead
-	}
-	return st
 }
 
 // Close waits for background compaction and closes every volume file.

@@ -67,8 +67,8 @@ func TestPackRoundTrip(t *testing.T) {
 	if got := mustGet(t, s, "key-007"); string(got) != "rewritten" {
 		t.Errorf("overwrite returned %q", got)
 	}
-	if st := s.Stats(); st.DeadBytes == 0 || st.Entries != 100 {
-		t.Errorf("after overwrite: %+v, want dead bytes > 0 and 100 entries", st)
+	if dead := deadBytes(s); dead == 0 || s.Len() != 100 {
+		t.Errorf("after overwrite: %d dead bytes, %d entries, want dead bytes > 0 and 100 entries", dead, s.Len())
 	}
 }
 
@@ -105,8 +105,8 @@ func TestPackReopenRebuildsIndex(t *testing.T) {
 	for i := 0; i < n; i++ {
 		mustPut(t, s, fmt.Sprintf("k%04d", i), bytes.Repeat([]byte{byte(i)}, 64))
 	}
-	if st := s.Stats(); st.Volumes < 2 {
-		t.Fatalf("expected multiple volumes, got %+v", st)
+	if len(s.order) < 2 {
+		t.Fatalf("expected multiple volumes, got %d", len(s.order))
 	}
 	s.Close()
 
@@ -220,7 +220,9 @@ func TestPackCorruptNeedleQuarantinedAsMiss(t *testing.T) {
 	}
 }
 
-func TestPackAuditQuarantinesCorruptNeedles(t *testing.T) {
+// Range verifies every needle it reads: corrupt ones are quarantined and
+// skipped, never handed to fn.
+func TestPackRangeQuarantinesCorruptNeedles(t *testing.T) {
 	dir := t.TempDir()
 	m := telemetry.NewCacheMetrics(telemetry.NewRegistry())
 	s := openTest(t, dir, func(o *Options) { o.Metrics = m })
@@ -236,21 +238,24 @@ func TestPackAuditQuarantinesCorruptNeedles(t *testing.T) {
 		f.WriteAt([]byte{0xee}, loc.off+headerSize+int64(loc.keyLen)+1)
 		f.Close()
 	}
-	failed, err := s.Audit()
-	if err != nil {
-		t.Fatalf("Audit: %v", err)
-	}
-	if failed != 2 {
-		t.Fatalf("Audit quarantined %d, want 2", failed)
-	}
-	if m.PackAuditFailures.Value() != 2 {
-		t.Errorf("PackAuditFailures = %d, want 2", m.PackAuditFailures.Value())
+	for pass := 0; pass < 2; pass++ {
+		seen := 0
+		err := s.Range(func(key string, data []byte) bool {
+			if key == "k03" || key == "k11" {
+				t.Errorf("pass %d: Range served corrupt needle %s", pass, key)
+			}
+			seen++
+			return true
+		})
+		if err != nil || seen != 18 {
+			t.Errorf("pass %d: Range saw %d entries, err %v, want 18, nil", pass, seen, err)
+		}
+		if m.PackAuditFailures.Value() != 2 {
+			t.Errorf("pass %d: PackAuditFailures = %d, want 2", pass, m.PackAuditFailures.Value())
+		}
 	}
 	if s.Len() != 18 {
-		t.Errorf("Len after audit = %d, want 18", s.Len())
-	}
-	if again, err := s.Audit(); err != nil || again != 0 {
-		t.Errorf("second audit = %d, %v, want 0, nil", again, err)
+		t.Errorf("Len after Range = %d, want 18", s.Len())
 	}
 }
 
@@ -272,8 +277,8 @@ func TestPackCompactionReclaimsDeadBytes(t *testing.T) {
 	if err := s.Delete("k00"); err != nil {
 		t.Fatal(err)
 	}
-	pre := s.Stats()
-	if pre.DeadBytes == 0 {
+	pre := deadBytes(s)
+	if pre == 0 {
 		t.Fatal("no dead bytes to reclaim")
 	}
 	compactions := 0
@@ -290,9 +295,8 @@ func TestPackCompactionReclaimsDeadBytes(t *testing.T) {
 	if compactions == 0 {
 		t.Fatal("no volume compacted")
 	}
-	post := s.Stats()
-	if post.DeadBytes >= pre.DeadBytes {
-		t.Errorf("dead bytes %d -> %d, want reclaimed", pre.DeadBytes, post.DeadBytes)
+	if post := deadBytes(s); post >= pre {
+		t.Errorf("dead bytes %d -> %d, want reclaimed", pre, post)
 	}
 	if m.PackCompactions.Value() != int64(compactions) {
 		t.Errorf("PackCompactions = %d, want %d", m.PackCompactions.Value(), compactions)
@@ -394,7 +398,7 @@ func TestZeroAllocNeedleLookup(t *testing.T) {
 		if !ok || loc.size == 0 {
 			panic("lookup failed")
 		}
-		if s.Contains("absent-key") {
+		if _, ok := s.locate("absent-key"); ok {
 			panic("phantom")
 		}
 	})
@@ -432,4 +436,15 @@ func TestPackKeyAndPayloadBounds(t *testing.T) {
 	if err := s.Put(long, []byte("v")); err == nil {
 		t.Error("oversized key accepted")
 	}
+}
+
+// deadBytes sums the dead bytes of every volume.
+func deadBytes(s *Store) int64 {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	var n int64
+	for _, v := range s.vols {
+		n += v.dead
+	}
+	return n
 }

@@ -59,7 +59,6 @@ type Config struct {
 	// the *timing* effect.
 	PerfectBPred  bool
 	PerfectDCache bool
-	PerfectICache bool
 }
 
 // DefaultConfig returns the Table 2 machine.
@@ -356,17 +355,6 @@ func (c *Core) pushBucket(slot int, done uint64) {
 // Stats returns a copy of the accumulated statistics.
 func (c *Core) Stats() Stats { return c.stats }
 
-// Cycle returns the current cycle number.
-func (c *Core) Cycle() uint64 { return c.cycle }
-
-// BPredStats exposes the branch predictor counters.
-func (c *Core) BPredStats() bpred.Stats { return c.pred.Stats() }
-
-// CacheStats returns (L1I, L1D, L2) statistics.
-func (c *Core) CacheStats() (il1, dl1, l2 cache.Stats) {
-	return c.il1.Stats(), c.dl1.Stats(), c.l2.Stats()
-}
-
 // SetFetchDuty sets the DTM fetch-toggling duty in [0,1]: the long-run
 // fraction of cycles on which instruction fetch is enabled. 1 disables
 // gating; 0 stops fetch entirely (toggle1); 0.5 fetches every other cycle
@@ -380,9 +368,6 @@ func (c *Core) SetFetchDuty(d float64) {
 	}
 	c.fetchDuty = d
 }
-
-// FetchDuty returns the current fetch duty.
-func (c *Core) FetchDuty() float64 { return c.fetchDuty }
 
 // SetFetchLimit bounds the number of instructions fetched per cycle
 // (fetch throttling); 0 restores the configured fetch width.
@@ -870,7 +855,7 @@ func (c *Core) fetch(act *Activity) {
 		c.lastFetchLine, c.lastFetchHit = line, !miss
 	}
 	act.ICacheAccess++
-	if miss && !c.cfg.PerfectICache {
+	if miss {
 		c.fetchReady = c.cycle + uint64(lat)
 		return
 	}
@@ -943,10 +928,6 @@ func (c *Core) nextFetchPC() uint64 {
 	}
 	return c.gen.PeekPC()
 }
-
-// UnresolvedBranches returns the count of in-flight unresolved control
-// transfers (speculation-control observability).
-func (c *Core) UnresolvedBranches() int { return c.unresolvedCtrl }
 
 // FetchLimit returns the current fetch-throttling limit (0 = full width).
 func (c *Core) FetchLimit() int { return c.fetchLimit }

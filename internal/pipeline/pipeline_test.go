@@ -116,11 +116,11 @@ func TestMispredictionsCauseSquashesAndWrongPath(t *testing.T) {
 	if s.WrongPathOps == 0 {
 		t.Error("no wrong-path ops fetched")
 	}
-	bp := c.BPredStats()
+	bp := c.pred.Stats()
 	if bp.CondMiss == 0 {
 		t.Error("predictor reports zero mispredictions")
 	}
-	rate := bp.MispredictRate()
+	rate := ratio(bp.CondMiss, bp.CondLookups)
 	if rate < 0.01 || rate > 0.5 {
 		t.Errorf("mispredict rate = %v, want in [0.01, 0.5]", rate)
 	}
@@ -137,7 +137,8 @@ func TestBranchEntropyControlsMispredictRate(t *testing.T) {
 		for c.Stats().Committed < 150_000 {
 			c.Step(&act)
 		}
-		return c.BPredStats().MispredictRate()
+		bp := c.pred.Stats()
+		return ratio(bp.CondMiss, bp.CondLookups)
 	}
 	predictable := rate(0)
 	random := rate(0.9)
@@ -195,12 +196,12 @@ func TestFetchDutyHalvesThroughput(t *testing.T) {
 func TestFetchDutyClamped(t *testing.T) {
 	c := newCore(t, 1)
 	c.SetFetchDuty(-0.5)
-	if c.FetchDuty() != 0 {
-		t.Errorf("duty = %v, want clamped 0", c.FetchDuty())
+	if c.fetchDuty != 0 {
+		t.Errorf("duty = %v, want clamped 0", c.fetchDuty)
 	}
 	c.SetFetchDuty(2)
-	if c.FetchDuty() != 1 {
-		t.Errorf("duty = %v, want clamped 1", c.FetchDuty())
+	if c.fetchDuty != 1 {
+		t.Errorf("duty = %v, want clamped 1", c.fetchDuty)
 	}
 }
 
@@ -224,8 +225,8 @@ func TestSpeculationControlStallsFetch(t *testing.T) {
 	}
 	// And it must actually bound in-flight branches most of the time;
 	// sample the observable.
-	if c.UnresolvedBranches() > 12 {
-		t.Errorf("unresolved branches = %d, improbably high under control", c.UnresolvedBranches())
+	if c.unresolvedCtrl > 12 {
+		t.Errorf("unresolved branches = %d, improbably high under control", c.unresolvedCtrl)
 	}
 }
 
@@ -254,13 +255,21 @@ func TestActivityCountsAreConsistent(t *testing.T) {
 	if totDC == 0 {
 		t.Error("no D-cache activity")
 	}
-	il1, dl1, l2 := c.CacheStats()
+	il1, dl1, l2 := c.il1.Stats(), c.dl1.Stats(), c.l2.Stats()
 	if il1.Accesses == 0 || dl1.Accesses == 0 {
 		t.Error("cache hierarchy unused")
 	}
 	if l2.Accesses == 0 {
 		t.Error("L2 never accessed — misses not propagating")
 	}
+}
+
+// ratio returns n/d, or 0 when d is 0.
+func ratio(n, d uint64) float64 {
+	if d == 0 {
+		return 0
+	}
+	return float64(n) / float64(d)
 }
 
 func TestStatsIPCZeroCycles(t *testing.T) {
@@ -287,11 +296,10 @@ func TestICachePressureFromLargeCode(t *testing.T) {
 	for cb.Stats().Committed < 100_000 {
 		cb.Step(&act)
 	}
-	il1S, _, _ := cs.CacheStats()
-	il1B, _, _ := cb.CacheStats()
-	if il1B.MissRate() <= il1S.MissRate() {
-		t.Errorf("big-code il1 miss rate %v <= small-code %v",
-			il1B.MissRate(), il1S.MissRate())
+	il1S, il1B := cs.il1.Stats(), cb.il1.Stats()
+	rateS, rateB := ratio(il1S.Misses, il1S.Accesses), ratio(il1B.Misses, il1B.Accesses)
+	if rateB <= rateS {
+		t.Errorf("big-code il1 miss rate %v <= small-code %v", rateB, rateS)
 	}
 }
 
@@ -315,11 +323,10 @@ func TestDCacheMissesScaleWithWorkingSet(t *testing.T) {
 	for cb.Stats().Committed < 100_000 {
 		cb.Step(&act)
 	}
-	_, dl1S, _ := cs.CacheStats()
-	_, dl1B, _ := cb.CacheStats()
-	if dl1B.MissRate() <= dl1S.MissRate()+0.01 {
-		t.Errorf("8MB working set miss rate %v not above 16KB %v",
-			dl1B.MissRate(), dl1S.MissRate())
+	dl1S, dl1B := cs.dl1.Stats(), cb.dl1.Stats()
+	rateS, rateB := ratio(dl1S.Misses, dl1S.Accesses), ratio(dl1B.Misses, dl1B.Accesses)
+	if rateB <= rateS+0.01 {
+		t.Errorf("8MB working set miss rate %v not above 16KB %v", rateB, rateS)
 	}
 	// And the big working set must cost cycles.
 	if cb.Stats().Cycles <= cs.Stats().Cycles {

@@ -89,16 +89,16 @@ func TestSubnormalFlushMatchesReference(t *testing.T) {
 						refSub++
 					}
 					if subnormal(m.blocks[i].ewma) {
-						t.Fatalf("%v cycle %d %v: ewma %g is subnormal", g, cycle, m.BlockID(i), m.blocks[i].ewma)
+						t.Fatalf("%v cycle %d %v: ewma %g is subnormal", g, cycle, m.blocks[i].id, m.blocks[i].ewma)
 					}
 					if g == GateIdeal && subnormal(want[i]) {
 						if out[i] != 0 {
-							t.Fatalf("%v cycle %d %v: out %g, want 0 for subnormal reference %g", g, cycle, m.BlockID(i), out[i], want[i])
+							t.Fatalf("%v cycle %d %v: out %g, want 0 for subnormal reference %g", g, cycle, m.blocks[i].id, out[i], want[i])
 						}
 						continue
 					}
 					if math.Float64bits(out[i]) != math.Float64bits(want[i]) {
-						t.Fatalf("%v cycle %d %v: out %g, reference %g", g, cycle, m.BlockID(i), out[i], want[i])
+						t.Fatalf("%v cycle %d %v: out %g, reference %g", g, cycle, m.blocks[i].id, out[i], want[i])
 					}
 				}
 			}

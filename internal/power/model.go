@@ -334,9 +334,6 @@ func (m *Model) Clone() *Model {
 // NumBlocks returns the number of modeled blocks.
 func (m *Model) NumBlocks() int { return len(m.blocks) }
 
-// BlockID returns the floorplan identity of model index i.
-func (m *Model) BlockID(i int) floorplan.BlockID { return m.blocks[i].id }
-
 // events extracts the per-kind event counts of block id from an activity
 // record.
 func events(id floorplan.BlockID, act *pipeline.Activity) [numEventKinds]int {
@@ -437,15 +434,6 @@ func (m *Model) ChipOverhead(act *pipeline.Activity) float64 {
 		util = 1
 	}
 	return m.otherBaseW + m.otherDynW*util
-}
-
-// PeakChipPower returns the calibrated whole-chip peak.
-func (m *Model) PeakChipPower() float64 {
-	var total float64
-	for _, b := range m.blocks {
-		total += b.peakW
-	}
-	return total + m.otherBaseW + m.otherDynW
 }
 
 func max(a, b int) int {

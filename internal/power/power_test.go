@@ -98,12 +98,12 @@ func TestPeakCalibration(t *testing.T) {
 	for i, p := range out {
 		want := 0.0
 		for _, b := range floorplan.Default() {
-			if b.ID == m.BlockID(i) {
+			if b.ID == m.blocks[i].id {
 				want = b.PeakPower
 			}
 		}
 		if math.Abs(p-want) > 1e-9 {
-			t.Errorf("%v peak power = %v, want %v", m.BlockID(i), p, want)
+			t.Errorf("%v peak power = %v, want %v", m.blocks[i].id, p, want)
 		}
 	}
 }
@@ -127,9 +127,9 @@ func TestIdlePowerByGatingStyle(t *testing.T) {
 		out := make([]float64, m.NumBlocks())
 		m.BlockPower(&idle, out)
 		for i, p := range out {
-			want := tc.frac * blockPeak(m.BlockID(i))
+			want := tc.frac * blockPeak(m.blocks[i].id)
 			if math.Abs(p-want) > 1e-9 {
-				t.Errorf("%v idle %v power = %v, want %v", tc.style, m.BlockID(i), p, want)
+				t.Errorf("%v idle %v power = %v, want %v", tc.style, m.blocks[i].id, p, want)
 			}
 		}
 	}
@@ -160,7 +160,7 @@ func TestPowerMonotoneInActivity(t *testing.T) {
 	m := newModel(t)
 	for i := range out1 {
 		if out2[i] < out1[i]-1e-12 {
-			t.Errorf("%v power decreased with more activity", m.BlockID(i))
+			t.Errorf("%v power decreased with more activity", m.blocks[i].id)
 		}
 	}
 }
@@ -177,8 +177,8 @@ func TestPowerNeverExceedsPeak(t *testing.T) {
 	for n := 0; n < 100; n++ {
 		m.BlockPower(&crazy, out)
 		for i, p := range out {
-			if p > blockPeak(m.BlockID(i))+1e-9 {
-				t.Errorf("%v power %v exceeds peak", m.BlockID(i), p)
+			if p > blockPeak(m.blocks[i].id)+1e-9 {
+				t.Errorf("%v power %v exceeds peak", m.blocks[i].id, p)
 			}
 		}
 	}
@@ -213,7 +213,7 @@ func TestChipPowerIncludesUntrackedShare(t *testing.T) {
 	if chipBusy <= chipIdle {
 		t.Error("chip power not higher when busy")
 	}
-	if peak := m.PeakChipPower(); chipBusy > peak+1e-9 {
+	if peak := peakChipPower(m); chipBusy > peak+1e-9 {
 		t.Errorf("busy chip power %v exceeds peak %v", chipBusy, peak)
 	}
 }
@@ -222,7 +222,7 @@ func TestChipPowerIncludesUntrackedShare(t *testing.T) {
 // watts, around the 47 W chip-wide trigger and the cited ~55 W peak).
 func TestChipPeakInPaperRange(t *testing.T) {
 	m := newModel(t)
-	peak := m.PeakChipPower()
+	peak := peakChipPower(m)
 	if peak < 50 || peak > 100 {
 		t.Errorf("chip peak = %v W, want ~50-100 W", peak)
 	}
@@ -234,4 +234,13 @@ func TestModelWorksWithZeroPipelineConfig(t *testing.T) {
 	if _, err := New(cfg); err != nil {
 		t.Fatalf("zero pipeline config rejected: %v", err)
 	}
+}
+
+// peakChipPower returns m's calibrated whole-chip peak.
+func peakChipPower(m *Model) float64 {
+	total := m.otherBaseW + m.otherDynW
+	for _, b := range m.blocks {
+		total += b.peakW
+	}
+	return total
 }

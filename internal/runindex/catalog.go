@@ -66,7 +66,6 @@ type Catalog struct {
 	logSize     int64    // append offset (end of the last valid frame)
 	encBuf      []byte
 	quarantined int
-	rebuilt     int // records recovered by the last RebuildFromStore
 }
 
 // Open opens (or creates) a catalog. dir == "" builds a memory-only
@@ -199,13 +198,6 @@ func (c *Catalog) Len() int {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	return len(c.recs)
-}
-
-// Quarantined returns the count of log frames dropped as corrupt.
-func (c *Catalog) Quarantined() int {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.quarantined
 }
 
 // hashKey is FNV-1a over the key string, allocation-free.
@@ -342,17 +334,6 @@ func (c *Catalog) Get(key string) (Record, bool) {
 	return rec, true
 }
 
-// Contains reports whether key is cataloged, without copying the record.
-func (c *Catalog) Contains(key string) bool {
-	if c == nil {
-		return false
-	}
-	c.mu.RLock()
-	_, id := c.findSlot(key)
-	c.mu.RUnlock()
-	return id >= 0
-}
-
 // RebuildFromStore scans the run cache's pack store and re-ingests every
 // decodable *sim.Result the catalog does not already hold — the recovery
 // path for a catalog whose log was lost or torn while the cache survived.
@@ -374,45 +355,14 @@ func (c *Catalog) RebuildFromStore(store *packstore.Store) (int, error) {
 		}
 		return true
 	})
-	c.mu.Lock()
-	c.rebuilt = added
-	c.mu.Unlock()
 	if m := c.opts.Metrics; m != nil {
 		m.Rebuilds.Inc()
 	}
 	return added, err
 }
 
-// Keys appends every cataloged key to dst in insertion order (tests and
-// diagnostics).
-func (c *Catalog) Keys(dst []string) []string {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	for i := range c.recs {
-		dst = append(dst, c.recs[i].Key)
-	}
-	return dst
-}
-
 func (c *Catalog) publishGauge() {
 	if m := c.opts.Metrics; m != nil {
 		m.Records.Set(float64(len(c.recs)))
 	}
-}
-
-// Stats is a point-in-time snapshot of the catalog's shape.
-type Stats struct {
-	Records     int `json:"records"`
-	Quarantined int `json:"quarantined"`
-	Rebuilt     int `json:"rebuilt"`
-}
-
-// Stats snapshots record and recovery accounting.
-func (c *Catalog) Stats() Stats {
-	if c == nil {
-		return Stats{}
-	}
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return Stats{Records: len(c.recs), Quarantined: c.quarantined, Rebuilt: c.rebuilt}
 }

@@ -62,15 +62,15 @@ func TestCatalogIngestAndGet(t *testing.T) {
 	if _, ok := c.Get("sha256:absent"); ok {
 		t.Fatal("Get on an absent key returned ok")
 	}
-	if c.Contains("sha256:absent") || !c.Contains(testRecord(3).Key) {
-		t.Fatal("Contains disagrees with Get")
+	if _, ok := c.Get(testRecord(3).Key); !ok {
+		t.Fatal("Get missed a cataloged key")
 	}
 	// Empty keys are rejected, as is a nil catalog.
 	if c.Ingest(Record{}) {
 		t.Fatal("ingest of an empty key returned true")
 	}
 	var nilCat *Catalog
-	if nilCat.Ingest(testRecord(0)) || nilCat.Contains("x") || nilCat.Len() != 0 {
+	if _, ok := nilCat.Get("x"); ok || nilCat.Ingest(testRecord(0)) || nilCat.Len() != 0 {
 		t.Fatal("nil catalog is not inert")
 	}
 }
@@ -131,15 +131,6 @@ func TestCatalogRangeQueries(t *testing.T) {
 			t.Fatal("trigger band query matched nothing; test data broken")
 		}
 	}
-	// Encode survives a round trip.
-	q, _ := ParseQuery(url.Values{"trigger": {"110:111"}, "policy": {"PI"}, "limit": {"5"}})
-	q2, err := ParseQuery(url.Values(mustParseQuery(t, q.Encode())))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if q2 != q {
-		t.Fatalf("Encode round trip: %+v != %+v", q2, q)
-	}
 	// Limit is honored.
 	lim, _ := ParseQuery(url.Values{"limit": {"7"}})
 	if got := c.Run(&lim); got.Count != 7 || len(got.Rows) != 7 {
@@ -199,8 +190,8 @@ func TestCatalogPersistence(t *testing.T) {
 	if reopened.Len() != n {
 		t.Fatalf("reopened Len = %d, want %d", reopened.Len(), n)
 	}
-	if reopened.Quarantined() != 0 {
-		t.Fatalf("clean log quarantined %d frames", reopened.Quarantined())
+	if reopened.quarantined != 0 {
+		t.Fatalf("clean log quarantined %d frames", reopened.quarantined)
 	}
 	for _, i := range []int{0, n / 2, n - 1} {
 		want := testRecord(i)

@@ -70,11 +70,11 @@ func ParseQuery(values url.Values) (Query, error) {
 
 func parseRange(s string) (RangeFilter, error) {
 	if lo, hi, ok := strings.Cut(s, ":"); ok {
-		l, err := strconv.ParseFloat(lo, 64)
+		l, err := parseBound(lo)
 		if err != nil {
 			return RangeFilter{}, err
 		}
-		h, err := strconv.ParseFloat(hi, 64)
+		h, err := parseBound(hi)
 		if err != nil {
 			return RangeFilter{}, err
 		}
@@ -83,7 +83,7 @@ func parseRange(s string) (RangeFilter, error) {
 		}
 		return RangeFilter{Lo: l, Hi: h, Set: true}, nil
 	}
-	v, err := strconv.ParseFloat(s, 64)
+	v, err := parseBound(s)
 	if err != nil {
 		return RangeFilter{}, err
 	}
@@ -91,25 +91,15 @@ func parseRange(s string) (RangeFilter, error) {
 	return RangeFilter{Lo: v, Hi: math.Nextafter(v, math.Inf(1)), Set: true}, nil
 }
 
-// Encode renders q back into URL parameters (the coordinator re-issues
-// queries against workers with it).
-func (q Query) Encode() string {
-	v := url.Values{}
-	if q.Bench != "" {
-		v.Set("bench", q.Bench)
+// parseBound parses one range bound. NaN is rejected: it compares false
+// with everything, so a NaN range would slip past the inverted-range check
+// and silently match nothing.
+func parseBound(s string) (float64, error) {
+	v, err := strconv.ParseFloat(s, 64)
+	if err == nil && math.IsNaN(v) {
+		err = fmt.Errorf("NaN bound %q", s)
 	}
-	if q.Policy != "" {
-		v.Set("policy", q.Policy)
-	}
-	for d := Dim(0); d < NumDims; d++ {
-		if q.Dims[d].Set {
-			v.Set(d.String(), fmt.Sprintf("%g:%g", q.Dims[d].Lo, q.Dims[d].Hi))
-		}
-	}
-	if q.Limit > 0 {
-		v.Set("limit", strconv.Itoa(q.Limit))
-	}
-	return v.Encode()
+	return v, err
 }
 
 // matchRest checks every filter except the one driving the scan.

@@ -23,7 +23,9 @@ type catalogSnapshot struct {
 func snapshotCatalog(t *testing.T, c *Catalog) catalogSnapshot {
 	t.Helper()
 	s := catalogSnapshot{queries: map[string][]Record{}}
-	s.keys = c.Keys(nil)
+	for i := range c.recs {
+		s.keys = append(s.keys, c.recs[i].Key)
+	}
 	sort.Strings(s.keys)
 	for _, raw := range []string{
 		"trigger=110:111&limit=100000",
@@ -125,13 +127,13 @@ func TestCrashRecoveryTornLog(t *testing.T) {
 	if reopened.Len() != n-2 {
 		t.Fatalf("reopened Len = %d, want %d (one torn, one quarantined)", reopened.Len(), n-2)
 	}
-	if reopened.Quarantined() != 1 {
-		t.Fatalf("Quarantined = %d, want 1", reopened.Quarantined())
+	if reopened.quarantined != 1 {
+		t.Fatalf("quarantined = %d, want 1", reopened.quarantined)
 	}
-	if reopened.Contains(corruptKey) {
+	if _, ok := reopened.Get(corruptKey); ok {
 		t.Fatal("corrupt frame still serves")
 	}
-	if reopened.Contains(testRecord(n - 1).Key) {
+	if _, ok := reopened.Get(testRecord(n - 1).Key); ok {
 		t.Fatal("torn tail record still serves")
 	}
 
@@ -143,8 +145,8 @@ func TestCrashRecoveryTornLog(t *testing.T) {
 	if added != 2 {
 		t.Fatalf("RebuildFromStore recovered %d records, want 2", added)
 	}
-	if got := reopened.Stats(); got.Rebuilt != 2 || got.Records != n {
-		t.Fatalf("Stats = %+v, want Rebuilt=2 Records=%d", got, n)
+	if reopened.Len() != n {
+		t.Fatalf("Len = %d after rebuild, want %d", reopened.Len(), n)
 	}
 	got := snapshotCatalog(t, reopened)
 	if !reflect.DeepEqual(got.keys, want.keys) {
@@ -197,7 +199,7 @@ func TestRebuildSkipsForeignBlobs(t *testing.T) {
 	if added != 1 || c.Len() != 1 {
 		t.Fatalf("rebuild added %d records (Len %d), want 1", added, c.Len())
 	}
-	if !c.Contains(rec.Key) {
+	if _, ok := c.Get(rec.Key); !ok {
 		t.Fatal("the one real result is missing")
 	}
 }

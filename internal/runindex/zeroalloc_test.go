@@ -61,7 +61,7 @@ func TestZeroAllocIndexLookup(t *testing.T) {
 	visit := func(*Record) bool { return true }
 
 	allocs := testing.AllocsPerRun(1000, func() {
-		if !c.Contains(key) {
+		if _, ok := c.Get(key); !ok {
 			panic("lookup missed a cataloged key")
 		}
 		if c.Execute(&q, visit) == 0 {

@@ -2,6 +2,7 @@ package runner
 
 import (
 	"errors"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"strings"
@@ -98,7 +99,7 @@ func TestCacheCorruptedEntryRecovers(t *testing.T) {
 	if _, ok := c.Get("deadbeef"); ok {
 		t.Fatal("undecodable entry served as a hit")
 	}
-	if c.Store().Contains("deadbeef") {
+	if _, err := c.Store().Get("deadbeef"); !errors.Is(err, fs.ErrNotExist) {
 		t.Error("undecodable entry not deleted from the store")
 	}
 	c.Put("deadbeef", samplePayload())

@@ -33,7 +33,7 @@ func TestCachePackBackendContract(t *testing.T) {
 	if again, _ := c.Get("k1"); again.Temps[0] != 111.2 {
 		t.Error("pack cache hit shares state with a previous hit")
 	}
-	if !c.Store().Contains("k1") {
+	if _, err := c.Store().Get("k1"); err != nil {
 		t.Error("Put did not write through to the pack store")
 	}
 }

@@ -82,11 +82,6 @@ func (p *StructProxy) Step(power []float64) bool {
 	return hot
 }
 
-// ImpliedTemp returns the proxy's implied temperature for block i.
-func (p *StructProxy) ImpliedTemp(i int) float64 {
-	return p.sink + p.boxcars[i].Avg()*p.r[i]
-}
-
 // ChipProxy is the chip-wide boxcar power proxy: a single moving average of
 // total chip power with a wattage trigger threshold.
 type ChipProxy struct {
@@ -104,9 +99,6 @@ func NewChipProxy(window int, thresholdWatts float64) *ChipProxy {
 func (p *ChipProxy) Step(chipPower float64) bool {
 	return p.boxcar.Add(chipPower) > p.threshold
 }
-
-// Avg returns the current average chip power.
-func (p *ChipProxy) Avg() float64 { return p.boxcar.Avg() }
 
 // Comparison tallies proxy-vs-model agreement over a run (one row of
 // Table 9 or 10).

@@ -35,7 +35,7 @@ func TestStructProxyTriggersAtImpliedTemp(t *testing.T) {
 	if !hot {
 		t.Error("did not trigger at 5.75 W average")
 	}
-	if it := p.ImpliedTemp(0); math.Abs(it-111.5) > 1e-9 {
+	if it := p.sink + p.boxcars[0].Avg()*p.r[0]; math.Abs(it-111.5) > 1e-9 {
 		t.Errorf("implied temp = %v, want 111.5", it)
 	}
 }
@@ -68,8 +68,8 @@ func TestChipProxyThreshold(t *testing.T) {
 	if !p.Step(50) {
 		t.Error("did not trigger above threshold")
 	}
-	if p.Avg() != 50 {
-		t.Errorf("avg = %v", p.Avg())
+	if p.boxcar.Avg() != 50 {
+		t.Errorf("avg = %v", p.boxcar.Avg())
 	}
 }
 

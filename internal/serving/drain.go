@@ -31,10 +31,6 @@ func NewDrainer(parent context.Context) *Drainer {
 	return &Drainer{ctx: ctx, cancel: cancel}
 }
 
-// Context is the context background work must honor; it is cancelled when
-// Shutdown begins.
-func (d *Drainer) Context() context.Context { return d.ctx }
-
 // Go runs f on a tracked goroutine. It refuses with ErrDraining once
 // Shutdown has begun, so no work can slip in behind the drain.
 func (d *Drainer) Go(f func(ctx context.Context)) error {

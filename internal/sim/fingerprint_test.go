@@ -35,7 +35,6 @@ var cacheKeyCovered = map[string]bool{
 	"TraceStride":       true,
 	"Sensor":            true,
 	"CoupleChipSink":    true,
-	"ChipAmbient":       true,
 	"MonitoredBlocks":   true,
 	"InitTemps":         true,
 	"ThermalStride":     true,

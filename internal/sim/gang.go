@@ -56,16 +56,6 @@ type GangStats struct {
 	ClassCycles  uint64
 }
 
-// Occupancy is the mean number of members served by one shared pipeline
-// evaluation: MemberCycles / ClassCycles. N means perfect sharing across
-// a gang of N; 1 means every member ran alone.
-func (st GangStats) Occupancy() float64 {
-	if st.ClassCycles == 0 {
-		return 0
-	}
-	return float64(st.MemberCycles) / float64(st.ClassCycles)
-}
-
 // gangSig is a member's actuator state — the divergence signature. Two
 // members with equal signatures consume the shared pipeline stream
 // identically for the current cycle.

@@ -97,7 +97,7 @@ func TestGangGoldenEquivalence(t *testing.T) {
 				t.Errorf("no sharing achieved: member=%d class=%d", st.MemberCycles, st.ClassCycles)
 			}
 			t.Logf("members=%d forks=%d merges=%d occupancy=%.2f",
-				st.Members, st.Forks, st.Merges, st.Occupancy())
+				st.Members, st.Forks, st.Merges, float64(st.MemberCycles)/float64(st.ClassCycles))
 		})
 	}
 }
@@ -158,7 +158,7 @@ func TestGangSharedCalibration(t *testing.T) {
 				t.Errorf("no sharing achieved: member=%d class=%d", st.MemberCycles, st.ClassCycles)
 			}
 			t.Logf("members=%d forks=%d merges=%d occupancy=%.2f",
-				st.Members, st.Forks, st.Merges, st.Occupancy())
+				st.Members, st.Forks, st.Merges, float64(st.MemberCycles)/float64(st.ClassCycles))
 		})
 	}
 }

@@ -58,7 +58,7 @@ func TestGangMatchesSolo(t *testing.T) {
 	if st.MemberCycles <= st.ClassCycles {
 		t.Errorf("no sharing achieved: member=%d class=%d", st.MemberCycles, st.ClassCycles)
 	}
-	t.Logf("stats: %+v occupancy=%.2f", st, st.Occupancy())
+	t.Logf("stats: %+v occupancy=%.2f", st, float64(st.MemberCycles)/float64(st.ClassCycles))
 }
 
 // runMatchesSolo runs g to completion and requires every member's result

@@ -164,17 +164,8 @@ func NewMulticore(cfg MulticoreConfig) (*Multicore, error) {
 	if nc == 0 {
 		return nil, fmt.Errorf("sim: multicore run needs at least one workload")
 	}
-	if cfg.MaxInsts == 0 {
-		return nil, fmt.Errorf("sim: MaxInsts must be positive")
-	}
-	if cfg.Pipeline.FetchWidth == 0 {
-		cfg.Pipeline = pipeline.DefaultConfig()
-	}
-	if cfg.Thresholds == (Thresholds{}) {
-		cfg.Thresholds = DefaultThresholds()
-	}
-	if cfg.MaxCycles == 0 {
-		cfg.MaxCycles = 50 * cfg.MaxInsts
+	if err := runDefaults(cfg.MaxInsts, &cfg.Pipeline, &cfg.Thresholds, &cfg.MaxCycles); err != nil {
+		return nil, err
 	}
 	ctl, interval, err := newControls(&cfg, nc)
 	if err != nil {

@@ -15,6 +15,7 @@ package sim
 import (
 	"context"
 	"fmt"
+	"math"
 	"runtime"
 	"time"
 
@@ -40,6 +41,10 @@ type Thresholds struct {
 	// SinkTemp is the heatsink temperature (100 C).
 	SinkTemp float64
 }
+
+// chipAmbient is the ambient temperature (C) of the coupled chip-wide
+// package model (Config.CoupleChipSink).
+const chipAmbient = 45
 
 // DefaultThresholds returns the paper's operating point.
 func DefaultThresholds() Thresholds {
@@ -88,13 +93,10 @@ type Config struct {
 	// true model temperature — only the DTM policy sees sensor readings.
 	Sensor sensor.Sensor
 	// CoupleChipSink evolves the heatsink temperature with the slow
-	// chip-wide package model (ambient ChipAmbient, Table 3 chip R/C)
+	// chip-wide package model (ambient chipAmbient, Table 3 chip R/C)
 	// instead of holding it constant — an extension for validating the
 	// paper's constant-heatsink assumption over short intervals.
 	CoupleChipSink bool
-	// ChipAmbient is the ambient temperature for the coupled package
-	// model (default 45 C).
-	ChipAmbient float64
 	// MonitoredBlocks, when non-empty, restricts the DTM policy's view to
 	// sensors on these blocks only — the paper's limited-sensor-placement
 	// concern (Section 4.2). Thermal bookkeeping still covers every
@@ -395,6 +397,29 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	return s.Run(ctx)
 }
 
+// runDefaults checks the instruction budget and fills the Pipeline,
+// Thresholds and MaxCycles defaults that Config and MulticoreConfig share.
+// The MaxCycles default, 50 cycles per instruction, saturates at
+// math.MaxUint64 rather than wrapping for huge budgets.
+func runDefaults(maxInsts uint64, pcfg *pipeline.Config, th *Thresholds, maxCycles *uint64) error {
+	if maxInsts == 0 {
+		return fmt.Errorf("sim: MaxInsts must be positive")
+	}
+	if pcfg.FetchWidth == 0 {
+		*pcfg = pipeline.DefaultConfig()
+	}
+	if *th == (Thresholds{}) {
+		*th = DefaultThresholds()
+	}
+	if *maxCycles == 0 {
+		*maxCycles = math.MaxUint64
+		if maxInsts <= math.MaxUint64/50 {
+			*maxCycles = 50 * maxInsts
+		}
+	}
+	return nil
+}
+
 // New validates cfg and builds a steppable simulation.
 func New(cfg Config) (*Sim, error) { return newWith(cfg, nil, nil, nil) }
 
@@ -405,17 +430,8 @@ func New(cfg Config) (*Sim, error) { return newWith(cfg, nil, nil, nil) }
 // nil and gets privately owned instances. The shared objects are only read
 // here — construction never mutates them.
 func newWith(cfg Config, gen *workload.Generator, core *pipeline.Core, pmodel *power.Model) (*Sim, error) {
-	if cfg.MaxInsts == 0 {
-		return nil, fmt.Errorf("sim: MaxInsts must be positive")
-	}
-	if cfg.Pipeline.FetchWidth == 0 {
-		cfg.Pipeline = pipeline.DefaultConfig()
-	}
-	if cfg.Thresholds == (Thresholds{}) {
-		cfg.Thresholds = DefaultThresholds()
-	}
-	if cfg.MaxCycles == 0 {
-		cfg.MaxCycles = 50 * cfg.MaxInsts
+	if err := runDefaults(cfg.MaxInsts, &cfg.Pipeline, &cfg.Thresholds, &cfg.MaxCycles); err != nil {
+		return nil, err
 	}
 	if cfg.ChipProxyTriggerW == 0 {
 		cfg.ChipProxyTriggerW = 47
@@ -532,12 +548,8 @@ func newWith(cfg Config, gen *workload.Generator, core *pipeline.Core, pmodel *p
 
 	var chipNode *thermal.ChipModel
 	if cfg.CoupleChipSink {
-		ambient := cfg.ChipAmbient
-		if ambient == 0 {
-			ambient = 45
-		}
 		chipBlk := floorplan.ChipBlock()
-		chipNode = thermal.NewChipModel(chipBlk.R, chipBlk.C, ambient)
+		chipNode = thermal.NewChipModel(chipBlk.R, chipBlk.C, chipAmbient)
 		chipNode.T = cfg.Thresholds.SinkTemp
 	}
 
@@ -712,9 +724,6 @@ func (s *Sim) recordTrace(chip float64) {
 func (s *Sim) Done() bool {
 	return s.core.Stats().Committed >= s.cfg.MaxInsts || s.cycle >= s.cfg.MaxCycles
 }
-
-// Cycle returns the number of cycles simulated so far.
-func (s *Sim) Cycle() uint64 { return s.cycle }
 
 // Step advances the simulation by one clock cycle: pipeline, power,
 // thermal network, bookkeeping, proxies and DTM. It performs no heap
@@ -1124,15 +1133,4 @@ func (s *Sim) Run(ctx context.Context) (*Result, error) {
 		}
 	}
 	return s.Finish(), nil
-}
-
-// BlockByID returns the BlockResult for a floorplan block, or nil.
-func (r *Result) BlockByID(id floorplan.BlockID) *BlockResult {
-	name := id.String()
-	for i := range r.Blocks {
-		if r.Blocks[i].Name == name {
-			return &r.Blocks[i]
-		}
-	}
-	return nil
 }

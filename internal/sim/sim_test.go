@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/control"
@@ -93,12 +94,6 @@ func TestUncontrolledHotRunEntersEmergency(t *testing.T) {
 		if b.AvgTemp < 100 {
 			t.Errorf("%s avg temp below sink", b.Name)
 		}
-	}
-	if res.BlockByID(floorplan.IntExec) == nil {
-		t.Error("BlockByID lookup failed")
-	}
-	if res.BlockByID(floorplan.BlockID(99)) != nil {
-		t.Error("BlockByID found nonexistent block")
 	}
 }
 
@@ -242,7 +237,7 @@ func TestTraceRecording(t *testing.T) {
 	if len(res.BlockTrace) != len(res.Blocks) {
 		t.Error("missing per-block traces")
 	}
-	if res.TempTrace.Max() <= 100 {
+	if slices.Max(res.TempTrace.Ys) <= 100 {
 		t.Error("temperature trace never above sink")
 	}
 }
@@ -273,6 +268,32 @@ func TestMaxCyclesBoundsRun(t *testing.T) {
 	})
 	if res.Cycles != 10_000 {
 		t.Errorf("cycles = %d, want exactly the bound", res.Cycles)
+	}
+}
+
+// The default MaxCycles (50 per instruction) saturates instead of
+// wrapping. At ceil(2^64/50) instructions the product wrapped to 34, so
+// the run stopped after 34 cycles with nothing committed and no error.
+func TestDefaultMaxCyclesSaturates(t *testing.T) {
+	for _, tc := range []struct{ insts, want uint64 }{
+		{math.MaxUint64 / 50, math.MaxUint64 / 50 * 50},
+		{math.MaxUint64/50 + 1, math.MaxUint64},
+		{math.MaxUint64, math.MaxUint64},
+	} {
+		s, err := New(Config{Workload: hotProfile(), MaxInsts: tc.insts})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.cfg.MaxCycles != tc.want {
+			t.Errorf("Config MaxInsts %d: default MaxCycles = %d, want %d", tc.insts, s.cfg.MaxCycles, tc.want)
+		}
+		mc, err := NewMulticore(MulticoreConfig{Workloads: []workload.Profile{hotProfile()}, MaxInsts: tc.insts})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if mc.cfg.MaxCycles != tc.want {
+			t.Errorf("MulticoreConfig MaxInsts %d: default MaxCycles = %d, want %d", tc.insts, mc.cfg.MaxCycles, tc.want)
+		}
 	}
 }
 

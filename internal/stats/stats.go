@@ -11,39 +11,22 @@ import (
 	"strings"
 )
 
-// Running accumulates count/sum/min/max/mean/variance for a scalar stream
-// without retaining samples (variance via Welford's update).
+// Running accumulates the mean and variance of a scalar stream without
+// retaining samples (variance via Welford's update).
 type Running struct {
 	n        uint64
 	sum      float64
-	min, max float64
 	mean, m2 float64
 }
 
 // Add records one sample.
 func (r *Running) Add(x float64) {
-	if r.n == 0 {
-		r.min, r.max = x, x
-	} else {
-		if x < r.min {
-			r.min = x
-		}
-		if x > r.max {
-			r.max = x
-		}
-	}
 	r.n++
 	r.sum += x
 	d := x - r.mean
 	r.mean += d / float64(r.n)
 	r.m2 += d * (x - r.mean)
 }
-
-// N returns the sample count.
-func (r *Running) N() uint64 { return r.n }
-
-// Sum returns the sample sum.
-func (r *Running) Sum() float64 { return r.sum }
 
 // Mean returns the sample mean, or 0 with no samples.
 func (r *Running) Mean() float64 {
@@ -52,12 +35,6 @@ func (r *Running) Mean() float64 {
 	}
 	return r.sum / float64(r.n)
 }
-
-// Min returns the smallest sample, or 0 with no samples.
-func (r *Running) Min() float64 { return r.min }
-
-// Max returns the largest sample, or 0 with no samples.
-func (r *Running) Max() float64 { return r.max }
 
 // Variance returns the (population) variance, or 0 with < 2 samples.
 func (r *Running) Variance() float64 {
@@ -89,9 +66,6 @@ func NewBoxcar(window int) *Boxcar {
 	}
 	return &Boxcar{buf: make([]float64, window)}
 }
-
-// Window returns the configured window length.
-func (b *Boxcar) Window() int { return len(b.buf) }
 
 // Add pushes a sample and returns the current average. Before the window
 // fills, the average is over the samples seen so far.
@@ -130,14 +104,6 @@ func (b *Boxcar) Avg() float64 {
 	return b.sum / float64(n)
 }
 
-// Reset clears the window.
-func (b *Boxcar) Reset() {
-	for i := range b.buf {
-		b.buf[i] = 0
-	}
-	b.head, b.full, b.sum = 0, false, 0
-}
-
 // Series records a downsampled time series: every Stride-th sample is kept.
 type Series struct {
 	Stride uint64
@@ -171,17 +137,6 @@ func (s *Series) Bump(n uint64) { s.n += n }
 
 // Len returns the number of retained points.
 func (s *Series) Len() int { return len(s.Xs) }
-
-// Max returns the maximum retained value, or -Inf when empty.
-func (s *Series) Max() float64 {
-	m := math.Inf(-1)
-	for _, y := range s.Ys {
-		if y > m {
-			m = y
-		}
-	}
-	return m
-}
 
 // Mean returns the arithmetic mean of xs, or 0 when empty.
 func Mean(xs []float64) float64 {

@@ -9,28 +9,17 @@ import (
 
 func TestRunningBasics(t *testing.T) {
 	var r Running
-	if r.Mean() != 0 || r.N() != 0 {
-		t.Fatalf("zero Running not zero: mean=%v n=%v", r.Mean(), r.N())
+	if r.Mean() != 0 || r.n != 0 {
+		t.Fatalf("zero Running not zero: mean=%v n=%v", r.Mean(), r.n)
 	}
 	for _, x := range []float64{3, 1, 4, 1, 5} {
 		r.Add(x)
 	}
-	if r.N() != 5 {
-		t.Errorf("N = %d, want 5", r.N())
-	}
-	if r.Min() != 1 || r.Max() != 5 {
-		t.Errorf("min/max = %v/%v, want 1/5", r.Min(), r.Max())
+	if r.n != 5 {
+		t.Errorf("n = %d, want 5", r.n)
 	}
 	if got, want := r.Mean(), 14.0/5; math.Abs(got-want) > 1e-12 {
 		t.Errorf("mean = %v, want %v", got, want)
-	}
-}
-
-func TestRunningSingleNegative(t *testing.T) {
-	var r Running
-	r.Add(-2)
-	if r.Min() != -2 || r.Max() != -2 {
-		t.Errorf("min/max = %v/%v, want -2/-2", r.Min(), r.Max())
 	}
 }
 
@@ -51,22 +40,6 @@ func TestBoxcarWarmupAndSteady(t *testing.T) {
 	// Window now holds {8,0,0,0}; pushing 4 evicts the 8.
 	if got := b.Add(4); got != 1 {
 		t.Errorf("avg = %v, want 1", got)
-	}
-}
-
-func TestBoxcarReset(t *testing.T) {
-	b := NewBoxcar(3)
-	for i := 0; i < 3; i++ {
-		b.Add(5) // fill the window
-	}
-	b.Reset()
-	if b.Avg() != 0 {
-		t.Errorf("after reset: avg=%v, want 0", b.Avg())
-	}
-	// A reset window warms up again: the average is over the new sample
-	// alone, not over a full window padded with zeros.
-	if got := b.Add(6); got != 6 {
-		t.Errorf("first avg after reset = %v, want 6", got)
 	}
 }
 
@@ -142,7 +115,7 @@ func TestBoxcarRecoversFromCatastrophicAbsorption(t *testing.T) {
 
 	// And against a naive O(n) recomputation at every step of a stream
 	// that keeps pushing large/small magnitude flips through the window.
-	b.Reset()
+	b = NewBoxcar(w)
 	var hist []float64
 	for i := 0; i < 10*w; i++ {
 		x := 1.0
@@ -176,9 +149,6 @@ func TestSeriesStride(t *testing.T) {
 	}
 	if s.Xs[0] != 0 || s.Xs[9] != 90 {
 		t.Errorf("xs = %v..%v, want 0..90", s.Xs[0], s.Xs[9])
-	}
-	if s.Max() != 90 {
-		t.Errorf("max = %v, want 90", s.Max())
 	}
 }
 

@@ -41,9 +41,6 @@ type Counter struct {
 	next       atomic.Uint32
 }
 
-// Name returns the registered metric name.
-func (c *Counter) Name() string { return c.name }
-
 // Handle returns a new increment handle bound to one stripe. Each
 // long-lived incrementer (one simulation, one worker goroutine) should hold
 // its own handle.
@@ -84,9 +81,6 @@ type Gauge struct {
 	bits       atomic.Uint64
 }
 
-// Name returns the registered metric name.
-func (g *Gauge) Name() string { return g.name }
-
 // Set stores the current value.
 func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
 
@@ -104,9 +98,6 @@ type Histogram struct {
 	count      atomic.Int64
 	sumBits    atomic.Uint64
 }
-
-// Name returns the registered metric name.
-func (h *Histogram) Name() string { return h.name }
 
 // Observe records one sample.
 func (h *Histogram) Observe(v float64) {
@@ -130,19 +121,6 @@ func (h *Histogram) Count() int64 { return h.count.Load() }
 
 // Sum returns the sum of all observed values.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()) }
-
-// Bucket returns the cumulative count of observations <= the i-th bound
-// (i == len(bounds) is the +Inf bucket, equal to Count).
-func (h *Histogram) Bucket(i int) int64 {
-	var cum int64
-	for j := 0; j <= i && j < len(h.counts); j++ {
-		cum += h.counts[j].Load()
-	}
-	return cum
-}
-
-// Bounds returns the configured upper bounds (without +Inf).
-func (h *Histogram) Bounds() []float64 { return h.bounds }
 
 // Registry owns a flat namespace of metrics. Registration (Counter, Gauge,
 // Histogram) is get-or-create and safe for concurrent use; re-registering

@@ -39,7 +39,7 @@ func TestRegistryGetOrCreate(t *testing.T) {
 	if h1 != h2 {
 		t.Fatal("re-registering a histogram name returned a different metric")
 	}
-	if got := len(h2.Bounds()); got != 2 {
+	if got := len(h2.bounds); got != 2 {
 		t.Fatalf("histogram bounds changed on re-registration: %d", got)
 	}
 }
@@ -93,10 +93,10 @@ func TestHistogramBucketsSumCount(t *testing.T) {
 	}
 	// le semantics: 0.5 and 1 land in bucket <=1; 5 in <=10; 50 in <=100;
 	// 500 overflows to +Inf.
-	wantCum := []int64{2, 3, 4, 5}
-	for i, want := range wantCum {
-		if got := h.Bucket(i); got != want {
-			t.Fatalf("Bucket(%d) = %d, want %d", i, got, want)
+	wantCounts := []int64{2, 1, 1, 1}
+	for i, want := range wantCounts {
+		if got := h.counts[i].Load(); got != want {
+			t.Fatalf("bucket %d holds %d, want %d", i, got, want)
 		}
 	}
 }

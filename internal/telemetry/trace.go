@@ -54,14 +54,12 @@ const maxFloatLen = 26
 // slot's BlockTemps and the encode buffer are sized at construction, and a
 // full ring is encoded into the reused buffer and written in one call.
 type Recorder struct {
-	mu      sync.Mutex
-	w       io.Writer
-	ring    []Sample
-	n       int
-	buf     []byte
-	err     error
-	samples uint64
-	flushes uint64
+	mu   sync.Mutex
+	w    io.Writer
+	ring []Sample
+	n    int
+	buf  []byte
+	err  error
 }
 
 // NewRecorder returns a recorder for runs with nblocks thermal blocks,
@@ -99,7 +97,6 @@ func (r *Recorder) Record(s *Sample) {
 	*slot = *s
 	slot.BlockTemps = temps
 	r.n++
-	r.samples++
 	if r.n == len(r.ring) {
 		r.flushLocked()
 	}
@@ -115,20 +112,6 @@ func (r *Recorder) Flush() error {
 	return r.err
 }
 
-// Err returns the first write error encountered (nil if none).
-func (r *Recorder) Err() error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.err
-}
-
-// Samples returns the number of samples recorded so far.
-func (r *Recorder) Samples() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.samples
-}
-
 func (r *Recorder) flushLocked() {
 	if r.n == 0 {
 		return
@@ -138,7 +121,6 @@ func (r *Recorder) flushLocked() {
 		r.buf = appendSample(r.buf, &r.ring[i])
 	}
 	r.n = 0
-	r.flushes++
 	if r.err == nil {
 		if _, err := r.w.Write(r.buf); err != nil {
 			r.err = err

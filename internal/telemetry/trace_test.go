@@ -38,9 +38,6 @@ func TestTraceRoundTrip(t *testing.T) {
 	if err := rec.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if got := rec.Samples(); got != 20 {
-		t.Fatalf("Samples = %d", got)
-	}
 	got, err := DecodeTrace(&buf)
 	if err != nil {
 		t.Fatal(err)
@@ -134,7 +131,7 @@ func TestRecorderLatchesFirstWriteError(t *testing.T) {
 	if err := rec.Flush(); err != io.ErrClosedPipe {
 		t.Fatalf("Flush err = %v, want ErrClosedPipe", err)
 	}
-	if rec.Err() != io.ErrClosedPipe {
+	if rec.err != io.ErrClosedPipe {
 		t.Fatal("Err not latched")
 	}
 }

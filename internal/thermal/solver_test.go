@@ -115,7 +115,7 @@ func TestFullNetworkValidatesSimplifiedModel(t *testing.T) {
 	}
 	for i, b := range blocks {
 		got := full.BlockTemp(b.ID)
-		want := simple.Temp(i)
+		want := simple.temps[i]
 		if d := math.Abs(got - want); d > 0.5 {
 			t.Errorf("%v: full %.3f vs simplified %.3f (d=%.3f)", b.ID, got, want, d)
 		}

@@ -168,15 +168,9 @@ func (n *Network) Index(id floorplan.BlockID) (int, bool) {
 	return i, ok
 }
 
-// SinkTemp returns the heatsink temperature.
-func (n *Network) SinkTemp() float64 { return n.cfg.SinkTemp }
-
 // SetSinkTemp changes the heatsink temperature (used when coupling to the
 // slow chip-wide model).
 func (n *Network) SetSinkTemp(t float64) { n.cfg.SinkTemp = t }
-
-// Temp returns the temperature of node i.
-func (n *Network) Temp(i int) float64 { return n.temps[i] }
 
 // Temps copies all node temperatures into dst (allocating if nil) and
 // returns it.
@@ -190,13 +184,6 @@ func (n *Network) Temps(dst []float64) []float64 {
 
 // SetTemp overrides node i's temperature (testing and checkpoint restore).
 func (n *Network) SetTemp(i int, t float64) { n.temps[i] = t }
-
-// Reset returns every node to the heatsink temperature.
-func (n *Network) Reset() {
-	for i := range n.temps {
-		n.temps[i] = n.cfg.SinkTemp
-	}
-}
 
 // Step advances the network by one cycle given per-node power in watts.
 // len(power) must equal NumBlocks.

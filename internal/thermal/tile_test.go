@@ -39,19 +39,19 @@ func TestTileCrossCoreCouplingWarmsNeighbor(t *testing.T) {
 	for s := 0; s < 5000; s++ {
 		n.Step(zero)
 	}
-	if n.Temp(iDst) <= 100.01 {
-		t.Errorf("cross-core neighbor not warmed: %v", n.Temp(iDst))
+	if n.temps[iDst] <= 100.01 {
+		t.Errorf("cross-core neighbor not warmed: %v", n.temps[iDst])
 	}
-	if n.Temp(iDst) > 100.5 {
-		t.Errorf("cross-core warming %v C unexpectedly large", n.Temp(iDst)-100)
+	if n.temps[iDst] > 100.5 {
+		t.Errorf("cross-core warming %v C unexpectedly large", n.temps[iDst]-100)
 	}
-	if n.Temp(iDst) >= n.Temp(iSrc) {
-		t.Errorf("energy flowed uphill: dst %v >= src %v", n.Temp(iDst), n.Temp(iSrc))
+	if n.temps[iDst] >= n.temps[iSrc] {
+		t.Errorf("energy flowed uphill: dst %v >= src %v", n.temps[iDst], n.temps[iSrc])
 	}
 	// A block with no shared edge to core 0 (core 1's far-side FPExec in
 	// the horizontal pair) must warm strictly less than the abutting one.
 	iFar, _ := n.Index(floorplan.TileID(1, floorplan.FPExec))
-	if n.Temp(iFar) >= n.Temp(iDst) {
-		t.Errorf("far block %v warmed as much as abutting block %v", n.Temp(iFar), n.Temp(iDst))
+	if n.temps[iFar] >= n.temps[iDst] {
+		t.Errorf("far block %v warmed as much as abutting block %v", n.temps[iFar], n.temps[iDst])
 	}
 }

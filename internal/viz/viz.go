@@ -25,8 +25,6 @@ type ChartConfig struct {
 	Title  string
 	XLabel string
 	YLabel string
-	Width  int // pixels; 0 = 800
-	Height int // pixels; 0 = 400
 	// HLines draws labeled horizontal reference lines (e.g., the
 	// emergency and trigger thresholds).
 	HLines map[string]float64
@@ -113,13 +111,7 @@ func esc(s string) string {
 
 // LineChart renders the series as a standalone SVG document.
 func LineChart(cfg ChartConfig, series ...Series) string {
-	w, h := cfg.Width, cfg.Height
-	if w == 0 {
-		w = 800
-	}
-	if h == 0 {
-		h = 400
-	}
+	const w, h = 800, 400 // pixels
 	const mL, mR, mT, mB = 70, 150, 40, 55
 	plotW, plotH := float64(w-mL-mR), float64(h-mT-mB)
 

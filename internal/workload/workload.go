@@ -230,7 +230,6 @@ var _ Source = (*Generator)(nil)
 
 // Generator expands a Profile into a dynamic micro-op stream.
 type Generator struct {
-	prof   Profile
 	phases []phaseProgram
 	rnd    *rng // dynamic randomness (branch outcomes, data addresses)
 	wpRnd  *rng // wrong-path synthesis
@@ -279,7 +278,6 @@ func NewGenerator(prof Profile) (*Generator, error) {
 		return nil, err
 	}
 	g := &Generator{
-		prof:  prof,
 		rnd:   newRNG(prof.Seed),
 		wpRnd: newRNG(prof.Seed ^ 0xdeadbeefcafef00d),
 	}
@@ -302,9 +300,6 @@ func NewGenerator(prof Profile) (*Generator, error) {
 	}
 	return g, nil
 }
-
-// Profile returns the generator's profile.
-func (g *Generator) Profile() Profile { return g.prof }
 
 // buildBody creates one static body. Loop bodies end in a backward
 // conditional branch; function bodies end in a return and contain no calls
@@ -599,19 +594,4 @@ func (g *Generator) WrongPath(pc uint64) isa.MicroOp {
 		op.Dest = int16(g.wpRnd.intn(32))
 	}
 	return op
-}
-
-// CodeFootprint returns the total static code size in bytes across phases
-// (loops plus functions) — the I-cache pressure of the profile.
-func (g *Generator) CodeFootprint() uint64 {
-	var total uint64
-	for _, pp := range g.phases {
-		for _, b := range pp.loops {
-			total += uint64(len(b.slots)) * 4
-		}
-		for _, b := range pp.funcs {
-			total += uint64(len(b.slots)) * 4
-		}
-	}
-	return total
 }

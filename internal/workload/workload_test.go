@@ -253,9 +253,14 @@ func TestPhaseSwitching(t *testing.T) {
 
 func TestCodeFootprint(t *testing.T) {
 	g, _ := NewGenerator(testProfile())
-	want := uint64(8*40+numFuncs*funcBodySize) * 4
-	if got := g.CodeFootprint(); got != want {
-		t.Errorf("footprint = %d, want %d", got, want)
+	var slots int
+	for _, pp := range g.phases {
+		for _, b := range append(pp.loops, pp.funcs...) {
+			slots += len(b.slots)
+		}
+	}
+	if want := 8*40 + numFuncs*funcBodySize; slots != want {
+		t.Errorf("static code = %d slots, want %d", slots, want)
 	}
 }
 
