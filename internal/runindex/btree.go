@@ -174,18 +174,8 @@ func (t *btree) insert(key uint64, id int32) {
 // the leaf chain; visit returning false stops the scan. Returns the
 // number of entries visited.
 func (t *btree) ascend(lo, hi uint64, visit func(key uint64, id int32) bool) int {
-	// Descend to the leaf that could hold (lo, minId).
-	cur := t.root
-	for !t.nodes[cur].leaf {
-		nd := &t.nodes[cur]
-		ci := 0
-		for ci < int(nd.n) && !less(lo, math.MinInt32, nd.keys[ci], nd.ids[ci]) {
-			ci++
-		}
-		cur = nd.kids[ci]
-	}
 	visited := 0
-	for cur >= 0 {
+	for cur := t.seek(lo); cur >= 0; {
 		nd := &t.nodes[cur]
 		for i := 0; i < int(nd.n); i++ {
 			k := nd.keys[i]
@@ -203,4 +193,43 @@ func (t *btree) ascend(lo, hi uint64, visit func(key uint64, id int32) bool) int
 		cur = nd.next
 	}
 	return visited
+}
+
+// seek descends to the leaf that could hold (lo, minId).
+func (t *btree) seek(lo uint64) int32 {
+	cur := t.root
+	for !t.nodes[cur].leaf {
+		nd := &t.nodes[cur]
+		ci := 0
+		for ci < int(nd.n) && !less(lo, math.MinInt32, nd.keys[ci], nd.ids[ci]) {
+			ci++
+		}
+		cur = nd.kids[ci]
+	}
+	return cur
+}
+
+// count returns the number of entries with key in [lo, hi), or limit when
+// there are at least that many: the walk stops there, so a query planner
+// pays only up to its best candidate so far. A leaf wholly inside the
+// range is counted without visiting its entries.
+func (t *btree) count(lo, hi uint64, limit int) int {
+	n := 0
+	for cur := t.seek(lo); cur >= 0 && n < limit; {
+		nd := &t.nodes[cur]
+		if nd.n > 0 && nd.keys[0] >= lo && nd.keys[nd.n-1] < hi {
+			n += int(nd.n)
+			cur = nd.next
+			continue
+		}
+		for i := 0; i < int(nd.n); i++ {
+			if k := nd.keys[i]; k >= hi {
+				return min(n, limit)
+			} else if k >= lo {
+				n++
+			}
+		}
+		cur = nd.next
+	}
+	return min(n, limit)
 }

@@ -61,6 +61,11 @@ func TestBtreeRandomizedVsReference(t *testing.T) {
 				t.Fatalf("ascend(%d,%d)[%d] = %+v, want %+v", lo, hi, i, got[i], want[i])
 			}
 		}
+		for _, limit := range []int{0, 1, len(want) / 2, len(want), len(want) + 1, math.MaxInt} {
+			if c := tree.count(lo, hi, limit); c != min(len(want), limit) {
+				t.Fatalf("count(%d,%d,%d) = %d, want %d", lo, hi, limit, c, min(len(want), limit))
+			}
+		}
 	}
 
 	check(0, math.MaxUint64)   // everything

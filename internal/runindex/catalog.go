@@ -60,6 +60,10 @@ type Catalog struct {
 	policyTree *btree // interned policy name -> record ids
 	benchIDs   map[string]uint64
 	policyIDs  map[string]uint64
+	// sids holds each record's interned bench and policy ids, indexed by
+	// record id, so a query rejects on an equality without reading the
+	// record itself.
+	sids []sidPair
 
 	dir         string   // "" = memory-only
 	logf        *os.File // nil when memory-only
@@ -80,6 +84,7 @@ func Open(dir string, opts Options) (*Catalog, error) {
 		opts:      opts,
 		dir:       dir,
 		recs:      make([]Record, 0, capn),
+		sids:      make([]sidPair, 0, capn),
 		benchIDs:  make(map[string]uint64, 64),
 		policyIDs: make(map[string]uint64, 64),
 		encBuf:    make([]byte, 0, 4096),
@@ -314,9 +319,14 @@ func (c *Catalog) indexLocked(rec *Record, id int32) {
 	for d := Dim(0); d < NumDims; d++ {
 		c.trees[d].insert(keyBits(rec.DimValue(d)), id)
 	}
-	c.benchTree.insert(intern(c.benchIDs, rec.Bench), id)
-	c.policyTree.insert(intern(c.policyIDs, rec.Policy), id)
+	bid, pid := intern(c.benchIDs, rec.Bench), intern(c.policyIDs, rec.Policy)
+	c.benchTree.insert(bid, id)
+	c.policyTree.insert(pid, id)
+	c.sids = append(c.sids, sidPair{uint32(bid), uint32(pid)})
 }
+
+// sidPair is one record's interned bench and policy ids.
+type sidPair struct{ bench, policy uint32 }
 
 // Get returns the record cataloged under key.
 func (c *Catalog) Get(key string) (Record, bool) {

@@ -138,6 +138,42 @@ func TestCatalogRangeQueries(t *testing.T) {
 	}
 }
 
+// TestPlannerDrivesByFewestRows checks that the driving filter is the
+// one with the fewest estimated rows, not the first one set.
+func TestPlannerDrivesByFewestRows(t *testing.T) {
+	c, err := Open("", Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 10000; i++ {
+		c.Ingest(testRecord(i))
+	}
+	for _, tc := range []struct {
+		raw  string
+		want int
+	}{
+		{"bench=hotspot&trigger=109:113", driverBench},          // 2500 rows vs the whole catalog
+		{"bench=hotspot&trigger=110.2", int(DimTrigger)},        // a point range: 100 rows
+		{"policy=PI&bench=hotspot", driverBench},                // 2500 ties policy's 2500: first wins
+		{"policy=PI&trigger=109:110&ki=0.1", int(DimKi)},        // 1429 < 2500 and the range's 2500
+		{"trigger=109:113", driverNone},                         // covers the catalog: a full scan
+		{"trigger=109:113&interval=250:1000", int(DimInterval)}, // 4000 < 10000
+		{"", driverNone},
+	} {
+		q, err := ParseQuery(mustParseQuery(t, tc.raw))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, ok := c.resolve(&q)
+		if !ok {
+			t.Fatalf("query %q names a string never ingested", tc.raw)
+		}
+		if got := c.driver(&q, want); got != tc.want {
+			t.Errorf("query %q drives by %d, want %d", tc.raw, got, tc.want)
+		}
+	}
+}
+
 func mustParseQuery(t *testing.T, s string) url.Values {
 	t.Helper()
 	v, err := url.ParseQuery(s)

@@ -111,7 +111,7 @@ func FuzzParseQuery(f *testing.F) {
 		}
 		res := c.Run(&q)
 		for i := range res.Rows {
-			if !q.matchRest(&res.Rows[i], driverNone) {
+			if !q.matches(&res.Rows[i]) {
 				t.Fatalf("row %q does not match query %+v", res.Rows[i].Key, q)
 			}
 		}

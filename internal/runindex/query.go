@@ -1,11 +1,12 @@
 package runindex
 
 // Query execution: composite filters over the catalog. One filter drives
-// the scan — the first set numeric range walks its B+-tree leaf chain,
-// a bench/policy equality walks the interned-string tree — and the
-// remaining filters are verified per candidate record, so a query costs
-// O(selectivity of the driving filter), not O(catalog). FullScan is the
-// deliberate no-index baseline BenchmarkRunIndex's T5 compares T2 against.
+// the scan — a numeric range walks its B+-tree leaf chain, a bench/policy
+// equality walks the interned-string tree — and the remaining filters are
+// verified per candidate record. The planner drives by the filter with the
+// fewest estimated rows, so a query costs O(selectivity of its most
+// selective filter), not O(catalog). FullScan is the deliberate no-index
+// baseline BenchmarkRunIndex's T5 compares T2 against.
 
 import (
 	"fmt"
@@ -102,14 +103,14 @@ func parseBound(s string) (float64, error) {
 	return v, err
 }
 
-// matchRest checks every filter except the one driving the scan.
-func (q *Query) matchRest(rec *Record, driver int) bool {
-	if q.Bench != "" && driver != driverBench && rec.Bench != q.Bench {
-		return false
-	}
-	if q.Policy != "" && driver != driverPolicy && rec.Policy != q.Policy {
-		return false
-	}
+// matches checks every filter against rec, comparing its strings.
+func (q *Query) matches(rec *Record) bool {
+	return (q.Bench == "" || rec.Bench == q.Bench) &&
+		(q.Policy == "" || rec.Policy == q.Policy) && q.matchDims(rec, driverNone)
+}
+
+// matchDims checks every numeric range except the one driving the scan.
+func (q *Query) matchDims(rec *Record, driver int) bool {
 	for d := Dim(0); d < NumDims; d++ {
 		if int(d) == driver {
 			continue
@@ -127,21 +128,51 @@ const (
 	driverPolicy = -3
 )
 
-// driver picks the scan strategy: the first set numeric range, else a
-// string equality, else a full scan.
-func (q *Query) driver() int {
-	for d := Dim(0); d < NumDims; d++ {
-		if q.Dims[d].Set {
-			return int(d)
-		}
-	}
+// resolve maps q's bench/policy equalities to interned ids (0 where q
+// sets none). ok is false when q names a string never ingested, which
+// matches nothing.
+func (c *Catalog) resolve(q *Query) (want sidPair, ok bool) {
 	if q.Bench != "" {
-		return driverBench
+		sid, found := c.benchIDs[q.Bench]
+		if !found {
+			return want, false
+		}
+		want.bench = uint32(sid)
 	}
 	if q.Policy != "" {
-		return driverPolicy
+		sid, found := c.policyIDs[q.Policy]
+		if !found {
+			return want, false
+		}
+		want.policy = uint32(sid)
 	}
-	return driverNone
+	return want, true
+}
+
+// driver picks the scan strategy by estimated rows: the entries each set
+// filter covers in its B+-tree (a bench/policy equality's posting
+// length, a numeric range's span), counted only up to the best candidate
+// so far. A full scan, the fallback, costs the whole catalog; ties keep
+// the earlier candidate. The caller holds c.mu.
+func (c *Catalog) driver(q *Query, want sidPair) int {
+	best, bestN := driverNone, len(c.recs)
+	consider := func(drv int, t *btree, lo, hi uint64) {
+		if rows := t.count(lo, hi, bestN); rows < bestN {
+			best, bestN = drv, rows
+		}
+	}
+	if b := uint64(want.bench); b != 0 {
+		consider(driverBench, c.benchTree, b, b+1)
+	}
+	if p := uint64(want.policy); p != 0 {
+		consider(driverPolicy, c.policyTree, p, p+1)
+	}
+	for d := Dim(0); d < NumDims; d++ {
+		if f := q.Dims[d]; f.Set {
+			consider(int(d), c.trees[d], keyBits(f.Lo), keyBits(f.Hi))
+		}
+	}
+	return best
 }
 
 // Execute runs q and calls visit for every matching record in scan
@@ -160,10 +191,20 @@ func (c *Catalog) Execute(q *Query, visit func(rec *Record) bool) int {
 	if m := c.opts.Metrics; m != nil {
 		m.Queries.Inc()
 	}
+	// The equalities are checked on the interned-id column, where an id
+	// of 0 matches any record.
+	want, ok := c.resolve(q)
+	if !ok {
+		return 0
+	}
 	rows := 0
 	emit := func(id int32, driver int) bool {
+		if s := c.sids[id]; (want.bench != 0 && s.bench != want.bench) ||
+			(want.policy != 0 && s.policy != want.policy) {
+			return true
+		}
 		rec := &c.recs[id]
-		if !q.matchRest(rec, driver) {
+		if !q.matchDims(rec, driver) {
 			return true
 		}
 		rows++
@@ -172,7 +213,7 @@ func (c *Catalog) Execute(q *Query, visit func(rec *Record) bool) int {
 		}
 		return true
 	}
-	switch drv := q.driver(); drv {
+	switch drv := c.driver(q, want); drv {
 	case driverNone:
 		for id := range c.recs {
 			if !emit(int32(id), drv) {
@@ -180,13 +221,9 @@ func (c *Catalog) Execute(q *Query, visit func(rec *Record) bool) int {
 			}
 		}
 	case driverBench, driverPolicy:
-		tree, table, name := c.benchTree, c.benchIDs, q.Bench
+		tree, sid := c.benchTree, uint64(want.bench)
 		if drv == driverPolicy {
-			tree, table, name = c.policyTree, c.policyIDs, q.Policy
-		}
-		sid, ok := table[name]
-		if !ok {
-			return 0
+			tree, sid = c.policyTree, uint64(want.policy)
 		}
 		tree.ascend(sid, sid+1, func(_ uint64, id int32) bool {
 			return emit(id, drv)
@@ -218,7 +255,7 @@ func (c *Catalog) FullScan(q *Query, visit func(rec *Record) bool) int {
 	rows := 0
 	for id := range c.recs {
 		rec := &c.recs[id]
-		if !q.matchRest(rec, driverNone) {
+		if !q.matches(rec) {
 			continue
 		}
 		rows++

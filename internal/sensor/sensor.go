@@ -17,8 +17,7 @@ package sensor
 import (
 	"fmt"
 	"math"
-
-	"repro/internal/stats"
+	"sync"
 )
 
 // Sensor reads block temperatures, optionally with offset and quantization
@@ -43,61 +42,131 @@ func (s Sensor) Read(trueTemp float64) float64 {
 	return v
 }
 
-// StructProxy is the per-structure boxcar power-average temperature proxy:
-// for each block, a moving average of its power over a window; the block
-// "triggers" when Tsink + Pavg*R crosses the emergency threshold.
-type StructProxy struct {
-	boxcars   []*stats.Boxcar
+// Proxy runs the prior art's two boxcar power-average temperature proxies
+// over one window: per structure, each block "triggers" when
+// Tsink + Pavg*R crosses the emergency threshold; chip-wide, the proxy
+// triggers when the average chip power crosses a wattage threshold.
+//
+// All series share one interleaved ring of window rows. Row k holds cycle
+// k's block powers followed by the chip power, so one cycle reads and
+// writes one contiguous row. Each series keeps a running sum, updated
+// incrementally and recomputed exactly from the ring once per wrap: the
+// incremental update `sum += x - evicted` accumulates floating-point
+// rounding error without bound over long streams (catastrophically so
+// when a large transient passes through the window), and the periodic
+// recompute caps the drift at one window's worth of roundoff.
+//
+// Before the window fills, Step only adds, and it reads a slot only after
+// writing it in the same run. The ring is therefore never zeroed: it
+// comes from a pool that Release returns it to, and a ring left dirty by
+// an earlier run gives the same results as a fresh one.
+type Proxy struct {
+	ring      *[]float64 // window rows of len(r)+1 samples; nil after Release
+	sums      []float64  // per-block running sums, then the chip's
 	r         []float64
+	window    int
+	head      int // next row to write
+	full      bool
 	sink      float64
 	threshold float64
+	chipW     float64
 }
 
-// NewStructProxy builds a proxy over blocks with the given thermal
-// resistances, heatsink temperature and trigger threshold.
-func NewStructProxy(rs []float64, window int, sink, threshold float64) *StructProxy {
+// ringPools holds released rings, one *sync.Pool per ring length.
+var ringPools sync.Map
+
+func ringPool(n int) *sync.Pool {
+	if p, ok := ringPools.Load(n); ok {
+		return p.(*sync.Pool)
+	}
+	p, _ := ringPools.LoadOrStore(n, &sync.Pool{New: func() any {
+		ring := make([]float64, n)
+		return &ring
+	}})
+	return p.(*sync.Pool)
+}
+
+// NewProxy builds both proxies for one window over blocks with the given
+// thermal resistances: the per-structure proxy against the heatsink
+// temperature and emergency threshold, the chip-wide one against chipW
+// watts. It panics on an empty block set or a non-positive window, both
+// configuration errors.
+func NewProxy(rs []float64, window int, sink, threshold, chipW float64) *Proxy {
 	if len(rs) == 0 {
 		panic("sensor: no blocks for proxy")
 	}
-	p := &StructProxy{r: append([]float64(nil), rs...), sink: sink, threshold: threshold}
-	for range rs {
-		p.boxcars = append(p.boxcars, stats.NewBoxcar(window))
+	if window <= 0 {
+		panic(fmt.Sprintf("sensor: invalid proxy window %d", window))
 	}
-	return p
+	return &Proxy{
+		ring:      ringPool(window * (len(rs) + 1)).Get().(*[]float64),
+		sums:      make([]float64, len(rs)+1),
+		r:         append([]float64(nil), rs...),
+		window:    window,
+		sink:      sink,
+		threshold: threshold,
+		chipW:     chipW,
+	}
 }
 
-// Step folds in this cycle's per-block power and reports whether any block
-// triggers.
-func (p *StructProxy) Step(power []float64) bool {
-	if len(power) != len(p.boxcars) {
-		panic(fmt.Sprintf("sensor: %d powers for %d blocks", len(power), len(p.boxcars)))
+// Step folds in this cycle's per-block power and total chip power and
+// reports whether the per-structure proxy (any block) and the chip-wide
+// proxy trigger. Before the window fills, the averages are over the cycles
+// seen so far. Step must not be called after Release.
+func (p *Proxy) Step(power []float64, chip float64) (hotS, hotC bool) {
+	nb := len(p.r)
+	if len(power) != nb {
+		panic(fmt.Sprintf("sensor: %d powers for %d blocks", len(power), nb))
 	}
-	hot := false
-	for i, bc := range p.boxcars {
-		avg := bc.Add(power[i])
-		if p.sink+avg*p.r[i] > p.threshold {
-			hot = true
+	ring := *p.ring
+	row := ring[p.head*(nb+1) : (p.head+1)*(nb+1)]
+	sums := p.sums[:nb+1]
+	if p.full {
+		for i, x := range power {
+			sums[i] += x - row[i]
+			row[i] = x
+		}
+		sums[nb] += chip - row[nb]
+	} else {
+		for i, x := range power {
+			sums[i] += x
+			row[i] = x
+		}
+		sums[nb] += chip
+	}
+	row[nb] = chip
+	p.head++
+	if p.head == p.window {
+		p.head = 0
+		p.full = true
+		clear(sums)
+		for k := 0; k < len(ring); k += nb + 1 {
+			for i, v := range ring[k : k+nb+1] {
+				sums[i] += v
+			}
 		}
 	}
-	return hot
+	n := float64(p.head)
+	if p.full {
+		n = float64(p.window)
+	}
+	for i, r := range p.r {
+		if p.sink+(sums[i]/n)*r > p.threshold {
+			hotS = true
+		}
+	}
+	return hotS, sums[nb]/n > p.chipW
 }
 
-// ChipProxy is the chip-wide boxcar power proxy: a single moving average of
-// total chip power with a wattage trigger threshold.
-type ChipProxy struct {
-	boxcar    *stats.Boxcar
-	threshold float64
-}
-
-// NewChipProxy builds a chip-wide proxy with the given window and trigger
-// threshold in watts.
-func NewChipProxy(window int, thresholdWatts float64) *ChipProxy {
-	return &ChipProxy{boxcar: stats.NewBoxcar(window), threshold: thresholdWatts}
-}
-
-// Step folds in total chip power and reports whether the proxy triggers.
-func (p *ChipProxy) Step(chipPower float64) bool {
-	return p.boxcar.Add(chipPower) > p.threshold
+// Release returns the ring to the pool for the next proxy of the same
+// shape. The proxy must not be stepped afterwards; a second Release is a
+// no-op. A proxy that is never released just leaves its ring to the GC.
+func (p *Proxy) Release() {
+	if p.ring == nil {
+		return
+	}
+	ringPool(len(*p.ring)).Put(p.ring)
+	p.ring = nil
 }
 
 // Comparison tallies proxy-vs-model agreement over a run (one row of

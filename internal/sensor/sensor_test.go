@@ -20,34 +20,40 @@ func TestSensorOffsetAndQuantum(t *testing.T) {
 	}
 }
 
+// structProxy builds a Proxy whose chip-wide half never triggers, so a
+// test can read the per-structure half alone.
+func structProxy(rs []float64, window int, sink, threshold float64) *Proxy {
+	return NewProxy(rs, window, sink, threshold, math.Inf(1))
+}
+
 func TestStructProxyTriggersAtImpliedTemp(t *testing.T) {
 	// One block: R=2, sink=100, threshold=111.3 => triggers when
 	// Pavg > 5.65 W.
-	p := NewStructProxy([]float64{2.0}, 4, 100, 111.3)
-	if p.Step([]float64{5.0}) {
+	p := structProxy([]float64{2.0}, 4, 100, 111.3)
+	if hot, _ := p.Step([]float64{5.0}, 0); hot {
 		t.Error("triggered below threshold")
 	}
 	// Window now [5,6,6,6]: avg 5.75 -> implied 111.5 > 111.3.
 	var hot bool
 	for i := 0; i < 3; i++ {
-		hot = p.Step([]float64{6.0})
+		hot, _ = p.Step([]float64{6.0}, 0)
 	}
 	if !hot {
 		t.Error("did not trigger at 5.75 W average")
 	}
-	if it := p.sink + p.boxcars[0].Avg()*p.r[0]; math.Abs(it-111.5) > 1e-9 {
+	if it := p.sink + p.avg(0)*p.r[0]; math.Abs(it-111.5) > 1e-9 {
 		t.Errorf("implied temp = %v, want 111.5", it)
 	}
 }
 
 func TestStructProxyPanicsOnMismatch(t *testing.T) {
-	p := NewStructProxy([]float64{1, 2}, 4, 100, 111.3)
+	p := structProxy([]float64{1, 2}, 4, 100, 111.3)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("mismatched Step did not panic")
 		}
 	}()
-	p.Step([]float64{1})
+	p.Step([]float64{1}, 0)
 }
 
 func TestNewStructProxyPanicsOnEmpty(t *testing.T) {
@@ -56,20 +62,20 @@ func TestNewStructProxyPanicsOnEmpty(t *testing.T) {
 			t.Fatal("empty proxy accepted")
 		}
 	}()
-	NewStructProxy(nil, 4, 100, 111.3)
+	structProxy(nil, 4, 100, 111.3)
 }
 
 func TestChipProxyThreshold(t *testing.T) {
-	p := NewChipProxy(2, 47)
-	if p.Step(46) {
+	p := NewProxy([]float64{1}, 2, 0, math.Inf(1), 47)
+	if _, hot := p.Step([]float64{0}, 46); hot {
 		t.Error("triggered below threshold")
 	}
-	p.Step(50)
-	if !p.Step(50) {
+	p.Step([]float64{0}, 50)
+	if _, hot := p.Step([]float64{0}, 50); !hot {
 		t.Error("did not trigger above threshold")
 	}
-	if p.boxcar.Avg() != 50 {
-		t.Errorf("avg = %v", p.boxcar.Avg())
+	if got := p.avg(1); got != 50 {
+		t.Errorf("avg = %v", got)
 	}
 }
 
@@ -77,18 +83,18 @@ func TestChipProxyThreshold(t *testing.T) {
 // long window is invisible — the "missed emergency" failure mode of
 // Section 6.
 func TestLongWindowMissesBurst(t *testing.T) {
-	long := NewStructProxy([]float64{2.0}, 1000, 100, 111.3)
-	short := NewStructProxy([]float64{2.0}, 10, 100, 111.3)
+	long := structProxy([]float64{2.0}, 1000, 100, 111.3)
+	short := structProxy([]float64{2.0}, 10, 100, 111.3)
 	longHot, shortHot := false, false
 	for i := 0; i < 2000; i++ {
 		p := 1.0
 		if i >= 1500 && i < 1520 {
 			p = 10.0 // 20-cycle burst, steady state would be 120 C
 		}
-		if long.Step([]float64{p}) {
+		if hot, _ := long.Step([]float64{p}, 0); hot {
 			longHot = true
 		}
-		if short.Step([]float64{p}) {
+		if hot, _ := short.Step([]float64{p}, 0); hot {
 			shortHot = true
 		}
 	}

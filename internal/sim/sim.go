@@ -294,11 +294,10 @@ func (r *Result) CycleCount() uint64 {
 	return r.Cycles
 }
 
-// proxyPair couples the two Section 6 proxies for one window with the
+// proxyPair couples the Section 6 proxies for one window with the
 // ProxyResult they tally into.
 type proxyPair struct {
-	ps   *sensor.StructProxy
-	pc   *sensor.ChipProxy
+	p    *sensor.Proxy
 	comp *ProxyResult
 }
 
@@ -520,8 +519,7 @@ func newWith(cfg Config, gen *workload.Generator, core *pipeline.Core, pmodel *p
 		for i, w := range cfg.ProxyWindows {
 			res.Proxies[i] = ProxyResult{Window: w}
 			proxies = append(proxies, proxyPair{
-				ps:   sensor.NewStructProxy(rs, w, cfg.Thresholds.SinkTemp, cfg.Thresholds.Emergency),
-				pc:   sensor.NewChipProxy(w, cfg.ChipProxyTriggerW),
+				p:    sensor.NewProxy(rs, w, cfg.Thresholds.SinkTemp, cfg.Thresholds.Emergency, cfg.ChipProxyTriggerW),
 				comp: &res.Proxies[i],
 			})
 		}
@@ -983,8 +981,7 @@ func (s *Sim) stepEuler(powerVec []float64, chip float64, cycle uint64) {
 	// Proxies.
 	if s.hasProxies {
 		for _, pp := range s.proxies {
-			hotS := pp.ps.Step(powerVec)
-			hotC := pp.pc.Step(chip)
+			hotS, hotC := pp.p.Step(powerVec, chip)
 			pp.comp.PerStruct.Record(anyEmerg, hotS)
 			pp.comp.ChipWide.Record(anyEmerg, hotC)
 		}
@@ -1093,6 +1090,9 @@ func (s *Sim) Finish() *Result {
 	}
 	if s.hasMetrics {
 		s.flushMetrics() // make the registry exact at run end
+	}
+	for _, pp := range s.proxies {
+		pp.p.Release() // Step may not follow Finish, so the rings are free
 	}
 	return res
 }

@@ -1,7 +1,8 @@
 // Package stats provides the small statistical utilities shared by the
 // simulator, the experiment harness and the table generators: running
-// scalars, boxcar averages, time series with fixed-stride downsampling, and
-// table formatting.
+// means and variances, time series with fixed-stride downsampling, and
+// table formatting. The boxcar power averages of Section 6 live in
+// package sensor, as the Proxy ring.
 package stats
 
 import (
@@ -46,63 +47,6 @@ func (r *Running) Variance() float64 {
 
 // StdDev returns the population standard deviation.
 func (r *Running) StdDev() float64 { return math.Sqrt(r.Variance()) }
-
-// Boxcar is a fixed-window moving average over a scalar stream — the
-// power-averaging proxy used by Brooks & Martonosi and evaluated against the
-// RC thermal model in Section 6 of the paper.
-type Boxcar struct {
-	buf  []float64
-	head int
-	full bool
-	sum  float64
-}
-
-// NewBoxcar returns a moving average over the last window samples.
-// It panics if window is not positive, since a zero-length boxcar is
-// always a configuration error.
-func NewBoxcar(window int) *Boxcar {
-	if window <= 0 {
-		panic(fmt.Sprintf("stats: invalid boxcar window %d", window))
-	}
-	return &Boxcar{buf: make([]float64, window)}
-}
-
-// Add pushes a sample and returns the current average. Before the window
-// fills, the average is over the samples seen so far.
-//
-// The running sum is maintained incrementally (O(1) per sample) but
-// recomputed exactly from the buffer once per window wrap: the incremental
-// update `sum += x - evicted` accumulates floating-point rounding error
-// without bound over long streams (catastrophically so when a large
-// transient passes through the window), and the periodic recompute caps
-// the drift at one window's worth of roundoff.
-func (b *Boxcar) Add(x float64) float64 {
-	b.sum += x - b.buf[b.head]
-	b.buf[b.head] = x
-	b.head++
-	if b.head == len(b.buf) {
-		b.head = 0
-		b.full = true
-		sum := 0.0
-		for _, v := range b.buf {
-			sum += v
-		}
-		b.sum = sum
-	}
-	return b.Avg()
-}
-
-// Avg returns the current average without adding a sample.
-func (b *Boxcar) Avg() float64 {
-	n := len(b.buf)
-	if !b.full {
-		n = b.head
-		if n == 0 {
-			return 0
-		}
-	}
-	return b.sum / float64(n)
-}
 
 // Series records a downsampled time series: every Stride-th sample is kept.
 type Series struct {

@@ -23,122 +23,6 @@ func TestRunningBasics(t *testing.T) {
 	}
 }
 
-func TestBoxcarWarmupAndSteady(t *testing.T) {
-	b := NewBoxcar(4)
-	if got := b.Avg(); got != 0 {
-		t.Fatalf("empty avg = %v, want 0", got)
-	}
-	if got := b.Add(8); got != 8 {
-		t.Errorf("first avg = %v, want 8", got)
-	}
-	b.Add(0)
-	if got := b.Avg(); got != 4 {
-		t.Errorf("partial avg = %v, want 4", got)
-	}
-	b.Add(0)
-	b.Add(0)
-	// Window now holds {8,0,0,0}; pushing 4 evicts the 8.
-	if got := b.Add(4); got != 1 {
-		t.Errorf("avg = %v, want 1", got)
-	}
-}
-
-func TestBoxcarPanicsOnBadWindow(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("NewBoxcar(0) did not panic")
-		}
-	}()
-	NewBoxcar(0)
-}
-
-// Property: a full boxcar average always lies within [min, max] of the last
-// window of samples, and matches a direct recomputation.
-func TestBoxcarMatchesDirectAverage(t *testing.T) {
-	f := func(raw []float64, w8 uint8) bool {
-		w := int(w8%16) + 1
-		b := NewBoxcar(w)
-		samples := make([]float64, 0, len(raw))
-		for _, x := range raw {
-			if math.IsNaN(x) || math.IsInf(x, 0) || math.Abs(x) > 1e9 {
-				continue
-			}
-			samples = append(samples, x)
-			b.Add(x)
-		}
-		n := len(samples)
-		if n == 0 {
-			return b.Avg() == 0
-		}
-		lo := n - w
-		if lo < 0 {
-			lo = 0
-		}
-		var sum float64
-		for _, x := range samples[lo:] {
-			sum += x
-		}
-		want := sum / float64(n-lo)
-		return math.Abs(b.Avg()-want) <= 1e-6*(1+math.Abs(want))
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-// TestBoxcarRecoversFromCatastrophicAbsorption pins the incremental-sum
-// drift fix: a large transient passing through the window used to destroy
-// the running sum permanently. With sum ~ 1e17, adding 1.0 is fully
-// absorbed (the ulp at 1e17 is 16), so when the spike was evicted the
-// incremental update `sum += 1 - spike` left ~1 instead of the true 8 —
-// and without the recompute-on-wrap the average stayed wrong forever.
-func TestBoxcarRecoversFromCatastrophicAbsorption(t *testing.T) {
-	const w = 8
-	const spike = 1e17
-	b := NewBoxcar(w)
-	feed := func(xs ...float64) {
-		for _, x := range xs {
-			b.Add(x)
-		}
-	}
-	ones := make([]float64, w)
-	for i := range ones {
-		ones[i] = 1
-	}
-	feed(ones...)       // steady window of 1s
-	feed(spike)         // transient enters
-	feed(ones[:w-1]...) // window wraps with the spike inside
-	feed(ones...)       // transient evicted, another full wrap
-	if got := b.Avg(); got != 1 {
-		t.Fatalf("average after transient passed = %v, want exactly 1", got)
-	}
-
-	// And against a naive O(n) recomputation at every step of a stream
-	// that keeps pushing large/small magnitude flips through the window.
-	b = NewBoxcar(w)
-	var hist []float64
-	for i := 0; i < 10*w; i++ {
-		x := 1.0
-		if i%11 == 0 {
-			x = 1e15
-		}
-		hist = append(hist, x)
-		got := b.Add(x)
-		lo := len(hist) - w
-		if lo < 0 {
-			lo = 0
-		}
-		var sum float64
-		for _, v := range hist[lo:] {
-			sum += v
-		}
-		want := sum / float64(len(hist)-lo)
-		if math.Abs(got-want) > 1e-6*math.Abs(want) {
-			t.Fatalf("step %d: incremental avg %v diverged from naive %v", i, got, want)
-		}
-	}
-}
-
 func TestSeriesStride(t *testing.T) {
 	s := NewSeries(10)
 	for i := uint64(0); i < 100; i++ {

@@ -2,9 +2,11 @@ package telemetry
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"sync"
 )
@@ -170,9 +172,10 @@ func appendFloatField(b []byte, name string, v float64) []byte {
 }
 
 // appendFloat emits a JSON number; NaN/Inf (not representable in JSON) are
-// written as 0 rather than corrupting the stream.
+// written as 0 rather than corrupting the stream. Every finite value,
+// up to ±MaxFloat64, is written exactly.
 func appendFloat(b []byte, v float64) []byte {
-	if v != v || v > 1e308 || v < -1e308 {
+	if v != v || math.IsInf(v, 0) {
 		return append(b, '0')
 	}
 	return strconv.AppendFloat(b, v, 'g', -1, 64)
@@ -209,6 +212,12 @@ func DecodeTrace(r io.Reader) ([]Sample, error) {
 		raw := sc.Bytes()
 		if len(raw) == 0 {
 			continue
+		}
+		// The Recorder writes one object per line. JSON null would
+		// decode to a zero Sample that no line describes, so a line
+		// that is not an object is an error.
+		if t := bytes.TrimLeft(raw, " \t\r"); len(t) == 0 || t[0] != '{' {
+			return out, fmt.Errorf("telemetry: trace line %d: not a JSON object", line)
 		}
 		var s Sample
 		if err := json.Unmarshal(raw, &s); err != nil {
