@@ -373,7 +373,7 @@ func (s *server) handleRun(w http.ResponseWriter, r *http.Request) {
 	reqID := s.ids.Next()
 	w.Header().Set("X-Request-Id", reqID)
 
-	cfg, err := s.runConfig(r)
+	_, cfg, err := bench.ParseRun(r.URL.Query(), s.cfg.insts)
 	if err != nil {
 		serving.WriteError(w, s.logf, reqID, http.StatusBadRequest, err)
 		return
@@ -412,7 +412,7 @@ func (s *server) handleRun(w http.ResponseWriter, r *http.Request) {
 	// re-stream that run's per-cycle metrics into /metrics.
 	var key string
 	if s.cache != nil {
-		if k, ok := sim.CacheKey(*cfg); ok {
+		if k, ok := sim.CacheKey(cfg); ok {
 			key = k
 			if res, hit := s.cache.Get(key); hit {
 				s.writeJSON(w, reqID, http.StatusOK, runSummary(res, reqID, true))
@@ -421,7 +421,7 @@ func (s *server) handleRun(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	cfg.Metrics = telemetry.NewSimMetrics(s.reg)
-	res, err := sim.RunContext(ctx, *cfg)
+	res, err := sim.RunContext(ctx, cfg)
 	if err != nil {
 		serving.WriteError(w, s.logf, reqID, serving.StatusForRunError(err), err)
 		return
@@ -430,39 +430,6 @@ func (s *server) handleRun(w http.ResponseWriter, r *http.Request) {
 		s.cache.Put(key, res)
 	}
 	s.writeJSON(w, reqID, http.StatusOK, runSummary(res, reqID, false))
-}
-
-// runConfig parses /run query parameters into a simulation config.
-func (s *server) runConfig(r *http.Request) (*sim.Config, error) {
-	q := r.URL.Query()
-	benchName := q.Get("bench")
-	if benchName == "" {
-		benchName = "gcc"
-	}
-	policy := q.Get("policy")
-	if policy == "" {
-		policy = "PI"
-	}
-	insts := s.cfg.insts
-	if v := q.Get("insts"); v != "" {
-		n, err := strconv.ParseUint(v, 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad insts: %w", err)
-		}
-		if n == 0 {
-			return nil, fmt.Errorf("bad insts: must be positive")
-		}
-		insts = n
-	}
-	prof, err := bench.ByName(benchName)
-	if err != nil {
-		return nil, err
-	}
-	cfg := sim.Config{Workload: prof, MaxInsts: insts}
-	if err := bench.ApplyPolicy(&cfg, policy, 0); err != nil {
-		return nil, err
-	}
-	return &cfg, nil
 }
 
 func runSummary(res *sim.Result, reqID string, cached bool) map[string]any {

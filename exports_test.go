@@ -19,7 +19,6 @@ import (
 // its tests keep it honest. Anything else that only tests reach is deleted,
 // not listed here.
 var testOnlyExports = map[string]string{
-	"bench.NewRun":                             "README API: the minimal library use builds a run with it",
 	"bench.Policies":                           "README API: names the policies bench.NewRun accepts",
 	"control.(PID).Integral":                   "paper claim: integral anti-windup (Section 3.1) is checked on the accumulator",
 	"control.Analyze":                          "DESIGN.md §5: gain/phase-margin robustness analysis",

@@ -12,6 +12,8 @@ package bench
 
 import (
 	"fmt"
+	"net/url"
+	"strconv"
 
 	"repro/internal/control"
 	"repro/internal/dtm"
@@ -320,8 +322,11 @@ func Policies() []string {
 
 // NewRun builds a ready-to-run configuration for a named benchmark under a
 // named DTM policy at the paper's operating points. insts bounds the run
-// length in committed instructions.
+// length in committed instructions and must be positive.
 func NewRun(benchmark, policy string, insts uint64) (sim.Config, error) {
+	if insts == 0 {
+		return sim.Config{}, fmt.Errorf("bench: insts must be positive")
+	}
 	prof, err := ByName(benchmark)
 	if err != nil {
 		return sim.Config{}, err
@@ -331,4 +336,36 @@ func NewRun(benchmark, policy string, insts uint64) (sim.Config, error) {
 		return sim.Config{}, err
 	}
 	return cfg, nil
+}
+
+// RunQuery is one /run request: benchmark, policy and instruction budget.
+type RunQuery struct {
+	Bench  string
+	Policy string
+	Insts  uint64
+}
+
+// ParseRun parses the bench, policy and insts parameters of a /run request
+// and builds the run's configuration (NewRun). bench defaults to gcc,
+// policy to PI and insts to defInsts.
+func ParseRun(q url.Values, defInsts uint64) (RunQuery, sim.Config, error) {
+	rq := RunQuery{Bench: q.Get("bench"), Policy: q.Get("policy"), Insts: defInsts}
+	if rq.Bench == "" {
+		rq.Bench = "gcc"
+	}
+	if rq.Policy == "" {
+		rq.Policy = "PI"
+	}
+	if v := q.Get("insts"); v != "" {
+		n, err := strconv.ParseUint(v, 10, 64)
+		if err != nil {
+			return RunQuery{}, sim.Config{}, fmt.Errorf("bad insts: %w", err)
+		}
+		rq.Insts = n
+	}
+	cfg, err := NewRun(rq.Bench, rq.Policy, rq.Insts)
+	if err != nil {
+		return RunQuery{}, sim.Config{}, err
+	}
+	return rq, cfg, nil
 }

@@ -85,16 +85,6 @@ type Prediction struct {
 	rasTopVal  uint64
 }
 
-// Stats counts predictor traffic and accuracy.
-type Stats struct {
-	Lookups     uint64
-	Updates     uint64
-	CondLookups uint64
-	CondMiss    uint64 // conditional direction mispredictions
-	TargetMiss  uint64 // taken with unknown/incorrect target
-	RASMiss     uint64
-}
-
 // Predictor is the full hybrid prediction unit.
 type Predictor struct {
 	cfg     Config
@@ -107,7 +97,6 @@ type Predictor struct {
 	ras     []uint64
 	rasTop  int
 	clock   uint64
-	stats   Stats
 }
 
 func pow2(name string, v int) {
@@ -147,9 +136,6 @@ func New(cfg Config) *Predictor {
 	}
 	return p
 }
-
-// Stats returns a copy of the traffic counters.
-func (p *Predictor) Stats() Stats { return p.stats }
 
 func (p *Predictor) bimodIdx(pc uint64) int {
 	return int((pc >> 2) & uint64(p.cfg.BimodEntries-1))
@@ -204,7 +190,6 @@ func (p *Predictor) btbInsert(pc, target uint64) {
 // on a misprediction, to Recover.
 func (p *Predictor) Predict(pc uint64, class isa.OpClass) Prediction {
 	p.clock++
-	p.stats.Lookups++
 	pr := Prediction{
 		histBefore: p.hist,
 		rasTopIdx:  p.rasTop,
@@ -230,7 +215,6 @@ func (p *Predictor) Predict(pc uint64, class isa.OpClass) Prediction {
 		pr.Target, pr.BTBHit = p.btbLookup(pc)
 		return pr
 	case isa.OpBranch:
-		p.stats.CondLookups++
 		bi := p.bimod[p.bimodIdx(pc)]
 		gi := p.global[p.globalIdx()]
 		ch := p.chooser[p.chooserIdx(pc)]
@@ -259,7 +243,6 @@ func (p *Predictor) Predict(pc uint64, class isa.OpClass) Prediction {
 // order, at resolve/commit time.
 func (p *Predictor) Update(pc uint64, class isa.OpClass, taken bool, target uint64, pr Prediction) {
 	p.clock++
-	p.stats.Updates++
 	if class == isa.OpBranch {
 		// Components train on the outcome; the chooser trains toward
 		// whichever component was right (when they disagree).
@@ -274,18 +257,6 @@ func (p *Predictor) Update(pc uint64, class isa.OpClass, taken bool, target uint
 			ci := p.chooserIdx(pc)
 			p.chooser[ci] = p.chooser[ci].update(giRight)
 		}
-		if pr.Taken != taken {
-			p.stats.CondMiss++
-		}
-		if taken && (!pr.BTBHit || pr.Target != target) {
-			p.stats.TargetMiss++
-		}
-	} else if class == isa.OpReturn {
-		if !pr.BTBHit || pr.Target != target {
-			p.stats.RASMiss++
-		}
-	} else if pr.Target != target || !pr.BTBHit {
-		p.stats.TargetMiss++
 	}
 	if taken && class != isa.OpReturn {
 		p.btbInsert(pc, target)
@@ -310,7 +281,7 @@ func (p *Predictor) Recover(class isa.OpClass, taken bool, pr Prediction) {
 }
 
 // Clone returns an independent deep copy of the predictor: all tables,
-// the global history, the RAS, and the statistics. Gang execution forks a
+// the global history and the RAS. Gang execution forks a
 // diverged simulation by cloning the shared core; predictions in the clone
 // must match what the original would have produced bit for bit.
 func (p *Predictor) Clone() *Predictor {

@@ -94,9 +94,6 @@ func TestGlobalComponentLearnsPattern(t *testing.T) {
 	if miss > n/10 {
 		t.Errorf("%d/%d mispredictions on periodic pattern", miss, n)
 	}
-	if s := p.Stats(); s.CondMiss*10 > s.CondLookups {
-		t.Errorf("%d/%d conditional mispredictions", s.CondMiss, s.CondLookups)
-	}
 }
 
 func TestRASPredictsReturns(t *testing.T) {
@@ -112,9 +109,6 @@ func TestRASPredictsReturns(t *testing.T) {
 		t.Errorf("return predicted %#x (hit=%v), want 0x104", prRet.Target, prRet.BTBHit)
 	}
 	p.Update(0x900, isa.OpReturn, true, 0x104, prRet)
-	if p.Stats().RASMiss != 0 {
-		t.Errorf("RAS misses = %d, want 0", p.Stats().RASMiss)
-	}
 }
 
 func TestRASNested(t *testing.T) {
@@ -217,16 +211,6 @@ func TestPredictPanicsOnNonControl(t *testing.T) {
 	p.Predict(0x100, isa.OpIntALU)
 }
 
-func TestStatsCountTraffic(t *testing.T) {
-	p := newDefault()
-	pr := p.Predict(0x100, isa.OpBranch)
-	p.Update(0x100, isa.OpBranch, true, 0x200, pr)
-	s := p.Stats()
-	if s.Lookups != 1 || s.Updates != 1 || s.CondLookups != 1 {
-		t.Errorf("stats = %+v", s)
-	}
-}
-
 // A random (uncorrelated) branch must show a high mispredict rate — the
 // predictor must not be accidentally oracle-like, since workload
 // predictability calibration depends on this.
@@ -285,38 +269,6 @@ func TestHistoryTracksOutcomesProperty(t *testing.T) {
 			}
 		}
 		return p.hist == want
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: prediction statistics are internally consistent — conditional
-// mispredictions never exceed conditional lookups.
-func TestStatsConsistencyProperty(t *testing.T) {
-	f := func(seed uint64, n8 uint8) bool {
-		p := newDefault()
-		rnd := seed | 1
-		next := func() uint64 {
-			rnd ^= rnd << 13
-			rnd ^= rnd >> 7
-			rnd ^= rnd << 17
-			return rnd
-		}
-		classes := []isa.OpClass{isa.OpBranch, isa.OpJump, isa.OpCall, isa.OpReturn}
-		for i := 0; i < int(n8); i++ {
-			cls := classes[next()%4]
-			pc := 0x2000 + (next()%32)*4
-			pr := p.Predict(pc, cls)
-			taken := cls != isa.OpBranch || next()&1 == 1
-			if pr.Taken != taken {
-				p.Recover(cls, taken, pr)
-			}
-			p.Update(pc, cls, taken, pc+8, pr)
-		}
-		s := p.Stats()
-		return s.CondMiss <= s.CondLookups && s.CondLookups <= s.Lookups &&
-			s.Updates == s.Lookups
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)

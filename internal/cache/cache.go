@@ -48,13 +48,6 @@ type line struct {
 	lru   uint64
 }
 
-// Stats counts cache traffic.
-type Stats struct {
-	Accesses   uint64
-	Misses     uint64
-	Writebacks uint64
-}
-
 // Cache is one level of the hierarchy. Next points to the lower level; a
 // nil Next means misses go to main memory.
 type Cache struct {
@@ -64,7 +57,6 @@ type Cache struct {
 	tagShift uint
 	lines    []line
 	clock    uint64
-	stats    Stats
 	next     *Cache
 }
 
@@ -98,15 +90,6 @@ func New(cfg Config, next *Cache) *Cache {
 	}
 }
 
-// CountHit records a hit that bypassed the lookup. Callers that can prove
-// an access re-touches the most-recently-used line (e.g. sequential fetch
-// within one block) may skip Access entirely: re-touching the MRU line
-// leaves LRU order unchanged, so only the access counter must advance.
-func (c *Cache) CountHit() { c.stats.Accesses++ }
-
-// Stats returns a copy of the traffic counters.
-func (c *Cache) Stats() Stats { return c.stats }
-
 func (c *Cache) set(addr uint64) []line {
 	s := int((addr >> c.setShift) & uint64(c.sets-1))
 	return c.lines[s*c.cfg.Assoc : (s+1)*c.cfg.Assoc]
@@ -117,7 +100,6 @@ func (c *Cache) set(addr uint64) []line {
 // whether this level missed.
 func (c *Cache) Access(addr uint64, write bool) (lat int, miss bool) {
 	c.clock++
-	c.stats.Accesses++
 	tag := addr >> c.tagShift
 	set := c.set(addr)
 	for i := range set {
@@ -137,7 +119,6 @@ func (c *Cache) Access(addr uint64, write bool) (lat int, miss bool) {
 		}
 	}
 	// Miss: fetch from below, install with LRU replacement.
-	c.stats.Misses++
 	below := c.fillBelow(addr, false)
 	victim := 0
 	for i := range set {
@@ -150,7 +131,6 @@ func (c *Cache) Access(addr uint64, write bool) (lat int, miss bool) {
 		}
 	}
 	if set[victim].valid && set[victim].dirty {
-		c.stats.Writebacks++
 		// Write-back of the victim to the next level; modeled as
 		// off the critical path (no added latency), as in
 		// sim-outorder's default.

@@ -58,12 +58,6 @@ func TestColdMissThenHit(t *testing.T) {
 	if _, miss := l1d.Access(0x101f, false); miss {
 		t.Error("same-block access missed")
 	}
-	// L2 hit after L1 eviction path: a second cold L1 block in the same
-	// L2 block would hit L2; use an address one L1 set apart but same L2
-	// block is impossible (same block size), so just check L2 stats.
-	if got := l1d.Stats().Misses; got != 1 {
-		t.Errorf("L1 misses = %d, want 1", got)
-	}
 }
 
 func TestL2HitLatency(t *testing.T) {
@@ -102,37 +96,53 @@ func TestWriteBackDirtyEviction(t *testing.T) {
 	cfg := Config{Name: "t", SizeBytes: 64, Assoc: 1, BlockSize: 32, Latency: 1, WriteBack: true}
 	l2 := New(Config{Name: "b", SizeBytes: 1 << 10, Assoc: 1, BlockSize: 32, Latency: 11, WriteBack: true}, nil)
 	c := New(cfg, l2)
-	c.Access(0x000, true)  // dirty
+	c.Access(0x000, true) // dirty
+	if dirtyIn(l2, 0x000) {
+		t.Fatal("a read fill left the L2 copy dirty")
+	}
 	c.Access(0x100, false) // conflicts (2 sets... wait 64/32=2 sets)
 	// 2 sets: 0x000 -> set0, 0x100 -> set0 (bit5 selects set: 0x100 has
 	// bit5=0 -> set0). Evicts dirty block -> writeback.
-	if wb := c.Stats().Writebacks; wb != 1 {
-		t.Errorf("writebacks = %d, want 1", wb)
+	if !dirtyIn(l2, 0x000) {
+		t.Error("evicted dirty block not written back to L2")
 	}
+}
+
+// dirtyIn reports whether c holds addr's block dirty. A write-back is
+// seen as the next level's copy turning dirty.
+func dirtyIn(c *Cache, addr uint64) bool {
+	for _, l := range c.set(addr) {
+		if l.valid && l.tag == addr>>c.tagShift {
+			return l.dirty
+		}
+	}
+	return false
 }
 
 func TestWriteHitMarksDirty(t *testing.T) {
 	cfg := Config{Name: "t", SizeBytes: 64, Assoc: 1, BlockSize: 32, Latency: 1, WriteBack: true}
-	c := New(cfg, nil)
+	l2 := New(Config{Name: "b", SizeBytes: 1 << 10, Assoc: 1, BlockSize: 32, Latency: 11, WriteBack: true}, nil)
+	c := New(cfg, l2)
 	c.Access(0x000, false) // clean fill
 	c.Access(0x000, true)  // write hit -> dirty
 	c.Access(0x080, false) // same set (bit5=0? 0x80: bits [5]=0 -> set0), evict
-	if wb := c.Stats().Writebacks; wb != 1 {
-		t.Errorf("writebacks = %d, want 1 after dirtying via write hit", wb)
+	if !dirtyIn(l2, 0x000) {
+		t.Error("block dirtied by a write hit not written back on eviction")
 	}
 }
 
 func TestMissRateStats(t *testing.T) {
 	l1d, _, _ := newHierarchy()
-	for i := 0; i < 100; i++ {
-		l1d.Access(uint64(i)*32, false)
+	misses := 0
+	for pass := 0; pass < 2; pass++ {
+		for i := 0; i < 100; i++ {
+			if _, miss := l1d.Access(uint64(i)*32, false); miss {
+				misses++
+			}
+		}
 	}
-	for i := 0; i < 100; i++ {
-		l1d.Access(uint64(i)*32, false)
-	}
-	s := l1d.Stats()
-	if s.Accesses != 200 || s.Misses != 100 {
-		t.Errorf("stats = %+v", s)
+	if misses != 100 {
+		t.Errorf("misses = %d of 200 accesses, want 100", misses)
 	}
 }
 
@@ -142,13 +152,16 @@ func TestSmallWorkingSetOnlyCompulsoryMisses(t *testing.T) {
 	f := func(seed uint64, n8 uint8) bool {
 		l1 := New(DefaultL1D(), nil)
 		nblocks := int(n8%64) + 1 // well under 2K blocks
+		misses := 0
 		for pass := 0; pass < 3; pass++ {
 			for i := 0; i < nblocks; i++ {
 				addr := (seed + uint64(i)*32) & 0xffff_ffff
-				l1.Access(addr, i%3 == 0)
+				if _, miss := l1.Access(addr, i%3 == 0); miss {
+					misses++
+				}
 			}
 		}
-		return l1.Stats().Misses <= uint64(nblocks)+1 // +1 for straddle
+		return misses <= nblocks+1 // +1 for straddle
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)

@@ -220,7 +220,11 @@ func get(t *testing.T, url string) (int, http.Header, []byte) {
 // can find which worker owns it.
 func specKey(t *testing.T, benchName, policy string, insts uint64) string {
 	t.Helper()
-	spec, err := makeSpec(benchName, policy, insts)
+	cfg, err := bench.NewRun(benchName, policy, insts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, err := makeSpec(bench.RunQuery{Bench: benchName, Policy: policy, Insts: insts}, cfg)
 	if err != nil {
 		t.Fatalf("makeSpec(%s,%s): %v", benchName, policy, err)
 	}

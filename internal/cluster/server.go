@@ -157,39 +157,23 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 // runSpec is one fully validated run: its fleet-facing query and the
 // cache key that routes it.
 type runSpec struct {
-	Bench  string
-	Policy string
-	Insts  uint64
-	key    string
-	query  string
+	bench.RunQuery
+	key   string
+	query string
 }
 
-// makeSpec validates one (bench, policy, insts) triple by building the
-// exact simulation config a worker will build, and derives the routing
-// key from it — the same sim.CacheKey the worker's disk cache uses, so
-// affinity routing and the cache agree by construction.
-func makeSpec(benchName, policy string, insts uint64) (runSpec, error) {
-	if insts == 0 {
-		return runSpec{}, fmt.Errorf("bad insts: must be positive")
-	}
-	prof, err := bench.ByName(benchName)
-	if err != nil {
-		return runSpec{}, err
-	}
-	cfg := sim.Config{Workload: prof, MaxInsts: insts}
-	if err := bench.ApplyPolicy(&cfg, policy, 0); err != nil {
-		return runSpec{}, err
-	}
+// makeSpec derives one run's routing key from cfg, the exact simulation
+// config a worker builds for rq — the same sim.CacheKey the worker's disk
+// cache uses, so affinity routing and the cache agree by construction.
+func makeSpec(rq bench.RunQuery, cfg sim.Config) (runSpec, error) {
 	key, ok := sim.CacheKey(cfg)
 	if !ok {
-		return runSpec{}, fmt.Errorf("config for %s/%s is not routable", benchName, policy)
+		return runSpec{}, fmt.Errorf("config for %s/%s is not routable", rq.Bench, rq.Policy)
 	}
 	return runSpec{
-		Bench:  benchName,
-		Policy: policy,
-		Insts:  insts,
-		key:    key,
-		query:  fmt.Sprintf("/run?bench=%s&policy=%s&insts=%d", benchName, policy, insts),
+		RunQuery: rq,
+		key:      key,
+		query:    fmt.Sprintf("/run?bench=%s&policy=%s&insts=%d", rq.Bench, rq.Policy, rq.Insts),
 	}, nil
 }
 
@@ -198,25 +182,11 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	reqID := s.ids.Next()
 	w.Header().Set("X-Request-Id", reqID)
 
-	q := r.URL.Query()
-	benchName := q.Get("bench")
-	if benchName == "" {
-		benchName = "gcc"
+	rq, cfg, err := bench.ParseRun(r.URL.Query(), s.cfg.Insts)
+	var spec runSpec
+	if err == nil {
+		spec, err = makeSpec(rq, cfg)
 	}
-	policy := q.Get("policy")
-	if policy == "" {
-		policy = "PI"
-	}
-	insts := s.cfg.Insts
-	if v := q.Get("insts"); v != "" {
-		n, err := strconv.ParseUint(v, 10, 64)
-		if err != nil {
-			serving.WriteError(w, s.logf, reqID, http.StatusBadRequest, fmt.Errorf("bad insts: %w", err))
-			return
-		}
-		insts = n
-	}
-	spec, err := makeSpec(benchName, policy, insts)
 	if err != nil {
 		serving.WriteError(w, s.logf, reqID, http.StatusBadRequest, err)
 		return
@@ -439,7 +409,11 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	specs := make([]runSpec, 0, len(benches)*len(policies))
 	for _, b := range benches {
 		for _, p := range policies {
-			spec, err := makeSpec(b, p, insts)
+			cfg, err := bench.NewRun(b, p, insts)
+			var spec runSpec
+			if err == nil {
+				spec, err = makeSpec(bench.RunQuery{Bench: b, Policy: p, Insts: insts}, cfg)
+			}
 			if err != nil {
 				serving.WriteError(w, s.logf, reqID, http.StatusBadRequest, err)
 				return

@@ -139,7 +139,7 @@ func RunConfigs(p Params, cfgs []sim.Config) (res []*sim.Result, cold []bool, er
 	res = make([]*sim.Result, len(cfgs))
 	cold = make([]bool, len(cfgs))
 	keys := make([]string, len(cfgs))
-	var groups [][]int // positions in cfgs; a group's first member leads
+	var todo []int
 	for i := range cfgs {
 		if p.Cache != nil {
 			if key, ok := sim.CacheKey(cfgs[i]); ok {
@@ -151,9 +151,9 @@ func RunConfigs(p Params, cfgs []sim.Config) (res []*sim.Result, cold []bool, er
 			}
 		}
 		cold[i] = true
-		groups = addToGroup(groups, cfgs, i)
+		todo = append(todo, i)
 	}
-	if len(groups) == 0 { // fully warm batch: nothing to schedule
+	if len(todo) == 0 { // fully warm batch: nothing to schedule
 		return res, cold, nil
 	}
 
@@ -161,9 +161,9 @@ func RunConfigs(p Params, cfgs []sim.Config) (res []*sim.Result, cold []bool, er
 	if p.Registry != nil {
 		opts.Metrics = telemetry.NewRunnerMetrics(p.Registry)
 	}
-	outs, err := runner.Map(p.ctx(), opts, groups,
-		func(ctx context.Context, idx []int) ([]*sim.Result, error) {
-			out, err := runGroup(ctx, cfgs, idx)
+	err = runGrouped(p.ctx(), opts, cfgs, todo, res, joinGang,
+		func(ctx context.Context, members []sim.Config, idx []int) ([]*sim.Result, error) {
+			out, err := runGang(ctx, members)
 			if err == nil && p.Cache != nil {
 				for j, i := range idx {
 					if keys[i] != "" {
@@ -176,42 +176,73 @@ func RunConfigs(p Params, cfgs []sim.Config) (res []*sim.Result, cold []bool, er
 	if err != nil {
 		return nil, nil, err
 	}
-	for g, idx := range groups {
-		for j, i := range idx {
-			res[i] = outs[g][j]
-		}
-	}
 	return res, cold, nil
 }
 
-// addToGroup puts cfgs[i] into the first group with room whose lead it
-// may share a gang with, or into a new group of its own.
-func addToGroup(groups [][]int, cfgs []sim.Config, i int) [][]int {
-	for g, idx := range groups {
-		if len(idx) < maxGang && sim.GangCompatible(&cfgs[idx[0]], &cfgs[i]) == nil {
-			groups[g] = append(idx, i)
-			return groups
-		}
-	}
-	return append(groups, []int{i})
+// joinGang reports whether cfg may join the gang led by lead that has
+// size members: up to maxGang members that sim.GangCompatible admits.
+func joinGang(lead, cfg *sim.Config, size int) bool {
+	return size < maxGang && sim.GangCompatible(lead, cfg) == nil
 }
 
-// runGroup runs one job of the batch engine: the configs at idx, as one
-// gang when there are several.
-func runGroup(ctx context.Context, cfgs []sim.Config, idx []int) ([]*sim.Result, error) {
-	if len(idx) == 1 {
-		r, err := sim.RunContext(ctx, cfgs[idx[0]])
+// runGang runs one job of the batch engine: members as one gang when
+// there are several.
+func runGang(ctx context.Context, members []sim.Config) ([]*sim.Result, error) {
+	if len(members) == 1 {
+		r, err := sim.RunContext(ctx, members[0])
 		return []*sim.Result{r}, err
-	}
-	members := make([]sim.Config, len(idx))
-	for j, i := range idx {
-		members[j] = cfgs[i]
 	}
 	gang, err := sim.NewGang(members, sim.GangOptions{})
 	if err != nil {
 		return nil, err
 	}
 	return gang.Run(ctx)
+}
+
+// runGrouped is the batch loop every batch engine shares. It groups the
+// configs at the positions todo (see group) and runs each group as one job
+// on the worker pool (bounded workers, first-error abort, panic-to-error
+// conversion, per-job metrics and progress) through run, which gets the
+// group's configs and their positions and returns one result per config.
+// The results land in res at those positions.
+func runGrouped[C, R any](ctx context.Context, opts runner.Options, cfgs []C, todo []int, res []R,
+	join func(lead, cfg *C, size int) bool,
+	run func(ctx context.Context, members []C, idx []int) ([]R, error)) error {
+	groups := group(cfgs, todo, join)
+	outs, err := runner.Map(ctx, opts, groups, func(ctx context.Context, idx []int) ([]R, error) {
+		members := make([]C, len(idx))
+		for j, i := range idx {
+			members[j] = cfgs[i]
+		}
+		return run(ctx, members, idx)
+	})
+	if err != nil {
+		return err
+	}
+	for g, idx := range groups {
+		for j, i := range idx {
+			res[i] = outs[g][j]
+		}
+	}
+	return nil
+}
+
+// group puts each config at the positions todo into the first group whose
+// lead (its first member) it may join, as join(lead, cfg, group size)
+// decides, or into a new group of its own. Groups hold positions in cfgs.
+func group[C any](cfgs []C, todo []int, join func(lead, cfg *C, size int) bool) [][]int {
+	var groups [][]int
+	for _, i := range todo {
+		g := 0
+		for g < len(groups) && !join(&cfgs[groups[g][0]], &cfgs[i], len(groups[g])) {
+			g++
+		}
+		if g == len(groups) {
+			groups = append(groups, nil)
+		}
+		groups[g] = append(groups[g], i)
+	}
+	return groups
 }
 
 // instrument attaches the params' telemetry sinks to one run's config. A
@@ -366,11 +397,6 @@ func perBlockFracTable(base []*sim.Result, emergency bool) *stats.Table {
 func ProxyTables(p Params, windows []int) (perStruct, chipWide *stats.Table, err error) {
 	if len(windows) == 0 {
 		windows = []int{10_000, 500_000}
-	}
-	for _, w := range windows {
-		if w <= 0 {
-			return nil, nil, fmt.Errorf("experiments: invalid proxy window %d", w)
-		}
 	}
 	var specs []runSpec
 	for _, n := range bench.Names() {

@@ -287,10 +287,11 @@ func TestGangBatchGrouping(t *testing.T) {
 	alone["other-seed"] = add("PI", func(c *sim.Config) { c.Workload.Seed++ })
 	gang = append(gang, add("PID", nil)) // after the loners: still joins
 
-	var groups [][]int
-	for i := range cfgs {
-		groups = addToGroup(groups, cfgs, i)
+	all := make([]int, len(cfgs))
+	for i := range all {
+		all[i] = i
 	}
+	groups := group(cfgs, all, joinGang)
 	if len(groups) != 1+len(alone) {
 		t.Fatalf("groups = %v, want one gang plus %d singletons", groups, len(alone))
 	}
@@ -308,10 +309,7 @@ func TestGangBatchGrouping(t *testing.T) {
 	}
 
 	// A workload's column longer than maxGang splits into full gangs.
-	groups = nil
-	for i := 0; i < maxGang+1; i++ {
-		groups = addToGroup(groups, cfgs[gang[0]:gang[0]+1], 0)
-	}
+	groups = group(cfgs[gang[0]:gang[0]+1], make([]int, maxGang+1), joinGang)
 	if len(groups) != 2 || len(groups[0]) != maxGang || len(groups[1]) != 1 {
 		t.Errorf("maxGang+1 members grouped as %d groups of %d/%d", len(groups), len(groups[0]), len(groups[len(groups)-1]))
 	}

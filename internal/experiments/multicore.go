@@ -25,34 +25,18 @@ type mcSpec struct {
 // sim.RunMulticore per config and come back in cfgs order. Each config
 // must own its controllers.
 func RunMulticoreConfigs(p Params, cfgs []sim.MulticoreConfig) ([]*sim.MulticoreResult, error) {
-	var groups [][]int // positions in cfgs; a group's first member leads
-	for i := range cfgs {
-		g := 0
-		for g < len(groups) && !sim.MulticoreGroupable(&cfgs[groups[g][0]], &cfgs[i]) {
-			g++
-		}
-		if g == len(groups) {
-			groups = append(groups, nil)
-		}
-		groups[g] = append(groups[g], i)
+	res := make([]*sim.MulticoreResult, len(cfgs))
+	todo := make([]int, len(cfgs))
+	for i := range todo {
+		todo[i] = i
 	}
-	opts := runner.Options{Workers: p.Workers, Progress: p.Progress}
-	outs, err := runner.Map(p.ctx(), opts, groups,
-		func(ctx context.Context, idx []int) ([]*sim.MulticoreResult, error) {
-			members := make([]sim.MulticoreConfig, len(idx))
-			for j, i := range idx {
-				members[j] = cfgs[i]
-			}
+	join := func(lead, cfg *sim.MulticoreConfig, _ int) bool { return sim.MulticoreGroupable(lead, cfg) }
+	err := runGrouped(p.ctx(), runner.Options{Workers: p.Workers, Progress: p.Progress}, cfgs, todo, res, join,
+		func(ctx context.Context, members []sim.MulticoreConfig, _ []int) ([]*sim.MulticoreResult, error) {
 			return sim.RunMulticoreGroup(ctx, members)
 		})
 	if err != nil {
 		return nil, err
-	}
-	res := make([]*sim.MulticoreResult, len(cfgs))
-	for g, idx := range groups {
-		for j, i := range idx {
-			res[i] = outs[g][j]
-		}
 	}
 	return res, nil
 }

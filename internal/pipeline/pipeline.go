@@ -848,7 +848,8 @@ func (c *Core) fetch(act *Activity) {
 	var lat int
 	var miss bool
 	if line := pcProbe >> c.il1Shift; c.lastFetchHit && line == c.lastFetchLine {
-		c.il1.CountHit()
+		// Re-touching the most-recently-used line leaves LRU order
+		// unchanged, so sequential fetch within one block skips the lookup.
 		lat, miss = c.cfg.L1I.Latency, false
 	} else {
 		lat, miss = c.il1.Access(pcProbe, false)
@@ -928,10 +929,3 @@ func (c *Core) nextFetchPC() uint64 {
 	}
 	return c.gen.PeekPC()
 }
-
-// FetchLimit returns the current fetch-throttling limit (0 = full width).
-func (c *Core) FetchLimit() int { return c.fetchLimit }
-
-// MaxUnresolvedLimit returns the current speculation-control bound
-// (0 = disabled).
-func (c *Core) MaxUnresolvedLimit() int { return c.maxUnresolved }

@@ -7,13 +7,14 @@ package sim
 // A DTM study sweeps controllers against a fixed workload: until a
 // policy's actuation diverges from its classmates', every member observes
 // the exact same instruction and activity stream, so re-simulating the
-// pipeline per member is pure redundancy. Each class owns one shared
-// workload generator, core and power model; the class leader (members[0])
-// drives them and every member fans the resulting power vector and chip
-// power into its private thermal/DTM state via Sim.stepMember. When members' actuator
-// states diverge (duty, frequency, fetch/speculation limits, or a
-// trigger stall), the class forks: the divergent partitions get deep
-// clones of the shared state and continue independently. A fork is final:
+// pipeline per member is pure redundancy. Each class shares one core
+// (workload generator, pipeline and power model); the class leader
+// (members[0]) drives it and every member fans the resulting power vector
+// and chip power into its private thermal/DTM state via Sim.stepMember.
+// When members' actuation records diverge (duty, frequency,
+// fetch/speculation limits, or a trigger stall), the class forks: the
+// divergent partitions get deep clones of the shared core and continue
+// independently. A fork is final:
 // classes are never merged back. The 40 gangs of Tables 11 and 13 at
 // 2 000 000 instructions and of the four default sweep grids forked 109
 // times, and an exact re-convergence check of the shared deep state
@@ -28,11 +29,6 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
-	"runtime"
-
-	"repro/internal/pipeline"
-	"repro/internal/power"
-	"repro/internal/workload"
 )
 
 // GangOptions tunes gang execution. It has no options: gang execution
@@ -56,48 +52,21 @@ type GangStats struct {
 	ClassCycles  uint64
 }
 
-// gangSig is a member's actuator state — the divergence signature. Two
-// members with equal signatures consume the shared pipeline stream
-// identically for the current cycle.
-type gangSig struct {
-	duty          float64
-	freq          float64
-	fetchLimit    int
-	maxUnresolved int
-	stallLeft     uint64
-}
-
-func sigOf(m *Sim) gangSig {
-	return gangSig{
-		duty:          m.duty,
-		freq:          m.freqFactor,
-		fetchLimit:    m.actFetchLimit,
-		maxUnresolved: m.actMaxUnresolved,
-		stallLeft:     m.stallLeft,
-	}
-}
-
 // gclass is one operating-point equivalence class: the members in
-// lock-step plus the shared objects their leader drives. members[0] is
-// the leader; its act/powerVec serve the whole class.
+// lock-step, all sharing the leader's core. members[0] is the leader; its
+// core, act and powerVec serve the whole class.
 type gclass struct {
 	members []*Sim
-	gen     *workload.Generator
-	core    *pipeline.Core
-	pmodel  *power.Model
 	done    bool
 }
 
-// diverged reports whether any member's actuator state differs from the
+// diverged reports whether any member's actuation differs from the
 // leader's. Five comparisons per member per cycle — cheap enough to run
 // unconditionally.
 func (c *gclass) diverged() bool {
 	lead := c.members[0]
 	for _, m := range c.members[1:] {
-		if m.duty != lead.duty || m.freqFactor != lead.freqFactor ||
-			m.actFetchLimit != lead.actFetchLimit ||
-			m.actMaxUnresolved != lead.actMaxUnresolved ||
-			m.stallLeft != lead.stallLeft {
+		if !m.cmd.same(&lead.cmd) {
 			return true
 		}
 	}
@@ -181,18 +150,13 @@ func NewGang(cfgs []Config, _ GangOptions) (*Gang, error) {
 		}
 	}
 
-	lead, err := newWith(cfgs[0], nil, nil, nil)
+	lead, err := newWith(cfgs[0], nil)
 	if err != nil {
 		return nil, fmt.Errorf("sim: gang config 0: %w", err)
 	}
-	c := &gclass{
-		members: []*Sim{lead},
-		gen:     lead.gen,
-		core:    lead.core,
-		pmodel:  lead.pmodel,
-	}
+	c := &gclass{members: []*Sim{lead}}
 	for i := 1; i < len(cfgs); i++ {
-		m, err := newWith(cfgs[i], c.gen, c.core, c.pmodel)
+		m, err := newWith(cfgs[i], &lead.unit)
 		if err != nil {
 			return nil, fmt.Errorf("sim: gang config %d: %w", i, err)
 		}
@@ -263,14 +227,14 @@ func (g *Gang) Step() bool {
 // fires.
 func (g *Gang) stepClass(c *gclass) {
 	lead := c.members[0]
-	stalled := lead.stallLeft > 0
+	stalled := lead.cmd.stall > 0
 	if stalled {
 		lead.act.Reset() // the clock runs but the shared pipeline is idle
 	} else {
-		c.core.Step(&lead.act)
+		lead.core.Step(&lead.act)
 	}
-	c.pmodel.BlockPower(&lead.act, lead.powerVec)
-	chip := c.pmodel.ChipPower(&lead.act, lead.powerVec)
+	lead.pmodel.BlockPower(&lead.act, lead.powerVec)
+	chip := lead.pmodel.ChipPower(&lead.act, lead.powerVec)
 	// Fan out with the leader LAST: stepMember scales its powerVec in
 	// place (frequency factor, leakage), and the leader's powerVec IS the
 	// shared raw vector — stepping it first would hand every later member
@@ -287,60 +251,41 @@ func (g *Gang) stepClass(c *gclass) {
 	}
 }
 
-// fork splits c into one class per distinct actuator signature. The
-// partition containing the old leader keeps the shared objects; every
-// other partition deep-clones the workload generator, core and power
-// model and promotes its first member to leader. Each partition's
-// actuation is then re-asserted on its core: the setters are idempotent
-// plain writes, so re-asserting the signature the last DTM sample chose
-// reproduces exactly the state a solo run's core would hold. Forks
-// allocate; they fire only on actuation divergence, which is rare at the
-// cycle scale.
+// fork splits c into one class per distinct actuation. The partition
+// containing the old leader keeps the shared core; every other partition
+// deep-clones it and promotes its first member to leader. Each partition
+// then applies its leader's actuation to its core: the shared core last
+// saw the actuation of whichever member sampled last, and re-applying the
+// record the last DTM sample chose reproduces exactly the state a solo
+// run's core would hold. Forks allocate; they fire only on actuation
+// divergence, which is rare at the cycle scale.
 func (g *Gang) fork(c *gclass) {
-	var sigs []gangSig
 	var parts [][]*Sim
 	for _, m := range c.members {
-		sig := sigOf(m)
-		idx := -1
-		for i := range sigs {
-			if sigs[i] == sig {
-				idx = i
-				break
-			}
+		idx := 0
+		for idx < len(parts) && !m.cmd.same(&parts[idx][0].cmd) {
+			idx++
 		}
-		if idx < 0 {
-			sigs = append(sigs, sig)
+		if idx == len(parts) {
 			parts = append(parts, nil)
-			idx = len(parts) - 1
 		}
 		parts[idx] = append(parts[idx], m)
 	}
 	// parts[0] holds the old leader (first-seen order) and keeps the
-	// shared objects in place.
+	// shared core in place.
 	c.members = parts[0]
-	reassert(c.core, c.members[0])
 	for _, p := range parts[1:] {
-		gen2 := c.gen.Clone()
-		core2 := c.core.Clone(gen2)
-		pm2 := c.pmodel.Clone()
+		u := p[0].unit.clone()
 		for _, m := range p {
-			m.gen, m.core, m.pmodel = gen2, core2, pm2
+			m.unit = u
 		}
-		nc := &gclass{members: p, gen: gen2, core: core2, pmodel: pm2}
-		reassert(core2, p[0])
-		g.classes = append(g.classes, nc)
+		g.classes = append(g.classes, &gclass{members: p})
 		g.live++
 		g.stats.Forks++
 	}
-}
-
-// reassert writes lead's actuator state onto core. The shared core last
-// saw the actuation of whichever member sampled last; each partition's
-// core must reflect its own leader's.
-func reassert(core *pipeline.Core, lead *Sim) {
-	core.SetFetchDuty(lead.duty)
-	core.SetFetchLimit(lead.actFetchLimit)
-	core.SetMaxUnresolvedBranches(lead.actMaxUnresolved)
+	for _, p := range parts {
+		p[0].cmd.apply(p[0].core)
+	}
 }
 
 // Stats returns the gang's sharing statistics so far.
@@ -348,22 +293,20 @@ func (g *Gang) Stats() GangStats { return g.stats }
 
 // Run steps the gang to completion and returns per-member results in the
 // order of the configs passed to NewGang. Context checks and scheduler
-// yields are paced on class-cycles, mirroring the solo Run loop.
+// yields are paced on class-cycles (see runLoop).
 func (g *Gang) Run(ctx context.Context) ([]*Result, error) {
-	done := ctx.Done()
-	check := g.stats.ClassCycles + ctxCheckInterval
-	for g.Step() {
-		if g.stats.ClassCycles >= check {
-			check = g.stats.ClassCycles + ctxCheckInterval
-			if done != nil {
-				select {
-				case <-done:
-					return nil, context.Cause(ctx)
-				default:
-				}
-			}
-			runtime.Gosched()
-		}
+	if err := runLoop(ctx, g.stats.ClassCycles, g.runTo); err != nil {
+		return nil, err
 	}
 	return g.results, nil
+}
+
+// runTo steps the gang until every member is done or the class-cycle
+// count reaches limit.
+func (g *Gang) runTo(limit uint64) (uint64, bool) {
+	more := g.live > 0
+	for more && g.stats.ClassCycles < limit {
+		more = g.Step()
+	}
+	return g.stats.ClassCycles, more
 }

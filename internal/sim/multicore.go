@@ -3,8 +3,6 @@ package sim
 import (
 	"context"
 	"fmt"
-	"math"
-	"runtime"
 
 	"repro/internal/control"
 	"repro/internal/dtm"
@@ -123,8 +121,7 @@ type Multicore struct {
 	cfg   MulticoreConfig
 	nc    int
 	nb    int // blocks per core
-	cores []*pipeline.Core
-	pms   []*power.Model
+	units []unit
 	acct  thermAcct // die network and thermal bookkeeping, one group per core
 	res   *MulticoreResult
 
@@ -180,24 +177,17 @@ func NewMulticore(cfg MulticoreConfig) (*Multicore, error) {
 
 	tcfg := thermal.TileConfig(nc)
 	tcfg.SinkTemp = cfg.Thresholds.SinkTemp
-	net := thermal.New(tcfg)
-	nblk := net.NumBlocks()
-	if cfg.InitTemps != nil {
-		if len(cfg.InitTemps) != nblk {
-			return nil, fmt.Errorf("sim: InitTemps has %d entries but the die has %d blocks",
-				len(cfg.InitTemps), nblk)
-		}
-		for i, t := range cfg.InitTemps {
-			net.SetTemp(i, t)
-		}
+	net, err := newNetwork(tcfg, cfg.InitTemps)
+	if err != nil {
+		return nil, err
 	}
+	nblk := net.NumBlocks()
 
 	s := &Multicore{
 		cfg:   cfg,
 		nc:    nc,
 		nb:    nb,
-		cores: make([]*pipeline.Core, nc),
-		pms:   make([]*power.Model, nc),
+		units: make([]unit, nc),
 
 		powerVec: make([]float64, nblk),
 		sensed:   make([]float64, nb),
@@ -219,21 +209,9 @@ func NewMulticore(cfg MulticoreConfig) (*Multicore, error) {
 
 		dt: tcfg.CycleTime,
 	}
-	for c := 0; c < nc; c++ {
-		gen, err := workload.NewGenerator(cfg.Workloads[c])
-		if err != nil {
-			return nil, fmt.Errorf("sim: core %d workload: %w", c, err)
-		}
-		s.cores[c], err = pipeline.New(cfg.Pipeline, gen)
-		if err != nil {
-			return nil, err
-		}
-		pcfg := power.DefaultConfig()
-		pcfg.Gating = cfg.Gating
-		pcfg.Pipeline = cfg.Pipeline
-		s.pms[c], err = power.New(pcfg)
-		if err != nil {
-			return nil, err
+	for c := range s.units {
+		if s.units[c], err = newUnit(cfg.Workloads[c], cfg.Pipeline, cfg.Gating); err != nil {
+			return nil, fmt.Errorf("sim: core %d: %w", c, err)
 		}
 	}
 
@@ -286,11 +264,7 @@ func policyName(cfg *MulticoreConfig) string {
 		policy = cfg.Managers[0].Policy.Name()
 	}
 	if len(cfg.DVFS) > 0 {
-		if policy == "none" {
-			policy = cfg.DVFS[0].Name()
-		} else {
-			policy += "+" + cfg.DVFS[0].Name()
-		}
+		policy = joinPolicy(policy, cfg.DVFS[0].Name())
 	}
 	return policy
 }
@@ -304,11 +278,7 @@ type controls struct {
 	dvfs     []*dtm.AdaptiveGain
 	budget   *dtm.PowerBudget
 
-	duty  []float64 // fetch duty
-	freq  []float64 // frequency factor
-	limit []int     // fetch limit (0 = full width)
-	unres []int     // max unresolved branches (0 = off)
-	stall []uint64  // stall cycles commanded at the core's latest sample
+	cmd []actuation // per core; stall is the one commanded at its latest sample
 }
 
 // newControls validates cfg's controllers for an nc-core run, resets them
@@ -353,15 +323,10 @@ func newControls(cfg *MulticoreConfig, nc int) (controls, uint64, error) {
 		managers: cfg.Managers,
 		dvfs:     cfg.DVFS,
 		budget:   cfg.Budget,
-		duty:     make([]float64, nc),
-		freq:     make([]float64, nc),
-		limit:    make([]int, nc),
-		unres:    make([]int, nc),
-		stall:    make([]uint64, nc),
+		cmd:      make([]actuation, nc),
 	}
-	for c := 0; c < nc; c++ {
-		k.duty[c] = 1
-		k.freq[c] = 1
+	for c := range k.cmd {
+		k.cmd[c] = fullSpeed()
 	}
 	return k, interval, nil
 }
@@ -374,17 +339,12 @@ func (k *controls) active() bool {
 // sampleCore steps core c's fetch manager and DVFS controller on its
 // observed block temperatures.
 func (k *controls) sampleCore(c int, cycle uint64, obs []float64) {
+	a := &k.cmd[c]
 	if len(k.managers) > 0 {
-		a, stall := k.managers[c].StepActuation(cycle, obs)
-		if a.FetchDuty != k.duty[c] {
-			k.duty[c] = a.FetchDuty
-		}
-		k.limit[c] = a.FetchLimit
-		k.unres[c] = a.MaxUnresolved
-		k.stall[c] = stall
+		a.Actuation, a.stall = k.managers[c].StepActuation(cycle, obs)
 	}
 	if len(k.dvfs) > 0 {
-		k.freq[c] = k.dvfs[c].Sample(obs)
+		a.freq = k.dvfs[c].Sample(obs)
 	}
 }
 
@@ -393,23 +353,8 @@ func (k *controls) sampleCore(c int, cycle uint64, obs []float64) {
 func (k *controls) sampleBudget(hot, pow, target []float64) {
 	k.budget.SampleAll(hot, pow, target)
 	for c, t := range target {
-		if d := control.Quantize(t, 8); d != k.duty[c] {
-			k.duty[c] = d
-		}
+		k.cmd[c].FetchDuty = control.Quantize(t, 8)
 	}
-}
-
-// sameActuation reports whether k commands, bit for bit, the actuation o
-// does on every core.
-func (k *controls) sameActuation(o *controls) bool {
-	for c := range k.duty {
-		if math.Float64bits(k.duty[c]) != math.Float64bits(o.duty[c]) ||
-			math.Float64bits(k.freq[c]) != math.Float64bits(o.freq[c]) ||
-			k.limit[c] != o.limit[c] || k.unres[c] != o.unres[c] || k.stall[c] != o.stall[c] {
-			return false
-		}
-	}
-	return true
 }
 
 // Cycle returns the number of cycles simulated so far.
@@ -419,17 +364,6 @@ func (s *Multicore) Cycle() uint64 { return s.cycle }
 // bound was reached.
 func (s *Multicore) Done() bool {
 	return s.doneCount == s.nc || s.cycle >= s.cfg.MaxCycles
-}
-
-// maxOf returns the maximum of a non-empty slice.
-func maxOf(v []float64) float64 {
-	m := v[0]
-	for _, x := range v[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m
 }
 
 // Step advances every core and the die-wide thermal network by one global
@@ -442,7 +376,7 @@ func (s *Multicore) Step() {
 
 	chip := 0.0
 	for c := 0; c < s.nc; c++ {
-		core := s.cores[c]
+		core := s.units[c].core
 		execute := false
 		switch {
 		case s.stallLeft[c] > 0:
@@ -451,12 +385,12 @@ func (s *Multicore) Step() {
 		case s.coreDone[c]:
 			// A finished core idles (clock still runs; its power model
 			// decays toward the gated floor).
-		case s.ctl.freq[c] == 1:
+		case s.ctl.cmd[c].freq == 1:
 			execute = true
 		default:
 			// DVFS tick gating: at factor f the core executes f of the
 			// global clock ticks, carried exactly across cycles.
-			if s.carry[c] += s.ctl.freq[c]; s.carry[c] >= 1 {
+			if s.carry[c] += s.ctl.cmd[c].freq; s.carry[c] >= 1 {
 				s.carry[c]--
 				execute = true
 			}
@@ -473,9 +407,9 @@ func (s *Multicore) Step() {
 		}
 
 		seg := s.powerVec[c*nb : (c+1)*nb]
-		s.pms[c].BlockPower(&s.act, seg)
+		s.units[c].pmodel.BlockPower(&s.act, seg)
 		pf := 1.0
-		if f := s.ctl.freq[c]; f != 1 {
+		if f := s.ctl.cmd[c].freq; f != 1 {
 			pf = f * f
 			for i := range seg {
 				seg[i] *= pf
@@ -483,7 +417,7 @@ func (s *Multicore) Step() {
 		}
 		// Chip overhead (clock tree, I/O) scales with the core's voltage/
 		// frequency point too, so it rides the same f^2 factor.
-		corePow := pf * s.pms[c].ChipOverhead(&s.act)
+		corePow := pf * s.units[c].pmodel.ChipOverhead(&s.act)
 		for _, p := range seg {
 			corePow += p
 		}
@@ -509,9 +443,9 @@ func (s *Multicore) Step() {
 	if cycle%s.interval == 0 {
 		s.sample(cycle)
 	}
-	for c := 0; c < s.nc; c++ {
-		s.dutySum[c] += s.ctl.duty[c]
-		s.freqSum[c] += s.ctl.freq[c]
+	for c := range s.ctl.cmd {
+		s.dutySum[c] += s.ctl.cmd[c].FetchDuty
+		s.freqSum[c] += s.ctl.cmd[c].freq
 	}
 }
 
@@ -545,7 +479,7 @@ func (s *Multicore) sample(cycle uint64) {
 			obs := s.coreObs(c)
 			s.hotScratch[c] = maxOf(obs)
 			s.ctl.sampleCore(c, cycle, obs)
-			s.stallLeft[c] += s.ctl.stall[c]
+			s.stallLeft[c] += s.ctl.cmd[c].stall
 			for i := range s.members {
 				if m := &s.members[i]; m.shared {
 					m.ctl.sampleCore(c, cycle, obs)
@@ -571,15 +505,15 @@ func (s *Multicore) sample(cycle uint64) {
 		s.sampPow[c] = 0
 	}
 	if s.ctl.active() {
-		for c, core := range s.cores {
-			core.SetFetchDuty(s.ctl.duty[c])
-			core.SetFetchLimit(s.ctl.limit[c])
-			core.SetMaxUnresolvedBranches(s.ctl.unres[c])
+		for c := range s.units {
+			s.ctl.cmd[c].apply(s.units[c].core)
 		}
 	}
 	for i := range s.members {
-		if m := &s.members[i]; m.shared && !m.ctl.sameActuation(&s.ctl) {
-			m.shared = false
+		if m := &s.members[i]; m.shared {
+			for c := range s.ctl.cmd {
+				m.shared = m.shared && m.ctl.cmd[c].same(&s.ctl.cmd[c])
+			}
 		}
 	}
 }
@@ -598,7 +532,7 @@ func (s *Multicore) Finish() *MulticoreResult {
 	var insts uint64
 	for c := 0; c < s.nc; c++ {
 		cr := &res.PerCore[c]
-		st := s.cores[c].Stats()
+		st := s.units[c].core.Stats()
 		cr.Insts = st.Committed
 		if cr.Cycles == 0 {
 			cr.Cycles = s.cycle
@@ -622,26 +556,20 @@ func (s *Multicore) Finish() *MulticoreResult {
 	return res
 }
 
-// Run steps the simulation to completion, polling ctx every few thousand
-// cycles and yielding the processor at each checkpoint (see Sim.Run).
+// Run steps the simulation to completion (see runLoop).
 func (s *Multicore) Run(ctx context.Context) (*MulticoreResult, error) {
-	done := ctx.Done()
-	check := uint64(ctxCheckInterval)
-	for !s.Done() {
-		s.Step()
-		if s.cycle >= check {
-			check = s.cycle + ctxCheckInterval
-			if done != nil {
-				select {
-				case <-done:
-					return nil, context.Cause(ctx)
-				default:
-				}
-			}
-			runtime.Gosched()
-		}
+	if err := runLoop(ctx, s.cycle, s.runTo); err != nil {
+		return nil, err
 	}
 	return s.Finish(), nil
+}
+
+// runTo steps until the run is done or reaches cycle limit.
+func (s *Multicore) runTo(limit uint64) (uint64, bool) {
+	for s.cycle < limit && !s.Done() {
+		s.Step()
+	}
+	return s.cycle, !s.Done()
 }
 
 // RunMulticore executes one multicore simulation to completion.

@@ -16,7 +16,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"runtime"
 	"time"
 
 	"repro/internal/control"
@@ -307,9 +306,10 @@ type proxyPair struct {
 // per-cycle loop benchmarkable and the batch engine's throughput metrics
 // meaningful. Use Run/RunContext unless you need cycle-level control.
 type Sim struct {
-	cfg      Config
-	core     *pipeline.Core
-	pmodel   *power.Model
+	cfg Config
+	// unit is the core this run drives; gang members share their class
+	// leader's.
+	unit
 	acct     thermAcct // network, temperatures and thermal bookkeeping
 	mgr      *dtm.Manager
 	chipNode *thermal.ChipModel
@@ -324,22 +324,16 @@ type Sim struct {
 	proxies      []proxyPair
 	monitor      []int
 
-	dt         float64
-	duty       float64
-	dutySum    float64
-	freqFactor float64
-	stepCarry  float64 // fractional thermal unit-steps owed (freq scaling)
-	stallLeft  uint64
-	cycle      uint64
+	dt        float64
+	dutySum   float64
+	stepCarry float64 // fractional thermal unit-steps owed (freq scaling)
+	cycle     uint64
 
-	// actFetchLimit / actMaxUnresolved mirror the last actuation the DTM
-	// manager applied to the core. The core setters are idempotent plain
-	// writes, so solo execution never needs them; gang execution uses them
-	// as the member's divergence signature (the core is shared, so the
-	// last writer's values cannot be read back per member) and to
-	// re-assert each partition's actuation on its core after a fork.
-	actFetchLimit    int
-	actMaxUnresolved int
+	// cmd is the actuation the run's controllers command; cmd.stall counts
+	// the stall cycles still owed. Gang execution compares it across
+	// members (the core is shared, so its state cannot be read back per
+	// member) and re-applies it to each partition's core after a fork.
+	cmd actuation
 
 	// Macro-stepped thermal fast path (acct.fast): per-cycle block power
 	// accumulates in the accounting, which advances the RC network once
@@ -349,10 +343,6 @@ type Sim struct {
 	// cycle to the trace tail.
 	winFlushed  bool
 	winFlushLen uint64
-
-	// gen is the workload generator feeding core; gang execution hands it
-	// to the class that shares it.
-	gen *workload.Generator
 
 	// Telemetry. pid is the closed-loop controller (if the active policy
 	// wraps one), hoisted at construction so the hot loop reads its state
@@ -420,37 +410,31 @@ func runDefaults(maxInsts uint64, pcfg *pipeline.Config, th *Thresholds, maxCycl
 }
 
 // New validates cfg and builds a steppable simulation.
-func New(cfg Config) (*Sim, error) { return newWith(cfg, nil, nil, nil) }
+func New(cfg Config) (*Sim, error) { return newWith(cfg, nil) }
 
-// newWith builds a simulation, optionally around a pre-built workload
-// generator, core and power model (all three set, or all three nil). Gang
-// execution passes the shared objects of a lock-step equivalence class so
-// every member observes the same instruction/activity stream; New passes
-// nil and gets privately owned instances. The shared objects are only read
-// here — construction never mutates them.
-func newWith(cfg Config, gen *workload.Generator, core *pipeline.Core, pmodel *power.Model) (*Sim, error) {
+// newWith builds a simulation around shared, or around a core of its own
+// when shared is nil. Gang execution passes the class leader's core so
+// every member observes the same instruction/activity stream. The shared
+// core is only read here — construction never mutates it.
+func newWith(cfg Config, shared *unit) (*Sim, error) {
 	if err := runDefaults(cfg.MaxInsts, &cfg.Pipeline, &cfg.Thresholds, &cfg.MaxCycles); err != nil {
 		return nil, err
 	}
 	if cfg.ChipProxyTriggerW == 0 {
 		cfg.ChipProxyTriggerW = 47
 	}
+	for _, w := range cfg.ProxyWindows {
+		if w <= 0 {
+			return nil, fmt.Errorf("sim: proxy window %d must be positive", w)
+		}
+	}
 
-	if gen == nil {
+	var u unit
+	if shared != nil {
+		u = *shared
+	} else {
 		var err error
-		gen, err = workload.NewGenerator(cfg.Workload)
-		if err != nil {
-			return nil, err
-		}
-		core, err = pipeline.New(cfg.Pipeline, gen)
-		if err != nil {
-			return nil, err
-		}
-		pcfg := power.DefaultConfig()
-		pcfg.Gating = cfg.Gating
-		pcfg.Pipeline = cfg.Pipeline
-		pmodel, err = power.New(pcfg)
-		if err != nil {
+		if u, err = newUnit(cfg.Workload, cfg.Pipeline, cfg.Gating); err != nil {
 			return nil, err
 		}
 	}
@@ -462,15 +446,9 @@ func newWith(cfg Config, gen *workload.Generator, core *pipeline.Core, pmodel *p
 	tcfg := thermal.DefaultConfig()
 	tcfg.SinkTemp = cfg.Thresholds.SinkTemp
 	tcfg.Tangential = cfg.Tangential
-	net := thermal.New(tcfg)
-	if cfg.InitTemps != nil {
-		if len(cfg.InitTemps) != net.NumBlocks() {
-			return nil, fmt.Errorf("sim: InitTemps has %d entries but the thermal network has %d blocks",
-				len(cfg.InitTemps), net.NumBlocks())
-		}
-		for i, t := range cfg.InitTemps {
-			net.SetTemp(i, t)
-		}
+	net, err := newNetwork(tcfg, cfg.InitTemps)
+	if err != nil {
+		return nil, err
 	}
 
 	mgr := cfg.Manager
@@ -488,11 +466,7 @@ func newWith(cfg Config, gen *workload.Generator, core *pipeline.Core, pmodel *p
 	}
 	if cfg.Scaling != nil {
 		cfg.Scaling.Reset()
-		if policyName == "none" {
-			policyName = cfg.Scaling.Name()
-		} else {
-			policyName += "+" + cfg.Scaling.Name()
-		}
+		policyName = joinPolicy(policyName, cfg.Scaling.Name())
 	}
 
 	nblk := net.NumBlocks()
@@ -568,13 +542,11 @@ func newWith(cfg Config, gen *workload.Generator, core *pipeline.Core, pmodel *p
 
 	s := &Sim{
 		cfg:      cfg,
-		core:     core,
-		pmodel:   pmodel,
+		unit:     u,
 		acct:     newThermAcct(net, cfg.Thresholds, res.Blocks, nblk, stride, windowClamps(&cfg), cfg.MaxCycles),
 		mgr:      mgr,
 		chipNode: chipNode,
 		res:      res,
-		gen:      gen,
 
 		powerVec: make([]float64, nblk),
 		sensed:   make([]float64, nblk),
@@ -582,12 +554,8 @@ func newWith(cfg Config, gen *workload.Generator, core *pipeline.Core, pmodel *p
 		proxies:  proxies,
 		monitor:  monitorIdx,
 
-		dt:         tcfg.CycleTime,
-		duty:       1,
-		freqFactor: 1,
-
-		actFetchLimit:    core.FetchLimit(),
-		actMaxUnresolved: core.MaxUnresolvedLimit(),
+		dt:  tcfg.CycleTime,
+		cmd: fullSpeed(),
 
 		hasLeak:    cfg.Leakage != nil,
 		hasSensor:  cfg.Sensor != (sensor.Sensor{}),
@@ -654,17 +622,6 @@ func traceEvery(cfg *Config) uint64 {
 	return dtm.DefaultSampleInterval
 }
 
-// hottestTemp returns the maximum current block temperature.
-func (s *Sim) hottestTemp() float64 {
-	hot := s.acct.temps[0]
-	for _, t := range s.acct.temps[1:] {
-		if t > hot {
-			hot = t
-		}
-	}
-	return hot
-}
-
 // flushMetrics pushes the delta between the sim's local tallies and the
 // last flush into the metrics bundle, then refreshes the state gauges.
 func (s *Sim) flushMetrics() {
@@ -690,9 +647,9 @@ func (s *Sim) flushMetrics() {
 		m.StressCycles.Add(int64(st - s.mStress))
 		s.mStress = st
 	}
-	m.HotTemp.Set(s.hottestTemp())
-	m.Duty.Set(s.duty)
-	m.FreqFactor.Set(s.freqFactor)
+	m.HotTemp.Set(maxOf(s.acct.temps))
+	m.Duty.Set(s.cmd.FetchDuty)
+	m.FreqFactor.Set(s.cmd.freq)
 }
 
 // recordTrace emits one structured sample into the shared recorder.
@@ -701,9 +658,9 @@ func (s *Sim) recordTrace(chip float64) {
 		Run:         s.traceID,
 		Cycle:       s.cycle,
 		WallSeconds: s.res.WallSeconds,
-		HotTemp:     s.hottestTemp(),
-		Duty:        s.duty,
-		FreqFactor:  s.freqFactor,
+		HotTemp:     maxOf(s.acct.temps),
+		Duty:        s.cmd.FetchDuty,
+		FreqFactor:  s.cmd.freq,
 		ChipPower:   chip,
 		BlockTemps:  s.acct.temps,
 	}
@@ -734,7 +691,7 @@ func (s *Sim) Done() bool {
 // into per-member state. Solo execution is the one-member special case;
 // the split introduces no floating-point reordering (see stepMember).
 func (s *Sim) Step() {
-	stalled := s.stallLeft > 0
+	stalled := s.cmd.stall > 0
 	if stalled {
 		s.act.Reset() // clock runs but the pipeline is idle
 	} else {
@@ -780,7 +737,7 @@ func (s *Sim) stepMember(act *pipeline.Activity, base []float64, baseChip float6
 	cycle := s.cycle
 	res := s.res
 	if stalled {
-		s.stallLeft--
+		s.cmd.stall--
 		res.StallCycles++
 	}
 
@@ -817,14 +774,14 @@ func (s *Sim) stepMember(act *pipeline.Activity, base []float64, baseChip float6
 	// values); the Euler path is the paper's per-cycle difference
 	// equation plus the per-cycle features that require it (power
 	// proxies, the coupled chip/sink model). Under frequency scaling one
-	// wall-clock cycle covers 1/freqFactor unit thermal steps; the Euler
+	// wall-clock cycle covers 1/cmd.freq unit thermal steps; the Euler
 	// path carries the fractional remainder across cycles, the fast path
 	// advances in continuous time so thermal time tracks wall time
 	// exactly.
 	if s.acct.fast {
 		stepDt := s.dt
-		if s.freqFactor != 1 {
-			stepDt = s.dt / s.freqFactor
+		if s.cmd.freq != 1 {
+			stepDt = s.dt / s.cmd.freq
 		}
 		res.WallSeconds += stepDt
 		res.ThermalSeconds += stepDt
@@ -842,7 +799,7 @@ func (s *Sim) stepMember(act *pipeline.Activity, base []float64, baseChip float6
 	if !stalled {
 		s.sampleDTM(cycle)
 	}
-	s.dutySum += s.duty
+	s.dutySum += s.cmd.FetchDuty
 	return chip
 }
 
@@ -862,7 +819,7 @@ func (s *Sim) stepTail(chip float64) {
 				res.TempTrace.Bump(s.winFlushLen - 1)
 				res.TempTrace.Add(cycle, hot)
 				res.DutyTrace.Bump(s.winFlushLen - 1)
-				res.DutyTrace.Add(cycle, s.duty)
+				res.DutyTrace.Add(cycle, s.cmd.FetchDuty)
 				for i := range res.BlockTrace {
 					res.BlockTrace[i].Bump(s.winFlushLen - 1)
 					res.BlockTrace[i].Add(cycle, s.acct.temps[i])
@@ -871,7 +828,7 @@ func (s *Sim) stepTail(chip float64) {
 		} else {
 			_, hot := s.acct.net.Hottest()
 			res.TempTrace.Add(cycle, hot)
-			res.DutyTrace.Add(cycle, s.duty)
+			res.DutyTrace.Add(cycle, s.cmd.FetchDuty)
 			for i := range res.BlockTrace {
 				res.BlockTrace[i].Add(cycle, s.acct.temps[i])
 			}
@@ -911,34 +868,25 @@ func (s *Sim) sampleDTM(cycle uint64) {
 			}
 			obs = s.sensed
 		}
-		a, stall := s.mgr.StepActuation(cycle, obs)
-		if a.FetchDuty != s.duty {
-			s.duty = a.FetchDuty
-			s.core.SetFetchDuty(s.duty)
-		}
-		s.core.SetFetchLimit(a.FetchLimit)
-		s.core.SetMaxUnresolvedBranches(a.MaxUnresolved)
-		s.actFetchLimit = a.FetchLimit
-		s.actMaxUnresolved = a.MaxUnresolved
-		s.stallLeft += stall
+		var stall uint64
+		s.cmd.Actuation, stall = s.mgr.StepActuation(cycle, obs)
+		s.cmd.stall += stall
+		s.cmd.apply(s.core)
 		if s.hasMetrics && s.mgr.Interval != 0 && cycle%s.mgr.Interval == 0 {
 			s.countDTMSample()
 		}
 	}
 	if s.hasScaling && cycle%dtm.DefaultSampleInterval == 0 {
 		f, stall := s.cfg.Scaling.Sample(s.acct.temps)
-		s.freqFactor = f
-		s.stallLeft += stall
+		s.cmd.freq = f
+		s.cmd.stall += stall
 	}
 	if s.hasHier && cycle%dtm.DefaultSampleInterval == 0 {
 		d, f, stall := s.cfg.Hierarchy.SampleHierarchy(s.acct.temps)
-		d = control.Quantize(d, 8)
-		if d != s.duty {
-			s.duty = d
-			s.core.SetFetchDuty(s.duty)
-		}
-		s.freqFactor = f
-		s.stallLeft += stall
+		s.cmd.FetchDuty = control.Quantize(d, 8)
+		s.cmd.freq = f
+		s.cmd.stall += stall
+		s.cmd.apply(s.core)
 		if s.hasMetrics {
 			s.countDTMSample()
 		}
@@ -958,12 +906,12 @@ func (s *Sim) stepEuler(powerVec []float64, chip float64, cycle uint64) {
 		t0 = time.Now()
 	}
 	stepDt := s.dt
-	if s.freqFactor == 1 {
+	if s.cmd.freq == 1 {
 		net.Step(powerVec)
 		res.ThermalSeconds += s.dt
 	} else {
-		stepDt = s.dt / s.freqFactor
-		s.stepCarry += 1 / s.freqFactor
+		stepDt = s.dt / s.cmd.freq
+		s.stepCarry += 1 / s.cmd.freq
 		steps := int(s.stepCarry)
 		s.stepCarry -= float64(steps)
 		for k := 0; k < steps; k++ {
@@ -1016,8 +964,8 @@ func (s *Sim) windowLen() uint64 {
 // scaling. Frequency factors change only on window-ending cycles, after
 // the flush, so it is constant across every fast-path window.
 func (s *Sim) invF() float64 {
-	if s.freqFactor != 1 {
-		return 1 / s.freqFactor
+	if s.cmd.freq != 1 {
+		return 1 / s.cmd.freq
 	}
 	return 1
 }
@@ -1097,40 +1045,19 @@ func (s *Sim) Finish() *Result {
 	return res
 }
 
-// ctxCheckInterval gates how often the run loop polls its context and
-// yields the processor: every 1024 cycles (~0.4ms of work), so both
-// cancellation latency and the serving plane's scheduling latency stay in
-// the sub-millisecond range while the per-check cost stays well under
-// 0.1%. The loops compare against a moving threshold rather than masking
-// the cycle count because one Gang.Step advances many class-cycles and
-// can jump over any fixed alignment.
-const ctxCheckInterval = 1 << 10
-
-// Run steps the simulation to completion, polling ctx every few thousand
-// cycles; on cancellation it returns the context error and a nil result.
-//
-// Each checkpoint also yields the processor (runtime.Gosched). A
-// simulation is a pure CPU loop with no natural scheduling points, so
-// without the yield a saturated GOMAXPROCS pins latency-sensitive
-// goroutines — cmd/serve's admission/shed path — behind the ~10ms async
-// preemption quantum. One yield per ~1.6ms of simulated work costs well
-// under 0.1% and never changes the simulated trajectory.
+// Run steps the simulation to completion (see runLoop); on cancellation
+// it returns the context error and a nil result.
 func (s *Sim) Run(ctx context.Context) (*Result, error) {
-	done := ctx.Done()
-	check := uint64(ctxCheckInterval)
-	for !s.Done() {
-		s.Step()
-		if s.cycle >= check {
-			check = s.cycle + ctxCheckInterval
-			if done != nil {
-				select {
-				case <-done:
-					return nil, context.Cause(ctx)
-				default:
-				}
-			}
-			runtime.Gosched()
-		}
+	if err := runLoop(ctx, s.cycle, s.runTo); err != nil {
+		return nil, err
 	}
 	return s.Finish(), nil
+}
+
+// runTo steps until the run is done or reaches cycle limit.
+func (s *Sim) runTo(limit uint64) (uint64, bool) {
+	for s.cycle < limit && !s.Done() {
+		s.Step()
+	}
+	return s.cycle, !s.Done()
 }

@@ -512,6 +512,17 @@ func TestLeakageValidatedAtRunStart(t *testing.T) {
 	}
 }
 
+// A non-positive proxy window is a config error like any other: New
+// returns it instead of panicking while building the proxy ring.
+func TestProxyWindowValidated(t *testing.T) {
+	for _, w := range []int{0, -1} {
+		cfg := Config{Workload: hotProfile(), MaxInsts: 1000, ProxyWindows: []int{10, w}}
+		if _, err := New(cfg); err == nil {
+			t.Errorf("proxy window %d accepted", w)
+		}
+	}
+}
+
 func TestInitTempsLengthValidated(t *testing.T) {
 	nblk := len(floorplan.Default())
 	for _, n := range []int{1, nblk - 1, nblk + 1, 4 * nblk} {

@@ -275,6 +275,99 @@ func TestStepWindowMatchesEuler(t *testing.T) {
 	}
 }
 
+// TestStepWindowSequenceMatchesEuler extends TestStepWindowMatchesEuler to
+// power that changes between windows, as a run's does: a sequence of
+// windows, each under fresh random per-block power, must track the same
+// sequence of Euler steps. The error after k windows is held to k times
+// the single-window bound; with tangential coupling each window adds its
+// own frozen-flow error, which decays rather than compounds.
+func TestStepWindowSequenceMatchesEuler(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, tangential := range []bool{false, true} {
+		for _, tc := range []struct {
+			w    uint64
+			invF float64
+		}{{256, 1}, {1000, 1}, {256, 1.25}, {1000, 2}} {
+			steps := float64(tc.w) * tc.invF
+			bound := 1e-9
+			if tangential {
+				bound = 2e-10 * steps * steps
+			}
+			cfg := testConfig()
+			cfg.Tangential = tangential
+			win, euler := New(cfg), New(cfg)
+			randomState(rng, win, euler)
+			for k := 1; k <= 12; k++ {
+				power := make([]float64, win.NumBlocks())
+				for i := range power {
+					power[i] = 2 * win.Block(i).PeakPower * rng.Float64()
+				}
+				win.StepWindow(power, tc.w, tc.invF, nil)
+				for s := 0; s < int(steps); s++ {
+					euler.Step(power)
+				}
+				for i := range power {
+					if d := math.Abs(win.temps[i] - euler.temps[i]); d > float64(k)*bound {
+						t.Fatalf("tangential=%v w=%d invF=%v window %d block %d: window %v, Euler %v (|d| = %.3g > %g)",
+							tangential, tc.w, tc.invF, k, i, win.temps[i], euler.temps[i], d, float64(k)*bound)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestEulerEnergyBalance checks conservation on the per-cycle path with
+// tangential coupling on: over any run of Euler steps the change in stored
+// heat, the sum of C·ΔT, equals the energy put in minus the energy that
+// flowed to the sink, and the lateral flows cancel on every step (each
+// pair of neighbors exchanges equal and opposite heat).
+func TestEulerEnergyBalance(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	cfg := testConfig()
+	cfg.Tangential = true
+	n := New(cfg)
+	power := randomState(rng, n)
+	dt, sink := cfg.CycleTime, cfg.SinkTemp
+	stored := func() float64 {
+		e := 0.0
+		for i, tmp := range n.temps {
+			e += n.blocks[i].C * tmp
+		}
+		return e
+	}
+	e0 := stored()
+	var in, out float64
+	for s := 0; s < 20_000; s++ {
+		if s%1000 == 0 { // power changes as a run's does
+			for i := range power {
+				power[i] = 2 * n.blocks[i].PeakPower * rng.Float64()
+			}
+		}
+		lateral, scale := 0.0, 0.0
+		for i, tmp := range n.temps {
+			in += dt * power[i]
+			out += dt * (tmp - sink) / n.blocks[i].R
+			for k, j := range n.adj[i] {
+				f := (tmp - n.temps[j]) * n.gTan[i][k]
+				lateral += f
+				scale += math.Abs(f)
+			}
+		}
+		if math.Abs(lateral) > 1e-12*math.Max(scale, 1) {
+			t.Fatalf("step %d: lateral flows sum to %g W (of %g W moved), want 0", s, lateral, scale)
+		}
+		n.Step(power)
+	}
+	got, want := stored()-e0, in-out
+	if math.Abs(got-want) > 1e-9*math.Max(in, math.Abs(out)) {
+		t.Errorf("stored heat changed by %.12g J, input minus sink outflow is %.12g J (in %g, out %g)", got, want, in, out)
+	}
+	if in == 0 || out == 0 {
+		t.Errorf("degenerate run: in %g J, out %g J", in, out)
+	}
+}
+
 // randomState draws per-block powers in [0, 2·peak] and start temperatures
 // in [Tsink-5, Tsink+20], applies the same start temperatures to every
 // network, and returns the powers.
