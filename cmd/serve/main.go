@@ -482,12 +482,17 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		kind = "baseline"
 	}
 	p := experiments.DefaultParams()
+	// The coordinator's rules, checked up front. A worker batch covers
+	// the whole suite at -insts, so only the policies are used.
+	bq, err := bench.ParseBatch(r.URL.Query(), p.Policies, s.cfg.insts)
+	if err != nil {
+		serving.WriteError(w, s.logf, reqID, http.StatusBadRequest, err)
+		return
+	}
 	p.Insts = s.cfg.insts
 	p.Workers = s.cfg.workers
 	p.Registry = s.reg
-	if pols := r.URL.Query().Get("policies"); pols != "" {
-		p.Policies = strings.Split(pols, ",")
-	}
+	p.Policies = bq.Policies
 
 	var run func(experiments.Params) error
 	switch kind {
@@ -534,7 +539,7 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		s.mu.Unlock()
 	}
-	err := s.drain.Go(func(ctx context.Context) {
+	err = s.drain.Go(func(ctx context.Context) {
 		p.Context = ctx
 		finish(run(p))
 	})

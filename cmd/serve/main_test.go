@@ -293,6 +293,24 @@ func TestBatchUnknownKind(t *testing.T) {
 	}
 }
 
+// TestBatchRejectsBadParameters: the worker checks a batch's parameters
+// by the coordinator's rules before it starts one, so a bad policy list is
+// a 400 and no batch is recorded.
+func TestBatchRejectsBadParameters(t *testing.T) {
+	_, ts := testServer(t, serverConfig{})
+	for _, q := range []string{"kind=policies&policies=bogus", "kind=policies&policies=PI,", "benches=doom", "insts=0"} {
+		var resp serving.ErrorResponse
+		if r := getJSON(t, ts.URL+"/batch?"+q, &resp); r.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status = %d, want 400", q, r.StatusCode)
+		}
+	}
+	var all []batchState
+	getJSON(t, ts.URL+"/batches", &all)
+	if len(all) != 0 {
+		t.Errorf("rejected requests left %d batches", len(all))
+	}
+}
+
 func TestShutdownDrainsBatches(t *testing.T) {
 	s, ts := testServer(t, serverConfig{insts: 50_000_000}) // far too big to finish
 	var st batchState

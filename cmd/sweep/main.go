@@ -6,9 +6,9 @@
 // All sweep points and the baseline run as one batch through the
 // experiments batch engine (experiments.RunConfigs): cached cells are
 // served without simulating, and the cold ones, which share one workload,
-// step as one lock-step gang. Points instrumented by -trace/-metrics
-// cannot join a gang and run solo. Ctrl-C aborts mid-sweep, and the
-// simulated throughput is summarized on stderr.
+// step as one lock-step gang, with or without -trace/-metrics attached.
+// Ctrl-C aborts mid-sweep, and the simulated throughput is summarized on
+// stderr.
 //
 //	sweep -param setpoint -bench gcc -policy PI
 //	sweep -param interval -bench gcc -policy PID
@@ -55,8 +55,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		policy    = fs.String("policy", "PI", "controller for setpoint/interval sweeps")
 		insts     = fs.Uint64("insts", 1_000_000, "committed instructions per point")
 		workers   = fs.Int("workers", 0, "parallel simulations (0 = GOMAXPROCS)")
-		trace     = fs.String("trace", "", "write JSONL telemetry samples to this file (every point then runs solo, not ganged)")
-		metrics   = fs.String("metrics", "", "write a final Prometheus-text metrics dump to this file (\"-\" = stderr; every point then runs solo, not ganged)")
+		trace     = fs.String("trace", "", "write JSONL telemetry samples to this file")
+		metrics   = fs.String("metrics", "", "write a final Prometheus-text metrics dump to this file (\"-\" = stderr)")
 		cacheDir  = fs.String("cache-dir", "", "persist run results as pack volumes (pack-*.dat) under this directory and reuse them (disabled with -trace/-metrics)")
 		cacheMem  = fs.Int64("cache-mem", 0, "in-memory cache layer cap in MiB (0 = default 256, negative = unlimited)")
 		fill      = fs.Bool("fill", false, "grid-fill: consult the run catalog under <cache-dir>/catalog and dispatch only cells it is missing (requires -cache-dir)")
@@ -163,7 +163,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			for j, i := range cold {
 				batch[j] = cfgs[i]
 			}
-			p := experiments.Params{Context: ctx, Workers: *workers}
+			p := experiments.Params{Context: ctx, Workers: *workers, Registry: sinks.Registry}
 			outs, err := experiments.RunMulticoreConfigs(p, batch)
 			if err != nil {
 				return fail(err)

@@ -19,7 +19,6 @@ import (
 // its tests keep it honest. Anything else that only tests reach is deleted,
 // not listed here.
 var testOnlyExports = map[string]string{
-	"bench.Policies":                           "README API: names the policies bench.NewRun accepts",
 	"control.(PID).Integral":                   "paper claim: integral anti-windup (Section 3.1) is checked on the accumulator",
 	"control.Analyze":                          "DESIGN.md §5: gain/phase-margin robustness analysis",
 	"control.Bode":                             "DESIGN.md §5: frequency-domain robustness analysis",

@@ -13,7 +13,9 @@ package bench
 import (
 	"fmt"
 	"net/url"
+	"slices"
 	"strconv"
+	"strings"
 
 	"repro/internal/control"
 	"repro/internal/dtm"
@@ -356,16 +358,67 @@ func ParseRun(q url.Values, defInsts uint64) (RunQuery, sim.Config, error) {
 	if rq.Policy == "" {
 		rq.Policy = "PI"
 	}
-	if v := q.Get("insts"); v != "" {
-		n, err := strconv.ParseUint(v, 10, 64)
-		if err != nil {
-			return RunQuery{}, sim.Config{}, fmt.Errorf("bad insts: %w", err)
-		}
-		rq.Insts = n
+	var err error
+	if rq.Insts, err = parseInsts(q, defInsts); err != nil {
+		return RunQuery{}, sim.Config{}, err
 	}
 	cfg, err := NewRun(rq.Bench, rq.Policy, rq.Insts)
 	if err != nil {
 		return RunQuery{}, sim.Config{}, err
 	}
 	return rq, cfg, nil
+}
+
+// BatchQuery is one /batch request: a benchmark × policy grid at one
+// instruction budget.
+type BatchQuery struct {
+	Benches  []string
+	Policies []string
+	Insts    uint64
+}
+
+// ParseBatch parses the benches, policies (comma-separated) and insts
+// parameters of a /batch request. benches defaults to every benchmark,
+// policies to defPolicies and insts to defInsts. It rejects an unknown
+// benchmark or policy and a zero budget, so NewRun builds every cell of an
+// accepted grid.
+func ParseBatch(q url.Values, defPolicies []string, defInsts uint64) (BatchQuery, error) {
+	bq := BatchQuery{Benches: Names(), Policies: defPolicies}
+	if v := q.Get("benches"); v != "" {
+		bq.Benches = strings.Split(v, ",")
+	}
+	if v := q.Get("policies"); v != "" {
+		bq.Policies = strings.Split(v, ",")
+	}
+	var err error
+	if bq.Insts, err = parseInsts(q, defInsts); err != nil {
+		return BatchQuery{}, err
+	}
+	if bq.Insts == 0 {
+		return BatchQuery{}, fmt.Errorf("bench: insts must be positive")
+	}
+	for _, b := range bq.Benches {
+		if _, err := ByName(b); err != nil {
+			return BatchQuery{}, err
+		}
+	}
+	for _, p := range bq.Policies {
+		if !slices.Contains(Policies(), p) {
+			return BatchQuery{}, fmt.Errorf("bench: unknown policy %q", p)
+		}
+	}
+	return bq, nil
+}
+
+// parseInsts reads a request's insts parameter, or def when it is absent.
+func parseInsts(q url.Values, def uint64) (uint64, error) {
+	v := q.Get("insts")
+	if v == "" {
+		return def, nil
+	}
+	n, err := strconv.ParseUint(v, 10, 64)
+	if err != nil {
+		return 0, fmt.Errorf("bad insts: %w", err)
+	}
+	return n, nil
 }

@@ -29,3 +29,32 @@ func FuzzParseRun(f *testing.F) {
 		}
 	})
 }
+
+// FuzzParseBatch: ParseBatch never panics on a /batch query, and NewRun
+// builds every cell of a grid it accepts, so a validated batch cannot fail
+// on its parameters once it has started. Seeds live in
+// testdata/fuzz/FuzzParseBatch.
+func FuzzParseBatch(f *testing.F) {
+	defPolicies := []string{"toggle1", "toggle2", "M", "P", "PI", "PID"}
+	f.Fuzz(func(t *testing.T, raw string, defInsts uint64) {
+		q, _ := url.ParseQuery(raw) // as url.URL.Query: keep what parses
+		bq, err := ParseBatch(q, defPolicies, defInsts)
+		if err != nil {
+			return
+		}
+		if bq.Insts == 0 || len(bq.Benches) == 0 || len(bq.Policies) == 0 {
+			t.Fatalf("query %q accepted as an empty grid %+v", raw, bq)
+		}
+		for _, b := range bq.Benches {
+			for _, p := range bq.Policies {
+				cfg, err := NewRun(b, p, bq.Insts)
+				if err != nil {
+					t.Fatalf("query %q accepted, but NewRun(%q, %q, %d) fails: %v", raw, b, p, bq.Insts, err)
+				}
+				if cfg.MaxInsts != bq.Insts || cfg.Workload.Name != b {
+					t.Fatalf("query %q: cell %s/%s built with budget %d for %q", raw, b, p, cfg.MaxInsts, cfg.Workload.Name)
+				}
+			}
+		}
+	})
+}

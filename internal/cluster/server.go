@@ -26,8 +26,6 @@ import (
 	"io"
 	"net/http"
 	"sort"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -385,34 +383,23 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("X-Request-Id", reqID)
 
 	q := r.URL.Query()
-	benches := bench.Names()
-	if v := q.Get("benches"); v != "" {
-		benches = strings.Split(v, ",")
-	}
 	policies := experiments.DefaultParams().Policies
 	if q.Get("kind") == "baseline" {
 		policies = []string{"none"}
 	}
-	if v := q.Get("policies"); v != "" {
-		policies = strings.Split(v, ",")
-	}
-	insts := s.cfg.Insts
-	if v := q.Get("insts"); v != "" {
-		n, err := strconv.ParseUint(v, 10, 64)
-		if err != nil {
-			serving.WriteError(w, s.logf, reqID, http.StatusBadRequest, fmt.Errorf("bad insts: %w", err))
-			return
-		}
-		insts = n
+	bq, err := bench.ParseBatch(q, policies, s.cfg.Insts)
+	if err != nil {
+		serving.WriteError(w, s.logf, reqID, http.StatusBadRequest, err)
+		return
 	}
 
-	specs := make([]runSpec, 0, len(benches)*len(policies))
-	for _, b := range benches {
-		for _, p := range policies {
-			cfg, err := bench.NewRun(b, p, insts)
+	specs := make([]runSpec, 0, len(bq.Benches)*len(bq.Policies))
+	for _, b := range bq.Benches {
+		for _, p := range bq.Policies {
+			cfg, err := bench.NewRun(b, p, bq.Insts)
 			var spec runSpec
 			if err == nil {
-				spec, err = makeSpec(bench.RunQuery{Bench: b, Policy: p, Insts: insts}, cfg)
+				spec, err = makeSpec(bench.RunQuery{Bench: b, Policy: p, Insts: bq.Insts}, cfg)
 			}
 			if err != nil {
 				serving.WriteError(w, s.logf, reqID, http.StatusBadRequest, err)
@@ -423,7 +410,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 
 	resp := s.runBatch(r.Context(), specs)
-	resp.Benches, resp.Policies, resp.Insts = benches, policies, insts
+	resp.Benches, resp.Policies, resp.Insts = bq.Benches, bq.Policies, bq.Insts
 	status := http.StatusOK
 	if resp.Failed == len(specs) && len(specs) > 0 {
 		status = http.StatusBadGateway // nothing completed: surface the outage

@@ -42,12 +42,10 @@ type Params struct {
 	// a job is one solo run or one gang.
 	Progress func(runner.Progress)
 	// Registry, when non-nil, collects sim and runner telemetry from every
-	// batch run (shared metrics; per-run counter stripes). Instrumented
-	// runs join no gang, so every run then executes solo.
+	// batch run (shared metrics; per-run counter stripes).
 	Registry *telemetry.Registry
 	// Trace, when non-nil, receives structured controller/thermal samples
-	// from every run, labeled "benchmark/policy"; like Registry, it makes
-	// every run execute solo.
+	// from every run, labeled "benchmark/policy".
 	Trace *telemetry.Recorder
 	// TraceInterval is the cycle stride for Trace samples (0 = DTM
 	// sampling interval).
@@ -59,6 +57,16 @@ type Params struct {
 	// simulations entirely. Runs with live telemetry attached (Registry
 	// or Trace set) are not cacheable and always execute.
 	Cache *runner.Cache[*sim.Result]
+}
+
+// runnerOptions are the worker-pool options both batch engines run with:
+// the params' parallelism and progress, and runner metrics in p.Registry.
+func (p Params) runnerOptions() runner.Options {
+	opts := runner.Options{Workers: p.Workers, Progress: p.Progress}
+	if p.Registry != nil {
+		opts.Metrics = telemetry.NewRunnerMetrics(p.Registry)
+	}
+	return opts
 }
 
 // ctx returns the effective batch context.
@@ -127,9 +135,9 @@ func (p Params) buildConfig(sp runSpec) (sim.Config, error) {
 // of up to maxGang members and runs each group as one job on the worker
 // pool (bounded workers, first-error abort, panic-to-error conversion,
 // per-job metrics and progress): multi-member groups through sim.NewGang,
-// singletons — including every config that can join no gang, such as the
-// instrumented ones — through sim.RunContext. Gang results are
-// byte-identical to solo runs. Cold results are stored in p.Cache.
+// singletons through sim.RunContext. Instrumented configs gang like any
+// other. Gang results are byte-identical to solo runs. Cold results are
+// stored in p.Cache.
 // Results come back in cfgs order; cold reports which were simulated.
 //
 // The configs are run as given: RunConfigs attaches no telemetry to them
@@ -157,11 +165,7 @@ func RunConfigs(p Params, cfgs []sim.Config) (res []*sim.Result, cold []bool, er
 		return res, cold, nil
 	}
 
-	opts := runner.Options{Workers: p.Workers, Progress: p.Progress}
-	if p.Registry != nil {
-		opts.Metrics = telemetry.NewRunnerMetrics(p.Registry)
-	}
-	err = runGrouped(p.ctx(), opts, cfgs, todo, res, joinGang,
+	err = runGrouped(p.ctx(), p.runnerOptions(), cfgs, todo, res, joinGang,
 		func(ctx context.Context, members []sim.Config, idx []int) ([]*sim.Result, error) {
 			out, err := runGang(ctx, members)
 			if err == nil && p.Cache != nil {

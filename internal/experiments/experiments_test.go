@@ -261,8 +261,9 @@ func TestRunSimCacheRoundTrip(t *testing.T) {
 }
 
 // TestGangBatchGrouping is the batch engine's grouping rule: cold configs
-// sharing one experiment form one gang of up to maxGang members, and a
-// config that can join no gang, or differs in its workload, runs alone.
+// sharing one experiment form one gang of up to maxGang members, whatever
+// telemetry or per-cycle features they carry, and a config that differs
+// in its workload runs alone.
 func TestGangBatchGrouping(t *testing.T) {
 	p := Params{Insts: 40_000}
 	var cfgs []sim.Config
@@ -275,17 +276,17 @@ func TestGangBatchGrouping(t *testing.T) {
 		return len(cfgs) - 1
 	}
 	// A loner first, so no gang-able config may join a group it leads.
-	alone := map[string]int{"instrumented": add("PI", func(c *sim.Config) {
+	alone := map[string]int{"other-seed": add("PI", func(c *sim.Config) { c.Workload.Seed++ })}
+	gang := []int{add("PI", func(c *sim.Config) {
 		c.Metrics = telemetry.NewSimMetrics(telemetry.NewRegistry())
 	})}
-	var gang []int
 	for _, pol := range []string{"none", "toggle1", "PI", "fscale"} {
 		gang = append(gang, add(pol, nil))
 	}
-	alone["proxied"] = add("none", func(c *sim.Config) { c.ProxyWindows = []int{5_000} })
-	alone["trace-stride"] = add("PI", func(c *sim.Config) { c.TraceStride = 1000 })
-	alone["other-seed"] = add("PI", func(c *sim.Config) { c.Workload.Seed++ })
-	gang = append(gang, add("PID", nil)) // after the loners: still joins
+	gang = append(gang,
+		add("none", func(c *sim.Config) { c.ProxyWindows = []int{5_000} }),
+		add("PI", func(c *sim.Config) { c.TraceStride = 1000 }),
+		add("PID", nil))
 
 	all := make([]int, len(cfgs))
 	for i := range all {
@@ -385,9 +386,9 @@ func TestGangBatchMatchesSolo(t *testing.T) {
 	}
 }
 
-// TestGangBatchFallback: a config that can join no gang (per-run proxy
-// windows) runs alone next to its workload's gang-able configs, keeping
-// its own proxies without lending them to the others.
+// TestGangBatchFallback: a config with per-run proxy windows shares its
+// workload's gang and keeps its own proxies without lending them to the
+// others.
 func TestGangBatchFallback(t *testing.T) {
 	proxied := func(c *sim.Config) { c.ProxyWindows = []int{5_000} }
 	specs := []runSpec{

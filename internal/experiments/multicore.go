@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"repro/internal/bench"
-	"repro/internal/runner"
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
@@ -31,7 +30,7 @@ func RunMulticoreConfigs(p Params, cfgs []sim.MulticoreConfig) ([]*sim.Multicore
 		todo[i] = i
 	}
 	join := func(lead, cfg *sim.MulticoreConfig, _ int) bool { return sim.MulticoreGroupable(lead, cfg) }
-	err := runGrouped(p.ctx(), runner.Options{Workers: p.Workers, Progress: p.Progress}, cfgs, todo, res, join,
+	err := runGrouped(p.ctx(), p.runnerOptions(), cfgs, todo, res, join,
 		func(ctx context.Context, members []sim.MulticoreConfig, _ []int) ([]*sim.MulticoreResult, error) {
 			return sim.RunMulticoreGroup(ctx, members)
 		})

@@ -8,6 +8,7 @@ import (
 	"repro/internal/bench"
 	"repro/internal/runner"
 	"repro/internal/sim"
+	"repro/internal/telemetry"
 )
 
 // TestMulticoreFaceOffMatchesSolo pins the grouped face-off to the solo
@@ -50,5 +51,21 @@ func TestMulticoreFaceOffMatchesSolo(t *testing.T) {
 	}
 	if want := faceOffTable(specs, solo).String(); got.String() != want {
 		t.Errorf("grouped face-off differs from solo runs\n got:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// TestMulticoreFaceOffCountsRunnerMetrics: a face-off run with a registry
+// reports its jobs, one per cell, in the runner metrics, as solo batches
+// do.
+func TestMulticoreFaceOffCountsRunnerMetrics(t *testing.T) {
+	p := smallParams()
+	p.Insts = 2_000
+	p.Registry = telemetry.NewRegistry()
+	if _, err := MulticoreFaceOff(p, []int{1}); err != nil {
+		t.Fatal(err)
+	}
+	cells := int64(len(bench.MulticoreWorkloads()))
+	if got := p.Registry.Counter("runner_runs_completed_total", "").Value(); got != cells {
+		t.Errorf("runner_runs_completed_total = %d, want one per cell (%d)", got, cells)
 	}
 }

@@ -32,7 +32,7 @@ import (
 // testdata/golden_multicore.json, so a behaviour change that regenerates
 // the goldens must bump it (TestModelVersionTracksGoldens), and the old
 // cache entries become clean misses.
-const modelVersion = "fd34524c3663cca6"
+const modelVersion = "30c657bd4861d760"
 
 // cacheKeyExcluded lists the Config fields deliberately left out of the
 // fingerprint. Metrics and Trace are live side-channel sinks: runs that

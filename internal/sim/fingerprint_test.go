@@ -19,25 +19,24 @@ import (
 // the simulated trajectory must change the key) or excluded there (only
 // for side-channel sinks that cannot be replayed from a cached result).
 var cacheKeyCovered = map[string]bool{
-	"Workload":          true,
-	"Pipeline":          true,
-	"Gating":            true,
-	"Leakage":           true,
-	"Thresholds":        true,
-	"Manager":           true,
-	"Scaling":           true,
-	"Hierarchy":         true,
-	"MaxInsts":          true,
-	"MaxCycles":         true,
-	"Tangential":        true,
-	"ProxyWindows":      true,
-	"ChipProxyTriggerW": true,
-	"TraceStride":       true,
-	"Sensor":            true,
-	"CoupleChipSink":    true,
-	"MonitoredBlocks":   true,
-	"InitTemps":         true,
-	"ThermalStride":     true,
+	"Workload":        true,
+	"Pipeline":        true,
+	"Gating":          true,
+	"Leakage":         true,
+	"Thresholds":      true,
+	"Manager":         true,
+	"Scaling":         true,
+	"Hierarchy":       true,
+	"MaxInsts":        true,
+	"MaxCycles":       true,
+	"Tangential":      true,
+	"ProxyWindows":    true,
+	"TraceStride":     true,
+	"Sensor":          true,
+	"CoupleChipSink":  true,
+	"MonitoredBlocks": true,
+	"InitTemps":       true,
+	"ThermalStride":   true,
 }
 
 // multicoreKeyCovered lists every MulticoreConfig field. MulticoreCacheKey

@@ -20,6 +20,12 @@ package sim
 // times, and an exact re-convergence check of the shared deep state
 // (caches, predictor, workload position) never passed.
 //
+// The fork earns its code. At 2 000 000 instructions 10 of Table 11's 18
+// gangs fork (41 forks), the first at class-cycle 256 000 (gcc) to
+// 5 736 000 (art). Re-running each departing partition from cycle 0, as
+// a multicore group does, would add 79.95 M class-cycles to the 127.6 M
+// the gangs step (+62.7%).
+//
 // Gang results are byte-identical to solo runs of the same configs: the
 // shared/member split reorders no floating-point arithmetic (see the
 // seam comment in Sim.Step), and forks clone state bit-exactly.
@@ -87,34 +93,18 @@ type Gang struct {
 
 // GangCompatible is the rule for which configs may share a gang: it
 // returns nil when cfg may be stepped in one gang led by lead, or the
-// reason it may not. Members must describe the same simulated experiment
-// (workload, pipeline, gating, instruction and cycle budgets, thermal
-// stride) and may differ only in the thermal/DTM dimension: policy,
-// scaling, hierarchy, leakage, sensor model, thresholds, monitored
-// blocks, initial temperatures, tangential flow. Each member keeps its
-// own thermal accounting, so members whose fast-path windows end on
-// different cycles still share a class. Per-cycle instrumentation
-// (traces, metrics, proxies, the coupled chip/sink model) observes
-// individual cycles in ways the class-shared front half cannot serve, so
-// a config carrying any of it, as lead or member, joins no gang;
-// GangCompatible(cfg, cfg) reports exactly that.
+// reason it may not. Members must agree on what the class-shared front
+// half consumes: workload, pipeline, gating and the instruction and cycle
+// budgets. Everything else is per member, because each member owns its
+// thermal accounting (so its own thermal stride, Euler or fast), proxy
+// rings, chip/sink node and telemetry sinks: policy, scaling, hierarchy,
+// leakage, sensor model, thresholds, monitored blocks, initial
+// temperatures, tangential flow, proxies, the coupled sink, traces and
+// metrics.
 func GangCompatible(lead, cfg *Config) error {
-	for _, c := range []*Config{lead, cfg} {
-		switch {
-		case len(c.ProxyWindows) > 0:
-			return errors.New("ProxyWindows require per-cycle execution; run solo")
-		case c.CoupleChipSink:
-			return errors.New("CoupleChipSink requires per-cycle execution; run solo")
-		case c.TraceStride != 0:
-			return errors.New("TraceStride is unsupported in a gang; run solo")
-		case c.Trace != nil || c.Metrics != nil:
-			return errors.New("telemetry instrumentation is unsupported in a gang; run solo")
-		}
-	}
 	switch {
-	case cfg.Gating != lead.Gating || cfg.MaxInsts != lead.MaxInsts ||
-		cfg.MaxCycles != lead.MaxCycles || cfg.ThermalStride != lead.ThermalStride:
-		return errors.New("execution parameters (Gating/MaxInsts/MaxCycles/ThermalStride) differ from the lead's")
+	case cfg.Gating != lead.Gating || cfg.MaxInsts != lead.MaxInsts || cfg.MaxCycles != lead.MaxCycles:
+		return errors.New("execution parameters (Gating/MaxInsts/MaxCycles) differ from the lead's")
 	case !reflect.DeepEqual(cfg.Workload, lead.Workload):
 		return errors.New("workload differs from the lead's")
 	case !reflect.DeepEqual(cfg.Pipeline, lead.Pipeline):
@@ -223,8 +213,8 @@ func (g *Gang) Step() bool {
 }
 
 // stepClass runs one class-step: the shared front half once, the member
-// fan-out and the divergence check. Allocation-free except when a fork
-// fires.
+// fan-out (with each instrumented member's telemetry tail) and the
+// divergence check. Allocation-free except when a fork fires.
 func (g *Gang) stepClass(c *gclass) {
 	lead := c.members[0]
 	stalled := lead.cmd.stall > 0
@@ -240,9 +230,13 @@ func (g *Gang) stepClass(c *gclass) {
 	// shared raw vector — stepping it first would hand every later member
 	// a base already scaled by the leader's factors.
 	for _, m := range c.members[1:] {
-		m.stepMember(&lead.act, lead.powerVec, chip, stalled)
+		if mc := m.stepMember(&lead.act, lead.powerVec, chip, stalled); m.instrumented {
+			m.stepTail(mc)
+		}
 	}
-	lead.stepMember(&lead.act, lead.powerVec, chip, stalled)
+	if mc := lead.stepMember(&lead.act, lead.powerVec, chip, stalled); lead.instrumented {
+		lead.stepTail(mc)
+	}
 	g.stats.MemberCycles += uint64(len(c.members))
 	g.stats.ClassCycles++
 

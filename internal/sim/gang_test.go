@@ -8,12 +8,17 @@ package sim
 // suite).
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
+	"sort"
 	"testing"
 
 	"repro/internal/dtm"
+	"repro/internal/floorplan"
 	"repro/internal/power"
+	"repro/internal/telemetry"
 )
 
 // gangPolicyConfigs builds a gang spec around hotProfile: one
@@ -150,27 +155,109 @@ func TestGangSharesClassAcrossSchedules(t *testing.T) {
 	}
 }
 
+// TestGangInstrumentedMatchesSolo: instrumentation and the per-cycle
+// features are per member, so configs carrying them share a gang. Every
+// member of a forking gang is metered into one registry and traced into one
+// recorder, and each carries one more of TraceStride, proxies, the coupled
+// sink, lateral flow, Euler or a shorter fast-path window. Each must finish
+// byte-identical to its instrumented solo run, series included, and, series
+// aside, to its plain solo run. The recorder holds the same samples, and
+// every registry counter the solo runs' total.
+func TestGangInstrumentedMatchesSolo(t *testing.T) {
+	const insts = 150_000
+	mk := func(reg *telemetry.Registry, rec *telemetry.Recorder) []Config {
+		cfgs := []Config{
+			{TraceStride: 500},
+			{Manager: newPIManager(111.1), ProxyWindows: []int{10_000}},
+			{Manager: newPIManager(110.5), CoupleChipSink: true},
+			{Manager: dtm.NewManager(dtm.NewToggle1(110.3, 5)), ThermalStride: 1, TraceStride: 777},
+			{Scaling: dtm.NewFreqScaling(110.3, 0.5, 5), Leakage: power.DefaultLeakage()},
+			{Manager: newPIManager(111.1), Tangential: true, ThermalStride: 128},
+		}
+		for i := range cfgs {
+			c := &cfgs[i]
+			c.Workload, c.MaxInsts = hotProfile(), insts
+			c.InitTemps = make([]float64, floorplan.NumBlocks)
+			for b := range c.InitTemps {
+				c.InitTemps[b] = 112 // engage every controller at once
+			}
+			if reg == nil {
+				c.TraceStride = 0
+				continue
+			}
+			c.Metrics = telemetry.NewSimMetrics(reg)
+			c.Trace, c.TraceInterval, c.TraceID = rec, 600, fmt.Sprint(i)
+		}
+		return cfgs
+	}
+	samples := func(rec *telemetry.Recorder, buf *bytes.Buffer) []telemetry.Sample {
+		if err := rec.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		out, err := telemetry.DecodeTrace(buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sort.SliceStable(out, func(i, j int) bool { return out[i].Run < out[j].Run })
+		return out
+	}
+
+	gangReg, soloReg := telemetry.NewRegistry(), telemetry.NewRegistry()
+	var gangBuf, soloBuf bytes.Buffer
+	gangRec := telemetry.NewRecorder(&gangBuf, int(floorplan.NumBlocks), 64)
+	soloRec := telemetry.NewRecorder(&soloBuf, int(floorplan.NumBlocks), 64)
+	g, err := NewGang(mk(gangReg, gangRec), GangOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	runMatchesSolo(t, g, mk(soloReg, soloRec))
+	ganged := g.results
+	for i, cfg := range mk(nil, nil) {
+		plain := run(t, cfg)
+		strip := func(r *Result) string {
+			c := *r
+			c.TempTrace, c.DutyTrace, c.BlockTrace = nil, nil, nil
+			b, _ := json.Marshal(&c)
+			return string(b)
+		}
+		if want, got := strip(plain), strip(ganged[i]); want != got {
+			t.Errorf("member %d differs from its plain solo run:\nplain: %s\ngang:  %s", i, want, got)
+		}
+	}
+	st := g.Stats()
+	if st.Forks == 0 {
+		t.Errorf("the gang never forked: %+v", st)
+	}
+	t.Logf("stats: %+v", st)
+
+	gs, ss := samples(gangRec, &gangBuf), samples(soloRec, &soloBuf)
+	if len(gs) == 0 || len(gs) != len(ss) {
+		t.Fatalf("recorder holds %d samples from the gang, %d from the solo runs", len(gs), len(ss))
+	}
+	for i := range gs {
+		a, _ := json.Marshal(gs[i])
+		b, _ := json.Marshal(ss[i])
+		if string(a) != string(b) {
+			t.Fatalf("trace sample %d differs:\nsolo: %s\ngang: %s", i, b, a)
+		}
+	}
+	for _, name := range []string{
+		"sim_cycles_total", "sim_insts_total", "sim_stall_cycles_total",
+		"sim_emergency_cycles_total", "sim_stress_cycles_total", "dtm_samples_total",
+		"dtm_saturated_samples_total", "dtm_antiwindup_freezes_total", "dtm_escalations_total",
+	} {
+		if got, want := gangReg.Counter(name, "").Value(), soloReg.Counter(name, "").Value(); got != want {
+			t.Errorf("%s = %d in the gang, %d over the solo runs", name, got, want)
+		}
+	}
+}
+
 func TestGangRejectsIneligibleConfigs(t *testing.T) {
 	base := func() Config {
 		return Config{Workload: hotProfile(), MaxInsts: 100_000}
 	}
 	cases := map[string]func() []Config{
 		"empty": func() []Config { return nil },
-		"proxies": func() []Config {
-			a, b := base(), base()
-			b.ProxyWindows = []int{10_000}
-			return []Config{a, b}
-		},
-		"coupled-sink": func() []Config {
-			a, b := base(), base()
-			b.CoupleChipSink = true
-			return []Config{a, b}
-		},
-		"trace-stride": func() []Config {
-			a, b := base(), base()
-			b.TraceStride = 1000
-			return []Config{a, b}
-		},
 		"workload-mismatch": func() []Config {
 			a, b := base(), base()
 			b.Workload = coldProfile()

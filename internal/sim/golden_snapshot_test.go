@@ -58,8 +58,9 @@ func GoldenMatrix() map[string]Config {
 		m.Mechanism = dtm.Interrupt
 		return m
 	}
-	// Telemetry sinks observe the run without steering it, but they clamp
-	// the fast path's windows to their sampling strides.
+	// Telemetry sinks only read the run: hot/pi+telemetry pins a result
+	// byte-identical to hot/pi's, and hot/trace one identical to
+	// hot/none's apart from its series.
 	mkMetrics := func() *telemetry.SimMetrics { return telemetry.NewSimMetrics(telemetry.NewRegistry()) }
 	mkRecorder := func() *telemetry.Recorder { return telemetry.NewRecorder(discard{}, int(floorplan.NumBlocks), 64) }
 	return map[string]Config{

@@ -108,6 +108,11 @@ func TestGoldenSolo(t *testing.T) {
 		}
 		got[name] = e
 	}
+	a, _ := json.Marshal(got["hot/pi+telemetry"])
+	b, _ := json.Marshal(got["hot/pi"])
+	if !bytes.Equal(a, b) {
+		t.Error("telemetry sinks changed the hot/pi result")
+	}
 	checkGolden(t, "golden.json", got)
 }
 

@@ -45,6 +45,10 @@ type Thresholds struct {
 // package model (Config.CoupleChipSink).
 const chipAmbient = 45
 
+// chipProxyTriggerW is the chip-wide power proxy's trigger threshold in
+// watts (Tables 9/10).
+const chipProxyTriggerW = 47
+
 // DefaultThresholds returns the paper's operating point.
 func DefaultThresholds() Thresholds {
 	return Thresholds{Emergency: 111.3, Stress: 110.3, SinkTemp: 100.0}
@@ -81,9 +85,6 @@ type Config struct {
 	// ProxyWindows, when non-empty, runs boxcar power proxies of the
 	// given window lengths against the RC model (Tables 9/10).
 	ProxyWindows []int
-	// ChipProxyTriggerW is the chip-wide proxy trigger threshold in
-	// watts (default 47).
-	ChipProxyTriggerW float64
 	// TraceStride, when nonzero, records time series every N cycles.
 	TraceStride uint64
 	// Sensor models non-ideal temperature sensors feeding the DTM
@@ -113,16 +114,16 @@ type Config struct {
 	// cycles; configurations that require per-cycle temperatures
 	// (power proxies, the coupled chip/sink model) reject explicit
 	// strides. Windows are always flushed early at DTM sample
-	// boundaries, scaling/hierarchy samples, trace samples, telemetry
-	// flushes and Finish, so observable decision points see fresh
-	// temperatures.
+	// boundaries, scaling/hierarchy samples and Finish, so every
+	// controller decision sees fresh temperatures. Telemetry never ends a
+	// window: traces and recorder samples read the open one.
 	ThermalStride uint64
 	// Metrics, when non-nil, streams hot-loop instrumentation into the
 	// bundle's registry: cycle/commit/stall tallies (flushed every few
 	// thousand cycles, exact after Finish), controller sample events
-	// (saturation, anti-windup freezes, escalations), live temperature/
-	// duty gauges and sampled thermal-solver timing. The increment path
-	// is allocation-free and adds no measurable per-cycle cost.
+	// (saturation, anti-windup freezes, escalations), gauges as of the
+	// last closed thermal window and sampled thermal-solver timing,
+	// allocation-free. Like every sink it only reads the run.
 	Metrics *telemetry.SimMetrics
 	// Trace, when non-nil, records a structured telemetry sample
 	// (temperatures, duty, controller P/I/D terms, saturation,
@@ -335,30 +336,18 @@ type Sim struct {
 	// member) and re-applies it to each partition's core after a fork.
 	cmd actuation
 
-	// Macro-stepped thermal fast path (acct.fast): per-cycle block power
-	// accumulates in the accounting, which advances the RC network once
-	// per window with the exact exponential solution; acct.temps holds
-	// the window-start temperatures in between (frozen for the leakage
-	// term). winFlushed/winFlushLen report a window that ended this
-	// cycle to the trace tail.
-	winFlushed  bool
-	winFlushLen uint64
-
 	// Telemetry. pid is the closed-loop controller (if the active policy
 	// wraps one), hoisted at construction so the hot loop reads its state
 	// without interface assertions. The m* fields snapshot the tallies
 	// already flushed to the metrics bundle, so the periodic flush pushes
 	// deltas and never double-counts.
-	pid      *control.PID
-	rec      *telemetry.Recorder
-	recEvery uint64
-	traceID  string
-	mCycles  uint64
-	mInsts   uint64
-	mStalls  uint64
-	mEmerg   uint64
-	mStress  uint64
-	mEsc     uint64
+	pid     *control.PID
+	mCycles uint64
+	mInsts  uint64
+	mStalls uint64
+	mEmerg  uint64
+	mStress uint64
+	mEsc    uint64
 
 	// Specialization flags, hoisted out of the hot loop so unconfigured
 	// features cost one predictable branch instead of interface/struct
@@ -368,9 +357,10 @@ type Sim struct {
 	hasScaling bool
 	hasHier    bool
 	hasProxies bool
-	hasTrace   bool
 	hasMetrics bool
-	finished   bool
+	// instrumented: a telemetry sink is attached, so stepTail runs.
+	instrumented bool
+	finished     bool
 }
 
 // Run executes one simulation to completion.
@@ -419,9 +409,6 @@ func New(cfg Config) (*Sim, error) { return newWith(cfg, nil) }
 func newWith(cfg Config, shared *unit) (*Sim, error) {
 	if err := runDefaults(cfg.MaxInsts, &cfg.Pipeline, &cfg.Thresholds, &cfg.MaxCycles); err != nil {
 		return nil, err
-	}
-	if cfg.ChipProxyTriggerW == 0 {
-		cfg.ChipProxyTriggerW = 47
 	}
 	for _, w := range cfg.ProxyWindows {
 		if w <= 0 {
@@ -493,7 +480,7 @@ func newWith(cfg Config, shared *unit) (*Sim, error) {
 		for i, w := range cfg.ProxyWindows {
 			res.Proxies[i] = ProxyResult{Window: w}
 			proxies = append(proxies, proxyPair{
-				p:    sensor.NewProxy(rs, w, cfg.Thresholds.SinkTemp, cfg.Thresholds.Emergency, cfg.ChipProxyTriggerW),
+				p:    sensor.NewProxy(rs, w, cfg.Thresholds.SinkTemp, cfg.Thresholds.Emergency, chipProxyTriggerW),
 				comp: &res.Proxies[i],
 			})
 		}
@@ -540,6 +527,12 @@ func newWith(cfg Config, shared *unit) (*Sim, error) {
 		return nil, fmt.Errorf("sim: ThermalStride %d requires per-cycle temperatures (proxies/coupled sink); set ThermalStride to 0 or 1", cfg.ThermalStride)
 	}
 
+	if cfg.TraceInterval == 0 {
+		cfg.TraceInterval = dtm.DefaultSampleInterval
+	}
+	if cfg.TraceID == "" {
+		cfg.TraceID = cfg.Workload.Name + "/" + policyName
+	}
 	s := &Sim{
 		cfg:      cfg,
 		unit:     u,
@@ -562,14 +555,14 @@ func newWith(cfg Config, shared *unit) (*Sim, error) {
 		hasScaling: cfg.Scaling != nil,
 		hasHier:    cfg.Hierarchy != nil,
 		hasProxies: len(proxies) > 0,
-		hasTrace:   res.TempTrace != nil,
 		hasMetrics: cfg.Metrics != nil,
 	}
+	s.instrumented = cfg.TraceStride > 0 || s.hasMetrics || cfg.Trace != nil
 	for i := 0; i < nblk; i++ {
 		s.leakPeak[i] = net.Block(i).PeakPower
 	}
 	if s.acct.fast {
-		s.acct.open(s.windowLen())
+		s.acct.open(s.acct.nextWindowLen(0))
 	}
 
 	// Telemetry wiring: find the PID behind the active policy (if any) so
@@ -583,14 +576,6 @@ func newWith(cfg Config, shared *unit) (*Sim, error) {
 	if cfg.Hierarchy != nil {
 		if ct, ok := cfg.Hierarchy.Primary.(*dtm.CT); ok {
 			s.pid = ct.Controller()
-		}
-	}
-	if cfg.Trace != nil {
-		s.rec = cfg.Trace
-		s.recEvery = traceEvery(&cfg)
-		s.traceID = cfg.TraceID
-		if s.traceID == "" {
-			s.traceID = cfg.Workload.Name + "/" + policyName
 		}
 	}
 	return s, nil
@@ -608,19 +593,10 @@ const DefaultThermalStride = 256
 // the per-cycle cost of metrics is a masked compare, not an atomic op.
 const metricsFlushMask = 1<<13 - 1
 
-// thermalTimeMask samples the thermal-solver timing every 1024 cycles —
-// frequent enough to populate the histogram, rare enough that the
-// time.Now() pair is invisible in the per-cycle budget.
+// thermalTimeMask times one thermal solve per 1024 cycles (the Euler step
+// on each multiple, or the first window flush at or after it): enough to
+// populate the histogram, too rare for time.Now() to show per cycle.
 const thermalTimeMask = 1<<10 - 1
-
-// traceEvery is the structured-trace sampling stride: TraceInterval, or
-// the DTM sampling interval by default.
-func traceEvery(cfg *Config) uint64 {
-	if cfg.TraceInterval != 0 {
-		return cfg.TraceInterval
-	}
-	return dtm.DefaultSampleInterval
-}
 
 // flushMetrics pushes the delta between the sim's local tallies and the
 // last flush into the metrics bundle, then refreshes the state gauges.
@@ -652,17 +628,18 @@ func (s *Sim) flushMetrics() {
 	m.FreqFactor.Set(s.cmd.freq)
 }
 
-// recordTrace emits one structured sample into the shared recorder.
-func (s *Sim) recordTrace(chip float64) {
+// recordTrace emits one structured sample, with the block temperatures
+// temps at this cycle, into the shared recorder.
+func (s *Sim) recordTrace(chip float64, temps []float64) {
 	smp := telemetry.Sample{
-		Run:         s.traceID,
+		Run:         s.cfg.TraceID,
 		Cycle:       s.cycle,
 		WallSeconds: s.res.WallSeconds,
-		HotTemp:     maxOf(s.acct.temps),
+		HotTemp:     maxOf(temps),
 		Duty:        s.cmd.FetchDuty,
 		FreqFactor:  s.cmd.freq,
 		ChipPower:   chip,
-		BlockTemps:  s.acct.temps,
+		BlockTemps:  temps,
 	}
 	if s.pid != nil {
 		smp.PTerm, smp.ITerm, smp.DTerm = s.pid.Terms()
@@ -671,7 +648,7 @@ func (s *Sim) recordTrace(chip float64) {
 	if s.hasHier {
 		smp.Escalations = s.cfg.Hierarchy.Escalations()
 	}
-	s.rec.Record(&smp)
+	s.cfg.Trace.Record(&smp)
 }
 
 // Done reports whether the run has reached its instruction or cycle
@@ -707,7 +684,9 @@ func (s *Sim) Step() {
 		chip = s.pmodel.ChipPower(&s.act, s.powerVec)
 	}
 	chip = s.stepMember(&s.act, s.powerVec, chip, stalled)
-	s.stepTail(chip)
+	if s.instrumented {
+		s.stepTail(chip)
+	}
 }
 
 // powerFactor is the multiplier this run's frequency scaling or hierarchy
@@ -731,7 +710,7 @@ func (s *Sim) powerFactor() float64 {
 // first (the leader's powerVec is base, adjusted in place) and sums its
 // chip power again, so every member consumes bit-identical inputs and the
 // downstream arithmetic matches a solo run exactly. Returns the member's
-// chip power for the telemetry tail.
+// chip power for the telemetry tail (stepTail).
 func (s *Sim) stepMember(act *pipeline.Activity, base []float64, baseChip float64, stalled bool) float64 {
 	s.cycle++
 	cycle := s.cycle
@@ -769,9 +748,10 @@ func (s *Sim) stepMember(act *pipeline.Activity, base []float64, baseChip float6
 
 	// Thermal advance. The fast path accumulates this cycle's power and
 	// advances the RC network once per window with the closed-form
-	// exponential (flushing early at every cycle that needs fresh
-	// temperatures, so the decision points below always observe current
-	// values); the Euler path is the paper's per-cycle difference
+	// exponential (flushing early at every controller sample, so the
+	// decisions below always observe current values; acct.temps holds
+	// the window-start temperatures in between, frozen for the leakage
+	// term); the Euler path is the paper's per-cycle difference
 	// equation plus the per-cycle features that require it (power
 	// proxies, the coupled chip/sink model). Under frequency scaling one
 	// wall-clock cycle covers 1/cmd.freq unit thermal steps; the Euler
@@ -785,12 +765,9 @@ func (s *Sim) stepMember(act *pipeline.Activity, base []float64, baseChip float6
 		}
 		res.WallSeconds += stepDt
 		res.ThermalSeconds += stepDt
-		s.winFlushed = false
 		if s.acct.add(powerVec) {
 			s.flush(s.acct.winLen)
-			s.winFlushed = true
-			s.winFlushLen = s.acct.winLen
-			s.acct.open(s.windowLen())
+			s.acct.open(s.acct.nextWindowLen(cycle))
 		}
 	} else {
 		s.stepEuler(powerVec, chip, cycle)
@@ -803,44 +780,26 @@ func (s *Sim) stepMember(act *pipeline.Activity, base []float64, baseChip float6
 	return chip
 }
 
-// stepTail emits the per-cycle trace and telemetry output. Gang execution
-// rejects traced/instrumented configurations, so only solo Step calls it.
+// stepTail feeds an instrumented run's sinks for the cycle just stepped:
+// series points on cycles 1, 1+TraceStride, …, the batched metrics flush
+// and recorder samples every TraceInterval cycles. It only reads the run;
+// points and samples read the open fast-path window (thermAcct.current).
 func (s *Sim) stepTail(chip float64) {
 	cycle := s.cycle
-	res := s.res
-	// Traces. On the fast path only a window-ending cycle can be a record
-	// cycle (the window length is clamped to the next one), so the stride
-	// phase is advanced over the window interior in one Bump and a single
-	// sample is offered at the boundary, where temperatures are fresh.
-	if s.hasTrace {
-		if s.acct.fast {
-			if s.winFlushed {
-				_, hot := s.acct.net.Hottest()
-				res.TempTrace.Bump(s.winFlushLen - 1)
-				res.TempTrace.Add(cycle, hot)
-				res.DutyTrace.Bump(s.winFlushLen - 1)
-				res.DutyTrace.Add(cycle, s.cmd.FetchDuty)
-				for i := range res.BlockTrace {
-					res.BlockTrace[i].Bump(s.winFlushLen - 1)
-					res.BlockTrace[i].Add(cycle, s.acct.temps[i])
-				}
-			}
-		} else {
-			_, hot := s.acct.net.Hottest()
-			res.TempTrace.Add(cycle, hot)
-			res.DutyTrace.Add(cycle, s.cmd.FetchDuty)
-			for i := range res.BlockTrace {
-				res.BlockTrace[i].Add(cycle, s.acct.temps[i])
-			}
+	if s.cfg.TraceStride > 0 && (cycle-1)%s.cfg.TraceStride == 0 {
+		res := s.res
+		temps := s.acct.current(s.invF())
+		res.TempTrace.Add(cycle, maxOf(temps))
+		res.DutyTrace.Add(cycle, s.cmd.FetchDuty)
+		for i := range res.BlockTrace {
+			res.BlockTrace[i].Add(cycle, temps[i])
 		}
 	}
-
-	// Telemetry: batched counter flush and structured trace samples.
 	if s.hasMetrics && cycle&metricsFlushMask == 0 {
 		s.flushMetrics()
 	}
-	if s.rec != nil && cycle%s.recEvery == 0 {
-		s.recordTrace(chip)
+	if s.cfg.Trace != nil && cycle%s.cfg.TraceInterval == 0 {
+		s.recordTrace(chip, s.acct.current(s.invF()))
 	}
 }
 
@@ -849,11 +808,9 @@ func (s *Sim) stepTail(chip float64) {
 // non-ideal, possibly partial) sensors. Manager state only changes on
 // sample boundaries (StepActuation early-returns off-boundary with the
 // actuation unchanged and the core setters are idempotent), so the whole
-// block — including the sensor reads — runs only on boundaries. When a
-// hierarchy also drives the duty, the per-cycle re-assert is kept.
+// block — including the sensor reads — runs only on boundaries.
 func (s *Sim) sampleDTM(cycle uint64) {
-	if s.mgr != nil &&
-		(s.hasHier || (s.mgr.Interval != 0 && cycle%s.mgr.Interval == 0)) {
+	if s.mgr != nil && s.mgr.Interval != 0 && cycle%s.mgr.Interval == 0 {
 		obs := s.acct.temps
 		if s.monitor != nil {
 			s.sensed = s.sensed[:0]
@@ -872,7 +829,7 @@ func (s *Sim) sampleDTM(cycle uint64) {
 		s.cmd.Actuation, stall = s.mgr.StepActuation(cycle, obs)
 		s.cmd.stall += stall
 		s.cmd.apply(s.core)
-		if s.hasMetrics && s.mgr.Interval != 0 && cycle%s.mgr.Interval == 0 {
+		if s.hasMetrics {
 			s.countDTMSample()
 		}
 	}
@@ -942,24 +899,6 @@ func (s *Sim) stepEuler(powerVec []float64, chip float64, cycle uint64) {
 	}
 }
 
-// windowLen returns the length of the next fast-path window: the shared
-// schedule (DTM, scaling, telemetry and cycle-budget boundaries), further
-// clamped so every time-series record cycle — 1, 1+stride, 1+2·stride, …,
-// where the Euler path offers a sample — ends a window.
-func (s *Sim) windowLen() uint64 {
-	c := s.cycle
-	w := s.acct.nextWindowLen(c)
-	if s.hasTrace {
-		ts := s.res.TempTrace.Stride
-		next := uint64(1)
-		if c > 0 {
-			next = ((c-1)/ts+1)*ts + 1
-		}
-		w = min(w, next-c)
-	}
-	return w
-}
-
 // invF is the thermal-time scale of one wall-clock cycle under frequency
 // scaling. Frequency factors change only on window-ending cycles, after
 // the flush, so it is constant across every fast-path window.
@@ -970,10 +909,11 @@ func (s *Sim) invF() float64 {
 	return 1
 }
 
-// flush closes a w-cycle fast-path window, sampling the solve time into
-// the metrics bundle on timing cycles.
+// flush closes the w-cycle fast-path window that ends this cycle. With
+// metrics attached, the first flush at or after each 1024-cycle mark (the
+// window holds a mark) samples its solve time into the bundle.
 func (s *Sim) flush(w uint64) {
-	if !s.hasMetrics || s.cycle&thermalTimeMask != 0 {
+	if !s.hasMetrics || (s.cycle-w)&^thermalTimeMask == s.cycle&^thermalTimeMask {
 		s.acct.flush(w, s.invF())
 		return
 	}
@@ -1011,15 +951,7 @@ func (s *Sim) Finish() *Result {
 		return res
 	}
 	s.finished = true
-	// No record cycle can fall inside a partial fast-path window (it was
-	// clamped to end at the next one), so the trace phase just advances.
-	if elapsed := s.acct.finish(s.invF()); elapsed > 0 && s.hasTrace {
-		res.TempTrace.Bump(elapsed)
-		res.DutyTrace.Bump(elapsed)
-		for i := range res.BlockTrace {
-			res.BlockTrace[i].Bump(elapsed)
-		}
-	}
+	s.acct.finish(s.invF())
 	st := s.core.Stats()
 	res.Cycles = s.cycle
 	res.Insts = st.Committed

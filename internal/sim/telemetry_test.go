@@ -9,8 +9,9 @@ import (
 )
 
 // TestMetricsMatchResult runs an instrumented simulation to completion and
-// checks the registry's counters against the authoritative Result tallies:
-// the batched delta flush must be exact after Finish.
+// checks the registry's counters against the authoritative Result tallies
+// (the batched delta flush must be exact after Finish) and the number of
+// sampled thermal-step timings.
 func TestMetricsMatchResult(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	cfg := Config{
@@ -48,6 +49,11 @@ func TestMetricsMatchResult(t *testing.T) {
 	}
 	if !strings.Contains(sb.String(), "sim_thermal_step_seconds_count") {
 		t.Error("thermal-step histogram missing from exposition")
+	}
+	// One timed solve per 1024-cycle mark: the first window flush at or
+	// after it (a mark in the final, partial window goes untimed).
+	if got, want := cfg.Metrics.ThermalStep.Count(), int64(res.Cycles/1024)-1; got < want {
+		t.Errorf("thermal-step histogram holds %d samples over %d cycles, want at least %d", got, res.Cycles, want)
 	}
 }
 

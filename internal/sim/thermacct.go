@@ -47,6 +47,8 @@ type thermAcct struct {
 	winLen, winLeft uint64
 	powerAcc        []float64 // accumulated block energy of the open window
 	winTss          []float64 // flush scratch: per-block window steady states
+	peekPower       []float64 // current scratch: mean power of the open window
+	peekTemps       []float64 // current scratch: temperatures at this cycle
 }
 
 // newThermAcct builds the accounting for net's blocks, split into groups of
@@ -73,16 +75,18 @@ func newThermAcct(net *thermal.Network, th Thresholds, blocks []BlockResult, gsi
 	if a.fast {
 		a.powerAcc = make([]float64, nblk)
 		a.winTss = make([]float64, nblk)
+		a.peekPower = make([]float64, nblk)
+		a.peekTemps = make([]float64, nblk)
 	}
 	net.Temps(a.temps)
 	return a
 }
 
 // windowClamps lists the intervals whose multiples must end a solo
-// fast-path window because something observes fresh temperatures there:
-// DTM manager samples, scaling/hierarchy samples, the telemetry timing
-// stride (which also aligns the coarser metrics flushes) and structured
-// trace samples, without zeros or duplicates.
+// fast-path window because a controller decides on fresh temperatures
+// there: DTM manager samples and scaling/hierarchy samples, without zeros
+// or duplicates. Telemetry never clamps a window: observers read the open
+// window (current), so they cannot move a window boundary.
 func windowClamps(cfg *Config) []uint64 {
 	var iv []uint64
 	add := func(x uint64) {
@@ -95,12 +99,6 @@ func windowClamps(cfg *Config) []uint64 {
 	}
 	if cfg.Scaling != nil || cfg.Hierarchy != nil {
 		add(dtm.DefaultSampleInterval)
-	}
-	if cfg.Metrics != nil {
-		add(thermalTimeMask + 1)
-	}
-	if cfg.Trace != nil {
-		add(traceEvery(cfg))
 	}
 	return iv
 }
@@ -247,18 +245,33 @@ func (a *thermAcct) flush(w uint64, invF float64) {
 	a.net.Temps(a.temps)
 }
 
+// current returns the block temperatures at the last accounted cycle
+// without closing the open window: the closed form flush applies, over the
+// power accumulated so far, written into scratch, with the accumulation
+// left as it was. With no open window (the Euler path, or a window that
+// just closed) it returns temps. The slice is valid until the next call.
+func (a *thermAcct) current(invF float64) []float64 {
+	k := a.winLen - a.winLeft
+	if k == 0 {
+		return a.temps
+	}
+	fk := float64(k)
+	for i, e := range a.powerAcc {
+		a.peekPower[i] = e / fk
+	}
+	a.net.WindowTemps(a.peekTemps, a.peekPower, k, invF)
+	return a.peekTemps
+}
+
 // finish closes a partially filled fast-path window, so every simulated
 // cycle is accounted for, and fills the per-block mean temperatures.
-// Returns the partial window's length (0 when there was none).
-func (a *thermAcct) finish(invF float64) uint64 {
-	elapsed := a.winLen - a.winLeft
-	if elapsed > 0 {
+func (a *thermAcct) finish(invF float64) {
+	if elapsed := a.winLen - a.winLeft; elapsed > 0 {
 		a.flush(elapsed, invF)
 	}
 	for i := range a.blocks {
 		a.blocks[i].AvgTemp = mean(a.tempSum[i], a.tempN)
 	}
-	return elapsed
 }
 
 // mean is sum/n, or 0 when n is 0: the same bits as stats.Running.Mean

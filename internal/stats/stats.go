@@ -1,7 +1,6 @@
 // Package stats provides the small statistical utilities shared by the
 // simulator, the experiment harness and the table generators: running
-// means and variances, time series with fixed-stride downsampling, and
-// table formatting. The boxcar power averages of Section 6 live in
+// means and variances, strided time series, and table formatting. The boxcar power averages of Section 6 live in
 // package sensor, as the Proxy ring.
 package stats
 
@@ -48,15 +47,15 @@ func (r *Running) Variance() float64 {
 // StdDev returns the population standard deviation.
 func (r *Running) StdDev() float64 { return math.Sqrt(r.Variance()) }
 
-// Series records a downsampled time series: every Stride-th sample is kept.
+// Series is a time series sampled every Stride ticks: its producer
+// decides the sample ticks and Add appends each point.
 type Series struct {
 	Stride uint64
 	Xs     []uint64
 	Ys     []float64
-	n      uint64
 }
 
-// NewSeries returns a series keeping one sample per stride ticks.
+// NewSeries returns an empty series sampled every stride ticks.
 func NewSeries(stride uint64) *Series {
 	if stride == 0 {
 		stride = 1
@@ -64,20 +63,11 @@ func NewSeries(stride uint64) *Series {
 	return &Series{Stride: stride}
 }
 
-// Add records sample y at tick x if x falls on the stride.
+// Add appends sample y at tick x.
 func (s *Series) Add(x uint64, y float64) {
-	if s.n%s.Stride == 0 {
-		s.Xs = append(s.Xs, x)
-		s.Ys = append(s.Ys, y)
-	}
-	s.n++
+	s.Xs = append(s.Xs, x)
+	s.Ys = append(s.Ys, y)
 }
-
-// Bump advances the tick counter by n without offering samples, as if Add
-// had been called n times on ticks that fall between retained points.
-// Strided producers that only materialize values on retention boundaries
-// use it to keep the stride phase identical to a per-tick caller.
-func (s *Series) Bump(n uint64) { s.n += n }
 
 // Len returns the number of retained points.
 func (s *Series) Len() int { return len(s.Xs) }

@@ -24,15 +24,18 @@ func TestRunningBasics(t *testing.T) {
 }
 
 func TestSeriesStride(t *testing.T) {
+	if s := NewSeries(0); s.Stride != 1 {
+		t.Errorf("NewSeries(0).Stride = %d, want 1", s.Stride)
+	}
 	s := NewSeries(10)
-	for i := uint64(0); i < 100; i++ {
+	for i := uint64(1); i < 100; i += s.Stride {
 		s.Add(i, float64(i))
 	}
 	if s.Len() != 10 {
 		t.Fatalf("len = %d, want 10", s.Len())
 	}
-	if s.Xs[0] != 0 || s.Xs[9] != 90 {
-		t.Errorf("xs = %v..%v, want 0..90", s.Xs[0], s.Xs[9])
+	if s.Xs[0] != 1 || s.Xs[9] != 91 || s.Ys[9] != 91 {
+		t.Errorf("points %v..%v = %v..%v, want 1..91", s.Xs[0], s.Xs[9], s.Ys[0], s.Ys[9])
 	}
 }
 

@@ -92,6 +92,7 @@ type Network struct {
 	winQ1   []float64 // per-cycle decay exp(invF·la)
 	winQn   []float64 // whole-window decay exp(w·invF·la)
 	winSum  []float64 // Σ_{k=1..w} Q1^k (analytic temperature sum)
+	peekQn  []float64 // WindowTemps scratch: whole-window decay, uncached
 }
 
 // New builds a Network from cfg. It panics on an empty block set or a
@@ -114,6 +115,7 @@ func New(cfg Config) *Network {
 		winQ1:  make([]float64, nb),
 		winQn:  make([]float64, nb),
 		winSum: make([]float64, nb),
+		peekQn: make([]float64, nb),
 		idx:    make(map[floorplan.BlockID]int, nb),
 		blocks: append([]floorplan.Block(nil), cfg.Blocks...),
 	}
@@ -280,10 +282,29 @@ func (n *Network) LogDecay(i int) float64 { return n.la[i] }
 // bookkeeping (the trajectory moves monotonically from T(0) toward
 // tssOut[i], so envelope checks at the endpoints are exact).
 func (n *Network) StepWindow(power []float64, w uint64, invF float64, tssOut []float64) {
-	if len(power) != len(n.temps) {
-		panic(fmt.Sprintf("thermal: StepWindow with %d powers for %d blocks", len(power), len(n.temps)))
-	}
 	_, qn, _ := n.WindowCoef(w, invF)
+	n.windowInto(n.temps, power, qn, tssOut)
+}
+
+// WindowTemps writes into dst the temperatures StepWindow(power, w, invF,
+// nil) would reach, bit for bit, without advancing the network or touching
+// its cached coefficient tables: a read of a window still open.
+func (n *Network) WindowTemps(dst, power []float64, w uint64, invF float64) {
+	fw := float64(w)
+	for i, l := range n.la {
+		n.peekQn[i] = math.Exp(fw * invF * l) // WindowCoef's qn
+	}
+	n.windowInto(dst, power, n.peekQn, nil)
+}
+
+// windowInto is the window closed form behind StepWindow and WindowTemps:
+// it writes into dst each node's temperature after a window of whole-window
+// decay qn under power, starting from the network's temperatures. dst may
+// be the network's own temperatures.
+func (n *Network) windowInto(dst, power, qn, tssOut []float64) {
+	if len(power) != len(n.temps) {
+		panic(fmt.Sprintf("thermal: window with %d powers for %d blocks", len(power), len(n.temps)))
+	}
 	sink := n.cfg.SinkTemp
 	if n.adj != nil {
 		// Freeze lateral flows at window-start temperatures.
@@ -297,7 +318,7 @@ func (n *Network) StepWindow(power []float64, w uint64, invF float64, tssOut []f
 		}
 		for i, t := range n.temps {
 			tss := sink + (power[i]+flows[i])*n.r[i]
-			n.temps[i] = tss + (t-tss)*qn[i]
+			dst[i] = tss + (t-tss)*qn[i]
 			if tssOut != nil {
 				tssOut[i] = tss
 			}
@@ -306,7 +327,7 @@ func (n *Network) StepWindow(power []float64, w uint64, invF float64, tssOut []f
 	}
 	for i, t := range n.temps {
 		tss := sink + power[i]*n.r[i]
-		n.temps[i] = tss + (t-tss)*qn[i]
+		dst[i] = tss + (t-tss)*qn[i]
 		if tssOut != nil {
 			tssOut[i] = tss
 		}

@@ -275,6 +275,48 @@ func TestStepWindowMatchesEuler(t *testing.T) {
 	}
 }
 
+// TestWindowTempsMatchesStepWindow: the read of an open window gives the
+// temperatures StepWindow reaches bit for bit, with or without lateral
+// flow, and leaves the network and its cached coefficients as they were,
+// so a window closed after any number of reads is unchanged.
+func TestWindowTempsMatchesStepWindow(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for _, tangential := range []bool{false, true} {
+		cfg := testConfig()
+		cfg.Tangential = tangential
+		read, step := New(cfg), New(cfg)
+		power := randomState(rng, read, step)
+		read.WindowCoef(256, 1) // the open window's cached tables
+		step.WindowCoef(256, 1)
+		for _, w := range []uint64{1, 77, 256} {
+			for _, invF := range []float64{1, 1.25} {
+				got := make([]float64, len(power))
+				read.WindowTemps(got, power, w, invF)
+				before := read.Temps(nil)
+				ref := New(cfg)
+				for i, t0 := range before {
+					ref.SetTemp(i, t0)
+				}
+				ref.StepWindow(power, w, invF, nil)
+				for i := range got {
+					if got[i] != ref.temps[i] || read.temps[i] != before[i] {
+						t.Fatalf("tangential=%v w=%d invF=%v block %d: read %v, StepWindow %v, network moved %v -> %v",
+							tangential, w, invF, i, got[i], ref.temps[i], before[i], read.temps[i])
+					}
+				}
+			}
+		}
+		read.StepWindow(power, 256, 1, nil)
+		step.StepWindow(power, 256, 1, nil)
+		for i := range power {
+			if read.temps[i] != step.temps[i] || read.winW != 256 {
+				t.Fatalf("tangential=%v block %d: window closed after reads at %v, without at %v (cached w %d)",
+					tangential, i, read.temps[i], step.temps[i], read.winW)
+			}
+		}
+	}
+}
+
 // TestStepWindowSequenceMatchesEuler extends TestStepWindowMatchesEuler to
 // power that changes between windows, as a run's does: a sequence of
 // windows, each under fresh random per-block power, must track the same
