@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/experiments"
+	"repro/internal/sim"
 	"repro/internal/stats"
 )
 
@@ -49,41 +50,41 @@ func main() {
 	writeTable("table03_thermal", "Table 3 — thermal parameters", experiments.Table3())
 	writeTable("table05_categories", "Table 5 — thermal categories", experiments.Table5())
 
-	fmt.Fprintln(os.Stderr, "running uncontrolled baseline suite...")
-	base, err := experiments.Baseline(p)
-	if err != nil {
+	// The tables and the figure traces share one suite: each distinct
+	// run simulates once, in one gang per benchmark.
+	figs := []struct{ benchName, policy string }{
+		{"gcc", "none"}, {"gcc", "toggle1"}, {"gcc", "PI"}, {"art", "none"},
+	}
+	suite := experiments.NewSuite(p)
+	base := suite.Baseline()
+	proxies := suite.ProxyTables(nil)
+	eval := suite.PolicyEval()
+	traces := make([]func() []*sim.Result, len(figs))
+	for i, fig := range figs {
+		traces[i] = suite.Trace([]string{fig.benchName}, fig.policy, 0, 2000)
+	}
+	fmt.Fprintln(os.Stderr, "running the solo suite...")
+	if err := suite.Run(); err != nil {
 		fatal(err)
 	}
-	writeTable("table04_characterization", "Table 4 — characterization", experiments.Table4(base))
-	writeTable("table06_per_structure", "Table 6 — per-structure temperatures", experiments.Table6(base))
-	writeTable("table07_emergency", "Table 7 — per-structure emergency residency", experiments.Table7(base))
-	writeTable("table08_stress", "Table 8 — per-structure stress residency", experiments.Table8(base))
 
-	fmt.Fprintln(os.Stderr, "running proxy comparison...")
-	ps, cw, err := experiments.ProxyTables(p, nil)
-	if err != nil {
-		fatal(err)
-	}
+	b := base()
+	writeTable("table04_characterization", "Table 4 — characterization", experiments.Table4(b))
+	writeTable("table06_per_structure", "Table 6 — per-structure temperatures", experiments.Table6(b))
+	writeTable("table07_emergency", "Table 7 — per-structure emergency residency", experiments.Table7(b))
+	writeTable("table08_stress", "Table 8 — per-structure stress residency", experiments.Table8(b))
+
+	ps, cw := proxies()
 	writeTable("table09_proxy_struct", "Table 9 — per-structure boxcar proxy", ps)
 	writeTable("table10_proxy_chip", "Table 10 — chip-wide boxcar proxy", cw)
 
-	fmt.Fprintln(os.Stderr, "running policy evaluation...")
-	ev, err := experiments.RunPolicyEval(p)
-	if err != nil {
-		fatal(err)
-	}
+	ev := eval()
 	writeTable("table11_policies", "Table 11 — DTM policy evaluation", ev.Table11())
 	writeTable("table12_headline", "Table 12 — headline aggregate", ev.Table12())
 
 	fmt.Fprintln(os.Stderr, "rendering figures...")
-	for _, fig := range []struct{ benchName, policy string }{
-		{"gcc", "none"}, {"gcc", "toggle1"}, {"gcc", "PI"}, {"art", "none"},
-	} {
-		traced, err := experiments.Trace(p, []string{fig.benchName}, fig.policy, 0, 2000)
-		if err != nil {
-			fatal(err)
-		}
-		res := traced[0]
+	for i, fig := range figs {
+		res := traces[i]()[0]
 		svg := experiments.TraceChart(res, "hottest block", "duty (scaled)")
 		name := fmt.Sprintf("trace_%s_%s.svg", fig.benchName, fig.policy)
 		if err := os.WriteFile(filepath.Join(*out, name), []byte(svg), 0o644); err != nil {

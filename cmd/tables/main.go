@@ -1,6 +1,8 @@
 // Command tables regenerates the paper's tables (see DESIGN.md for the
 // experiment index). With no flags it prints every table; -table selects
-// one. Batches run through the experiments batch engine: Ctrl-C aborts
+// one. The solo tables share one batch (an experiments.Suite), in which
+// each distinct run simulates once and each benchmark's runs form one
+// gang; Table 14's multicore face-off is a second batch. Ctrl-C aborts
 // cleanly mid-batch, and -progress reports per-job completion on stderr,
 // where one job is a single run or a gang of one benchmark's runs.
 //
@@ -28,6 +30,7 @@ import (
 	"io"
 	"os"
 	"os/signal"
+	"strings"
 	"time"
 
 	"repro/internal/experiments"
@@ -35,6 +38,7 @@ import (
 	"repro/internal/runindex"
 	"repro/internal/runner"
 	"repro/internal/sim"
+	"repro/internal/stats"
 	"repro/internal/telemetry"
 )
 
@@ -175,38 +179,56 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprint(stdout, experiments.Table5())
 	}
 
-	var base []*sim.Result
-	needBase := want(4) || want(6) || want(7) || want(8)
-	if needBase {
-		start := time.Now()
-		var err error
-		base, err = experiments.Baseline(p)
-		if err != nil {
-			return fail(err)
-		}
-		fmt.Fprintf(stderr, "baseline suite: %v\n", time.Since(start))
-	}
-	if want(4) {
-		banner(4, "benchmark characterization (no DTM)")
-		fmt.Fprint(stdout, experiments.Table4(base))
-	}
-	if want(6) {
-		banner(6, "per-structure avg/max temperature (C)")
-		fmt.Fprint(stdout, experiments.Table6(base))
-	}
-	if want(7) {
-		banner(7, "per-structure cycles in thermal emergency (> D)")
-		fmt.Fprint(stdout, experiments.Table7(base))
-	}
-	if want(8) {
-		banner(8, "per-structure cycles in thermal stress (> D-1)")
-		fmt.Fprint(stdout, experiments.Table8(base))
+	// Every solo table registers its runs in one suite, which simulates
+	// each distinct run once, in one gang per benchmark.
+	suite := experiments.NewSuite(p)
+	var (
+		base    func() []*sim.Result
+		proxies func() (perStruct, chipWide *stats.Table)
+		eval    func() *experiments.PolicyEval
+		setp    func() *stats.Table
+	)
+	if want(4) || want(6) || want(7) || want(8) {
+		base = suite.Baseline()
 	}
 	if want(9) || want(10) {
-		ps, cw, err := experiments.ProxyTables(p, nil)
-		if err != nil {
+		proxies = suite.ProxyTables(nil)
+	}
+	if want(11) || want(12) {
+		eval = suite.PolicyEval()
+	}
+	if want(13) {
+		setp = suite.SetpointStudy()
+	}
+	var timing []string // one "batch wall" entry per batch run
+	if base != nil || proxies != nil || eval != nil || setp != nil {
+		start := time.Now()
+		if err := suite.Run(); err != nil {
 			return fail(err)
 		}
+		timing = append(timing, fmt.Sprintf("solo suite %v", time.Since(start)))
+	}
+	if base != nil {
+		base := base()
+		if want(4) {
+			banner(4, "benchmark characterization (no DTM)")
+			fmt.Fprint(stdout, experiments.Table4(base))
+		}
+		if want(6) {
+			banner(6, "per-structure avg/max temperature (C)")
+			fmt.Fprint(stdout, experiments.Table6(base))
+		}
+		if want(7) {
+			banner(7, "per-structure cycles in thermal emergency (> D)")
+			fmt.Fprint(stdout, experiments.Table7(base))
+		}
+		if want(8) {
+			banner(8, "per-structure cycles in thermal stress (> D-1)")
+			fmt.Fprint(stdout, experiments.Table8(base))
+		}
+	}
+	if proxies != nil {
+		ps, cw := proxies()
 		if want(9) {
 			banner(9, "per-structure boxcar power proxy vs RC model")
 			fmt.Fprint(stdout, ps)
@@ -216,13 +238,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprint(stdout, cw)
 		}
 	}
-	if want(11) || want(12) {
-		start := time.Now()
-		ev, err := experiments.RunPolicyEval(p)
-		if err != nil {
-			return fail(err)
-		}
-		fmt.Fprintf(stderr, "policy evaluation: %v\n", time.Since(start))
+	if eval != nil {
+		ev := eval()
 		if want(11) {
 			banner(11, "DTM policy evaluation: % of non-DTM IPC (emergency residency)")
 			fmt.Fprint(stdout, ev.Table11())
@@ -232,13 +249,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprint(stdout, ev.Table12())
 		}
 	}
-	if want(13) {
-		t, err := experiments.SetpointStudy(p)
-		if err != nil {
-			return fail(err)
-		}
+	if setp != nil {
 		banner(13, "PI/PID setpoint sensitivity")
-		fmt.Fprint(stdout, t)
+		fmt.Fprint(stdout, setp())
 	}
 	if want(14) {
 		start := time.Now()
@@ -246,9 +259,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if err != nil {
 			return fail(err)
 		}
-		fmt.Fprintf(stderr, "multicore face-off: %v\n", time.Since(start))
+		timing = append(timing, fmt.Sprintf("multicore face-off %v", time.Since(start)))
 		banner(14, "multicore controller face-off (per-core PID vs adaptive-gain DVFS vs power budget)")
 		fmt.Fprint(stdout, t)
+	}
+	if len(timing) > 0 {
+		fmt.Fprintf(stderr, "batch wall time: %s\n", strings.Join(timing, ", "))
 	}
 	if err := sinks.Close(); err != nil {
 		return fail(err)

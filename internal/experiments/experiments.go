@@ -2,18 +2,20 @@
 // evaluation (the index lives in DESIGN.md): benchmark characterization
 // (Tables 4-8), the boxcar-proxy comparison (Tables 9-10), the DTM policy
 // evaluation and headline result (Section 7), the setpoint study, and the
-// time-series traces behind the figures. Every solo batch runs through one
-// engine, RunConfigs, which gang-schedules runs sharing a workload; every
-// multicore batch runs through RunMulticoreConfigs, which groups runs
-// differing only in controllers. cmd/tables and the root benchmark
-// harness are thin wrappers over this package, and cmd/sweep calls both
-// engines directly.
+// time-series traces behind the figures. The solo tables register their
+// runs in one Suite, which simulates each distinct run once. Every solo
+// batch runs through one engine, RunConfigs, which gang-schedules runs
+// sharing a workload; every multicore batch runs through
+// RunMulticoreConfigs, which groups runs differing only in controllers.
+// cmd/tables and the root benchmark harness are thin wrappers over this
+// package, and cmd/sweep calls both engines directly.
 package experiments
 
 import (
 	"context"
 	"fmt"
 	"sort"
+	"strconv"
 
 	"repro/internal/bench"
 	"repro/internal/floorplan"
@@ -45,17 +47,19 @@ type Params struct {
 	// batch run (shared metrics; per-run counter stripes).
 	Registry *telemetry.Registry
 	// Trace, when non-nil, receives structured controller/thermal samples
-	// from every run, labeled "benchmark/policy".
+	// from every run, labeled "benchmark/policy" plus "@setpoint" when the
+	// setpoint is overridden and "+proxies" when proxy windows are attached
+	// (see runSpec.id).
 	Trace *telemetry.Recorder
 	// TraceInterval is the cycle stride for Trace samples (0 = DTM
 	// sampling interval).
 	TraceInterval uint64
 	// Cache, when non-nil, memoizes completed runs by configuration
-	// fingerprint (sim.CacheKey), so repeated batches — the setpoint
-	// study and policy evaluation share their baselines, and repeated
-	// tool invocations with a disk-backed cache share everything — skip
-	// simulations entirely. Runs with live telemetry attached (Registry
-	// or Trace set) are not cacheable and always execute.
+	// fingerprint (sim.CacheKey), so repeated batches and repeated tool
+	// invocations with a disk-backed cache skip simulations entirely.
+	// (Tables that share runs within one invocation share them through
+	// one Suite, not the cache.) Runs with live telemetry attached
+	// (Registry or Trace set) are not cacheable and always execute.
 	Cache *runner.Cache[*sim.Result]
 }
 
@@ -85,17 +89,102 @@ func DefaultParams() Params {
 	}
 }
 
-// runSpec identifies one simulation in a batch.
+// runSpec identifies one simulation in a batch; specs with one key are
+// the same run.
 type runSpec struct {
 	bench    string
 	policy   string
-	setpoint float64
-	cfg      func(*sim.Config)
+	setpoint float64 // 0 keeps the policy's paper setpoint
+	proxies  []int   // boxcar proxy windows (Tables 9/10)
+	stride   uint64  // series stride (the figures); 0 records none
+	seed     uint64  // workload seed; 0 keeps the benchmark's
 }
+
+// id labels the run in a shared telemetry trace: benchmark/policy, then
+// @setpoint when the spec overrides the policy's setpoint, +proxies when
+// it attaches proxy windows and #seed when it reseeds the workload. The
+// series stride is left out: it only records the run.
+func (sp runSpec) id() string {
+	id := sp.bench + "/" + sp.policy
+	if sp.setpoint != 0 {
+		id += "@" + strconv.FormatFloat(sp.setpoint, 'f', -1, 64)
+	}
+	if len(sp.proxies) > 0 {
+		id += "+proxies"
+	}
+	if sp.seed != 0 {
+		id += "#" + strconv.FormatUint(sp.seed, 10)
+	}
+	return id
+}
+
+// key is the spec's full identity: its id, proxy windows and stride.
+func (sp runSpec) key() string { return fmt.Sprint(sp.id(), sp.proxies, sp.stride) }
 
 // maxGang caps gang membership: larger groups of one workload split into
 // several gangs, which the worker pool then runs in parallel.
 const maxGang = 16
+
+// Suite is one batch of solo runs shared by several tables. Each table
+// registers the runs it needs (Baseline, ProxyTables, PolicyEval,
+// SetpointStudy, Trace) and gets back its renderer. A run that several
+// tables register simulates once; the uncontrolled baseline that every
+// "% of non-DTM IPC" figure divides by is the common case. Run sends all
+// registered runs through one RunConfigs batch, which gangs each
+// benchmark's runs into one job. Call the renderers after Run returns nil.
+type Suite struct {
+	p     Params
+	specs []runSpec
+	at    map[string]int // spec key -> position in specs
+	res   []*sim.Result
+}
+
+// NewSuite returns an empty suite that runs with p.
+func NewSuite(p Params) *Suite { return &Suite{p: p, at: map[string]int{}} }
+
+// column registers sp once per benchmark in names and returns the
+// results in names order, for use after Run. A run registered before
+// keeps its first position.
+func (s *Suite) column(names []string, sp runSpec) func() []*sim.Result {
+	at := make([]int, len(names))
+	for i, n := range names {
+		sp.bench = n
+		k := sp.key()
+		j, ok := s.at[k]
+		if !ok {
+			j = len(s.specs)
+			s.at[k] = j
+			s.specs = append(s.specs, sp)
+		}
+		at[i] = j
+	}
+	return func() []*sim.Result {
+		out := make([]*sim.Result, len(at))
+		for i, j := range at {
+			out[i] = s.res[j]
+		}
+		return out
+	}
+}
+
+// Run simulates every registered run as one batch.
+func (s *Suite) Run() error {
+	res, err := runBatch(s.p, s.specs)
+	s.res = res
+	return err
+}
+
+// runTable runs a one-table suite: register adds the table's runs and
+// returns its renderer, which is called after the batch.
+func runTable[T any](p Params, register func(*Suite) func() T) (T, error) {
+	s := NewSuite(p)
+	render := register(s)
+	if err := s.Run(); err != nil {
+		var zero T
+		return zero, err
+	}
+	return render(), nil
+}
 
 // runBatch materializes specs into instrumented configs and runs them
 // through the batch engine (RunConfigs). Results come back in spec order.
@@ -106,7 +195,7 @@ func runBatch(p Params, specs []runSpec) ([]*sim.Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		p.instrument(&cfg, sp.bench+"/"+sp.policy)
+		p.instrument(&cfg, sp.id())
 		cfgs[i] = cfg
 	}
 	res, _, err := RunConfigs(p, cfgs)
@@ -120,12 +209,12 @@ func (p Params) buildConfig(sp runSpec) (sim.Config, error) {
 	if err != nil {
 		return sim.Config{}, err
 	}
-	cfg := sim.Config{Workload: prof, MaxInsts: p.Insts}
+	if sp.seed != 0 {
+		prof.Seed = sp.seed
+	}
+	cfg := sim.Config{Workload: prof, MaxInsts: p.Insts, ProxyWindows: sp.proxies, TraceStride: sp.stride}
 	if err := bench.ApplyPolicy(&cfg, sp.policy, sp.setpoint); err != nil {
 		return sim.Config{}, err
-	}
-	if sp.cfg != nil {
-		sp.cfg(&cfg)
 	}
 	return cfg, nil
 }
@@ -263,15 +352,15 @@ func (p Params) instrument(cfg *sim.Config, runID string) {
 	}
 }
 
+// Baseline registers the whole suite uncontrolled. Its renderer returns
+// the results in bench.Names order.
+func (s *Suite) Baseline() func() []*sim.Result {
+	return s.column(bench.Names(), runSpec{policy: "none"})
+}
+
 // Baseline runs the whole suite uncontrolled and returns results in
 // bench.Names order.
-func Baseline(p Params) ([]*sim.Result, error) {
-	var specs []runSpec
-	for _, n := range bench.Names() {
-		specs = append(specs, runSpec{bench: n, policy: "none"})
-	}
-	return runBatch(p, specs)
-}
+func Baseline(p Params) ([]*sim.Result, error) { return runTable(p, (*Suite).Baseline) }
 
 // Table2 renders the simulated machine configuration (Table 2).
 func Table2() *stats.Table {
@@ -395,41 +484,47 @@ func perBlockFracTable(base []*sim.Result, emergency bool) *stats.Table {
 	return t
 }
 
-// ProxyTables runs the suite with boxcar power proxies attached and
-// renders Tables 9 (per-structure proxy) and 10 (chip-wide proxy): missed
-// emergency cycles and false trigger cycles per window.
-func ProxyTables(p Params, windows []int) (perStruct, chipWide *stats.Table, err error) {
+// ProxyTables registers the suite with boxcar power proxies attached
+// (default windows 10K and 500K cycles). Its renderer returns Tables 9
+// (per-structure proxy) and 10 (chip-wide proxy): missed emergency cycles
+// and false trigger cycles per window.
+func (s *Suite) ProxyTables(windows []int) func() (perStruct, chipWide *stats.Table) {
 	if len(windows) == 0 {
 		windows = []int{10_000, 500_000}
 	}
-	var specs []runSpec
-	for _, n := range bench.Names() {
-		specs = append(specs, runSpec{bench: n, policy: "none", cfg: func(c *sim.Config) {
-			c.ProxyWindows = windows
-		}})
+	results := s.column(bench.Names(), runSpec{policy: "none", proxies: windows})
+	return func() (perStruct, chipWide *stats.Table) {
+		header := []string{"benchmark", "emerg cycles"}
+		for _, w := range windows {
+			header = append(header,
+				fmt.Sprintf("missed@%dK", w/1000),
+				fmt.Sprintf("false@%dK", w/1000))
+		}
+		perStruct = &stats.Table{Header: header}
+		chipWide = &stats.Table{Header: header}
+		for _, r := range results() {
+			rowS := []string{r.Benchmark, fmt.Sprintf("%d", r.EmergencyCycles)}
+			rowC := []string{r.Benchmark, fmt.Sprintf("%d", r.EmergencyCycles)}
+			for _, pr := range r.Proxies {
+				rowS = append(rowS, stats.Percent(pr.PerStruct.MissedFrac()), stats.Percent(pr.PerStruct.FalseFrac()))
+				rowC = append(rowC, stats.Percent(pr.ChipWide.MissedFrac()), stats.Percent(pr.ChipWide.FalseFrac()))
+			}
+			perStruct.AddRow(rowS...)
+			chipWide.AddRow(rowC...)
+		}
+		return perStruct, chipWide
 	}
-	results, err := runBatch(p, specs)
-	if err != nil {
+}
+
+// ProxyTables runs the suite with boxcar power proxies attached and
+// renders Tables 9 and 10 (see Suite.ProxyTables).
+func ProxyTables(p Params, windows []int) (perStruct, chipWide *stats.Table, err error) {
+	s := NewSuite(p)
+	render := s.ProxyTables(windows)
+	if err := s.Run(); err != nil {
 		return nil, nil, err
 	}
-	header := []string{"benchmark", "emerg cycles"}
-	for _, w := range windows {
-		header = append(header,
-			fmt.Sprintf("missed@%dK", w/1000),
-			fmt.Sprintf("false@%dK", w/1000))
-	}
-	perStruct = &stats.Table{Header: header}
-	chipWide = &stats.Table{Header: header}
-	for _, r := range results {
-		rowS := []string{r.Benchmark, fmt.Sprintf("%d", r.EmergencyCycles)}
-		rowC := []string{r.Benchmark, fmt.Sprintf("%d", r.EmergencyCycles)}
-		for _, pr := range r.Proxies {
-			rowS = append(rowS, stats.Percent(pr.PerStruct.MissedFrac()), stats.Percent(pr.PerStruct.FalseFrac()))
-			rowC = append(rowC, stats.Percent(pr.ChipWide.MissedFrac()), stats.Percent(pr.ChipWide.FalseFrac()))
-		}
-		perStruct.AddRow(rowS...)
-		chipWide.AddRow(rowC...)
-	}
+	perStruct, chipWide = render()
 	return perStruct, chipWide, nil
 }
 
@@ -442,43 +537,38 @@ type PolicyEval struct {
 	PctOfBase map[string][]float64 // parallel to bench.Names()
 }
 
-// RunPolicyEval executes the full policy-evaluation matrix. The whole
-// matrix — baseline plus every policy — goes through one batch, so the
-// batch engine folds each benchmark's policy column into a single
-// lock-step gang.
-func RunPolicyEval(p Params) (*PolicyEval, error) {
+// PolicyEval registers the policy-evaluation matrix: the baseline plus
+// every policy in the suite's Params.Policies, each over the whole suite.
+func (s *Suite) PolicyEval() func() *PolicyEval {
 	names := bench.Names()
-	specs := make([]runSpec, 0, (1+len(p.Policies))*len(names))
-	for _, n := range names {
-		specs = append(specs, runSpec{bench: n, policy: "none"})
+	base := s.column(names, runSpec{policy: "none"})
+	pols := s.p.Policies
+	cols := make([]func() []*sim.Result, len(pols))
+	for k, pol := range pols {
+		cols[k] = s.column(names, runSpec{policy: pol})
 	}
-	for _, pol := range p.Policies {
-		for _, n := range names {
-			specs = append(specs, runSpec{bench: n, policy: pol})
+	return func() *PolicyEval {
+		ev := &PolicyEval{
+			Policies:  pols,
+			Base:      base(),
+			ByPolicy:  map[string][]*sim.Result{},
+			PctOfBase: map[string][]float64{},
 		}
-	}
-	all, err := runBatch(p, specs)
-	if err != nil {
-		return nil, err
-	}
-	base := all[:len(names)]
-	ev := &PolicyEval{
-		Policies:  p.Policies,
-		Base:      base,
-		ByPolicy:  map[string][]*sim.Result{},
-		PctOfBase: map[string][]float64{},
-	}
-	for k, pol := range p.Policies {
-		results := all[(k+1)*len(names) : (k+2)*len(names)]
-		ev.ByPolicy[pol] = results
-		pct := make([]float64, len(results))
-		for i, r := range results {
-			pct[i] = r.IPC / base[i].IPC
+		for k, pol := range pols {
+			results := cols[k]()
+			ev.ByPolicy[pol] = results
+			pct := make([]float64, len(results))
+			for i, r := range results {
+				pct[i] = r.IPC / ev.Base[i].IPC
+			}
+			ev.PctOfBase[pol] = pct
 		}
-		ev.PctOfBase[pol] = pct
+		return ev
 	}
-	return ev, nil
 }
+
+// RunPolicyEval executes the full policy-evaluation matrix.
+func RunPolicyEval(p Params) (*PolicyEval, error) { return runTable(p, (*Suite).PolicyEval) }
 
 // Table11 renders the per-benchmark policy evaluation: percent of non-DTM
 // IPC with the emergency residency in parentheses.
@@ -563,64 +653,63 @@ func (ev *PolicyEval) Table12() *stats.Table {
 	return t
 }
 
-// SetpointStudy runs PI and PID at the paper's default and lowered
-// setpoints (Table 13 / Section 7's setpoint sensitivity). Like the
-// policy evaluation, all cells go through one batch so gang scheduling
-// can group them by benchmark.
-func SetpointStudy(p Params) (*stats.Table, error) {
+// SetpointStudy registers PI and PID at the paper's default and lowered
+// setpoints over the whole suite, with the baseline. Its renderer returns
+// Table 13 (Section 7's setpoint sensitivity). The default-setpoint cells
+// are the policy evaluation's PI and PID runs.
+func (s *Suite) SetpointStudy() func() *stats.Table {
 	names := bench.Names()
+	base := s.column(names, runSpec{policy: "none"})
 	type cell struct {
-		pol string
-		sp  float64
+		pol     string
+		sp      float64
+		results func() []*sim.Result
 	}
 	var cells []cell
 	for _, pol := range []string{"PI", "PID"} {
 		for _, sp := range []float64{bench.PISetpoint, bench.LowSetpoint} {
-			cells = append(cells, cell{pol, sp})
+			override := sp
+			if sp == bench.PISetpoint {
+				override = 0 // the paper default: the same run as PolicyEval's
+			}
+			cells = append(cells, cell{pol, sp, s.column(names, runSpec{policy: pol, setpoint: override})})
 		}
 	}
-	specs := make([]runSpec, 0, (1+len(cells))*len(names))
-	for _, n := range names {
-		specs = append(specs, runSpec{bench: n, policy: "none"})
-	}
-	for _, c := range cells {
-		for _, n := range names {
-			specs = append(specs, runSpec{bench: n, policy: c.pol, setpoint: c.sp})
+	return func() *stats.Table {
+		b := base()
+		t := &stats.Table{Header: []string{"policy", "setpoint", "mean % of base IPC", "emergency cycles"}}
+		for _, c := range cells {
+			var pcts []float64
+			var emerg uint64
+			for i, r := range c.results() {
+				pcts = append(pcts, r.IPC/b[i].IPC)
+				emerg += r.EmergencyCycles
+			}
+			t.AddRow(c.pol, fmt.Sprintf("%.1f", c.sp),
+				fmt.Sprintf("%.1f%%", 100*stats.Mean(pcts)),
+				fmt.Sprintf("%d", emerg))
 		}
+		return t
 	}
-	all, err := runBatch(p, specs)
-	if err != nil {
-		return nil, err
-	}
-	base := all[:len(names)]
-	t := &stats.Table{Header: []string{"policy", "setpoint", "mean % of base IPC", "emergency cycles"}}
-	for k, c := range cells {
-		results := all[(k+1)*len(names) : (k+2)*len(names)]
-		var pcts []float64
-		var emerg uint64
-		for i, r := range results {
-			pcts = append(pcts, r.IPC/base[i].IPC)
-			emerg += r.EmergencyCycles
-		}
-		t.AddRow(c.pol, fmt.Sprintf("%.1f", c.sp),
-			fmt.Sprintf("%.1f%%", 100*stats.Mean(pcts)),
-			fmt.Sprintf("%d", emerg))
-	}
-	return t, nil
 }
 
-// Trace runs each named benchmark under one policy (setpoint 0 keeps the
-// policy's paper default) as one batch, recording the hottest-block
-// temperature, fetch duty and per-block temperatures every stride cycles
-// (the temperature/duty figures; stride 0 records none). Results come
-// back in names order.
+// SetpointStudy runs PI and PID at the paper's default and lowered
+// setpoints and renders Table 13.
+func SetpointStudy(p Params) (*stats.Table, error) { return runTable(p, (*Suite).SetpointStudy) }
+
+// Trace registers each named benchmark under one policy (setpoint 0 keeps
+// the policy's paper default), recording the hottest-block temperature,
+// fetch duty and per-block temperatures every stride cycles (the
+// temperature/duty figures; stride 0 records none). Its renderer returns
+// the results in names order.
+func (s *Suite) Trace(names []string, policy string, setpoint float64, stride uint64) func() []*sim.Result {
+	return s.column(names, runSpec{policy: policy, setpoint: setpoint, stride: stride})
+}
+
+// Trace runs each named benchmark under one policy with series recorded
+// every stride cycles (see Suite.Trace). Results come back in names order.
 func Trace(p Params, names []string, policy string, setpoint float64, stride uint64) ([]*sim.Result, error) {
-	specs := make([]runSpec, len(names))
-	for i, n := range names {
-		specs[i] = runSpec{bench: n, policy: policy, setpoint: setpoint,
-			cfg: func(c *sim.Config) { c.TraceStride = stride }}
-	}
-	return runBatch(p, specs)
+	return runTable(p, func(s *Suite) func() []*sim.Result { return s.Trace(names, policy, setpoint, stride) })
 }
 
 // SeedStats summarizes a benchmark's metric spread across workload seeds —
@@ -644,9 +733,7 @@ func SeedStudy(p Params, benchName, policy string, n int) (SeedStats, error) {
 	}
 	specs := make([]runSpec, n)
 	for i := range specs {
-		seed := base.Seed + uint64(i)*0x9e3779b97f4a7c15
-		specs[i] = runSpec{bench: benchName, policy: policy,
-			cfg: func(c *sim.Config) { c.Workload.Seed = seed }}
+		specs[i] = runSpec{bench: benchName, policy: policy, seed: base.Seed + uint64(i)*0x9e3779b97f4a7c15}
 	}
 	results, err := runBatch(p, specs)
 	if err != nil {

@@ -268,9 +268,12 @@ func TestGangBatchGrouping(t *testing.T) {
 	p := Params{Insts: 40_000}
 	var cfgs []sim.Config
 	add := func(policy string, mut func(*sim.Config)) int {
-		cfg, err := p.buildConfig(runSpec{bench: "gcc", policy: policy, cfg: mut})
+		cfg, err := p.buildConfig(runSpec{bench: "gcc", policy: policy})
 		if err != nil {
 			t.Fatal(err)
+		}
+		if mut != nil {
+			mut(&cfg)
 		}
 		cfgs = append(cfgs, cfg)
 		return len(cfgs) - 1
@@ -390,9 +393,8 @@ func TestGangBatchMatchesSolo(t *testing.T) {
 // workload's gang and keeps its own proxies without lending them to the
 // others.
 func TestGangBatchFallback(t *testing.T) {
-	proxied := func(c *sim.Config) { c.ProxyWindows = []int{5_000} }
 	specs := []runSpec{
-		{bench: "gzip", policy: "none", cfg: proxied},
+		{bench: "gzip", policy: "none", proxies: []int{5_000}},
 		{bench: "gzip", policy: "none"},
 	}
 	p := Params{Insts: 40_000}
@@ -405,5 +407,112 @@ func TestGangBatchFallback(t *testing.T) {
 	}
 	if len(res[1].Proxies) != 0 {
 		t.Error("plain member grew proxy results")
+	}
+}
+
+// TestSuiteSharesRuns: the full solo suite (Tables 4 and 6-13) submits
+// one pool job per benchmark, each distinct run registered once, and every
+// table it renders is byte-identical to the same table from its
+// per-table entry point.
+func TestSuiteSharesRuns(t *testing.T) {
+	p := DefaultParams()
+	p.Insts = 5_000
+	var total atomic.Int64
+	sp := p
+	sp.Progress = func(pr runner.Progress) { total.Store(int64(pr.Total)) }
+	s := NewSuite(sp)
+	base := s.Baseline()
+	proxies := s.ProxyTables(nil)
+	eval := s.PolicyEval()
+	setpoints := s.SetpointStudy()
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	names := bench.Names()
+	// none, proxied none, six policies, PI/PID at the lowered setpoint.
+	if want := len(names) * (2 + len(p.Policies) + 2); len(s.specs) != want {
+		t.Errorf("suite registered %d runs, want %d", len(s.specs), want)
+	}
+	if total.Load() != int64(len(names)) {
+		t.Errorf("suite submitted %d pool jobs, want one per benchmark (%d)", total.Load(), len(names))
+	}
+
+	type pair struct{ suite, alone fmt.Stringer }
+	pairs := map[string]pair{}
+	soloBase, err := Baseline(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := base()
+	pairs["4"] = pair{Table4(b), Table4(soloBase)}
+	pairs["6"] = pair{Table6(b), Table6(soloBase)}
+	pairs["7"] = pair{Table7(b), Table7(soloBase)}
+	pairs["8"] = pair{Table8(b), Table8(soloBase)}
+	ps, cw, err := ProxyTables(p, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sps, scw := proxies()
+	pairs["9"], pairs["10"] = pair{sps, ps}, pair{scw, cw}
+	ev, err := RunPolicyEval(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sev := eval()
+	pairs["11"], pairs["12"] = pair{sev.Table11(), ev.Table11()}, pair{sev.Table12(), ev.Table12()}
+	st, err := SetpointStudy(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pairs["13"] = pair{setpoints(), st}
+	for n, pr := range pairs {
+		if got, want := pr.suite.String(), pr.alone.String(); got != want {
+			t.Errorf("Table %s from the suite:\n%s\nfrom its entry point:\n%s", n, got, want)
+		}
+	}
+}
+
+// TestSuiteDeduplicatesBySpec: a run registered twice simulates once, and
+// runs that differ in any part of their identity stay apart, each under
+// its own trace ID.
+func TestSuiteDeduplicatesBySpec(t *testing.T) {
+	s := NewSuite(Params{Insts: 1_000})
+	gcc := []string{"gcc"}
+	a := s.Trace(gcc, "PI", 0, 0)
+	b := s.column(gcc, runSpec{policy: "PI"})
+	distinct := []runSpec{
+		{bench: "gcc", policy: "PI"},
+		{bench: "gcc", policy: "PI", setpoint: bench.LowSetpoint},
+		{bench: "gcc", policy: "PI", proxies: []int{5_000}},
+		{bench: "gcc", policy: "PI", proxies: []int{6_000}},
+		{bench: "gcc", policy: "PI", stride: 100},
+		{bench: "gcc", policy: "PI", seed: 7},
+		{bench: "gcc", policy: "none"},
+		{bench: "art", policy: "PI"},
+	}
+	for _, sp := range distinct {
+		s.column([]string{sp.bench}, sp)
+	}
+	if len(s.specs) != len(distinct) {
+		t.Fatalf("suite holds %d runs, want %d: %+v", len(s.specs), len(distinct), s.specs)
+	}
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if a()[0] != b()[0] {
+		t.Error("one run registered twice returned two results")
+	}
+	ids := map[string]bool{}
+	for _, sp := range s.specs {
+		ids[sp.id()] = true
+	}
+	// Only the proxy windows and the series stride stay out of the ID.
+	if want := len(distinct) - 2; len(ids) != want {
+		t.Errorf("%d distinct trace IDs %v, want %d", len(ids), ids, want)
+	}
+	for _, id := range []string{"gcc/PI", "gcc/PI@110.6", "gcc/PI+proxies", "gcc/PI#7"} {
+		if !ids[id] {
+			t.Errorf("no trace ID %q in %v", id, ids)
+		}
 	}
 }
