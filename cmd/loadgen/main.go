@@ -102,10 +102,10 @@ func main() {
 		duration    = flag.Duration("duration", 10*time.Second, "load duration")
 		concurrency = flag.Int("concurrency", 8, "worker connections (closed loop)")
 		rps         = flag.Float64("rps", 0, "target offered request rate (0 = as fast as the loop allows)")
-		batchFrac   = flag.Float64("batch-frac", 0, "fraction of requests sent to /batch instead of /run")
-		insts       = flag.Uint64("insts", 200_000, "insts parameter for /run requests")
-		benchName   = flag.String("bench", "gcc", "bench parameter for /run requests")
-		policy      = flag.String("policy", "PI", "policy parameter for /run requests")
+		batchFrac   = flag.Float64("batch-frac", 0, "fraction of requests sent to /batch (the -bench grid under none and -policy) instead of /run")
+		insts       = flag.Uint64("insts", 200_000, "insts parameter for /run and /batch requests")
+		benchName   = flag.String("bench", "gcc", "bench parameter for /run and /batch requests")
+		policy      = flag.String("policy", "PI", "policy parameter for /run and /batch requests")
 		reqTimeout  = flag.Duration("timeout", 30*time.Second, "per-request client timeout")
 		jsonOut     = flag.String("json", "", "write the JSON report to this path (\"-\" = stdout)")
 		check       = flag.Bool("check", false, "exit 1 on any non-2xx/429 response, transport error, or 100% shed rate")
@@ -158,7 +158,7 @@ func main() {
 	batchURLs := make([]string, len(targets))
 	for i, t := range targets {
 		runURLs[i] = fmt.Sprintf("%s/run?bench=%s&policy=%s&insts=%d", t, *benchName, *policy, *insts)
-		batchURLs[i] = t + "/batch?kind=baseline"
+		batchURLs[i] = fmt.Sprintf("%s/batch?benches=%s&policies=none,%s&insts=%d", t, *benchName, *policy, *insts)
 	}
 
 	var (

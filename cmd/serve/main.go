@@ -1,19 +1,26 @@
-// Command serve runs experiment batches behind a production-hardened HTTP
+// Command serve runs simulations behind a production-hardened HTTP
 // interface with live telemetry. The serving layer (internal/serving)
 // applies the paper's own actuator lesson to the admission path: a bounded
 // semaphore limits concurrent simulations, a short bounded queue absorbs
 // bursts, and overflow is shed immediately with 429 + Retry-After instead
-// of winding up into unbounded backlog. Every run carries a per-request
+// of winding up into unbounded backlog. Every /run carries a per-request
 // deadline, every error is a structured JSON body with a request ID, and
-// SIGINT drains in-flight batch goroutines before exit.
+// SIGINT cancels running batches and waits for every handler to return
+// before the cache and catalog close.
 //
 //	serve -addr :8721 -max-inflight 8 -queue 16 -run-timeout 30s
 //	serve -cache-dir .runcache                       # replay identical /run requests
 //	serve -chaos 0.2 -chaos-delay 100ms              # inject disk faults + slow sims
 //	curl localhost:8721/run?bench=gcc&policy=PI      # one sim, JSON result
-//	curl localhost:8721/batch?kind=baseline          # async suite batch
-//	curl localhost:8721/batches                      # batch status
+//	curl 'localhost:8721/batch?benches=gcc,art&policies=none,PI'  # a grid, one merged document
 //	curl localhost:8721/metrics                      # Prometheus text
+//
+// /batch runs a benchmarks × policies grid synchronously and answers with
+// the document the coordinator's /batch returns for the same query: one
+// worker is a fleet of one. Its cells gang, and they are served from and
+// stored in the run cache and catalog as a /run of each cell would be. A
+// batch holds one admission slot for its whole run, so a full worker sheds
+// it with 429 like /run.
 //
 // With -coordinator the process serves the same API backed by a fleet of
 // workers instead of a local simulator (internal/cluster): runs are
@@ -26,8 +33,8 @@
 //	serve -coordinator -workers ... -hedge-after 2s  # hedge stragglers
 //
 // Overload semantics: when all -max-inflight slots are busy and the queue
-// is full (or a queued request waits longer than -queue-wait), /run
-// returns 429 with a Retry-After hint in well under 10ms. Accepted
+// is full (or a queued request waits longer than -queue-wait), /run and
+// /batch return 429 with a Retry-After hint in well under 10ms. Accepted
 // requests are bounded by -run-timeout (504 on expiry); clients that hang
 // up mid-run are recorded as 499, not server errors. Admission, shed,
 // queue-depth and latency-histogram metrics are on /metrics.
@@ -36,7 +43,7 @@ package main
 import (
 	"context"
 	"errors"
-	"expvar"
+	_ "expvar"
 	"flag"
 	"fmt"
 	"log"
@@ -47,7 +54,6 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/bench"
@@ -62,70 +68,52 @@ import (
 
 // serverConfig is everything main's flags decide; tests build it directly.
 type serverConfig struct {
-	insts        uint64
-	workers      int
-	maxBatches   int // concurrent /batch jobs admitted; <= 0 means 2
-	runTimeout   time.Duration
-	drainTimeout time.Duration
-	admission    serving.AdmissionConfig
-	cacheDir     string
-	cacheMem     int64          // in-memory cache layer cap in bytes (0 = default)
-	chaos        *serving.Chaos // nil = no fault injection
+	insts      uint64
+	workers    int
+	runTimeout time.Duration
+	admission  serving.AdmissionConfig
+	cacheDir   string
+	cacheMem   int64          // in-memory cache layer cap in bytes (0 = default)
+	chaos      *serving.Chaos // nil = no fault injection
 }
 
-// batchState tracks one asynchronous batch for /batches.
-type batchState struct {
-	ID      int       `json:"id"`
-	Kind    string    `json:"kind"`
-	Started time.Time `json:"started"`
-	Done    int       `json:"done"`
-	Total   int       `json:"total"`
-	Failed  int       `json:"failed"`
-	Running bool      `json:"running"`
-	Error   string    `json:"error,omitempty"`
-}
+// errShuttingDown answers a /batch that arrives, or is cut short, once
+// the server has begun to drain.
+var errShuttingDown = errors.New("serve: shutting down, not accepting new work")
 
-// server owns the shared registry, the admission controller, the batch
-// drainer and the batch table.
+// server owns the shared registry, the admission controller, the run
+// cache and its catalog.
 type server struct {
 	cfg     serverConfig
+	life    context.Context // done once the server drains
 	reg     *telemetry.Registry
 	sm      *telemetry.ServingMetrics
 	cache   *runner.Cache[*sim.Result] // nil = no run cache
 	catalog *runindex.Catalog          // nil = no catalog (no cache dir)
 	adm     *serving.Admission
-	drain   *serving.Drainer
 	ids     *serving.RequestIDs
 	logf    func(format string, args ...any)
 	start   time.Time
-
-	mu           sync.Mutex
-	batches      map[int]*batchState
-	nextID       int
-	batchRunning int
 }
 
-// newServer builds the server and its routed mux. parent is the lifetime
-// context batch goroutines descend from (cancelled at drain).
+// newServer builds the server and its routed mux. parent is the server's
+// lifetime: once it is done, /healthz reports draining, new batches are
+// refused and running ones are cancelled.
 func newServer(parent context.Context, cfg serverConfig, logf func(format string, args ...any)) (*server, *http.ServeMux, error) {
 	if logf == nil {
 		logf = log.New(os.Stderr, "serve: ", log.LstdFlags).Printf
 	}
-	if cfg.maxBatches <= 0 {
-		cfg.maxBatches = 2
-	}
 	reg := telemetry.NewRegistry()
 	sm := telemetry.NewServingMetrics(reg)
 	s := &server{
-		cfg:     cfg,
-		reg:     reg,
-		sm:      sm,
-		adm:     serving.NewAdmission(cfg.admission, sm),
-		drain:   serving.NewDrainer(parent),
-		ids:     serving.NewRequestIDs(),
-		logf:    logf,
-		start:   time.Now(),
-		batches: map[int]*batchState{},
+		cfg:   cfg,
+		life:  parent,
+		reg:   reg,
+		sm:    sm,
+		adm:   serving.NewAdmission(cfg.admission, sm),
+		ids:   serving.NewRequestIDs(),
+		logf:  logf,
+		start: time.Now(),
 	}
 	if cfg.cacheDir != "" {
 		cache, err := runner.NewCacheWith[*sim.Result](runner.CacheConfig{
@@ -168,7 +156,6 @@ func newServer(parent context.Context, cfg serverConfig, logf func(format string
 	mux.HandleFunc("/metrics", s.handleMetrics)
 	mux.HandleFunc("/run", serving.Instrument(s.sm, s.handleRun))
 	mux.HandleFunc("/batch", serving.Instrument(s.sm, s.handleBatch))
-	mux.HandleFunc("/batches", s.handleBatches)
 	mux.HandleFunc("/query", serving.Instrument(s.sm, s.handleQuery))
 	// expvar and pprof register themselves on the default mux; forward the
 	// whole /debug/ subtree there.
@@ -181,14 +168,13 @@ func main() {
 		addr         = flag.String("addr", ":8721", "HTTP listen address")
 		insts        = flag.Uint64("insts", 1_000_000, "committed instructions per run")
 		workers      = flag.String("workers", "", "worker mode: parallel simulations per batch (a number; empty or 0 = GOMAXPROCS). coordinator mode: comma-separated worker base URLs")
-		maxBatches   = flag.Int("max-batches", 2, "concurrent /batch jobs admitted; overflow sheds with 429")
 		cacheDir     = flag.String("cache-dir", "", "persist /run results under this directory and replay identical requests (hit/miss counters on /metrics)")
 		cacheMemMiB  = flag.Int64("cache-mem", 0, "in-memory cache layer cap in MiB (0 = default 256, negative = unlimited)")
-		maxInFlight  = flag.Int("max-inflight", 0, "concurrent /run simulations admitted (0 = GOMAXPROCS)")
+		maxInFlight  = flag.Int("max-inflight", 0, "concurrent /run simulations and /batch grids admitted (0 = GOMAXPROCS)")
 		maxQueue     = flag.Int("queue", 8, "requests allowed to wait for a slot; overflow sheds with 429")
 		queueWait    = flag.Duration("queue-wait", 250*time.Millisecond, "longest a queued request may wait before being shed")
-		runTimeout   = flag.Duration("run-timeout", 60*time.Second, "per-request simulation deadline (0 = none; expiry returns 504)")
-		drainTimeout = flag.Duration("drain-timeout", 10*time.Second, "graceful-shutdown budget for in-flight requests and batches")
+		runTimeout   = flag.Duration("run-timeout", 60*time.Second, "per-request /run simulation deadline (0 = none; expiry returns 504)")
+		drainTimeout = flag.Duration("drain-timeout", 10*time.Second, "graceful-shutdown budget for in-flight requests")
 		chaosProb    = flag.Float64("chaos", 0, "fault-injection probability: disk-cache failures and slow-sim delays (0 = off)")
 		chaosDelay   = flag.Duration("chaos-delay", 250*time.Millisecond, "injected slow-sim stall when -chaos fires")
 		chaosSeed    = flag.Int64("chaos-seed", 1, "chaos RNG seed (runs are reproducible per seed)")
@@ -236,13 +222,11 @@ func main() {
 		nWorkers = n
 	}
 	cfg := serverConfig{
-		insts:        *insts,
-		workers:      nWorkers,
-		maxBatches:   *maxBatches,
-		runTimeout:   *runTimeout,
-		drainTimeout: *drainTimeout,
-		cacheDir:     *cacheDir,
-		cacheMem:     memBytes(*cacheMemMiB),
+		insts:      *insts,
+		workers:    nWorkers,
+		runTimeout: *runTimeout,
+		cacheDir:   *cacheDir,
+		cacheMem:   memBytes(*cacheMemMiB),
 		admission: serving.AdmissionConfig{
 			MaxInFlight: *maxInFlight,
 			MaxQueue:    *maxQueue,
@@ -257,7 +241,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	expvar.Publish("repro.batches", expvar.Func(func() any { return s.snapshot() }))
 
 	srv := &http.Server{Addr: *addr, Handler: mux}
 	errc := make(chan error, 1)
@@ -268,25 +251,22 @@ func main() {
 
 	select {
 	case <-ctx.Done():
-		// Graceful drain: stop accepting and finish in-flight requests,
-		// then cancel background batches and await them.
+		// Graceful drain: ctx being done has already cancelled every
+		// running batch. Stop accepting, wait for every handler to
+		// return, and only then close the cache and the catalog.
 		shutCtx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
 		defer cancel()
 		if err := srv.Shutdown(shutCtx); err != nil {
-			s.logf("http shutdown: %v", err)
-		}
-		if s.drain.Shutdown(*drainTimeout) {
-			if err := s.cache.Close(); err != nil {
-				s.logf("cache close: %v", err)
-			}
-			if err := s.catalog.Close(); err != nil {
-				s.logf("catalog close: %v", err)
-			}
-			s.logf("drained, shut down")
-		} else {
-			s.logf("drain timed out after %s with batches still running", *drainTimeout)
+			s.logf("drain timed out after %s: %v", *drainTimeout, err)
 			os.Exit(1)
 		}
+		if err := s.cache.Close(); err != nil {
+			s.logf("cache close: %v", err)
+		}
+		if err := s.catalog.Close(); err != nil {
+			s.logf("catalog close: %v", err)
+		}
+		s.logf("drained, shut down")
 	case err := <-errc:
 		s.logf("%v", err)
 		os.Exit(1)
@@ -351,7 +331,7 @@ func (s *server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 		UptimeSeconds: time.Since(s.start).Seconds(),
 	}
 	status := http.StatusOK
-	if s.drain.Draining() {
+	if s.life.Err() != nil {
 		h.Status = "draining"
 		status = http.StatusServiceUnavailable
 	}
@@ -379,18 +359,8 @@ func (s *server) handleRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	release, err := s.adm.Acquire(r.Context())
-	if err != nil {
-		var shed *serving.ShedError
-		if errors.As(err, &shed) {
-			// Sheds are normal overload behavior, tracked by the shed
-			// counters — logging each one would melt the log under the
-			// very load the controller exists to absorb.
-			serving.WriteError(w, nil, reqID, http.StatusTooManyRequests, shed)
-			return
-		}
-		// The client went away while queued.
-		serving.WriteError(w, s.logf, reqID, serving.StatusClientClosedRequest, err)
+	release, ok := s.admit(w, r, reqID)
+	if !ok {
 		return
 	}
 	defer release()
@@ -432,19 +402,34 @@ func (s *server) handleRun(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, reqID, http.StatusOK, runSummary(res, reqID, false))
 }
 
-func runSummary(res *sim.Result, reqID string, cached bool) map[string]any {
-	return map[string]any{
-		"request_id": reqID,
-		"cached":     cached,
-		"benchmark":  res.Benchmark,
-		"policy":     res.Policy,
-		"ipc":        res.IPC,
-		"cycles":     res.Cycles,
-		"insts":      res.Insts,
-		"avg_power":  res.AvgChipPower,
-		"avg_duty":   res.AvgDuty,
-		"emerg_frac": res.EmergencyFrac(),
+func runSummary(res *sim.Result, reqID string, cached bool) bench.RunSummary {
+	return bench.RunSummary{
+		RequestID: reqID,
+		Cached:    cached,
+		Benchmark: res.Benchmark,
+		Policy:    res.Policy,
+		RunStats:  bench.StatsOf(res),
 	}
+}
+
+// admit claims an admission slot for the request, or answers it: 429 with
+// Retry-After when shed, 499 when the client left while queued.
+func (s *server) admit(w http.ResponseWriter, r *http.Request, reqID string) (release func(), ok bool) {
+	release, err := s.adm.Acquire(r.Context())
+	if err != nil {
+		var shed *serving.ShedError
+		if errors.As(err, &shed) {
+			// Sheds are normal overload behavior, tracked by the shed
+			// counters — logging each one would melt the log under the
+			// very load the controller exists to absorb.
+			serving.WriteError(w, nil, reqID, http.StatusTooManyRequests, shed)
+			return nil, false
+		}
+		// The client went away while queued.
+		serving.WriteError(w, s.logf, reqID, serving.StatusClientClosedRequest, err)
+		return nil, false
+	}
+	return release, true
 }
 
 // handleQuery answers run-catalog questions: point lookups, dimension
@@ -470,105 +455,61 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, reqID, http.StatusOK, s.catalog.Run(&q))
 }
 
-// handleBatch starts an asynchronous experiment batch on a drain-tracked
-// goroutine and returns its ID immediately; progress is visible via
-// /batches and /metrics. During shutdown new batches are refused with 503.
+// handleBatch runs a benchmarks × policies grid (bench.ParseBatch) and
+// answers with the coordinator's merged document: the grid on a fleet of
+// one. The cells run uninstrumented through experiments.RunConfigs, so
+// they gang, hits come from the run cache and misses land in it and in
+// the catalog as a /run of each cell would, and they feed the runner_*
+// metrics, not the per-sim sim_* family. A batch holds one admission slot
+// for its whole run, is cancelled when the client leaves or the server
+// drains, and is refused with 503 once draining has begun.
 func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	reqID := s.ids.Next()
 	w.Header().Set("X-Request-Id", reqID)
-
-	kind := r.URL.Query().Get("kind")
-	if kind == "" {
-		kind = "baseline"
+	if s.life.Err() != nil {
+		serving.WriteError(w, s.logf, reqID, http.StatusServiceUnavailable, errShuttingDown)
+		return
 	}
-	p := experiments.DefaultParams()
-	// The coordinator's rules, checked up front. A worker batch covers
-	// the whole suite at -insts, so only the policies are used.
-	bq, err := bench.ParseBatch(r.URL.Query(), p.Policies, s.cfg.insts)
+
+	bq, err := bench.ParseBatch(r.URL.Query(), experiments.DefaultParams().Policies, s.cfg.insts)
+	var cells []bench.RunQuery
+	var cfgs []sim.Config
+	if err == nil {
+		cells, cfgs, err = bq.Cells()
+	}
 	if err != nil {
 		serving.WriteError(w, s.logf, reqID, http.StatusBadRequest, err)
 		return
 	}
-	p.Insts = s.cfg.insts
-	p.Workers = s.cfg.workers
-	p.Registry = s.reg
-	p.Policies = bq.Policies
 
-	var run func(experiments.Params) error
-	switch kind {
-	case "baseline":
-		run = func(p experiments.Params) error { _, err := experiments.Baseline(p); return err }
-	case "policies":
-		run = func(p experiments.Params) error { _, err := experiments.RunPolicyEval(p); return err }
-	case "proxies":
-		run = func(p experiments.Params) error { _, _, err := experiments.ProxyTables(p, nil); return err }
-	default:
-		serving.WriteError(w, s.logf, reqID, http.StatusBadRequest,
-			fmt.Errorf("unknown batch kind %q (baseline | policies | proxies)", kind))
+	release, ok := s.admit(w, r, reqID)
+	if !ok {
 		return
 	}
+	defer release()
 
-	// Batches are admission-controlled too: each one fans a whole suite
-	// out across -workers cores, so unbounded concurrent batches would
-	// starve the fast /run and shed paths of CPU.
-	s.mu.Lock()
-	if s.batchRunning >= s.cfg.maxBatches {
-		running := s.batchRunning
-		s.mu.Unlock()
-		shed := &serving.ShedError{Reason: fmt.Sprintf("%d batches already running", running), RetryAfter: 5 * time.Second}
-		serving.WriteError(w, nil, reqID, http.StatusTooManyRequests, shed)
-		return
-	}
-	s.batchRunning++
-	s.nextID++
-	st := &batchState{ID: s.nextID, Kind: kind, Started: time.Now(), Running: true}
-	s.batches[st.ID] = st
-	s.mu.Unlock()
-
-	p.Progress = func(pr runner.Progress) {
-		s.mu.Lock()
-		st.Done, st.Total, st.Failed = pr.Done, pr.Total, pr.Failed
-		s.mu.Unlock()
-	}
-	finish := func(err error) {
-		s.mu.Lock()
-		s.batchRunning--
-		st.Running = false
-		if err != nil {
-			st.Error = err.Error()
-		}
-		s.mu.Unlock()
-	}
-	err = s.drain.Go(func(ctx context.Context) {
-		p.Context = ctx
-		finish(run(p))
-	})
+	ctx, cancel := context.WithCancel(r.Context())
+	defer cancel()
+	defer context.AfterFunc(s.life, cancel)()
+	res, _, err := experiments.RunConfigs(experiments.Params{
+		Context:  ctx,
+		Workers:  s.cfg.workers,
+		Registry: s.reg,
+		Cache:    s.cache,
+	}, cfgs)
 	if err != nil {
-		finish(err)
-		serving.WriteError(w, s.logf, reqID, http.StatusServiceUnavailable, err)
+		status := serving.StatusForRunError(err)
+		if s.life.Err() != nil {
+			status, err = http.StatusServiceUnavailable, fmt.Errorf("%w: %w", errShuttingDown, err)
+		}
+		serving.WriteError(w, s.logf, reqID, status, err)
 		return
 	}
-	s.mu.Lock()
-	snap := *st // the batch goroutine mutates st concurrently
-	s.mu.Unlock()
-	s.writeJSON(w, reqID, http.StatusAccepted, snap)
-}
-
-func (s *server) handleBatches(w http.ResponseWriter, _ *http.Request) {
-	s.writeJSON(w, "", http.StatusOK, s.snapshot())
-}
-
-// snapshot returns the batch table ordered by ID.
-func (s *server) snapshot() []batchState {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]batchState, 0, len(s.batches))
-	for id := 1; id <= s.nextID; id++ {
-		if st, ok := s.batches[id]; ok {
-			out = append(out, *st)
-		}
+	resp := bench.BatchResponse{BatchQuery: bq, Runs: make([]bench.RunResult, len(cells))}
+	for i, c := range cells {
+		resp.Runs[i] = bench.RunResult{Index: i, Benchmark: c.Bench, Policy: c.Policy, RunStats: bench.StatsOf(res[i])}
 	}
-	return out
+	s.writeJSON(w, reqID, http.StatusOK, resp)
 }
 
 // writeJSON emits a JSON body and logs (rather than ignores) encode or

@@ -2,9 +2,11 @@ package main
 
 // httptest coverage for the serve handlers: parameter validation, the
 // cache-hit path, admission shedding, deadline expiry, client-disconnect
-// accounting, batch lifecycle and shutdown drain.
+// accounting, the /batch grid (and its identity with the coordinator's)
+// and shutdown drain.
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -17,6 +19,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/bench"
+	"repro/internal/cluster"
 	"repro/internal/serving"
 )
 
@@ -25,13 +29,20 @@ func quiet(string, ...any) {}
 
 func testServer(t *testing.T, cfg serverConfig) (*server, *httptest.Server) {
 	t.Helper()
+	return startServer(t, context.Background(), cfg)
+}
+
+// startServer is testServer with parent as the server's lifetime:
+// cancelling it drains the server.
+func startServer(t *testing.T, parent context.Context, cfg serverConfig) (*server, *httptest.Server) {
+	t.Helper()
 	if cfg.insts == 0 {
 		cfg.insts = 20_000
 	}
 	if cfg.admission.MaxInFlight == 0 {
 		cfg.admission.MaxInFlight = 4
 	}
-	s, mux, err := newServer(context.Background(), cfg, quiet)
+	s, mux, err := newServer(parent, cfg, quiet)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,10 +92,9 @@ func TestHealthzReadinessBody(t *testing.T) {
 }
 
 func TestHealthzDrainingBody(t *testing.T) {
-	s, ts := testServer(t, serverConfig{})
-	if !s.drain.Shutdown(time.Second) {
-		t.Fatal("drain timed out")
-	}
+	life, drain := context.WithCancel(context.Background())
+	_, ts := startServer(t, life, serverConfig{})
+	drain()
 	var h serving.Health
 	r := getJSON(t, ts.URL+"/healthz", &h)
 	if r.StatusCode != http.StatusServiceUnavailable {
@@ -231,117 +241,257 @@ func TestClientDisconnectCountsAs499(t *testing.T) {
 		s.sm.ResponsesClientGone.Value(), s.sm.ResponsesServerError.Value())
 }
 
-func TestBatchLifecycle(t *testing.T) {
-	_, ts := testServer(t, serverConfig{insts: 5_000})
-	var st batchState
-	r := getJSON(t, ts.URL+"/batch?kind=baseline", &st)
-	if r.StatusCode != http.StatusAccepted {
-		t.Fatalf("status = %d, want 202", r.StatusCode)
+// getBody fetches url and returns its status and raw body.
+func getBody(t *testing.T, url string) (int, []byte) {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if st.ID == 0 || st.Kind != "baseline" || !st.Running {
-		t.Fatalf("batch state = %+v", st)
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
 	}
+	return resp.StatusCode, body
+}
 
-	deadline := time.Now().Add(60 * time.Second)
-	for {
-		var all []batchState
-		getJSON(t, ts.URL+"/batches", &all)
-		if len(all) == 1 && !all[0].Running {
-			if all[0].Error != "" {
-				t.Fatalf("batch failed: %s", all[0].Error)
+// TestBatchLifecycle: /batch answers the grid it was asked for, one row
+// per cell in benchmark-major order, and every cell lands in the run
+// cache: a /run of any of them afterwards is a hit. Two identical batches
+// at once share the cache and answer alike.
+func TestBatchLifecycle(t *testing.T) {
+	s, ts := testServer(t, serverConfig{cacheDir: t.TempDir()})
+	const grid = "/batch?benches=gcc,art&policies=none,PI&insts=5000"
+	bodies := make(chan []byte, 2)
+	for range 2 {
+		go func() {
+			resp, err := http.Get(ts.URL + grid)
+			if err != nil {
+				bodies <- nil
+				return
 			}
-			if all[0].Done == 0 || all[0].Done != all[0].Total {
-				t.Fatalf("batch finished with done=%d total=%d", all[0].Done, all[0].Total)
+			defer resp.Body.Close()
+			body, _ := io.ReadAll(resp.Body)
+			if resp.StatusCode != http.StatusOK {
+				body = nil
 			}
+			bodies <- body
+		}()
+	}
+	first, second := <-bodies, <-bodies
+	if first == nil || !bytes.Equal(first, second) {
+		t.Fatalf("concurrent batches answered differently:\n%s\n%s", first, second)
+	}
+	var br bench.BatchResponse
+	if err := json.Unmarshal(first, &br); err != nil {
+		t.Fatal(err)
+	}
+	if br.Insts != 5000 || br.Failed != 0 || len(br.Errors) != 0 || len(br.Runs) != 4 {
+		t.Fatalf("batch = %+v, want 4 runs at 5000 insts and no failures", br)
+	}
+	want := [][2]string{{"gcc", "none"}, {"gcc", "PI"}, {"art", "none"}, {"art", "PI"}}
+	for i, row := range br.Runs {
+		if row.Index != i || row.Benchmark != want[i][0] || row.Policy != want[i][1] || row.Cycles == 0 || row.IPC <= 0 {
+			t.Errorf("row %d = %+v, want %s/%s with stats", i, row, want[i][0], want[i][1])
+		}
+	}
+	if s.cache.Len() != 4 {
+		t.Errorf("cache holds %d runs after the batch, want 4", s.cache.Len())
+	}
+	for _, c := range want {
+		var sum bench.RunSummary
+		getJSON(t, fmt.Sprintf("%s/run?bench=%s&policy=%s&insts=5000", ts.URL, c[0], c[1]), &sum)
+		if !sum.Cached {
+			t.Errorf("/run of batch cell %s/%s was not a cache hit", c[0], c[1])
+		}
+	}
+}
+
+// TestBatchMatchesCoordinator is the identity gate between the two /batch
+// surfaces: one worker and a one-worker coordinator answer the same grid
+// with byte-identical bodies, with and without a run cache. With a cache,
+// the batch's cells are then /run hits and /query finds them.
+func TestBatchMatchesCoordinator(t *testing.T) {
+	const grid = "/batch?benches=gcc,art&policies=none,toggle1,PI&insts=20000"
+	for _, cached := range []bool{false, true} {
+		t.Run(fmt.Sprintf("cache=%v", cached), func(t *testing.T) {
+			cfg := serverConfig{}
+			if cached {
+				cfg.cacheDir = t.TempDir()
+			}
+			_, worker := testServer(t, cfg)
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			_, mux, err := cluster.NewServer(ctx, cluster.Config{Workers: []string{worker.URL}}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			coord := httptest.NewServer(mux)
+			defer coord.Close()
+
+			ws, wbody := getBody(t, worker.URL+grid)
+			cs, cbody := getBody(t, coord.URL+grid)
+			if ws != http.StatusOK || cs != http.StatusOK {
+				t.Fatalf("worker %d, coordinator %d, want 200/200:\n%s\n%s", ws, cs, wbody, cbody)
+			}
+			if !bytes.Equal(wbody, cbody) {
+				t.Fatalf("worker and coordinator bodies differ:\nworker: %s\ncoord:  %s", wbody, cbody)
+			}
+			if !cached {
+				return
+			}
+			for _, b := range []string{"gcc", "art"} {
+				for _, p := range []string{"none", "toggle1", "PI"} {
+					var sum bench.RunSummary
+					getJSON(t, fmt.Sprintf("%s/run?bench=%s&policy=%s&insts=20000", worker.URL, b, p), &sum)
+					if !sum.Cached {
+						t.Errorf("/run of cell %s/%s answered cached=false", b, p)
+					}
+				}
+				var q struct {
+					Count int `json:"count"`
+					Rows  []struct {
+						Bench string `json:"bench"`
+					} `json:"rows"`
+				}
+				getJSON(t, worker.URL+"/query?bench="+b, &q)
+				if q.Count != 3 {
+					t.Errorf("/query?bench=%s found %d cells, want 3", b, q.Count)
+				}
+				for _, row := range q.Rows {
+					if row.Bench != b {
+						t.Errorf("/query?bench=%s returned a %s row", b, row.Bench)
+					}
+				}
+			}
+		})
+	}
+}
+
+// startLongBatch sends a batch far too long to finish in the background
+// and waits until it holds its admission slot. The returned channel yields
+// the batch's body (nil if the request failed) once the handler answers.
+func startLongBatch(t *testing.T, ctx context.Context, s *server, url string) <-chan []byte {
+	t.Helper()
+	done := make(chan []byte, 1)
+	go func() {
+		req, err := http.NewRequestWithContext(ctx, http.MethodGet, url+"/batch?benches=gcc&policies=none&insts=500000000", nil)
+		if err != nil {
+			done <- nil
 			return
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("batch never finished: %+v", all)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			done <- nil
+			return
 		}
-		time.Sleep(20 * time.Millisecond)
+		defer resp.Body.Close()
+		body, _ := io.ReadAll(resp.Body)
+		done <- body
+	}()
+	deadline := time.Now().Add(10 * time.Second)
+	for s.adm.InFlight() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("the batch never took its admission slot")
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
+	return done
 }
 
+// TestBatchConcurrencyCap: a batch holds an admission slot for its whole
+// run, so on a one-slot worker without a queue a /run during a batch is
+// shed with 429 and Retry-After.
 func TestBatchConcurrencyCap(t *testing.T) {
-	s, ts := testServer(t, serverConfig{insts: 50_000_000, maxBatches: 1})
-	if r := getJSON(t, ts.URL+"/batch?kind=baseline", nil); r.StatusCode != http.StatusAccepted {
-		t.Fatalf("first batch: %d", r.StatusCode)
-	}
+	s, ts := testServer(t, serverConfig{
+		admission: serving.AdmissionConfig{MaxInFlight: 1, MaxQueue: -1},
+	})
+	ctx, cancel := context.WithCancel(context.Background())
+	done := startLongBatch(t, ctx, s, ts.URL)
+
 	var resp serving.ErrorResponse
-	r := getJSON(t, ts.URL+"/batch?kind=baseline", &resp)
+	r := getJSON(t, ts.URL+"/run?insts=20000", &resp)
 	if r.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("second batch = %d, want 429", r.StatusCode)
+		t.Errorf("/run during a batch = %d, want 429", r.StatusCode)
 	}
 	if r.Header.Get("Retry-After") == "" {
-		t.Error("batch shed missing Retry-After")
+		t.Error("shed missing Retry-After")
 	}
-	// Cancel the long batch so the test does not burn CPU to the end.
-	if !s.drain.Shutdown(30 * time.Second) {
-		t.Fatal("drain timed out")
+	// Hang up on the long batch; its cells are cancelled and its slot
+	// comes back.
+	cancel()
+	<-done
+	deadline := time.Now().Add(20 * time.Second)
+	for s.adm.InFlight() != 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("the cancelled batch never released its slot")
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }
 
+// TestBatchUnknownKind: /batch has no suite kinds; a kind= query is a 400
+// pointing at the grid parameters, not the default grid.
 func TestBatchUnknownKind(t *testing.T) {
 	_, ts := testServer(t, serverConfig{})
-	var resp serving.ErrorResponse
-	r := getJSON(t, ts.URL+"/batch?kind=nope", &resp)
-	if r.StatusCode != http.StatusBadRequest {
-		t.Fatalf("status = %d, want 400", r.StatusCode)
-	}
-	if !strings.Contains(resp.Error, "nope") {
-		t.Errorf("error body %q does not name the bad kind", resp.Error)
+	for _, kind := range []string{"baseline", "nope"} {
+		var resp serving.ErrorResponse
+		r := getJSON(t, ts.URL+"/batch?kind="+kind, &resp)
+		if r.StatusCode != http.StatusBadRequest {
+			t.Fatalf("kind=%s: status = %d, want 400", kind, r.StatusCode)
+		}
+		if !strings.Contains(resp.Error, "policies=none") {
+			t.Errorf("kind=%s: error body %q does not name policies=none", kind, resp.Error)
+		}
 	}
 }
 
-// TestBatchRejectsBadParameters: the worker checks a batch's parameters
-// by the coordinator's rules before it starts one, so a bad policy list is
-// a 400 and no batch is recorded.
+// TestBatchRejectsBadParameters: a batch's parameters are checked by the
+// coordinator's rules before it takes an admission slot, so a bad grid is
+// a 400 and nothing is admitted.
 func TestBatchRejectsBadParameters(t *testing.T) {
-	_, ts := testServer(t, serverConfig{})
-	for _, q := range []string{"kind=policies&policies=bogus", "kind=policies&policies=PI,", "benches=doom", "insts=0"} {
+	s, ts := testServer(t, serverConfig{})
+	for _, q := range []string{"policies=bogus", "policies=PI,", "benches=doom", "insts=0"} {
 		var resp serving.ErrorResponse
 		if r := getJSON(t, ts.URL+"/batch?"+q, &resp); r.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: status = %d, want 400", q, r.StatusCode)
 		}
 	}
-	var all []batchState
-	getJSON(t, ts.URL+"/batches", &all)
-	if len(all) != 0 {
-		t.Errorf("rejected requests left %d batches", len(all))
+	if n := s.sm.Admitted.Value(); n != 0 {
+		t.Errorf("rejected requests took %d admission slots", n)
 	}
 }
 
+// TestShutdownDrainsBatches: cancelling the server's lifetime cancels a
+// running batch, which answers promptly with a structured 503; /healthz
+// then reads draining and new batches are refused.
 func TestShutdownDrainsBatches(t *testing.T) {
-	s, ts := testServer(t, serverConfig{insts: 50_000_000}) // far too big to finish
-	var st batchState
-	if r := getJSON(t, ts.URL+"/batch?kind=baseline", &st); r.StatusCode != http.StatusAccepted {
-		t.Fatalf("batch start: %d", r.StatusCode)
-	}
+	life, drain := context.WithCancel(context.Background())
+	s, ts := startServer(t, life, serverConfig{})
+	done := startLongBatch(t, context.Background(), s, ts.URL)
 
-	// Drain: the long batch must be cancelled and awaited, not abandoned.
 	start := time.Now()
-	if !s.drain.Shutdown(30 * time.Second) {
-		t.Fatal("drain timed out")
+	drain()
+	var body []byte
+	select {
+	case body = <-done:
+	case <-time.After(20 * time.Second):
+		t.Fatal("the running batch did not answer after the drain began")
 	}
-	if time.Since(start) > 20*time.Second {
-		t.Errorf("drain took %v, cancellation should be prompt", time.Since(start))
+	if d := time.Since(start); d > 5*time.Second {
+		t.Errorf("batch took %v to answer the drain, cancellation should be prompt", d)
 	}
-	var all []batchState
-	getJSON(t, ts.URL+"/batches", &all)
-	if len(all) != 1 || all[0].Running {
-		t.Fatalf("batch still running after drain: %+v", all)
+	var resp serving.ErrorResponse
+	if err := json.Unmarshal(body, &resp); err != nil {
+		t.Fatalf("batch answer %q is not a structured error: %v", body, err)
 	}
-	if all[0].Error == "" || !strings.Contains(all[0].Error, "cancel") {
-		t.Errorf("cancelled batch error = %q, want a cancellation", all[0].Error)
+	if resp.Status != http.StatusServiceUnavailable || !strings.Contains(resp.Error, "shutting down") || resp.RequestID == "" {
+		t.Errorf("cancelled batch answered %+v, want a 503 naming the shutdown", resp)
 	}
 
-	// After drain begins: no new batches, health reports draining.
-	var resp serving.ErrorResponse
-	if r := getJSON(t, ts.URL+"/batch?kind=baseline", &resp); r.StatusCode != http.StatusServiceUnavailable {
+	if r := getJSON(t, ts.URL+"/batch?benches=gcc&policies=none", &resp); r.StatusCode != http.StatusServiceUnavailable {
 		t.Errorf("batch after drain = %d, want 503", r.StatusCode)
-	}
-	if !strings.Contains(resp.Error, "shutting down") {
-		t.Errorf("error body = %q, want draining message", resp.Error)
 	}
 	hr, err := http.Get(ts.URL + "/healthz")
 	if err != nil {

@@ -57,7 +57,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		insts    = fs.Uint64("insts", 2_000_000, "committed instructions per run")
 		workers  = fs.Int("workers", 0, "parallel simulations (0 = GOMAXPROCS)")
 		progress = fs.Bool("progress", true, "report per-job batch progress on stderr (a gang of runs is one job)")
-		trace    = fs.String("trace", "", "write JSONL telemetry samples to this file (\"-\" = stdout)")
+		trace    = fs.String("trace", "", "write JSONL telemetry samples of the solo tables' runs to this file (\"-\" = stdout); Table 14's multicore runs record none (ROADMAP item 2)")
 		metrics  = fs.String("metrics", "", "write a final Prometheus-text metrics dump to this file (\"-\" = stderr)")
 		cacheDir = fs.String("cache-dir", "", "persist run results as pack volumes (pack-*.dat) under this directory and reuse them (disabled with -trace/-metrics)")
 		cacheMem = fs.Int64("cache-mem", 0, "in-memory cache layer cap in MiB (0 = default 256, negative = unlimited)")

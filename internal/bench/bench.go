@@ -372,17 +372,21 @@ func ParseRun(q url.Values, defInsts uint64) (RunQuery, sim.Config, error) {
 // BatchQuery is one /batch request: a benchmark × policy grid at one
 // instruction budget.
 type BatchQuery struct {
-	Benches  []string
-	Policies []string
-	Insts    uint64
+	Benches  []string `json:"benches"`
+	Policies []string `json:"policies"`
+	Insts    uint64   `json:"insts"`
 }
 
 // ParseBatch parses the benches, policies (comma-separated) and insts
 // parameters of a /batch request. benches defaults to every benchmark,
 // policies to defPolicies and insts to defInsts. It rejects an unknown
-// benchmark or policy and a zero budget, so NewRun builds every cell of an
-// accepted grid.
+// benchmark or policy and a zero budget, so Cells builds every cell of an
+// accepted grid. It also rejects a kind parameter, so a client that names
+// a suite by kind= fails loudly instead of getting the default grid.
 func ParseBatch(q url.Values, defPolicies []string, defInsts uint64) (BatchQuery, error) {
+	if q.Has("kind") {
+		return BatchQuery{}, fmt.Errorf("bench: kind= is not a /batch parameter; name the grid with benches= and policies= (policies=none for the uncontrolled baseline)")
+	}
 	bq := BatchQuery{Benches: Names(), Policies: defPolicies}
 	if v := q.Get("benches"); v != "" {
 		bq.Benches = strings.Split(v, ",")
@@ -408,6 +412,77 @@ func ParseBatch(q url.Values, defPolicies []string, defInsts uint64) (BatchQuery
 		}
 	}
 	return bq, nil
+}
+
+// Cells builds every cell of the grid (NewRun), benchmark-major: cell i
+// runs Benches[i/len(Policies)] under Policies[i%len(Policies)].
+func (bq BatchQuery) Cells() ([]RunQuery, []sim.Config, error) {
+	cells := make([]RunQuery, 0, len(bq.Benches)*len(bq.Policies))
+	cfgs := make([]sim.Config, 0, cap(cells))
+	for _, b := range bq.Benches {
+		for _, p := range bq.Policies {
+			cfg, err := NewRun(b, p, bq.Insts)
+			if err != nil {
+				return nil, nil, err
+			}
+			cells = append(cells, RunQuery{Bench: b, Policy: p, Insts: bq.Insts})
+			cfgs = append(cfgs, cfg)
+		}
+	}
+	return cells, cfgs, nil
+}
+
+// RunStats are the fields of a served answer that the simulated
+// trajectory alone determines.
+type RunStats struct {
+	IPC       float64 `json:"ipc"`
+	Cycles    uint64  `json:"cycles"`
+	Insts     uint64  `json:"insts"`
+	AvgPower  float64 `json:"avg_power"`
+	AvgDuty   float64 `json:"avg_duty"`
+	EmergFrac float64 `json:"emerg_frac"`
+}
+
+// StatsOf reads a result's RunStats.
+func StatsOf(res *sim.Result) RunStats {
+	return RunStats{
+		IPC:       res.IPC,
+		Cycles:    res.Cycles,
+		Insts:     res.Insts,
+		AvgPower:  res.AvgChipPower,
+		AvgDuty:   res.AvgDuty,
+		EmergFrac: res.EmergencyFrac(),
+	}
+}
+
+// RunSummary is the JSON body of a /run answer. RequestID and Cached
+// differ from one request to the next; the rest is the run's.
+type RunSummary struct {
+	RequestID string `json:"request_id"`
+	Cached    bool   `json:"cached"`
+	Benchmark string `json:"benchmark"`
+	Policy    string `json:"policy"`
+	RunStats
+}
+
+// RunResult is one row of a /batch answer: cell Index of the grid and
+// its stats. Volatile per-request detail (request IDs, cache hit flags,
+// the worker that happened to answer) is deliberately absent, so the
+// answer is byte-identical across fleet sizes and failure histories.
+type RunResult struct {
+	Index     int    `json:"index"`
+	Benchmark string `json:"benchmark"`
+	Policy    string `json:"policy"`
+	RunStats
+}
+
+// BatchResponse is the JSON body of a /batch answer: the grid, its
+// completed rows in cell order, and the cells that failed.
+type BatchResponse struct {
+	BatchQuery
+	Runs   []RunResult `json:"runs"`
+	Failed int         `json:"failed"`
+	Errors []string    `json:"errors,omitempty"`
 }
 
 // parseInsts reads a request's insts parameter, or def when it is absent.

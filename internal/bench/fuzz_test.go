@@ -30,10 +30,10 @@ func FuzzParseRun(f *testing.F) {
 	})
 }
 
-// FuzzParseBatch: ParseBatch never panics on a /batch query, and NewRun
-// builds every cell of a grid it accepts, so a validated batch cannot fail
-// on its parameters once it has started. Seeds live in
-// testdata/fuzz/FuzzParseBatch.
+// FuzzParseBatch: ParseBatch never panics on a /batch query, rejects any
+// query carrying a kind key, and Cells builds every cell of a grid it
+// accepts, so a validated batch cannot fail on its parameters once it has
+// started. Seeds live in testdata/fuzz/FuzzParseBatch.
 func FuzzParseBatch(f *testing.F) {
 	defPolicies := []string{"toggle1", "toggle2", "M", "P", "PI", "PID"}
 	f.Fuzz(func(t *testing.T, raw string, defInsts uint64) {
@@ -42,18 +42,23 @@ func FuzzParseBatch(f *testing.F) {
 		if err != nil {
 			return
 		}
+		if q.Has("kind") {
+			t.Fatalf("query %q carries kind= and was accepted as %+v", raw, bq)
+		}
 		if bq.Insts == 0 || len(bq.Benches) == 0 || len(bq.Policies) == 0 {
 			t.Fatalf("query %q accepted as an empty grid %+v", raw, bq)
 		}
-		for _, b := range bq.Benches {
-			for _, p := range bq.Policies {
-				cfg, err := NewRun(b, p, bq.Insts)
-				if err != nil {
-					t.Fatalf("query %q accepted, but NewRun(%q, %q, %d) fails: %v", raw, b, p, bq.Insts, err)
-				}
-				if cfg.MaxInsts != bq.Insts || cfg.Workload.Name != b {
-					t.Fatalf("query %q: cell %s/%s built with budget %d for %q", raw, b, p, cfg.MaxInsts, cfg.Workload.Name)
-				}
+		cells, cfgs, err := bq.Cells()
+		if err != nil {
+			t.Fatalf("query %q accepted, but Cells fails: %v", raw, err)
+		}
+		if len(cells) != len(bq.Benches)*len(bq.Policies) || len(cfgs) != len(cells) {
+			t.Fatalf("query %q: %d cells, %d configs for a %dx%d grid", raw, len(cells), len(cfgs), len(bq.Benches), len(bq.Policies))
+		}
+		for i, c := range cells {
+			b, p := bq.Benches[i/len(bq.Policies)], bq.Policies[i%len(bq.Policies)]
+			if c.Bench != b || c.Policy != p || cfgs[i].MaxInsts != bq.Insts || cfgs[i].Workload.Name != b {
+				t.Fatalf("query %q: cell %d is %+v with budget %d for %q, want %s/%s", raw, i, c, cfgs[i].MaxInsts, cfgs[i].Workload.Name, b, p)
 			}
 		}
 	})

@@ -28,9 +28,9 @@ import (
 )
 
 // fleetWorker is a minimal but faithful stand-in for one cmd/serve
-// process: it answers /healthz and /run (with the same JSON summary keys,
-// including the volatile request_id/cached fields the coordinator must
-// strip), optionally backed by the same content-addressed run cache.
+// process: it answers /healthz and /run (with the same bench.RunSummary
+// body, including the volatile request_id/cached fields the coordinator
+// must strip), optionally backed by the same content-addressed run cache.
 type fleetWorker struct {
 	srv     *httptest.Server
 	cache   *runner.Cache[*sim.Result]
@@ -127,19 +127,14 @@ func (fw *fleetWorker) handleRun(w http.ResponseWriter, r *http.Request) {
 		fw.cache.Put(key, res)
 	}
 	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(map[string]any{
-		// Volatile per-request fields, deliberately different on every
-		// response: the coordinator's merge must not let them through.
-		"request_id": fmt.Sprintf("%s-%06d", fw.srv.URL, n),
-		"cached":     cached,
-		"benchmark":  res.Benchmark,
-		"policy":     res.Policy,
-		"ipc":        res.IPC,
-		"cycles":     res.Cycles,
-		"insts":      res.Insts,
-		"avg_power":  res.AvgChipPower,
-		"avg_duty":   res.AvgDuty,
-		"emerg_frac": res.EmergencyFrac(),
+	// The volatile per-request fields differ on every response: the
+	// coordinator's merge must not let them through.
+	json.NewEncoder(w).Encode(bench.RunSummary{
+		RequestID: fmt.Sprintf("%s-%06d", fw.srv.URL, n),
+		Cached:    cached,
+		Benchmark: res.Benchmark,
+		Policy:    res.Policy,
+		RunStats:  bench.StatsOf(res),
 	})
 }
 
@@ -271,7 +266,7 @@ func TestClusterBatchAffinityHitRatio(t *testing.T) {
 		if status != http.StatusOK {
 			t.Fatalf("batch round %d: status %d: %s", round, status, body)
 		}
-		var br BatchResponse
+		var br bench.BatchResponse
 		if err := json.Unmarshal(body, &br); err != nil {
 			t.Fatalf("batch round %d: %v", round, err)
 		}
@@ -339,7 +334,7 @@ func TestClusterWorkerKilledMidBatchIsRequeued(t *testing.T) {
 	if status != http.StatusOK {
 		t.Fatalf("batch with kill: status %d: %s", status, body)
 	}
-	var br BatchResponse
+	var br bench.BatchResponse
 	if err := json.Unmarshal(body, &br); err != nil {
 		t.Fatalf("batch with kill: %v", err)
 	}
@@ -479,6 +474,7 @@ func TestClusterRunBadParams(t *testing.T) {
 		"/run?bench=gcc&policy=nope&insts=1000",
 		"/run?bench=gcc&policy=PI&insts=zero",
 		"/batch?benches=gcc,bogus&policies=PI&insts=1000",
+		"/batch?kind=baseline&benches=gcc&insts=1000",
 	} {
 		if status, _, body := get(t, hs.URL+q); status != http.StatusBadRequest {
 			t.Errorf("%s: status %d (%s), want 400", q, status, body)

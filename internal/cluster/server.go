@@ -12,7 +12,8 @@ package cluster
 //   - /batch fans a bench × policy grid out across the fleet and merges
 //     the per-run summaries deterministically, ordered by run index (not
 //     arrival order): the merged document is byte-identical whether it
-//     was computed by one worker or a fleet absorbing mid-batch failures.
+//     was computed by one worker's own /batch, a one-worker fleet or a
+//     fleet absorbing mid-batch failures.
 //   - /healthz reports per-worker state (up/down, inflight, consecutive
 //     failures) as JSON; 200 while at least one worker is healthy.
 //   - /metrics exposes the ClusterMetrics bundle (plus the standard
@@ -336,81 +337,33 @@ func (s *Server) queryWorker(ctx context.Context, wk *Worker, rawQuery string) (
 	return body, nil
 }
 
-// RunResult is one merged batch row: exactly the fields determined by the
-// simulated trajectory. Volatile per-request detail (request IDs, cache
-// hit flags, the worker that happened to answer) is deliberately absent,
-// so the merged batch document is byte-identical across fleet sizes and
-// failure histories.
-type RunResult struct {
-	Index     int     `json:"index"`
-	Benchmark string  `json:"benchmark"`
-	Policy    string  `json:"policy"`
-	IPC       float64 `json:"ipc"`
-	Cycles    uint64  `json:"cycles"`
-	Insts     uint64  `json:"insts"`
-	AvgPower  float64 `json:"avg_power"`
-	AvgDuty   float64 `json:"avg_duty"`
-	EmergFrac float64 `json:"emerg_frac"`
-}
-
-// workerSummary mirrors the JSON body cmd/serve's /run emits.
-type workerSummary struct {
-	IPC       float64 `json:"ipc"`
-	Cycles    uint64  `json:"cycles"`
-	Insts     uint64  `json:"insts"`
-	AvgPower  float64 `json:"avg_power"`
-	AvgDuty   float64 `json:"avg_duty"`
-	EmergFrac float64 `json:"emerg_frac"`
-}
-
-// BatchResponse is the merged result of one fan-out batch.
-type BatchResponse struct {
-	Benches  []string    `json:"benches"`
-	Policies []string    `json:"policies"`
-	Insts    uint64      `json:"insts"`
-	Runs     []RunResult `json:"runs"`
-	Failed   int         `json:"failed"`
-	Errors   []string    `json:"errors,omitempty"`
-}
-
 // handleBatch fans a bench × policy grid out across the fleet and
 // answers with the deterministic merge. Parameters: benches= and
 // policies= (comma-separated; defaults are the full 18-benchmark table
-// and the standard policy evaluation set), insts=, and kind= for
-// cmd/serve compatibility (kind=baseline selects the no-DTM policy).
+// and the standard policy evaluation set) and insts=, checked by the
+// worker's own rules (bench.ParseBatch), so one worker's /batch and the
+// coordinator's answer one query with one document.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	reqID := s.ids.Next()
 	w.Header().Set("X-Request-Id", reqID)
 
-	q := r.URL.Query()
-	policies := experiments.DefaultParams().Policies
-	if q.Get("kind") == "baseline" {
-		policies = []string{"none"}
+	bq, err := bench.ParseBatch(r.URL.Query(), experiments.DefaultParams().Policies, s.cfg.Insts)
+	var cells []bench.RunQuery
+	var cfgs []sim.Config
+	if err == nil {
+		cells, cfgs, err = bq.Cells()
 	}
-	bq, err := bench.ParseBatch(q, policies, s.cfg.Insts)
+	specs := make([]runSpec, len(cells))
+	for i := 0; err == nil && i < len(cells); i++ {
+		specs[i], err = makeSpec(cells[i], cfgs[i])
+	}
 	if err != nil {
 		serving.WriteError(w, s.logf, reqID, http.StatusBadRequest, err)
 		return
 	}
 
-	specs := make([]runSpec, 0, len(bq.Benches)*len(bq.Policies))
-	for _, b := range bq.Benches {
-		for _, p := range bq.Policies {
-			cfg, err := bench.NewRun(b, p, bq.Insts)
-			var spec runSpec
-			if err == nil {
-				spec, err = makeSpec(bench.RunQuery{Bench: b, Policy: p, Insts: bq.Insts}, cfg)
-			}
-			if err != nil {
-				serving.WriteError(w, s.logf, reqID, http.StatusBadRequest, err)
-				return
-			}
-			specs = append(specs, spec)
-		}
-	}
-
 	resp := s.runBatch(r.Context(), specs)
-	resp.Benches, resp.Policies, resp.Insts = bq.Benches, bq.Policies, bq.Insts
+	resp.BatchQuery = bq
 	status := http.StatusOK
 	if resp.Failed == len(specs) && len(specs) > 0 {
 		status = http.StatusBadGateway // nothing completed: surface the outage
@@ -425,8 +378,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 // dying mid-batch is absorbed here: its failed dispatches are requeued
 // onto survivors by the dispatcher, and the merge is indifferent to which
 // member finally answered.
-func (s *Server) runBatch(ctx context.Context, specs []runSpec) BatchResponse {
-	runs := make([]RunResult, len(specs))
+func (s *Server) runBatch(ctx context.Context, specs []runSpec) bench.BatchResponse {
+	runs := make([]bench.RunResult, len(specs))
 	errs := make([]string, len(specs))
 	var wg sync.WaitGroup
 	for i, spec := range specs {
@@ -442,27 +395,17 @@ func (s *Server) runBatch(ctx context.Context, specs []runSpec) BatchResponse {
 				errs[i] = fmt.Sprintf("%s/%s: worker status %d", spec.Bench, spec.Policy, resp.Status)
 				return
 			}
-			var sum workerSummary
+			var sum bench.RunSummary
 			if err := json.Unmarshal(resp.Body, &sum); err != nil {
 				errs[i] = fmt.Sprintf("%s/%s: bad worker body: %v", spec.Bench, spec.Policy, err)
 				return
 			}
-			runs[i] = RunResult{
-				Index:     i,
-				Benchmark: spec.Bench,
-				Policy:    spec.Policy,
-				IPC:       sum.IPC,
-				Cycles:    sum.Cycles,
-				Insts:     sum.Insts,
-				AvgPower:  sum.AvgPower,
-				AvgDuty:   sum.AvgDuty,
-				EmergFrac: sum.EmergFrac,
-			}
+			runs[i] = bench.RunResult{Index: i, Benchmark: spec.Bench, Policy: spec.Policy, RunStats: sum.RunStats}
 		}(i, spec)
 	}
 	wg.Wait()
 
-	out := BatchResponse{Runs: make([]RunResult, 0, len(specs))}
+	out := bench.BatchResponse{Runs: make([]bench.RunResult, 0, len(specs))}
 	for i := range specs {
 		if errs[i] != "" {
 			out.Failed++

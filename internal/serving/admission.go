@@ -1,9 +1,9 @@
 // Package serving is the production-hardening layer behind cmd/serve: a
 // bounded admission controller (semaphore-limited concurrency plus a short
 // bounded wait queue, overflow shed fast with 429 semantics), structured
-// JSON error responses with request IDs, graceful-drain tracking for
-// background batch goroutines, a deterministic chaos/fault-injection hook,
-// and the latency-quantile helper cmd/loadgen reports with.
+// JSON error responses with request IDs, a deterministic
+// chaos/fault-injection hook, and the latency-quantile helper cmd/loadgen
+// reports with.
 //
 // The design mirrors the paper's actuator lesson: the admission semaphore
 // is the bounded actuator, the wait queue is the (anti-windup-clamped)

@@ -1,51 +1,13 @@
 package serving
 
-// Tests for the drainer, the chaos source and the quantile helper.
+// Tests for the chaos source and the quantile helper.
 
 import (
 	"context"
 	"errors"
-	"sync/atomic"
 	"testing"
 	"time"
 )
-
-func TestDrainerCancelsAndAwaits(t *testing.T) {
-	d := NewDrainer(context.Background())
-	var sawCancel, finished atomic.Bool
-	err := d.Go(func(ctx context.Context) {
-		<-ctx.Done()
-		sawCancel.Store(true)
-		finished.Store(true)
-	})
-	if err != nil {
-		t.Fatalf("Go: %v", err)
-	}
-	if !d.Shutdown(2 * time.Second) {
-		t.Fatal("drain timed out")
-	}
-	if !sawCancel.Load() || !finished.Load() {
-		t.Fatal("background goroutine not cancelled-then-awaited")
-	}
-	if err := d.Go(func(context.Context) {}); !errors.Is(err, ErrDraining) {
-		t.Fatalf("Go after shutdown = %v, want ErrDraining", err)
-	}
-}
-
-func TestDrainerTimesOutOnStuckWork(t *testing.T) {
-	d := NewDrainer(context.Background())
-	release := make(chan struct{})
-	if err := d.Go(func(context.Context) { <-release }); err != nil {
-		t.Fatalf("Go: %v", err)
-	}
-	if d.Shutdown(20 * time.Millisecond) {
-		t.Fatal("drain reported success with work still running")
-	}
-	close(release)
-	if !d.Shutdown(2 * time.Second) {
-		t.Fatal("second drain should succeed once work finishes")
-	}
-}
 
 func TestChaosProbabilities(t *testing.T) {
 	// p=0 never fires, p=1 always fires; a nil source is inert.

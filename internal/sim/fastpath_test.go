@@ -128,11 +128,21 @@ func numBlocks(t *testing.T) int {
 	return len(s.Finish().Blocks)
 }
 
+// raceSubset returns all, or under the race detector only sub: one
+// member per regime of a matrix that pins arithmetic, not concurrency.
+// The full matrix runs in CI's non-race gate.
+func raceSubset(all []string, sub ...string) []string {
+	if sim.RaceDetector {
+		return sub
+	}
+	return all
+}
+
 // TestFastPathEquivalenceWorkloads sweeps every benchmark in the suite
-// under the PI policy.
+// under the PI policy (under -race, one benchmark per Table 5 category).
 func TestFastPathEquivalenceWorkloads(t *testing.T) {
 	nblk := numBlocks(t)
-	for _, b := range bench.Names() {
+	for _, b := range raceSubset(bench.Names(), "gcc", "mesa", "gzip", "vpr") {
 		b := b
 		t.Run(b, func(t *testing.T) {
 			t.Parallel()
@@ -143,10 +153,12 @@ func TestFastPathEquivalenceWorkloads(t *testing.T) {
 }
 
 // TestFastPathEquivalencePolicies sweeps every DTM policy on one hot
-// benchmark.
+// benchmark (under -race, one policy per actuation mechanism: none,
+// fetch toggling, fetch throttling, one controller and per-block
+// controllers, voltage scaling).
 func TestFastPathEquivalencePolicies(t *testing.T) {
 	nblk := numBlocks(t)
-	for _, p := range bench.Policies() {
+	for _, p := range raceSubset(bench.Policies(), "none", "toggle1", "throttle", "PI", "mPID", "vfscale") {
 		p := p
 		t.Run(p, func(t *testing.T) {
 			t.Parallel()

@@ -34,7 +34,7 @@ func gangPolicies() []string {
 // CI's dedicated non-race gang gate (bench-multicore job).
 func skipGangMatrixUnderRace(t *testing.T) {
 	t.Helper()
-	if raceDetector {
+	if sim.RaceDetector {
 		t.Skip("gang matrices run in the non-race gang gate; see bench-multicore CI job")
 	}
 }

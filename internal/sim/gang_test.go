@@ -40,7 +40,7 @@ func gangPolicyConfigs(insts uint64, setpoints ...float64) []Config {
 // matrix: a mixed gang (uncontrolled, two PI setpoints, a toggle) must
 // produce results byte-identical to solo runs of the same configs.
 func TestGangMatchesSolo(t *testing.T) {
-	const insts = 300_000
+	insts := raceBudget(300_000, 100_000)
 	mk := func() []Config {
 		cfgs := gangPolicyConfigs(insts, 111.1, 110.8)
 		cfgs = append(cfgs, Config{
@@ -98,7 +98,7 @@ func runMatchesSolo(t *testing.T, g *Gang, cfgs []Config) {
 // they share one class for the whole run, with the leakage member as
 // leader and as follower; every member must match its solo run.
 func TestGangLeakageSharesClass(t *testing.T) {
-	const insts = 200_000
+	insts := raceBudget(200_000, 50_000)
 	leak := Config{Workload: hotProfile(), MaxInsts: insts, Leakage: power.DefaultLeakage()}
 	plain := Config{Workload: hotProfile(), MaxInsts: insts}
 	for name, cfgs := range map[string][]Config{
@@ -123,7 +123,7 @@ func TestGangLeakageSharesClass(t *testing.T) {
 // though their thermal windows end on different cycles) and must fork
 // once their duties diverge.
 func TestGangForkOnDivergence(t *testing.T) {
-	g, err := NewGang(gangPolicyConfigs(600_000, 111.1, 110.5), GangOptions{})
+	g, err := NewGang(gangPolicyConfigs(raceBudget(600_000, 300_000), 111.1, 110.5), GangOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestGangForkOnDivergence(t *testing.T) {
 // every 1000-cycle DTM sample), and every member must finish
 // byte-identical to its solo run.
 func TestGangSharesClassAcrossSchedules(t *testing.T) {
-	mk := func() []Config { return gangPolicyConfigs(200_000, 111.1, 111.1) }
+	mk := func() []Config { return gangPolicyConfigs(raceBudget(200_000, 100_000), 111.1, 111.1) }
 	g, err := NewGang(mk(), GangOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -164,7 +164,7 @@ func TestGangSharesClassAcrossSchedules(t *testing.T) {
 // aside, to its plain solo run. The recorder holds the same samples, and
 // every registry counter the solo runs' total.
 func TestGangInstrumentedMatchesSolo(t *testing.T) {
-	const insts = 150_000
+	insts := raceBudget(150_000, 50_000)
 	mk := func(reg *telemetry.Registry, rec *telemetry.Recorder) []Config {
 		cfgs := []Config{
 			{TraceStride: 500},

@@ -84,7 +84,7 @@ func checkGolden(t *testing.T, name string, got map[string]any) {
 // non-race steps.
 func skipGoldenUnderRace(t *testing.T) {
 	t.Helper()
-	if raceDetector {
+	if sim.RaceDetector {
 		t.Skip("goldens run in the non-race golden gate")
 	}
 }

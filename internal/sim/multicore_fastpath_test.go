@@ -28,7 +28,7 @@ const mcEqInsts = 60000 // per core
 // job on every PR.
 func skipMulticoreMatrixUnderRace(t *testing.T) {
 	t.Helper()
-	if raceDetector {
+	if sim.RaceDetector {
 		t.Skip("multicore matrices run in the non-race multicore gate; see multicore CI job")
 	}
 }

@@ -1,6 +1,6 @@
 //go:build !race
 
-package sim_test
+package sim
 
-// raceDetector is false without the race detector; see race_test.go.
-const raceDetector = false
+// RaceDetector is false without the race detector; see race_test.go.
+const RaceDetector = false

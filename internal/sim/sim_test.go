@@ -3,6 +3,7 @@ package sim
 import (
 	"math"
 	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/control"
@@ -55,6 +56,37 @@ func run(t *testing.T, cfg Config) *Result {
 	return res
 }
 
+// The hotProfile runs at testInsts that several tests compare against,
+// uncontrolled and under PI at 111.1 °C. Each is simulated once per test
+// binary; callers only read them.
+var (
+	hotBaseRun = sync.OnceValues(func() (*Result, error) {
+		return Run(Config{Workload: hotProfile(), MaxInsts: testInsts})
+	})
+	hotPIRun = sync.OnceValues(func() (*Result, error) {
+		return Run(Config{Workload: hotProfile(), MaxInsts: testInsts, Manager: newPIManager(111.1)})
+	})
+)
+
+// shared returns one of the shared runs above.
+func shared(t *testing.T, run func() (*Result, error)) *Result {
+	t.Helper()
+	res, err := run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// raceBudget returns full, or short under the race detector (see
+// race_test.go).
+func raceBudget(full, short uint64) uint64 {
+	if RaceDetector {
+		return short
+	}
+	return full
+}
+
 func TestRunRejectsBadConfig(t *testing.T) {
 	if _, err := Run(Config{Workload: hotProfile()}); err == nil {
 		t.Error("zero MaxInsts accepted")
@@ -67,7 +99,7 @@ func TestRunRejectsBadConfig(t *testing.T) {
 }
 
 func TestUncontrolledHotRunEntersEmergency(t *testing.T) {
-	res := run(t, Config{Workload: hotProfile(), MaxInsts: testInsts})
+	res := shared(t, hotBaseRun)
 	if res.EmergencyCycles == 0 {
 		t.Fatal("hot profile never entered emergency")
 	}
@@ -98,7 +130,7 @@ func TestUncontrolledHotRunEntersEmergency(t *testing.T) {
 }
 
 func TestColdRunStaysCool(t *testing.T) {
-	res := run(t, Config{Workload: coldProfile(), MaxInsts: testInsts})
+	res := run(t, Config{Workload: coldProfile(), MaxInsts: raceBudget(testInsts, 100_000)})
 	if res.EmergencyCycles != 0 {
 		t.Errorf("cold profile hit emergency %d cycles", res.EmergencyCycles)
 	}
@@ -123,12 +155,8 @@ func newPIManager(setpoint float64) *dtm.Manager {
 }
 
 func TestPIControlEliminatesEmergencies(t *testing.T) {
-	base := run(t, Config{Workload: hotProfile(), MaxInsts: testInsts})
-	ctl := run(t, Config{
-		Workload: hotProfile(),
-		MaxInsts: testInsts,
-		Manager:  newPIManager(111.1),
-	})
+	base := shared(t, hotBaseRun)
+	ctl := shared(t, hotPIRun)
 	if base.EmergencyCycles == 0 {
 		t.Fatal("baseline must have emergencies for this test")
 	}
@@ -157,7 +185,7 @@ func TestToggle1EliminatesEmergenciesWithMoreLoss(t *testing.T) {
 	if res.EmergencyCycles != 0 {
 		t.Errorf("toggle1 left %d emergency cycles", res.EmergencyCycles)
 	}
-	pi := run(t, Config{Workload: hotProfile(), MaxInsts: testInsts, Manager: newPIManager(111.1)})
+	pi := shared(t, hotPIRun)
 	if pi.IPC <= res.IPC {
 		t.Errorf("PI IPC %.3f not above toggle1 %.3f", pi.IPC, res.IPC)
 	}
@@ -333,8 +361,8 @@ func TestSensorOffsetShiftsControlPoint(t *testing.T) {
 			Sensor:   sensor.Sensor{Offset: offset},
 		}
 	}
-	ideal := run(t, mkCfg(0))
-	low := run(t, mkCfg(-0.8)) // sensor reads 0.8 C cold
+	ideal := shared(t, hotPIRun) // an ideal sensor is the default
+	low := run(t, mkCfg(-0.8))   // sensor reads 0.8 C cold
 	if ideal.EmergencyCycles != 0 {
 		t.Fatalf("ideal sensor run has %d emergencies", ideal.EmergencyCycles)
 	}
@@ -367,6 +395,7 @@ func TestChipSinkDriftNegligibleOverShortRuns(t *testing.T) {
 // Fetch throttling and speculation control must work end to end as DTM
 // policies (the extension mechanisms of Section 2.1).
 func TestThrottleAndSpecControlPolicies(t *testing.T) {
+	base := shared(t, hotBaseRun)
 	for _, mk := range []func() *dtm.Manager{
 		func() *dtm.Manager { return dtm.NewManager(dtm.NewThrottle(110.3, 1, 5)) },
 		func() *dtm.Manager { return dtm.NewManager(dtm.NewSpecControl(110.3, 1, 5)) },
@@ -376,7 +405,6 @@ func TestThrottleAndSpecControlPolicies(t *testing.T) {
 		if res.EmergencyFrac() > 0.05 {
 			t.Errorf("%s left %.1f%% emergency cycles", mgr.Policy.Name(), 100*res.EmergencyFrac())
 		}
-		base := run(t, Config{Workload: hotProfile(), MaxInsts: testInsts})
 		if res.IPC >= base.IPC {
 			t.Errorf("%s cost no performance (%.3f vs %.3f): not engaging?",
 				mgr.Policy.Name(), res.IPC, base.IPC)
@@ -399,11 +427,7 @@ func TestLimitedSensorPlacementMissesHotspots(t *testing.T) {
 	if blind.EmergencyCycles == 0 {
 		t.Error("policy with a misplaced sensor still prevented emergencies")
 	}
-	full := run(t, Config{
-		Workload: hotProfile(),
-		MaxInsts: testInsts,
-		Manager:  newPIManager(111.1),
-	})
+	full := shared(t, hotPIRun)
 	if full.EmergencyCycles != 0 {
 		t.Errorf("full sensor coverage left %d emergencies", full.EmergencyCycles)
 	}
@@ -443,7 +467,7 @@ func TestHierarchyEscalatesWhenPrimaryFails(t *testing.T) {
 	if h.Escalations() == 0 {
 		t.Fatal("backup never escalated despite weak primary")
 	}
-	base := run(t, Config{Workload: hotProfile(), MaxInsts: testInsts})
+	base := shared(t, hotBaseRun)
 	if res.EmergencyFrac() >= base.EmergencyFrac()/4 {
 		t.Errorf("hierarchy emergency %.2f%% vs base %.2f%% — backup ineffective",
 			100*res.EmergencyFrac(), 100*base.EmergencyFrac())
@@ -474,7 +498,7 @@ func TestHierarchyExclusiveWithManager(t *testing.T) {
 // heat without being retuned — the robustness the paper claims for
 // feedback control.
 func TestLeakageFeedback(t *testing.T) {
-	noLeak := run(t, Config{Workload: hotProfile(), MaxInsts: testInsts})
+	noLeak := shared(t, hotBaseRun)
 	leak := run(t, Config{
 		Workload: hotProfile(),
 		MaxInsts: testInsts,

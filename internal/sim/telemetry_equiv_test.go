@@ -49,7 +49,7 @@ func plainJSON(t *testing.T, res *sim.Result) string {
 }
 
 func TestTelemetryLeavesResultUnchanged(t *testing.T) {
-	if raceDetector {
+	if sim.RaceDetector {
 		t.Skip("a run matrix that pins arithmetic; it runs in the non-race gates")
 	}
 	const insts = 100_000

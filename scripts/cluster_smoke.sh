@@ -16,6 +16,8 @@
 #     worker list (multi-target round-robin)
 #   - a second fleet's batch merge is byte-identical across a worker
 #     SIGKILL, and the killed worker restarts on its pack volumes
+#   - one worker's own /batch and the coordinator's answer the same grid
+#     with byte-identical bodies
 #   - the coordinator answers a /query range scan merged across both
 #     workers' catalogs (more rows than either worker holds alone)
 #   - a repeated `sweep -fill` run dispatches zero cold cells
@@ -189,6 +191,15 @@ W3_PID=$!
 wait_healthy "${W3}" "rebuilt pack worker"
 curl -fsS "${W3}/run?bench=gcc&policy=PI&insts=100000" >/dev/null || {
   echo "rebuilt pack worker cannot serve"; exit 1; }
+
+echo "== one /batch: a worker and the coordinator answer one grid identically"
+GRID="batch?benches=gcc,art&policies=none,PI&insts=50000"
+curl -fsS "${C}/${GRID}" >"${DIR}/grid_coord.json"
+curl -fsS "${W4}/${GRID}" >"${DIR}/grid_worker.json"
+cmp -s "${DIR}/grid_coord.json" "${DIR}/grid_worker.json" || {
+  echo "worker and coordinator /batch bodies differ:";
+  diff "${DIR}/grid_coord.json" "${DIR}/grid_worker.json" | head -20; exit 1; }
+echo "worker and coordinator /batch bodies byte-identical"
 
 echo "== run catalog: coordinator merges a /query range scan across both workers"
 count_of() { grep -m1 '"count"' "$1" | tr -dc '0-9'; }

@@ -11,7 +11,8 @@
 #   - under ~8x overload every response is 2xx or 429, sheds are fast
 #     (p99 shed latency < 10ms), and not everything is shed
 #   - mixed /run + /batch traffic stays clean (429 allowed, 5xx not)
-#   - SIGINT exits 0 after draining in-flight batches
+#   - SIGINT cancels a running /batch, which answers with a structured
+#     error, and serve exits 0 after every handler has returned
 set -euo pipefail
 
 PORT="${SMOKE_PORT:-8741}"
@@ -42,9 +43,9 @@ go build -o "${DIR}/serve" ./cmd/serve
 go build -o "${DIR}/loadgen" ./cmd/loadgen
 
 # Tiny admission limit so modest loadgen concurrency is a real overload:
-# 1 slot, no queue, one bounded batch at a time.
+# 1 slot, no queue; a /batch holds that slot like a /run.
 "${DIR}/serve" -addr "127.0.0.1:${PORT}" -insts 50000 \
-  -max-inflight 1 -queue 0 -workers 1 -max-batches 1 \
+  -max-inflight 1 -queue 0 -workers 1 \
   -run-timeout 30s -drain-timeout 30s >"${SERVE_LOG}" 2>&1 &
 SERVE_PID=$!
 
@@ -75,8 +76,17 @@ echo "== mixed /run + /batch traffic"
   -batch-frac 0.01 -check -json "${DIR}/mixed.json"
 
 echo "== graceful drain on SIGINT"
-# Park a long batch so the drain actually has work to cancel-and-await.
-curl -fsS "${URL}/batch?kind=baseline" >/dev/null || true
+# Park a long batch so the drain actually has work to cancel and await:
+# SIGINT once it holds the admission slot.
+curl -sS "${URL}/batch?benches=gcc&policies=none&insts=500000000" >"${DIR}/drain_batch.json" &
+BATCH_PID=$!
+PARKED=0
+for i in $(seq 1 100); do
+  curl -fsS -o "${DIR}/metrics.txt" "${URL}/metrics" || true
+  grep -Eq '^serve_inflight_runs [1-9]' "${DIR}/metrics.txt" && { PARKED=1; break; }
+  sleep 0.1
+done
+[ "${PARKED}" = 1 ] || { echo "the long batch never took the admission slot"; exit 1; }
 kill -INT "${SERVE_PID}"
 DRAIN_OK=0
 for i in $(seq 1 60); do
@@ -88,5 +98,9 @@ wait "${SERVE_PID}" && RC=0 || RC=$?
 [ "${RC}" = 0 ] || { echo "serve exited ${RC} (drain failed)"; exit 1; }
 grep -q "drained, shut down" "${SERVE_LOG}" || {
   echo "serve log missing drain confirmation"; exit 1; }
+wait "${BATCH_PID}" || true
+grep -q 'shutting down' "${DIR}/drain_batch.json" || {
+  echo "the cancelled batch did not answer with the shutdown error:";
+  cat "${DIR}/drain_batch.json"; exit 1; }
 
 echo "smoke OK"
