@@ -5,8 +5,8 @@
 // bursts, and overflow is shed immediately with 429 + Retry-After instead
 // of winding up into unbounded backlog. Every /run carries a per-request
 // deadline, every error is a structured JSON body with a request ID, and
-// SIGINT cancels running batches and waits for every handler to return
-// before the cache and catalog close.
+// SIGINT cancels running runs and batches and waits for every handler to
+// return before the cache and catalog close.
 //
 //	serve -addr :8721 -max-inflight 8 -queue 16 -run-timeout 30s
 //	serve -cache-dir .runcache                       # replay identical /run requests
@@ -77,8 +77,8 @@ type serverConfig struct {
 	chaos      *serving.Chaos // nil = no fault injection
 }
 
-// errShuttingDown answers a /batch that arrives, or is cut short, once
-// the server has begun to drain.
+// errShuttingDown answers a /run or /batch that arrives, or is cut short,
+// once the server has begun to drain.
 var errShuttingDown = errors.New("serve: shutting down, not accepting new work")
 
 // server owns the shared registry, the admission controller, the run
@@ -97,8 +97,8 @@ type server struct {
 }
 
 // newServer builds the server and its routed mux. parent is the server's
-// lifetime: once it is done, /healthz reports draining, new batches are
-// refused and running ones are cancelled.
+// lifetime: once it is done, /healthz reports draining, new runs and
+// batches are refused and running ones are cancelled.
 func newServer(parent context.Context, cfg serverConfig, logf func(format string, args ...any)) (*server, *http.ServeMux, error) {
 	if logf == nil {
 		logf = log.New(os.Stderr, "serve: ", log.LstdFlags).Printf
@@ -251,26 +251,28 @@ func main() {
 
 	select {
 	case <-ctx.Done():
-		// Graceful drain: ctx being done has already cancelled every
-		// running batch. Stop accepting, wait for every handler to
-		// return, and only then close the cache and the catalog.
-		shutCtx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
-		defer cancel()
-		if err := srv.Shutdown(shutCtx); err != nil {
-			s.logf("drain timed out after %s: %v", *drainTimeout, err)
+		if err := s.drain(srv, *drainTimeout); err != nil {
+			s.logf("%v", err)
 			os.Exit(1)
-		}
-		if err := s.cache.Close(); err != nil {
-			s.logf("cache close: %v", err)
-		}
-		if err := s.catalog.Close(); err != nil {
-			s.logf("catalog close: %v", err)
 		}
 		s.logf("drained, shut down")
 	case err := <-errc:
 		s.logf("%v", err)
 		os.Exit(1)
 	}
+}
+
+// drain shuts srv down once the server's lifetime has ended, which has
+// already cancelled every running /run and /batch: it stops accepting,
+// waits up to timeout for every handler to return, and only then closes
+// the cache and the catalog.
+func (s *server) drain(srv *http.Server, timeout time.Duration) error {
+	ctx, cancel := context.WithTimeout(context.Background(), timeout)
+	defer cancel()
+	if err := srv.Shutdown(ctx); err != nil {
+		return fmt.Errorf("drain timed out after %s: %w", timeout, err)
+	}
+	return errors.Join(s.cache.Close(), s.catalog.Close())
 }
 
 // memBytes converts the -cache-mem MiB flag to the CacheConfig.MemBytes
@@ -348,10 +350,14 @@ func (s *server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 // handleRun executes one instrumented simulation synchronously under
 // admission control and the per-request deadline, returning a JSON
 // summary. Client disconnects map to 499, deadline expiry to 504, and
-// admission overflow to 429 with Retry-After.
+// admission overflow to 429 with Retry-After. Like a batch, a run is
+// cancelled when the server drains and refused with 503 once it has.
 func (s *server) handleRun(w http.ResponseWriter, r *http.Request) {
 	reqID := s.ids.Next()
 	w.Header().Set("X-Request-Id", reqID)
+	if s.draining(w, reqID) {
+		return
+	}
 
 	_, cfg, err := bench.ParseRun(r.URL.Query(), s.cfg.insts)
 	if err != nil {
@@ -365,14 +371,15 @@ func (s *server) handleRun(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 
-	ctx := r.Context()
+	ctx, cancel := s.requestContext(r)
+	defer cancel()
 	if s.cfg.runTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.cfg.runTimeout)
-		defer cancel()
+		var cancelRun context.CancelFunc
+		ctx, cancelRun = context.WithTimeout(ctx, s.cfg.runTimeout)
+		defer cancelRun()
 	}
 	if err := s.cfg.chaos.MaybeDelay(ctx); err != nil {
-		serving.WriteError(w, s.logf, reqID, serving.StatusForRunError(err), err)
+		s.writeRunError(w, reqID, err)
 		return
 	}
 
@@ -393,7 +400,7 @@ func (s *server) handleRun(w http.ResponseWriter, r *http.Request) {
 	cfg.Metrics = telemetry.NewSimMetrics(s.reg)
 	res, err := sim.RunContext(ctx, cfg)
 	if err != nil {
-		serving.WriteError(w, s.logf, reqID, serving.StatusForRunError(err), err)
+		s.writeRunError(w, reqID, err)
 		return
 	}
 	if key != "" {
@@ -410,6 +417,34 @@ func runSummary(res *sim.Result, reqID string, cached bool) bench.RunSummary {
 		Policy:    res.Policy,
 		RunStats:  bench.StatsOf(res),
 	}
+}
+
+// draining answers the request with 503 and reports true once the
+// server's lifetime has ended.
+func (s *server) draining(w http.ResponseWriter, reqID string) bool {
+	if s.life.Err() == nil {
+		return false
+	}
+	serving.WriteError(w, s.logf, reqID, http.StatusServiceUnavailable, errShuttingDown)
+	return true
+}
+
+// requestContext returns the context a run or batch runs under: done when
+// the client leaves or the server's lifetime ends. cancel releases it.
+func (s *server) requestContext(r *http.Request) (context.Context, context.CancelFunc) {
+	ctx, cancel := context.WithCancel(r.Context())
+	stop := context.AfterFunc(s.life, cancel)
+	return ctx, func() { stop(); cancel() }
+}
+
+// writeRunError answers a run or batch cut short: 503 naming the shutdown
+// once the server's lifetime has ended, else the status the error maps to.
+func (s *server) writeRunError(w http.ResponseWriter, reqID string, err error) {
+	status := serving.StatusForRunError(err)
+	if s.life.Err() != nil {
+		status, err = http.StatusServiceUnavailable, fmt.Errorf("%w: %w", errShuttingDown, err)
+	}
+	serving.WriteError(w, s.logf, reqID, status, err)
 }
 
 // admit claims an admission slot for the request, or answers it: 429 with
@@ -466,8 +501,7 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	reqID := s.ids.Next()
 	w.Header().Set("X-Request-Id", reqID)
-	if s.life.Err() != nil {
-		serving.WriteError(w, s.logf, reqID, http.StatusServiceUnavailable, errShuttingDown)
+	if s.draining(w, reqID) {
 		return
 	}
 
@@ -488,9 +522,8 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 
-	ctx, cancel := context.WithCancel(r.Context())
+	ctx, cancel := s.requestContext(r)
 	defer cancel()
-	defer context.AfterFunc(s.life, cancel)()
 	res, _, err := experiments.RunConfigs(experiments.Params{
 		Context:  ctx,
 		Workers:  s.cfg.workers,
@@ -498,11 +531,7 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		Cache:    s.cache,
 	}, cfgs)
 	if err != nil {
-		status := serving.StatusForRunError(err)
-		if s.life.Err() != nil {
-			status, err = http.StatusServiceUnavailable, fmt.Errorf("%w: %w", errShuttingDown, err)
-		}
-		serving.WriteError(w, s.logf, reqID, status, err)
+		s.writeRunError(w, reqID, err)
 		return
 	}
 	resp := bench.BatchResponse{BatchQuery: bq, Runs: make([]bench.RunResult, len(cells))}

@@ -9,6 +9,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -370,13 +371,21 @@ func TestBatchMatchesCoordinator(t *testing.T) {
 }
 
 // startLongBatch sends a batch far too long to finish in the background
-// and waits until it holds its admission slot. The returned channel yields
-// the batch's body (nil if the request failed) once the handler answers.
+// and waits until it holds its admission slot (see startLong).
 func startLongBatch(t *testing.T, ctx context.Context, s *server, url string) <-chan []byte {
+	t.Helper()
+	return startLong(t, ctx, s, url+"/batch?benches=gcc&policies=none&insts=500000000")
+}
+
+// startLong sends a request for url, a run or batch far too long to
+// finish, in the background and waits until it holds its admission slot.
+// The returned channel yields the body (nil if the request failed) once
+// the handler answers.
+func startLong(t *testing.T, ctx context.Context, s *server, url string) <-chan []byte {
 	t.Helper()
 	done := make(chan []byte, 1)
 	go func() {
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, url+"/batch?benches=gcc&policies=none&insts=500000000", nil)
+		req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
 		if err != nil {
 			done <- nil
 			return
@@ -500,6 +509,51 @@ func TestShutdownDrainsBatches(t *testing.T) {
 	hr.Body.Close()
 	if hr.StatusCode != http.StatusServiceUnavailable {
 		t.Errorf("healthz during drain = %d, want 503", hr.StatusCode)
+	}
+}
+
+// TestShutdownDrainsRuns: a /run follows the server's lifetime as a batch
+// does. Ending the lifetime mid-run answers the client with a structured
+// 503 within seconds, the drain returns inside its timeout, and it closes
+// the cache and the catalog only after the handler has returned.
+func TestShutdownDrainsRuns(t *testing.T) {
+	life, end := context.WithCancel(context.Background())
+	s, ts := startServer(t, life, serverConfig{cacheDir: t.TempDir()})
+	// Leaving on failure ends the run, so the server's cleanup cannot hang.
+	client, leave := context.WithCancel(context.Background())
+	t.Cleanup(leave)
+	done := startLong(t, client, s, ts.URL+"/run?bench=gcc&policy=PI&insts=500000000")
+
+	start := time.Now()
+	end()
+	drained := make(chan error, 1)
+	go func() { drained <- s.drain(ts.Config, 10*time.Second) }()
+	var body []byte
+	select {
+	case body = <-done:
+	case <-time.After(20 * time.Second):
+		t.Fatal("the running /run did not answer after the drain began")
+	}
+	if d := time.Since(start); d > 5*time.Second {
+		t.Errorf("/run took %v to answer the drain, cancellation should be prompt", d)
+	}
+	var resp serving.ErrorResponse
+	if err := json.Unmarshal(body, &resp); err != nil {
+		t.Fatalf("/run answer %q is not a structured error: %v", body, err)
+	}
+	if resp.Status != http.StatusServiceUnavailable || !strings.Contains(resp.Error, "shutting down") || resp.RequestID == "" {
+		t.Errorf("cancelled /run answered %+v, want a 503 naming the shutdown", resp)
+	}
+	select {
+	case err := <-drained:
+		if err != nil {
+			t.Fatalf("drain: %v", err)
+		}
+	case <-time.After(15 * time.Second):
+		t.Fatal("the drain overran its timeout")
+	}
+	if err := s.catalog.Close(); !errors.Is(err, os.ErrClosed) {
+		t.Errorf("closing the catalog again after the drain = %v, want os.ErrClosed", err)
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"io"
 	"os"
 	"sort"
 	"strconv"
@@ -20,46 +21,72 @@ import (
 // benchPolicy is the -policy each sweep grid of the benchmark runs with.
 var benchPolicy = map[string]string{"setpoint": "PI", "trigger": "toggle1"}
 
-// TestSweepMatchesBenchRef is the sweep output gate: every sweep command
-// the benchmark runs prints, at the benchmark's budget, exactly the CSV
-// whose digest perfbench/refs.json records. The file is only read.
-func TestSweepMatchesBenchRef(t *testing.T) {
+// sweepRef is the benchmark's sweep reference in perfbench/refs.json: the
+// budget and each command's CSV digest by "<param>/<bench>", in sorted id
+// order. The file is only read.
+func sweepRef(tb testing.TB) (insts uint64, ids []string, sha map[string]string) {
+	tb.Helper()
 	raw, err := os.ReadFile("../../perfbench/refs.json")
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	var refs struct {
 		Sweep struct {
 			Insts  uint64            `json:"insts"`
-			SHA256 map[string]string `json:"csv_sha256"` // "<param>/<bench>" -> digest
+			SHA256 map[string]string `json:"csv_sha256"`
 		} `json:"sweep"`
 	}
 	if err := json.Unmarshal(raw, &refs); err != nil {
-		t.Fatalf("refs.json: %v", err)
+		tb.Fatalf("refs.json: %v", err)
 	}
 	if refs.Sweep.Insts == 0 || len(refs.Sweep.SHA256) == 0 {
-		t.Fatal("refs.json: no sweep reference")
+		tb.Fatal("refs.json: no sweep reference")
 	}
-	ids := make([]string, 0, len(refs.Sweep.SHA256))
 	for id := range refs.Sweep.SHA256 {
+		if _, ok := benchPolicy[strings.Split(id, "/")[0]]; !ok {
+			tb.Fatalf("refs.json: sweep %s has no known grid", id)
+		}
 		ids = append(ids, id)
 	}
 	sort.Strings(ids)
+	return refs.Sweep.Insts, ids, refs.Sweep.SHA256
+}
+
+// sweepArgs is the command line of sweep command id at insts.
+func sweepArgs(id string, insts uint64) []string {
+	param, bench, _ := strings.Cut(id, "/")
+	return []string{"-param", param, "-policy", benchPolicy[param], "-bench", bench,
+		"-insts", strconv.FormatUint(insts, 10)}
+}
+
+// TestSweepMatchesBenchRef is the sweep output gate: every sweep command
+// the benchmark runs prints, at the benchmark's budget, exactly the CSV
+// whose digest perfbench/refs.json records.
+func TestSweepMatchesBenchRef(t *testing.T) {
+	insts, ids, sha := sweepRef(t)
 	for _, id := range ids {
-		param, bench, _ := strings.Cut(id, "/")
-		policy, ok := benchPolicy[param]
-		if !ok {
-			t.Fatalf("refs.json: sweep %s has no known grid", id)
-		}
 		var stdout, stderr bytes.Buffer
-		args := []string{"-param", param, "-policy", policy, "-bench", bench,
-			"-insts", strconv.FormatUint(refs.Sweep.Insts, 10)}
+		args := sweepArgs(id, insts)
 		if code := run(args, &stdout, &stderr); code != 0 {
 			t.Fatalf("sweep %v exited %d: %s", args, code, stderr.Bytes())
 		}
 		sum := sha256.Sum256(stdout.Bytes())
-		if got, want := hex.EncodeToString(sum[:]), refs.Sweep.SHA256[id]; got != want {
+		if got, want := hex.EncodeToString(sum[:]), sha[id]; got != want {
 			t.Errorf("sweep %v CSV SHA-256 %s, want %s (perfbench/refs.json)", args, got, want)
+		}
+	}
+}
+
+// BenchmarkSweep runs the benchmark's sweep commands, the PI setpoint and
+// toggle1 trigger grids over every benchmark at its budget, once per
+// iteration; scripts/pgo.sh profiles it to train cmd/sweep's default.pgo.
+func BenchmarkSweep(b *testing.B) {
+	insts, ids, _ := sweepRef(b)
+	for i := 0; i < b.N; i++ {
+		for _, id := range ids {
+			if args := sweepArgs(id, insts); run(args, io.Discard, io.Discard) != 0 {
+				b.Fatalf("sweep %v failed", args)
+			}
 		}
 	}
 }

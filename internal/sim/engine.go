@@ -60,11 +60,12 @@ func runLoop(ctx context.Context, start uint64, runTo func(limit uint64) (uint64
 
 // actuation is the state a run's controllers command one core: the DTM
 // knobs (fetch duty, fetch limit, speculation control), the frequency
-// factor and the trigger stall. A solo run holds the stall cycles it
-// still owes; a multicore run's controls hold the stall commanded at the
-// core's latest sample. Two runs whose actuation is the same consume a
-// shared pipeline stream identically, which is what gangs and multicore
-// groups test.
+// factor and the trigger stall. A solo or gang run holds the stall its
+// controllers commanded at this cycle's samples until its class takes it
+// into the class countdown; a multicore run's controls hold the stall
+// commanded at the core's latest sample. Two runs whose actuation is the
+// same consume a shared pipeline stream identically, which is what gangs
+// and multicore groups test.
 type actuation struct {
 	dtm.Actuation
 	freq  float64

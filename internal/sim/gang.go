@@ -9,9 +9,13 @@ package sim
 // the exact same instruction and activity stream, so re-simulating the
 // pipeline per member is pure redundancy. Each class shares one core
 // (workload generator, pipeline and power model); the class leader
-// (members[0]) drives it and every member fans the resulting power vector
-// and chip power into its private thermal/DTM state via Sim.stepMember.
-// When members' actuation records diverge (duty, frequency,
+// (members[0]) drives it, and the class keeps the history every member
+// shares (see history). Members are event-driven where they can be: a
+// plain member (see Sim.plain) reads the class's window for its schedule
+// and works only at that window's ends — the flush and, on a controller
+// sample, sampleDTM — while every other member fans the power vector and
+// chip power into its private thermal/DTM state each cycle via
+// Sim.stepMember. When members' actuation records diverge (duty, frequency,
 // fetch/speculation limits, or a trigger stall), the class forks: the
 // divergent partitions get deep clones of the shared core and continue
 // independently. A fork is final:
@@ -26,9 +30,13 @@ package sim
 // a multicore group does, would add 79.95 M class-cycles to the 127.6 M
 // the gangs step (+62.7%).
 //
-// Gang results are byte-identical to solo runs of the same configs: the
-// shared/member split reorders no floating-point arithmetic (see the
-// seam comment in Sim.Step), and forks clone state bit-exactly.
+// Gang results are byte-identical to solo runs of the same configs: a solo
+// run is the one-member class, the shared/member split reorders no
+// floating-point arithmetic (see the seam comment in Sim.Step), and forks
+// clone state bit-exactly. Sharing history and windows is exact because
+// classes never merge: members of one class have received the same
+// actuation, power and chip power since cycle 0, and equal schedules give
+// identical windows, so identical sums.
 
 import (
 	"context"
@@ -60,15 +68,165 @@ type GangStats struct {
 
 // gclass is one operating-point equivalence class: the members in
 // lock-step, all sharing the leader's core. members[0] is the leader; its
-// core, act and powerVec serve the whole class.
+// core, act and powerVec serve the whole class. A solo run is a class of
+// one.
 type gclass struct {
 	members []*Sim
-	done    bool
+	// cycled lists the members that step every cycle (stepMember), the
+	// leader last; wins holds one window per schedule of the plain members.
+	cycled []*Sim
+	wins   []*sharedWindow
+	hist   history
+	done   bool
+}
+
+// history is what every member of a class shares, updated once per
+// class-cycle: the cycle count, the stall countdown and its total, wall
+// time (the class's frequency is uniform), the fetch duty summed per
+// cycle, and the sum and maximum of the raw chip power. Finish writes it
+// into each member's Result; a member whose chip power is its own
+// (Sim.ownChip) keeps those two itself.
+type history struct {
+	cycle        uint64
+	stall        uint64 // stall cycles still owed
+	stallCycles  uint64
+	wallSeconds  float64
+	dutySum      float64
+	chipPowerSum float64
+	maxChipPower float64
+}
+
+// sharedWindow is the window of one schedule that the class's plain
+// members on that schedule read: the class adds the raw power vector to
+// it once per cycle for all of them.
+type sharedWindow struct {
+	window
+	members []*Sim
+}
+
+// adopt makes members the class's members and sorts them by how they
+// step. A plain member reads the class's window for its schedule, copied
+// on first use from the window it read before, so a fork hands each
+// partition its open accumulation. Every other member steps every cycle,
+// the leader last: stepMember scales its powerVec in place (frequency
+// factor, leakage), and the leader's powerVec IS the shared raw vector —
+// stepping it first would hand every later member a base already scaled
+// by the leader's factors.
+func (c *gclass) adopt(members []*Sim) {
+	c.members = members
+	c.cycled, c.wins = nil, nil
+	for i := range members {
+		m := members[(i+1)%len(members)] // the leader last
+		m.cls = c
+		if !m.plain {
+			c.cycled = append(c.cycled, m)
+			continue
+		}
+		var sw *sharedWindow
+		for _, w := range c.wins {
+			if w.equal(&m.acct.win.schedule) {
+				sw = w
+				break
+			}
+		}
+		if sw == nil {
+			sw = &sharedWindow{window: *m.acct.win.clone()}
+			c.wins = append(c.wins, sw)
+		}
+		sw.members = append(sw.members, m)
+		m.acct.win = &sw.window
+	}
+}
+
+// step advances the class by one exact cycle: the shared front half and
+// history once, each schedule window's accumulation and its plain
+// members' work at its end, and the members that step every cycle.
+// Returns whether any member's controllers sampled: actuation changes
+// only then, so only then can members diverge. Allocation-free.
+func (c *gclass) step() bool {
+	lead := c.members[0]
+	h := &c.hist
+	stalled := h.stall > 0
+	if stalled {
+		lead.act.Reset() // the clock runs but the shared pipeline is idle
+	} else {
+		lead.core.Step(&lead.act)
+	}
+	// A lone member that scales or adds leakage sums its own chip power,
+	// so the raw chip power is only needed when someone reads it as is.
+	base := lead.powerVec
+	lead.pmodel.BlockPower(&lead.act, base)
+	var chip float64
+	if len(c.members) > 1 || !lead.hasLeak && lead.powerFactor() == 1 {
+		chip = lead.pmodel.ChipPower(&lead.act, base)
+	}
+	h.cycle++
+	cycle := h.cycle
+	if stalled {
+		h.stall--
+		h.stallCycles++
+	}
+	h.chipPowerSum += chip
+	if chip > h.maxChipPower {
+		h.maxChipPower = chip
+	}
+	h.wallSeconds += lead.wallDt()
+
+	// Windows first: a leader that steps every cycle adjusts base in
+	// place. A plain member's frequency is 1, so its flush takes invF 1.
+	sampled := false
+	for _, w := range c.wins {
+		if !w.add(base) {
+			continue
+		}
+		k, mean := w.close()
+		for _, m := range w.members {
+			m.acct.flush(mean, k, 1)
+			if !stalled && m.sampleDTM(cycle) {
+				sampled = true
+			}
+		}
+		w.openAfter(cycle)
+	}
+	for _, m := range c.cycled {
+		if m.stepMember(&lead.act, base, chip, stalled, cycle) {
+			sampled = true
+		}
+	}
+	return sampled
+}
+
+// endCycle closes the class's cycle once its actuation is settled, after
+// any fork: a stall its controllers commanded this cycle moves from the
+// members' records into the class countdown, and the cycle's fetch duty
+// joins the duty sum.
+func (c *gclass) endCycle() {
+	lead := c.members[0]
+	if st := lead.cmd.stall; st > 0 {
+		c.hist.stall = st
+		for _, m := range c.members {
+			m.cmd.stall = 0
+		}
+	}
+	c.hist.dutySum += lead.cmd.FetchDuty
+}
+
+// closeWindows closes the schedule windows' partial windows into every
+// member reading them, so Finish accounts for every simulated cycle. It
+// is idempotent: a closed window has nothing elapsed.
+func (c *gclass) closeWindows() {
+	for _, w := range c.wins {
+		if k, mean := w.close(); k > 0 {
+			for _, m := range w.members {
+				m.acct.flush(mean, k, 1)
+			}
+		}
+	}
 }
 
 // diverged reports whether any member's actuation differs from the
-// leader's. Five comparisons per member per cycle — cheap enough to run
-// unconditionally.
+// leader's. It runs only on cycles where some member sampled, the only
+// cycles on which a member's actuation changes.
 func (c *gclass) diverged() bool {
 	lead := c.members[0]
 	for _, m := range c.members[1:] {
@@ -144,14 +302,16 @@ func NewGang(cfgs []Config, _ GangOptions) (*Gang, error) {
 	if err != nil {
 		return nil, fmt.Errorf("sim: gang config 0: %w", err)
 	}
-	c := &gclass{members: []*Sim{lead}}
+	members := []*Sim{lead}
 	for i := 1; i < len(cfgs); i++ {
 		m, err := newWith(cfgs[i], &lead.unit)
 		if err != nil {
 			return nil, fmt.Errorf("sim: gang config %d: %w", i, err)
 		}
-		c.members = append(c.members, m)
+		members = append(members, m)
 	}
+	c := new(gclass)
+	c.adopt(members)
 	g := &Gang{
 		classes: []*gclass{c},
 		results: make([]*Result, len(cfgs)),
@@ -212,47 +372,32 @@ func (g *Gang) Step() bool {
 	return g.live > 0
 }
 
-// stepClass runs one class-step: the shared front half once, the member
-// fan-out (with each instrumented member's telemetry tail) and the
-// divergence check. Allocation-free except when a fork fires.
+// stepClass runs one class-step: the class's cycle (gclass.step), the
+// divergence check on cycles where some member sampled, and the cycle's
+// close in every class the step leaves. Allocation-free except when a
+// fork fires.
 func (g *Gang) stepClass(c *gclass) {
-	lead := c.members[0]
-	stalled := lead.cmd.stall > 0
-	if stalled {
-		lead.act.Reset() // the clock runs but the shared pipeline is idle
-	} else {
-		lead.core.Step(&lead.act)
-	}
-	lead.pmodel.BlockPower(&lead.act, lead.powerVec)
-	chip := lead.pmodel.ChipPower(&lead.act, lead.powerVec)
-	// Fan out with the leader LAST: stepMember scales its powerVec in
-	// place (frequency factor, leakage), and the leader's powerVec IS the
-	// shared raw vector — stepping it first would hand every later member
-	// a base already scaled by the leader's factors.
-	for _, m := range c.members[1:] {
-		if mc := m.stepMember(&lead.act, lead.powerVec, chip, stalled); m.instrumented {
-			m.stepTail(mc)
-		}
-	}
-	if mc := lead.stepMember(&lead.act, lead.powerVec, chip, stalled); lead.instrumented {
-		lead.stepTail(mc)
-	}
 	g.stats.MemberCycles += uint64(len(c.members))
 	g.stats.ClassCycles++
-
-	if len(c.members) > 1 && c.diverged() {
+	n := len(g.classes)
+	if c.step() && len(c.members) > 1 && c.diverged() {
 		g.fork(c)
+	}
+	c.endCycle()
+	for _, f := range g.classes[n:] {
+		f.endCycle()
 	}
 }
 
 // fork splits c into one class per distinct actuation. The partition
 // containing the old leader keeps the shared core; every other partition
-// deep-clones it and promotes its first member to leader. Each partition
-// then applies its leader's actuation to its core: the shared core last
-// saw the actuation of whichever member sampled last, and re-applying the
-// record the last DTM sample chose reproduces exactly the state a solo
-// run's core would hold. Forks allocate; they fire only on actuation
-// divergence, which is rare at the cycle scale.
+// deep-clones it and promotes its first member to leader. Each new class
+// starts from a copy of c's history and of its open windows. Each
+// partition then applies its leader's actuation to its core: the shared
+// core last saw the actuation of whichever member sampled last, and
+// re-applying the record the last DTM sample chose reproduces exactly the
+// state a solo run's core would hold. Forks allocate; they fire only on
+// actuation divergence, which is rare at the cycle scale.
 func (g *Gang) fork(c *gclass) {
 	var parts [][]*Sim
 	for _, m := range c.members {
@@ -267,16 +412,18 @@ func (g *Gang) fork(c *gclass) {
 	}
 	// parts[0] holds the old leader (first-seen order) and keeps the
 	// shared core in place.
-	c.members = parts[0]
 	for _, p := range parts[1:] {
 		u := p[0].unit.clone()
 		for _, m := range p {
 			m.unit = u
 		}
-		g.classes = append(g.classes, &gclass{members: p})
+		f := &gclass{hist: c.hist}
+		f.adopt(p)
+		g.classes = append(g.classes, f)
 		g.live++
 		g.stats.Forks++
 	}
+	c.adopt(parts[0])
 	for _, p := range parts {
 		p[0].cmd.apply(p[0].core)
 	}

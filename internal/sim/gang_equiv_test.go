@@ -9,11 +9,14 @@ package sim_test
 import (
 	"context"
 	"encoding/json"
+	"io"
 	"testing"
 
 	"repro/internal/bench"
+	"repro/internal/power"
 	"repro/internal/sensor"
 	"repro/internal/sim"
+	"repro/internal/telemetry"
 )
 
 // gangEquivInsts sizes the matrix runs: long enough that PI-family
@@ -160,5 +163,136 @@ func TestGangSharedCalibration(t *testing.T) {
 			t.Logf("members=%d forks=%d merges=%d occupancy=%.2f",
 				st.Members, st.Forks, st.Merges, float64(st.MemberCycles)/float64(st.ClassCycles))
 		})
+	}
+}
+
+// memberSetup configures one gang member; reg and rec are the metrics
+// registry and trace recorder an instrumented member reports into.
+type memberSetup func(cfg *sim.Config, reg *telemetry.Registry, rec *telemetry.Recorder) error
+
+// eventMembers names the members of TestGangEventMembersMatchSolo: plain
+// members on five window schedules (no controller, PI and PID at the
+// paper's interval, PI at 250 and 4000 cycles, a 64-cycle stride), a
+// stalling toggle1, and members that step every cycle: Euler, proxies,
+// leakage, frequency scaling and telemetry.
+var eventMembers = []struct {
+	name  string
+	setup memberSetup
+}{
+	{"none", policy("none", 0)},
+	{"none/stride64", func(cfg *sim.Config, _ *telemetry.Registry, _ *telemetry.Recorder) error {
+		cfg.ThermalStride = 64
+		return nil
+	}},
+	{"PI", policy("PI", 0)},
+	{"PI@110.5", policy("PI", 110.5)},
+	{"PID", policy("PID", 0)},
+	{"PI/250", interval(250)},
+	{"PI/4000", interval(4000)},
+	{"toggle1", policy("toggle1", 0)},
+	{"PI/euler", func(cfg *sim.Config, _ *telemetry.Registry, _ *telemetry.Recorder) error {
+		cfg.ThermalStride = 1
+		return bench.ApplyPolicy(cfg, "PI", 0)
+	}},
+	{"none/proxies", func(cfg *sim.Config, _ *telemetry.Registry, _ *telemetry.Recorder) error {
+		cfg.ProxyWindows = []int{10_000}
+		return nil
+	}},
+	{"PI/leakage", func(cfg *sim.Config, _ *telemetry.Registry, _ *telemetry.Recorder) error {
+		cfg.Leakage = power.DefaultLeakage()
+		return bench.ApplyPolicy(cfg, "PI", 0)
+	}},
+	{"fscale", policy("fscale", 0)},
+	{"PI/instrumented", func(cfg *sim.Config, reg *telemetry.Registry, rec *telemetry.Recorder) error {
+		cfg.Metrics, cfg.Trace, cfg.TraceInterval = telemetry.NewSimMetrics(reg), rec, 600
+		return bench.ApplyPolicy(cfg, "PI", 0)
+	}},
+}
+
+// policy is the named bench policy, at setpoint when it is nonzero.
+func policy(name string, setpoint float64) memberSetup {
+	return func(cfg *sim.Config, _ *telemetry.Registry, _ *telemetry.Recorder) error {
+		return bench.ApplyPolicy(cfg, name, setpoint)
+	}
+}
+
+// interval is the PI policy sampling every iv cycles.
+func interval(iv uint64) memberSetup {
+	return func(cfg *sim.Config, _ *telemetry.Registry, _ *telemetry.Recorder) error {
+		if err := bench.ApplyPolicy(cfg, "PI", 0); err != nil {
+			return err
+		}
+		cfg.Manager.Interval = iv
+		return nil
+	}
+}
+
+// TestGangEventMembersMatchSolo: plain members share their class's
+// history and one window per schedule and work only at window ends and
+// controller samples; every other member steps every cycle. A gang mixing
+// both, warm-started above the emergency level so every controller acts
+// at once and the gang forks in the middle of open windows, must leave
+// each member byte-identical to its solo run.
+func TestGangEventMembersMatchSolo(t *testing.T) {
+	setups := make(map[string]memberSetup, len(eventMembers))
+	var names []string
+	for _, m := range eventMembers {
+		setups[m.name] = m.setup
+		names = append(names, m.name)
+	}
+	names = raceSubset(names, "none", "PI/250", "PI/4000", "toggle1", "none/proxies", "PI/instrumented")
+	insts := uint64(150_000)
+	if sim.RaceDetector {
+		insts = 40_000 // the warm start forks the gang within its first samples
+	}
+	prof, err := bench.ByName("gcc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	nblk := numBlocks(t)
+	mk := func() []sim.Config {
+		reg := telemetry.NewRegistry()
+		rec := telemetry.NewRecorder(io.Discard, nblk, 64)
+		cfgs := make([]sim.Config, len(names))
+		for i, name := range names {
+			cfg := &cfgs[i]
+			cfg.Workload, cfg.MaxInsts = prof, insts
+			cfg.InitTemps = make([]float64, nblk)
+			for b := range cfg.InitTemps {
+				cfg.InitTemps[b] = 112
+			}
+			if err := setups[name](cfg, reg, rec); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+		}
+		return cfgs
+	}
+
+	g, err := sim.NewGang(mk(), sim.GangOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ganged, err := g.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, cfg := range mk() {
+		solo, err := sim.Run(cfg)
+		if err != nil {
+			t.Fatalf("solo %s: %v", names[i], err)
+		}
+		want, err1 := json.Marshal(solo)
+		got, err2 := json.Marshal(ganged[i])
+		if err1 != nil || err2 != nil {
+			t.Fatal(err1, err2)
+		}
+		if string(want) != string(got) {
+			t.Errorf("%s: gang result differs from solo:\nsolo: %s\ngang: %s", names[i], want, got)
+		}
+	}
+	if st := g.Stats(); st.Forks == 0 {
+		t.Errorf("the gang never forked: %+v", st)
+	} else {
+		t.Logf("stats: %+v", st)
 	}
 }

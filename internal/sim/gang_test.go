@@ -282,17 +282,16 @@ func TestGangRejectsIneligibleConfigs(t *testing.T) {
 	}
 }
 
-// steadyGang builds a same-class gang (identical configs, so it never
-// forks) and warms it past construction transients.
-func steadyGang(tb testing.TB, n int, cfg func() Config) *Gang {
+// steadyGang builds a gang of the configs from mk, with an effectively
+// unbounded budget, and warms it past construction transients.
+func steadyGang(tb testing.TB, mk func() []Config) *Gang {
 	tb.Helper()
-	cfgs := make([]Config, 0, n)
-	for i := 0; i < n; i++ {
-		c := cfg()
+	cfgs := mk()
+	for i := range cfgs {
+		c := &cfgs[i]
 		c.Workload = hotProfile()
 		c.MaxInsts = 1 << 60
 		c.MaxCycles = 1 << 62
-		cfgs = append(cfgs, c)
 	}
 	g, err := NewGang(cfgs, GangOptions{})
 	if err != nil {
@@ -304,20 +303,50 @@ func steadyGang(tb testing.TB, n int, cfg func() Config) *Gang {
 	return g
 }
 
+// repeat returns n copies of the config from cfg, each with its own
+// controllers.
+func repeat(n int, cfg func() Config) func() []Config {
+	return func() []Config {
+		cfgs := make([]Config, n)
+		for i := range cfgs {
+			cfgs[i] = cfg()
+		}
+		return cfgs
+	}
+}
+
+// idlePI is a PI manager sampling every interval cycles at a setpoint the
+// hot profile never reaches: it samples but never throttles, so it keeps
+// an uncontrolled member's actuation and never forks from it.
+func idlePI(interval uint64) *dtm.Manager {
+	m := newPIManager(150)
+	m.Interval = interval
+	return m
+}
+
 // TestZeroAllocGangStep enforces the zero-allocation contract on the
 // class-step loop (forks, which are rare and may allocate, cannot occur
-// here because the members are identical). Part of
-// the repository's allocation gate (`go test -run TestZeroAlloc`).
+// here because the members' actuation never diverges). Mixed puts plain
+// members on three window schedules next to a proxied Euler member. Part
+// of the repository's allocation gate (`go test -run TestZeroAlloc`).
 func TestZeroAllocGangStep(t *testing.T) {
 	for _, v := range []struct {
 		name string
-		cfg  func() Config
+		cfgs func() []Config
 	}{
-		{"Exact", func() Config { return Config{} }},
-		{"DTM", func() Config { return Config{Manager: piManager()} }},
+		{"Exact", repeat(4, func() Config { return Config{} })},
+		{"DTM", repeat(4, func() Config { return Config{Manager: piManager()} })},
+		{"Mixed", func() []Config {
+			return []Config{
+				{},
+				{Manager: idlePI(1000)},
+				{Manager: idlePI(250)},
+				{ProxyWindows: []int{10_000}},
+			}
+		}},
 	} {
 		t.Run(v.name, func(t *testing.T) {
-			g := steadyGang(t, 4, v.cfg)
+			g := steadyGang(t, v.cfgs)
 			allocs := testing.AllocsPerRun(20, func() {
 				for i := 0; i < 50; i++ {
 					g.Step()
@@ -336,26 +365,40 @@ func TestZeroAllocGangStep(t *testing.T) {
 // BenchmarkGangStep measures the class-step cost at various gang sizes on
 // one shared class; the per-member cost should shrink toward the
 // member-fan-out cost as the gang grows. ns/member-cycle reports that
-// per-member cost.
+// per-member cost, ns/class-cycle the cost of one step of the class.
+// Sweep7 is a setpoint sweep's gang: an uncontrolled member and six PI
+// members that sample every 1000 cycles (at setpoints the hot profile
+// never reaches, so the class never forks).
 func BenchmarkGangStep(b *testing.B) {
 	for _, v := range []struct {
 		name string
-		n    int
-		cfg  func() Config
+		cfgs func() []Config
 	}{
-		{"Exact1", 1, func() Config { return Config{} }},
-		{"Exact4", 4, func() Config { return Config{} }},
-		{"Exact13", 13, func() Config { return Config{} }},
+		{"Exact1", repeat(1, func() Config { return Config{} })},
+		{"Exact4", repeat(4, func() Config { return Config{} })},
+		{"Exact13", repeat(13, func() Config { return Config{} })},
+		{"Sweep7", func() []Config {
+			cfgs := []Config{{}}
+			for range 6 {
+				cfgs = append(cfgs, Config{Manager: idlePI(1000)})
+			}
+			return cfgs
+		}},
 	} {
 		b.Run(v.name, func(b *testing.B) {
-			g := steadyGang(b, v.n, v.cfg)
+			g := steadyGang(b, v.cfgs)
 			b.ReportAllocs()
-			m0 := g.stats.MemberCycles
+			m0, c0 := g.stats.MemberCycles, g.stats.ClassCycles
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				g.Step()
 			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(g.stats.MemberCycles-m0), "ns/member-cycle")
+			ns := float64(b.Elapsed().Nanoseconds())
+			b.ReportMetric(ns/float64(g.stats.MemberCycles-m0), "ns/member-cycle")
+			b.ReportMetric(ns/float64(g.stats.ClassCycles-c0), "ns/class-cycle")
+			if g.stats.Forks != 0 {
+				b.Fatalf("the class forked (%d)", g.stats.Forks)
+			}
 		})
 	}
 }

@@ -239,9 +239,6 @@ func NewMulticore(cfg MulticoreConfig) (*Multicore, error) {
 		stride = DefaultThermalStride
 	}
 	s.acct = newThermAcct(net, cfg.Thresholds, blocks, nb, stride, []uint64{interval}, cfg.MaxCycles)
-	if s.acct.fast {
-		s.acct.open(s.acct.nextWindowLen(0))
-	}
 	return s, nil
 }
 
@@ -431,9 +428,9 @@ func (s *Multicore) Step() {
 
 	res.WallSeconds += s.dt
 	if s.acct.fast {
-		if s.acct.add(s.powerVec) {
-			s.acct.flush(s.acct.winLen, 1)
-			s.acct.open(s.acct.nextWindowLen(cycle))
+		if s.acct.win.add(s.powerVec) {
+			s.acct.closeWindow(1)
+			s.acct.win.openAfter(cycle)
 		}
 	} else {
 		s.acct.net.Step(s.powerVec)

@@ -311,29 +311,35 @@ type Sim struct {
 	// unit is the core this run drives; gang members share their class
 	// leader's.
 	unit
+	// cls is the class the run steps in: its own one-member class when
+	// solo, its gang class otherwise. The class keeps the cycle count and
+	// the rest of the history its members share.
+	cls      *gclass
 	acct     thermAcct // network, temperatures and thermal bookkeeping
 	mgr      *dtm.Manager
 	chipNode *thermal.ChipModel
 	res      *Result
 
 	// Per-cycle state. Every slice is sized at construction.
-	act          pipeline.Activity
-	powerVec     []float64
-	sensed       []float64
-	leakPeak     []float64 // hoisted net.Block(i).PeakPower lookups
-	chipPowerSum float64   // chip power summed over the cycles so far
+	act      pipeline.Activity
+	powerVec []float64
+	sensed   []float64
+	leakPeak []float64 // hoisted net.Block(i).PeakPower lookups
+	// chipPowerSum sums the run's own chip power when it differs from the
+	// class's (ownChip); res.MaxChipPower tracks its maximum likewise.
+	chipPowerSum float64
 	proxies      []proxyPair
 	monitor      []int
 
 	dt        float64
-	dutySum   float64
 	stepCarry float64 // fractional thermal unit-steps owed (freq scaling)
-	cycle     uint64
 
-	// cmd is the actuation the run's controllers command; cmd.stall counts
-	// the stall cycles still owed. Gang execution compares it across
-	// members (the core is shared, so its state cannot be read back per
-	// member) and re-applies it to each partition's core after a fork.
+	// cmd is the actuation the run's controllers command. Its stall holds
+	// the stall cycles commanded at this cycle's samples until the class
+	// takes them into its countdown (gclass.endCycle). Gang execution
+	// compares it across members (the core is shared, so its state cannot
+	// be read back per member) and re-applies it to each partition's core
+	// after a fork.
 	cmd actuation
 
 	// Telemetry. pid is the closed-loop controller (if the active policy
@@ -360,7 +366,16 @@ type Sim struct {
 	hasMetrics bool
 	// instrumented: a telemetry sink is attached, so stepTail runs.
 	instrumented bool
-	finished     bool
+	// ownChip: leakage or frequency scaling may change the run's power
+	// vector, so it sums its own chip power instead of the class's.
+	ownChip bool
+	// plain: a fast-path run with no leakage, scaling, hierarchy or sink.
+	// Its power is the class's raw vector and its frequency never moves,
+	// so it shares its class's window for its schedule and does work only
+	// at that window's ends: the flush and, on a sample cycle, sampleDTM.
+	// Every other run steps every cycle (stepMember).
+	plain    bool
+	finished bool
 }
 
 // Run executes one simulation to completion.
@@ -399,13 +414,22 @@ func runDefaults(maxInsts uint64, pcfg *pipeline.Config, th *Thresholds, maxCycl
 	return nil
 }
 
-// New validates cfg and builds a steppable simulation.
-func New(cfg Config) (*Sim, error) { return newWith(cfg, nil) }
+// New validates cfg and builds a steppable simulation: the one member of
+// its own class.
+func New(cfg Config) (*Sim, error) {
+	s, err := newWith(cfg, nil)
+	if err != nil {
+		return nil, err
+	}
+	new(gclass).adopt([]*Sim{s})
+	return s, nil
+}
 
 // newWith builds a simulation around shared, or around a core of its own
-// when shared is nil. Gang execution passes the class leader's core so
-// every member observes the same instruction/activity stream. The shared
-// core is only read here — construction never mutates it.
+// when shared is nil, for the caller to place in a class. Gang execution
+// passes the class leader's core so every member observes the same
+// instruction/activity stream. The shared core is only read here —
+// construction never mutates it.
 func newWith(cfg Config, shared *unit) (*Sim, error) {
 	if err := runDefaults(cfg.MaxInsts, &cfg.Pipeline, &cfg.Thresholds, &cfg.MaxCycles); err != nil {
 		return nil, err
@@ -558,11 +582,10 @@ func newWith(cfg Config, shared *unit) (*Sim, error) {
 		hasMetrics: cfg.Metrics != nil,
 	}
 	s.instrumented = cfg.TraceStride > 0 || s.hasMetrics || cfg.Trace != nil
+	s.ownChip = s.hasLeak || s.hasScaling || s.hasHier
+	s.plain = s.acct.fast && !s.ownChip && !s.instrumented
 	for i := 0; i < nblk; i++ {
 		s.leakPeak[i] = net.Block(i).PeakPower
-	}
-	if s.acct.fast {
-		s.acct.open(s.acct.nextWindowLen(0))
 	}
 
 	// Telemetry wiring: find the PID behind the active policy (if any) so
@@ -602,18 +625,18 @@ const thermalTimeMask = 1<<10 - 1
 // last flush into the metrics bundle, then refreshes the state gauges.
 func (s *Sim) flushMetrics() {
 	m := s.cfg.Metrics
-	res := s.res
-	if d := s.cycle - s.mCycles; d > 0 {
+	h := &s.cls.hist
+	if d := h.cycle - s.mCycles; d > 0 {
 		m.Cycles.Add(int64(d))
-		s.mCycles = s.cycle
+		s.mCycles = h.cycle
 	}
 	if total := s.core.Stats().Committed; total > s.mInsts {
 		m.Insts.Add(int64(total - s.mInsts))
 		s.mInsts = total
 	}
-	if res.StallCycles > s.mStalls {
-		m.StallCycles.Add(int64(res.StallCycles - s.mStalls))
-		s.mStalls = res.StallCycles
+	if h.stallCycles > s.mStalls {
+		m.StallCycles.Add(int64(h.stallCycles - s.mStalls))
+		s.mStalls = h.stallCycles
 	}
 	if em := s.acct.chipEm; em > s.mEmerg {
 		m.EmergencyCycles.Add(int64(em - s.mEmerg))
@@ -633,8 +656,8 @@ func (s *Sim) flushMetrics() {
 func (s *Sim) recordTrace(chip float64, temps []float64) {
 	smp := telemetry.Sample{
 		Run:         s.cfg.TraceID,
-		Cycle:       s.cycle,
-		WallSeconds: s.res.WallSeconds,
+		Cycle:       s.cls.hist.cycle,
+		WallSeconds: s.cls.hist.wallSeconds,
 		HotTemp:     maxOf(temps),
 		Duty:        s.cmd.FetchDuty,
 		FreqFactor:  s.cmd.freq,
@@ -654,7 +677,7 @@ func (s *Sim) recordTrace(chip float64, temps []float64) {
 // Done reports whether the run has reached its instruction or cycle
 // budget.
 func (s *Sim) Done() bool {
-	return s.core.Stats().Committed >= s.cfg.MaxInsts || s.cycle >= s.cfg.MaxCycles
+	return s.core.Stats().Committed >= s.cfg.MaxInsts || s.cls.hist.cycle >= s.cfg.MaxCycles
 }
 
 // Step advances the simulation by one clock cycle: pipeline, power,
@@ -662,31 +685,16 @@ func (s *Sim) Done() bool {
 // allocations in the steady state (traces, when enabled, amortize
 // appends). Step must not be called after Finish.
 //
-// The body is split along the gang-execution seam: the shared prefix
-// (pipeline step, raw block power) is evaluated once per operating-point
-// equivalence class, and stepMember fans the resulting power vector out
-// into per-member state. Solo execution is the one-member special case;
-// the split introduces no floating-point reordering (see stepMember).
+// A solo run is the one-member case of gang execution: Step steps the
+// run's own class (gclass.step). The class evaluates the shared prefix
+// (pipeline step, raw block power and chip power) and the history every
+// member shares; a plain run then works only at its window ends, any
+// other run in stepMember. The split introduces no floating-point
+// reordering: every member consumes the same inputs in the same order as
+// this one-member case.
 func (s *Sim) Step() {
-	stalled := s.cmd.stall > 0
-	if stalled {
-		s.act.Reset() // clock runs but the pipeline is idle
-	} else {
-		s.core.Step(&s.act)
-	}
-
-	// Raw per-block dynamic power for this cycle. A run that scales or
-	// adds leakage sums its own modified vector in stepMember, so the raw
-	// chip power is only needed when the vector goes unmodified.
-	s.pmodel.BlockPower(&s.act, s.powerVec)
-	var chip float64
-	if !s.hasLeak && s.powerFactor() == 1 {
-		chip = s.pmodel.ChipPower(&s.act, s.powerVec)
-	}
-	chip = s.stepMember(&s.act, s.powerVec, chip, stalled)
-	if s.instrumented {
-		s.stepTail(chip)
-	}
+	s.cls.step()
+	s.cls.endCycle()
 }
 
 // powerFactor is the multiplier this run's frequency scaling or hierarchy
@@ -701,25 +709,17 @@ func (s *Sim) powerFactor() float64 {
 	return 1
 }
 
-// stepMember advances this member's private state for one exact cycle
-// given the class-shared activity record, raw power vector and its chip
-// power: scaling and leakage, thermal integration, DTM sampling and the
-// duty integral. base is the class leader's power vector and baseChip its
-// ChipPower. A member that keeps the raw power (factor 1, no leakage) reads
-// both as they are; one that adjusts it copies base into its own powerVec
-// first (the leader's powerVec is base, adjusted in place) and sums its
-// chip power again, so every member consumes bit-identical inputs and the
-// downstream arithmetic matches a solo run exactly. Returns the member's
-// chip power for the telemetry tail (stepTail).
-func (s *Sim) stepMember(act *pipeline.Activity, base []float64, baseChip float64, stalled bool) float64 {
-	s.cycle++
-	cycle := s.cycle
-	res := s.res
-	if stalled {
-		s.cmd.stall--
-		res.StallCycles++
-	}
-
+// stepMember advances the private state of a run that is not plain for
+// one exact cycle given the class-shared activity record, raw power
+// vector and its chip power: scaling and leakage, thermal integration,
+// DTM sampling and the telemetry tail. base is the class leader's power
+// vector and baseChip its ChipPower. A member that keeps the raw power
+// (factor 1, no leakage) reads both as they are; one that adjusts it
+// copies base into its own powerVec first (the leader's powerVec is base,
+// adjusted in place) and sums its chip power again, so every member
+// consumes bit-identical inputs and the downstream arithmetic matches a
+// solo run exactly. Returns whether the run's controllers sampled.
+func (s *Sim) stepMember(act *pipeline.Activity, base []float64, baseChip float64, stalled bool, cycle uint64) bool {
 	powerVec, chip := base, baseChip
 	if pf := s.powerFactor(); pf != 1 || s.hasLeak {
 		powerVec = s.powerVec
@@ -741,9 +741,11 @@ func (s *Sim) stepMember(act *pipeline.Activity, base []float64, baseChip float6
 		}
 		chip = s.pmodel.ChipPower(act, powerVec)
 	}
-	s.chipPowerSum += chip
-	if chip > res.MaxChipPower {
-		res.MaxChipPower = chip
+	if s.ownChip {
+		s.chipPowerSum += chip
+		if chip > s.res.MaxChipPower {
+			s.res.MaxChipPower = chip
+		}
 	}
 
 	// Thermal advance. The fast path accumulates this cycle's power and
@@ -759,25 +761,19 @@ func (s *Sim) stepMember(act *pipeline.Activity, base []float64, baseChip float6
 	// advances in continuous time so thermal time tracks wall time
 	// exactly.
 	if s.acct.fast {
-		stepDt := s.dt
-		if s.cmd.freq != 1 {
-			stepDt = s.dt / s.cmd.freq
-		}
-		res.WallSeconds += stepDt
-		res.ThermalSeconds += stepDt
-		if s.acct.add(powerVec) {
-			s.flush(s.acct.winLen)
-			s.acct.open(s.acct.nextWindowLen(cycle))
+		if s.acct.win.add(powerVec) {
+			s.flush()
+			s.acct.win.openAfter(cycle)
 		}
 	} else {
 		s.stepEuler(powerVec, chip, cycle)
 	}
 
-	if !stalled {
-		s.sampleDTM(cycle)
+	sampled := !stalled && s.sampleDTM(cycle)
+	if s.instrumented {
+		s.stepTail(chip)
 	}
-	s.dutySum += s.cmd.FetchDuty
-	return chip
+	return sampled
 }
 
 // stepTail feeds an instrumented run's sinks for the cycle just stepped:
@@ -785,7 +781,7 @@ func (s *Sim) stepMember(act *pipeline.Activity, base []float64, baseChip float6
 // and recorder samples every TraceInterval cycles. It only reads the run;
 // points and samples read the open fast-path window (thermAcct.current).
 func (s *Sim) stepTail(chip float64) {
-	cycle := s.cycle
+	cycle := s.cls.hist.cycle
 	if s.cfg.TraceStride > 0 && (cycle-1)%s.cfg.TraceStride == 0 {
 		res := s.res
 		temps := s.acct.current(s.invF())
@@ -804,13 +800,16 @@ func (s *Sim) stepTail(chip float64) {
 }
 
 // sampleDTM runs the DTM manager, frequency scaling and hierarchy
-// sampling for one (non-stalled) cycle. Policies observe the (possibly
-// non-ideal, possibly partial) sensors. Manager state only changes on
-// sample boundaries (StepActuation early-returns off-boundary with the
-// actuation unchanged and the core setters are idempotent), so the whole
-// block — including the sensor reads — runs only on boundaries.
-func (s *Sim) sampleDTM(cycle uint64) {
+// sampling for one (non-stalled) cycle and reports whether any of them
+// sampled. Policies observe the (possibly non-ideal, possibly partial)
+// sensors. Manager state only changes on sample boundaries
+// (StepActuation early-returns off-boundary with the actuation unchanged
+// and the core setters are idempotent), so the whole block — including
+// the sensor reads — runs only on boundaries.
+func (s *Sim) sampleDTM(cycle uint64) bool {
+	sampled := false
 	if s.mgr != nil && s.mgr.Interval != 0 && cycle%s.mgr.Interval == 0 {
+		sampled = true
 		obs := s.acct.temps
 		if s.monitor != nil {
 			s.sensed = s.sensed[:0]
@@ -834,11 +833,13 @@ func (s *Sim) sampleDTM(cycle uint64) {
 		}
 	}
 	if s.hasScaling && cycle%dtm.DefaultSampleInterval == 0 {
+		sampled = true
 		f, stall := s.cfg.Scaling.Sample(s.acct.temps)
 		s.cmd.freq = f
 		s.cmd.stall += stall
 	}
 	if s.hasHier && cycle%dtm.DefaultSampleInterval == 0 {
+		sampled = true
 		d, f, stall := s.cfg.Hierarchy.SampleHierarchy(s.acct.temps)
 		s.cmd.FetchDuty = control.Quantize(d, 8)
 		s.cmd.freq = f
@@ -848,6 +849,7 @@ func (s *Sim) sampleDTM(cycle uint64) {
 			s.countDTMSample()
 		}
 	}
+	return sampled
 }
 
 // stepEuler is the per-cycle thermal path: one (or, under frequency
@@ -862,12 +864,10 @@ func (s *Sim) stepEuler(powerVec []float64, chip float64, cycle uint64) {
 	if timeStep {
 		t0 = time.Now()
 	}
-	stepDt := s.dt
 	if s.cmd.freq == 1 {
 		net.Step(powerVec)
 		res.ThermalSeconds += s.dt
 	} else {
-		stepDt = s.dt / s.cmd.freq
 		s.stepCarry += 1 / s.cmd.freq
 		steps := int(s.stepCarry)
 		s.stepCarry -= float64(steps)
@@ -876,7 +876,6 @@ func (s *Sim) stepEuler(powerVec []float64, chip float64, cycle uint64) {
 		}
 		res.ThermalSeconds += float64(steps) * s.dt
 	}
-	res.WallSeconds += stepDt
 	if timeStep {
 		s.cfg.Metrics.ThermalStep.Observe(time.Since(t0).Seconds())
 	}
@@ -894,9 +893,17 @@ func (s *Sim) stepEuler(powerVec []float64, chip float64, cycle uint64) {
 
 	// Heatsink drift (extension).
 	if s.chipNode != nil {
-		s.chipNode.Step(chip, stepDt)
+		s.chipNode.Step(chip, s.wallDt())
 		net.SetSinkTemp(s.chipNode.T)
 	}
+}
+
+// wallDt is the wall-clock length of one cycle at the run's frequency.
+func (s *Sim) wallDt() float64 {
+	if s.cmd.freq != 1 {
+		return s.dt / s.cmd.freq
+	}
+	return s.dt
 }
 
 // invF is the thermal-time scale of one wall-clock cycle under frequency
@@ -909,16 +916,17 @@ func (s *Sim) invF() float64 {
 	return 1
 }
 
-// flush closes the w-cycle fast-path window that ends this cycle. With
-// metrics attached, the first flush at or after each 1024-cycle mark (the
-// window holds a mark) samples its solve time into the bundle.
-func (s *Sim) flush(w uint64) {
-	if !s.hasMetrics || (s.cycle-w)&^thermalTimeMask == s.cycle&^thermalTimeMask {
-		s.acct.flush(w, s.invF())
+// flush closes the run's own fast-path window, which ends this cycle.
+// With metrics attached, the first flush at or after each 1024-cycle mark
+// (the window holds a mark) samples its solve time into the bundle.
+func (s *Sim) flush() {
+	cycle, w := s.cls.hist.cycle, s.acct.win.elapsed()
+	if !s.hasMetrics || (cycle-w)&^thermalTimeMask == cycle&^thermalTimeMask {
+		s.acct.closeWindow(s.invF())
 		return
 	}
 	t0 := time.Now()
-	s.acct.flush(w, s.invF())
+	s.acct.closeWindow(s.invF())
 	s.cfg.Metrics.ThermalStep.Observe(time.Since(t0).Seconds())
 }
 
@@ -951,15 +959,28 @@ func (s *Sim) Finish() *Result {
 		return res
 	}
 	s.finished = true
+	s.cls.closeWindows()
 	s.acct.finish(s.invF())
-	st := s.core.Stats()
-	res.Cycles = s.cycle
-	res.Insts = st.Committed
-	if s.cycle > 0 {
-		res.IPC = float64(res.Insts) / float64(s.cycle)
-		res.AvgDuty = s.dutySum / float64(s.cycle)
+	// The class history is this run's: its members have shared cycle,
+	// stalls, frequency, duty and (unless ownChip) chip power since
+	// cycle 0. Fast-path thermal time is wall time, summed the same way.
+	h := &s.cls.hist
+	res.Cycles = h.cycle
+	res.StallCycles = h.stallCycles
+	res.WallSeconds = h.wallSeconds
+	if s.acct.fast {
+		res.ThermalSeconds = h.wallSeconds
 	}
-	res.AvgChipPower = mean(s.chipPowerSum, s.cycle)
+	if !s.ownChip {
+		s.chipPowerSum, res.MaxChipPower = h.chipPowerSum, h.maxChipPower
+	}
+	st := s.core.Stats()
+	res.Insts = st.Committed
+	if h.cycle > 0 {
+		res.IPC = float64(res.Insts) / float64(h.cycle)
+		res.AvgDuty = h.dutySum / float64(h.cycle)
+	}
+	res.AvgChipPower = mean(s.chipPowerSum, h.cycle)
 	res.EmergencyCycles = s.acct.chipEm
 	res.StressCycles = s.acct.chipSt
 	if s.mgr != nil {
@@ -980,7 +1001,7 @@ func (s *Sim) Finish() *Result {
 // Run steps the simulation to completion (see runLoop); on cancellation
 // it returns the context error and a nil result.
 func (s *Sim) Run(ctx context.Context) (*Result, error) {
-	if err := runLoop(ctx, s.cycle, s.runTo); err != nil {
+	if err := runLoop(ctx, s.cls.hist.cycle, s.runTo); err != nil {
 		return nil, err
 	}
 	return s.Finish(), nil
@@ -988,8 +1009,8 @@ func (s *Sim) Run(ctx context.Context) (*Result, error) {
 
 // runTo steps until the run is done or reaches cycle limit.
 func (s *Sim) runTo(limit uint64) (uint64, bool) {
-	for s.cycle < limit && !s.Done() {
+	for s.cls.hist.cycle < limit && !s.Done() {
 		s.Step()
 	}
-	return s.cycle, !s.Done()
+	return s.cls.hist.cycle, !s.Done()
 }

@@ -16,11 +16,11 @@ import (
 // blocks, multicore one group per core.
 //
 // On the per-cycle Euler path the engine steps the network and calls
-// observe. On the macro-stepped fast path it feeds each cycle's block
-// power to add and closes every window with flush, which advances the
-// network in closed form and reconstructs the per-cycle bookkeeping
-// analytically; nextWindowLen schedules the windows so each one ends on
-// the next cycle that must observe fresh temperatures.
+// observe. On the macro-stepped fast path a window accumulates each
+// cycle's block power, and flush closes it with its mean power: it
+// advances the network in closed form and reconstructs the per-cycle
+// bookkeeping analytically. The window's schedule ends each window on the
+// next cycle that must observe fresh temperatures.
 type thermAcct struct {
 	net        *thermal.Network
 	emTh, stTh float64
@@ -38,42 +38,127 @@ type thermAcct struct {
 	groupEm, groupSt []uint64 // per-group any-block-above cycle counts
 	chipEm, chipSt   uint64   // chip-wide any-block-above cycle counts
 
-	// Fast path. The window length is the stride clamped to the next
-	// multiple of every clamp interval and to maxCycles.
-	fast            bool
-	stride          uint64
-	clamps          []uint64
-	maxCycles       uint64
-	winLen, winLeft uint64
-	powerAcc        []float64 // accumulated block energy of the open window
-	winTss          []float64 // flush scratch: per-block window steady states
-	peekPower       []float64 // current scratch: mean power of the open window
-	peekTemps       []float64 // current scratch: temperatures at this cycle
+	// Fast path. win is the open window: the accounting's own, or, for a
+	// plain gang member, the one its class shares among the members on
+	// the same schedule (see gclass.adopt).
+	fast      bool
+	win       *window
+	winTss    []float64 // flush scratch: per-block window steady states
+	peekPower []float64 // current scratch: mean power of the open window
+	peekTemps []float64 // current scratch: temperatures at this cycle
+}
+
+// schedule fixes where fast-path windows end: stride cycles after a
+// window opens, clamped to the next multiple of every clamp interval and
+// to maxCycles. Equal schedules end their windows on the same cycles.
+type schedule struct {
+	stride    uint64
+	clamps    []uint64
+	maxCycles uint64
+}
+
+// equal reports whether s and o end their windows on the same cycles.
+func (s *schedule) equal(o *schedule) bool {
+	return s.stride == o.stride && s.maxCycles == o.maxCycles && slices.Equal(s.clamps, o.clamps)
+}
+
+// nextLen returns the length of a window opened after cycle c: the
+// stride, clamped so the window ends no later than the next multiple of
+// every clamp interval and the cycle budget. The next boundary is always
+// strictly ahead of c, so every window has at least one cycle.
+func (s *schedule) nextLen(c uint64) uint64 {
+	w := s.stride
+	for _, iv := range s.clamps {
+		if d := (c/iv+1)*iv - c; d < w {
+			w = d
+		}
+	}
+	if s.maxCycles > c {
+		if d := s.maxCycles - c; d < w {
+			w = d
+		}
+	}
+	return max(w, 1)
+}
+
+// window is the open fast-path window of a schedule: the block energy
+// accumulated over the cycles it has run so far.
+type window struct {
+	schedule
+	n, left uint64    // length of the open window and cycles still to go
+	acc     []float64 // accumulated block energy of the open window
+	mean    []float64 // mean block power of the window last closed
+}
+
+// newWindow builds the schedule's window for nblk blocks, open from cycle 0.
+func newWindow(sch schedule, nblk int) *window {
+	w := &window{schedule: sch, acc: make([]float64, nblk), mean: make([]float64, nblk)}
+	w.openAfter(0)
+	return w
+}
+
+// clone deep-copies w, its open accumulation included.
+func (w *window) clone() *window {
+	c := *w
+	c.acc = slices.Clone(w.acc)
+	c.mean = make([]float64, len(w.mean))
+	return &c
+}
+
+// openAfter opens the window that follows cycle c.
+func (w *window) openAfter(c uint64) { w.n = w.nextLen(c); w.left = w.n }
+
+// add accumulates one cycle's block power into the open window and
+// reports whether that cycle ends it.
+func (w *window) add(power []float64) bool {
+	for i, p := range power {
+		w.acc[i] += p
+	}
+	w.left--
+	return w.left == 0
+}
+
+// elapsed returns how many cycles the open window has accumulated.
+func (w *window) elapsed() uint64 { return w.n - w.left }
+
+// close ends the open window after its elapsed cycles and returns their
+// count and mean block power, valid until the next close. The
+// accumulation restarts from zero; no window is open until openAfter.
+// With nothing elapsed it returns 0 and nil.
+func (w *window) close() (uint64, []float64) {
+	k := w.elapsed()
+	w.n, w.left = 0, 0
+	if k == 0 {
+		return 0, nil
+	}
+	fk := float64(k)
+	for i, e := range w.acc {
+		w.mean[i] = e / fk // accumulated energy -> mean window power
+		w.acc[i] = 0
+	}
+	return k, w.mean
 }
 
 // newThermAcct builds the accounting for net's blocks, split into groups of
 // gsize, writing per-block results into blocks. A stride above 1 selects
-// the fast path; the engine opens the first window.
+// the fast path, with its own window of the schedule opened at cycle 0.
 func newThermAcct(net *thermal.Network, th Thresholds, blocks []BlockResult, gsize int, stride uint64, clamps []uint64, maxCycles uint64) thermAcct {
 	nblk := net.NumBlocks()
 	ng := nblk / gsize
 	a := thermAcct{
-		net:       net,
-		emTh:      th.Emergency,
-		stTh:      th.Stress,
-		temps:     make([]float64, nblk),
-		tempSum:   make([]float64, nblk),
-		blocks:    blocks,
-		gsize:     gsize,
-		groupEm:   make([]uint64, ng),
-		groupSt:   make([]uint64, ng),
-		fast:      stride > 1,
-		stride:    stride,
-		clamps:    clamps,
-		maxCycles: maxCycles,
+		net:     net,
+		emTh:    th.Emergency,
+		stTh:    th.Stress,
+		temps:   make([]float64, nblk),
+		tempSum: make([]float64, nblk),
+		blocks:  blocks,
+		gsize:   gsize,
+		groupEm: make([]uint64, ng),
+		groupSt: make([]uint64, ng),
+		fast:    stride > 1,
 	}
 	if a.fast {
-		a.powerAcc = make([]float64, nblk)
+		a.win = newWindow(schedule{stride: stride, clamps: clamps, maxCycles: maxCycles}, nblk)
 		a.winTss = make([]float64, nblk)
 		a.peekPower = make([]float64, nblk)
 		a.peekTemps = make([]float64, nblk)
@@ -146,40 +231,8 @@ func (a *thermAcct) observe() bool {
 	return chipEm
 }
 
-// open starts a fast-path window of w cycles.
-func (a *thermAcct) open(w uint64) { a.winLen, a.winLeft = w, w }
-
-// add accumulates one cycle's block power into the open window and
-// reports whether that cycle ends it.
-func (a *thermAcct) add(power []float64) bool {
-	for i, p := range power {
-		a.powerAcc[i] += p
-	}
-	a.winLeft--
-	return a.winLeft == 0
-}
-
-// nextWindowLen returns the length of a window opened after cycle c: the
-// stride, clamped so the window ends no later than the next multiple of
-// every clamp interval and the cycle budget. The next boundary is always
-// strictly ahead of c, so every window has at least one cycle.
-func (a *thermAcct) nextWindowLen(c uint64) uint64 {
-	w := a.stride
-	for _, iv := range a.clamps {
-		if d := (c/iv+1)*iv - c; d < w {
-			w = d
-		}
-	}
-	if a.maxCycles > c {
-		if d := a.maxCycles - c; d < w {
-			w = d
-		}
-	}
-	return max(w, 1)
-}
-
-// flush advances the network across a w-cycle window of the accumulated
-// power with the closed-form exponential solution (lateral flows frozen at
+// flush advances the network across a w-cycle window of mean block power
+// mean with the closed-form exponential solution (lateral flows frozen at
 // the window-start temperatures) at thermal-time scale invF per cycle, and
 // reconstructs the per-cycle bookkeeping analytically. Within a
 // constant-power window each block's trajectory T(k) = tss + (T0−tss)·q^k
@@ -189,14 +242,10 @@ func (a *thermAcct) nextWindowLen(c uint64) uint64 {
 // (heating) of the window, so a group's union is min(longest prefix +
 // longest suffix, w) over its blocks, and the chip union the same over all
 // blocks. temps must still hold the window-start temperatures.
-func (a *thermAcct) flush(w uint64, invF float64) {
-	acc := a.powerAcc
+func (a *thermAcct) flush(mean []float64, w uint64, invF float64) {
 	fw := float64(w)
-	for i := range acc {
-		acc[i] /= fw // accumulated energy -> mean window power
-	}
 	q1, qn, qsum := a.net.WindowCoef(w, invF)
-	a.net.StepWindow(acc, w, invF, a.winTss)
+	a.net.StepWindow(mean, w, invF, a.winTss)
 	a.tempN += w
 
 	var chipEmPre, chipEmSuf, chipStPre, chipStSuf uint64
@@ -233,7 +282,6 @@ func (a *thermAcct) flush(w uint64, invF float64) {
 					stSuf = max(stSuf, n)
 				}
 			}
-			acc[i] = 0
 		}
 		a.groupEm[g] += min(emPre+emSuf, w)
 		a.groupSt[g] += min(stPre+stSuf, w)
@@ -245,18 +293,26 @@ func (a *thermAcct) flush(w uint64, invF float64) {
 	a.net.Temps(a.temps)
 }
 
+// closeWindow closes the open window after its elapsed cycles and flushes
+// their mean power; with nothing elapsed it does nothing.
+func (a *thermAcct) closeWindow(invF float64) {
+	if k, mean := a.win.close(); k > 0 {
+		a.flush(mean, k, invF)
+	}
+}
+
 // current returns the block temperatures at the last accounted cycle
 // without closing the open window: the closed form flush applies, over the
 // power accumulated so far, written into scratch, with the accumulation
 // left as it was. With no open window (the Euler path, or a window that
 // just closed) it returns temps. The slice is valid until the next call.
 func (a *thermAcct) current(invF float64) []float64 {
-	k := a.winLen - a.winLeft
-	if k == 0 {
+	if !a.fast || a.win.elapsed() == 0 {
 		return a.temps
 	}
+	k := a.win.elapsed()
 	fk := float64(k)
-	for i, e := range a.powerAcc {
+	for i, e := range a.win.acc {
 		a.peekPower[i] = e / fk
 	}
 	a.net.WindowTemps(a.peekTemps, a.peekPower, k, invF)
@@ -264,10 +320,12 @@ func (a *thermAcct) current(invF float64) []float64 {
 }
 
 // finish closes a partially filled fast-path window, so every simulated
-// cycle is accounted for, and fills the per-block mean temperatures.
+// cycle is accounted for, and fills the per-block mean temperatures. A
+// shared window is closed by its class first (gclass.closeWindows), so
+// here it has nothing elapsed.
 func (a *thermAcct) finish(invF float64) {
-	if elapsed := a.winLen - a.winLeft; elapsed > 0 {
-		a.flush(elapsed, invF)
+	if a.fast {
+		a.closeWindow(invF)
 	}
 	for i := range a.blocks {
 		a.blocks[i].AvgTemp = mean(a.tempSum[i], a.tempN)

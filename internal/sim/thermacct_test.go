@@ -142,11 +142,12 @@ func TestFlushMatchesEnumeration(t *testing.T) {
 			invF := []float64{1, 1 / 0.7, 2}[rng.Intn(3)]
 			for i := 0; i < nblk; i++ {
 				p := (tss[i] - th.SinkTemp) / net.Block(i).R
-				a.powerAcc[i] = p * float64(w)
+				a.win.acc[i] = p * float64(w)
 			}
+			a.win.n, a.win.left = w, 0
 			t0 := append([]float64(nil), a.temps...)
 
-			a.flush(w, invF)
+			a.closeWindow(invF)
 
 			var chipEm, chipSt uint64
 			groupEm := make([]uint64, ng)
