@@ -51,7 +51,6 @@ import (
 	_ "net/http/pprof"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"strconv"
 	"strings"
 	"time"
@@ -73,7 +72,6 @@ type serverConfig struct {
 	runTimeout time.Duration
 	admission  serving.AdmissionConfig
 	cacheDir   string
-	cacheMem   int64          // in-memory cache layer cap in bytes (0 = default)
 	chaos      *serving.Chaos // nil = no fault injection
 }
 
@@ -116,39 +114,16 @@ func newServer(parent context.Context, cfg serverConfig, logf func(format string
 		start: time.Now(),
 	}
 	if cfg.cacheDir != "" {
-		cache, err := runner.NewCacheWith[*sim.Result](runner.CacheConfig{
-			Dir:      cfg.cacheDir,
-			MemBytes: cfg.cacheMem,
-		}, telemetry.NewCacheMetrics(reg))
+		// The run catalog rides next to the cache: every stored result is
+		// indexed for /query.
+		st, err := experiments.OpenStore(cfg.cacheDir, reg)
 		if err != nil {
 			return nil, nil, err
 		}
 		if cfg.chaos != nil {
-			cache.SetFaultHook(cfg.chaos.DiskFault)
+			st.Cache.SetFaultHook(cfg.chaos.DiskFault)
 		}
-		s.cache = cache
-
-		// The run catalog rides next to the cache: every Put is flattened
-		// into the dimension index, and an empty catalog over a populated
-		// pack store (first boot after enabling the catalog, or a lost
-		// catalog log) is rebuilt from a store scan.
-		catalog, err := runindex.Open(filepath.Join(cfg.cacheDir, "catalog"),
-			runindex.Options{Metrics: telemetry.NewIndexMetrics(reg)})
-		if err != nil {
-			cache.Close()
-			return nil, nil, err
-		}
-		if catalog.Len() == 0 {
-			if n, err := catalog.RebuildFromStore(cache.Store()); err != nil {
-				logf("catalog rebuild: %v", err)
-			} else if n > 0 {
-				logf("catalog rebuilt: %d records recovered from the pack store", n)
-			}
-		}
-		cache.SetIngest(func(key string, res *sim.Result) {
-			catalog.Ingest(runindex.FromResult(key, res))
-		})
-		s.catalog = catalog
+		s.cache, s.catalog = st.Cache, st.Catalog
 	}
 
 	mux := http.NewServeMux()
@@ -169,7 +144,6 @@ func main() {
 		insts        = flag.Uint64("insts", 1_000_000, "committed instructions per run")
 		workers      = flag.String("workers", "", "worker mode: parallel simulations per batch (a number; empty or 0 = GOMAXPROCS). coordinator mode: comma-separated worker base URLs")
 		cacheDir     = flag.String("cache-dir", "", "persist /run results under this directory and replay identical requests (hit/miss counters on /metrics)")
-		cacheMemMiB  = flag.Int64("cache-mem", 0, "in-memory cache layer cap in MiB (0 = default 256, negative = unlimited)")
 		maxInFlight  = flag.Int("max-inflight", 0, "concurrent /run simulations and /batch grids admitted (0 = GOMAXPROCS)")
 		maxQueue     = flag.Int("queue", 8, "requests allowed to wait for a slot; overflow sheds with 429")
 		queueWait    = flag.Duration("queue-wait", 250*time.Millisecond, "longest a queued request may wait before being shed")
@@ -226,7 +200,6 @@ func main() {
 		workers:    nWorkers,
 		runTimeout: *runTimeout,
 		cacheDir:   *cacheDir,
-		cacheMem:   memBytes(*cacheMemMiB),
 		admission: serving.AdmissionConfig{
 			MaxInFlight: *maxInFlight,
 			MaxQueue:    *maxQueue,
@@ -273,15 +246,6 @@ func (s *server) drain(srv *http.Server, timeout time.Duration) error {
 		return fmt.Errorf("drain timed out after %s: %w", timeout, err)
 	}
 	return errors.Join(s.cache.Close(), s.catalog.Close())
-}
-
-// memBytes converts the -cache-mem MiB flag to the CacheConfig.MemBytes
-// convention: 0 keeps the default cap, negative means unlimited.
-func memBytes(mib int64) int64 {
-	if mib <= 0 {
-		return mib
-	}
-	return mib << 20
 }
 
 // runCoordinator boots the cluster coordinator: the same HTTP surface,
@@ -353,7 +317,7 @@ func (s *server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 // admission overflow to 429 with Retry-After. Like a batch, a run is
 // cancelled when the server drains and refused with 503 once it has.
 func (s *server) handleRun(w http.ResponseWriter, r *http.Request) {
-	reqID := s.ids.Next()
+	reqID := s.ids.For(r)
 	w.Header().Set("X-Request-Id", reqID)
 	if s.draining(w, reqID) {
 		return
@@ -475,7 +439,7 @@ func (s *server) admit(w http.ResponseWriter, r *http.Request, reqID string) (re
 //	curl 'localhost:8721/query?trigger=110:111&policy=PI'
 //	curl 'localhost:8721/query?bench=gcc&limit=50'
 func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	reqID := s.ids.Next()
+	reqID := s.ids.For(r)
 	w.Header().Set("X-Request-Id", reqID)
 	if s.catalog == nil {
 		serving.WriteError(w, nil, reqID, http.StatusNotFound,
@@ -499,7 +463,7 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 // for its whole run, is cancelled when the client leaves or the server
 // drains, and is refused with 503 once draining has begun.
 func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	reqID := s.ids.Next()
+	reqID := s.ids.For(r)
 	w.Header().Set("X-Request-Id", reqID)
 	if s.draining(w, reqID) {
 		return

@@ -370,6 +370,47 @@ func TestBatchMatchesCoordinator(t *testing.T) {
 	}
 }
 
+// TestRunRequestIDThroughCoordinator: a /run through a one-worker
+// coordinator answers with one request ID, in the header and the body:
+// the coordinator's own, or the caller's when it sent a valid one.
+func TestRunRequestIDThroughCoordinator(t *testing.T) {
+	_, worker := testServer(t, serverConfig{})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	_, mux, err := cluster.NewServer(ctx, cluster.Config{Workers: []string{worker.URL}}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord := httptest.NewServer(mux)
+	defer coord.Close()
+	for _, sent := range []string{"", "smoke-1", "bad id"} {
+		req, err := http.NewRequest(http.MethodGet, coord.URL+"/run?bench=gcc&policy=PI&insts=20000", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sent != "" {
+			req.Header.Set("X-Request-Id", sent)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sum bench.RunSummary
+		err = json.NewDecoder(resp.Body).Decode(&sum)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("X-Request-Id %q: status %d, %v", sent, resp.StatusCode, err)
+		}
+		hdr := resp.Header.Get("X-Request-Id")
+		if hdr == "" || hdr != sum.RequestID {
+			t.Errorf("X-Request-Id %q: header %q, body %q, want one ID", sent, hdr, sum.RequestID)
+		}
+		if adopted := hdr == sent; adopted != (sent == "smoke-1") {
+			t.Errorf("X-Request-Id %q answered as %q", sent, hdr)
+		}
+	}
+}
+
 // startLongBatch sends a batch far too long to finish in the background
 // and waits until it holds its admission slot (see startLong).
 func startLongBatch(t *testing.T, ctx context.Context, s *server, url string) <-chan []byte {

@@ -4,18 +4,20 @@
 // (sampling interval, setpoint).
 //
 // All sweep points and the baseline run as one batch through the
-// experiments batch engine (experiments.RunConfigs): cached cells are
-// served without simulating, and the cold ones, which share one workload,
-// step as one lock-step gang, with or without -trace/-metrics attached.
-// Ctrl-C aborts mid-sweep, and the simulated throughput is summarized on
-// stderr.
+// experiments batch engine (experiments.RunConfigs): with -cache-dir,
+// cells already in the store are served without simulating, and the cold
+// ones, which share one workload, step as one lock-step gang, with or
+// without -trace/-metrics attached. The cores sweep reads warm cells from
+// the store's run catalog. A repeated sweep over one -cache-dir simulates
+// nothing. Ctrl-C aborts mid-sweep, and the simulated throughput is
+// summarized on stderr.
 //
 //	sweep -param setpoint -bench gcc -policy PI
 //	sweep -param interval -bench gcc -policy PID
 //	sweep -param delay    -bench gcc            # toggle1 policy delay
 //	sweep -param trigger  -bench gcc            # toggle1 trigger level
 //	sweep -param cores    -bench hotneighbor -policy agi   # multicore scaling
-//	sweep -param trigger  -bench gcc -cache-dir .rc -fill  # pack-store cache + run catalog
+//	sweep -param trigger  -bench gcc -cache-dir .rc  # reuse runs across invocations
 package main
 
 import (
@@ -26,7 +28,6 @@ import (
 	"io"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"time"
 
 	"repro/internal/bench"
@@ -57,9 +58,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		workers   = fs.Int("workers", 0, "parallel simulations (0 = GOMAXPROCS)")
 		trace     = fs.String("trace", "", "write JSONL telemetry samples to this file")
 		metrics   = fs.String("metrics", "", "write a final Prometheus-text metrics dump to this file (\"-\" = stderr)")
-		cacheDir  = fs.String("cache-dir", "", "persist run results as pack volumes (pack-*.dat) under this directory and reuse them (disabled with -trace/-metrics)")
-		cacheMem  = fs.Int64("cache-mem", 0, "in-memory cache layer cap in MiB (0 = default 256, negative = unlimited)")
-		fill      = fs.Bool("fill", false, "grid-fill: consult the run catalog under <cache-dir>/catalog and dispatch only cells it is missing (requires -cache-dir)")
+		cacheDir  = fs.String("cache-dir", "", "persist run results as pack volumes (pack-*.dat) and a run catalog under this directory and reuse them (solo runs with -trace/-metrics always simulate)")
 	)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -87,29 +86,28 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 
-	// Grid-fill mode: the catalog rides next to the result cache and
-	// remembers every completed cell across sweep invocations, so a
-	// re-run (or a widened grid) dispatches only the cells it is missing
-	// and renders the rest from cataloged rows.
-	var catalog *runindex.Catalog
-	if *fill {
-		if *cacheDir == "" {
-			return fail(errors.New("sweep: -fill requires -cache-dir"))
-		}
-		var im *telemetry.IndexMetrics
-		if sinks.Registry != nil {
-			im = telemetry.NewIndexMetrics(sinks.Registry)
-		}
-		catalog, err = runindex.Open(filepath.Join(*cacheDir, "catalog"), runindex.Options{Metrics: im})
-		if err != nil {
+	// The store remembers every completed cell across sweep invocations,
+	// so a re-run (or a widened grid) simulates only the cells it is
+	// missing.
+	var store *experiments.Store
+	var cache *runner.Cache[*sim.Result]
+	if *cacheDir != "" {
+		if store, err = experiments.OpenStore(*cacheDir, sinks.Registry); err != nil {
 			return fail(err)
 		}
-		defer catalog.Close()
+		defer store.Close()
+		cache = store.Cache
+	}
+	// preflight reports how many of n cells the store answered.
+	preflight := func(n, cold int) {
+		if store != nil {
+			fmt.Fprintf(stderr, "cache pre-flight: %d/%d cells warm, %d cold\n", n-cold, n, cold)
+		}
 	}
 
 	// The cores sweep runs the multicore engine (its own config and result
-	// types, no result cache), so it branches off before the solo sweep
-	// machinery. -bench names a core-interaction scenario here and -policy
+	// types; warm cells come from the store's catalog rows, not the result
+	// cache), so it branches off before the solo sweep machinery. -bench names a core-interaction scenario here and -policy
 	// a multicore controller; each core count is reported against the
 	// uncontrolled baseline at the same count, and the two run as one
 	// multicore group through the multicore batch engine
@@ -132,7 +130,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		for _, nc := range counts {
 			cells = append(cells, cell{nc, "none"}, cell{nc, pol})
 		}
-		// Grid-fill keys each cell by the content hash of its config.
+		// The store's catalog keys each cell by the content hash of its
+		// config: multicore results have no solo cache entry.
 		cfgs := make([]sim.MulticoreConfig, len(cells))
 		keys := make([]string, len(cells))
 		for i, c := range cells {
@@ -144,18 +143,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 		recs := make([]runindex.Record, len(cells))
 		var cold []int
 		for i := range cells {
-			if catalog != nil {
-				if rec, ok := catalog.Get(keys[i]); ok {
+			if store != nil {
+				if rec, ok := store.Catalog.Get(keys[i]); ok {
 					recs[i] = rec
 					continue
 				}
 			}
 			cold = append(cold, i)
 		}
-		if catalog != nil {
-			fmt.Fprintf(stderr, "fill: %d/%d cells warm in catalog, dispatching %d cold cells\n",
-				len(cells)-len(cold), len(cells), len(cold))
-		}
+		preflight(len(cells), len(cold))
 		start := time.Now()
 		var cycles uint64
 		if len(cold) > 0 {
@@ -171,8 +167,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 			for j, i := range cold {
 				cycles += outs[j].Cycles
 				recs[i] = runindex.FromMulticore(keys[i], *insts, outs[j])
-				if catalog != nil {
-					catalog.Ingest(recs[i])
+				if store != nil {
+					store.Catalog.Ingest(recs[i])
 				}
 			}
 		}
@@ -270,37 +266,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	var cache *runner.Cache[*sim.Result]
-	if *cacheDir != "" {
-		var cm *telemetry.CacheMetrics
-		if sinks.Registry != nil {
-			cm = telemetry.NewCacheMetrics(sinks.Registry)
-		}
-		memBytes := *cacheMem
-		if memBytes > 0 {
-			memBytes <<= 20
-		}
-		cache, err = runner.NewCacheWith[*sim.Result](runner.CacheConfig{
-			Dir:      *cacheDir,
-			MemBytes: memBytes,
-		}, cm)
-		if err != nil {
-			return fail(err)
-		}
-		defer cache.Close()
-		if catalog != nil {
-			// A cache populated before -fill existed has results the catalog
-			// never saw; the pack store can replay them wholesale.
-			if catalog.Len() == 0 {
-				if n, err := catalog.RebuildFromStore(cache.Store()); err == nil && n > 0 {
-					fmt.Fprintf(stderr, "fill: rebuilt catalog from pack store (%d records)\n", n)
-				}
-			}
-			cache.SetIngest(func(key string, res *sim.Result) {
-				catalog.Ingest(runindex.FromResult(key, res))
-			})
-		}
-	}
 	// Baseline rides along as cell 0 so the whole sweep is one batch.
 	cfgs := make([]sim.Config, 0, len(points)+1)
 	baseCfg := sim.Config{Workload: prof, MaxInsts: *insts}
@@ -312,67 +277,31 @@ func run(args []string, stdout, stderr io.Writer) int {
 		cfgs = append(cfgs, cfg)
 	}
 
-	// With -fill the catalog answers first: its row is enough to render
-	// the CSV without touching the result cache. The rest run through the
-	// batch engine, which serves what it can from the cache and
-	// gang-schedules the cold remainder; its cache hits are ingested so
-	// the catalog catches up on results that predate it. Instrumented runs
-	// are rejected by sim.CacheKey and always execute.
-	recs := make([]runindex.Record, len(cfgs))
-	keys := make([]string, len(cfgs))
-	var pending []int
-	for i, cfg := range cfgs {
-		if cache != nil {
-			if key, ok := sim.CacheKey(cfg); ok {
-				keys[i] = key
-				if catalog != nil {
-					if rec, hit := catalog.Get(key); hit {
-						recs[i] = rec
-						continue
-					}
-				}
-			}
-		}
-		pending = append(pending, i)
-	}
-	batch := make([]sim.Config, len(pending))
-	for j, i := range pending {
-		batch[j] = cfgs[i]
-	}
 	p := experiments.Params{Context: ctx, Workers: *workers, Registry: sinks.Registry, Cache: cache}
 	start := time.Now()
-	outs, simulated, err := experiments.RunConfigs(p, batch)
+	outs, simulated, err := experiments.RunConfigs(p, cfgs)
 	if err != nil {
 		return fail(err)
 	}
 	cells, cycles := 0, uint64(0)
-	for j, i := range pending {
-		recs[i] = runindex.FromResult(keys[i], outs[j])
-		if simulated[j] {
+	for i, res := range outs {
+		if simulated[i] {
 			cells++
-			cycles += outs[j].Cycles
-		} else if catalog != nil {
-			catalog.Ingest(recs[i])
+			cycles += res.Cycles
 		}
 	}
-	if catalog != nil {
-		fmt.Fprintf(stderr, "fill: %d/%d cells warm in catalog, dispatching %d cold cells\n",
-			len(cfgs)-cells, len(cfgs), cells)
-	} else if cache != nil {
-		fmt.Fprintf(stderr, "cache pre-flight: %d/%d cells warm, %d cold\n",
-			len(cfgs)-cells, len(cfgs), cells)
-	}
-	base := &recs[0]
+	preflight(len(cfgs), cells)
+	base := outs[0]
 
 	fmt.Fprintf(stdout, "%s,ipc,pct_of_base,emerg_pct,stress_pct,avg_duty,engagements\n", *param)
 	for i, pt := range points {
-		res := &recs[i+1]
+		res := outs[i+1]
 		fmt.Fprintf(stdout, "%s,%.4f,%.2f,%.3f,%.3f,%.3f,%d\n",
 			pt.label, res.IPC, 100*res.IPC/base.IPC,
-			100*res.EmergFrac, 100*res.StressFrac,
+			100*res.EmergencyFrac(), 100*res.StressFrac(),
 			res.AvgDuty, res.Engagements)
 	}
-	fmt.Fprintf(stderr, "baseline: IPC %.4f emerg %.2f%%\n", base.IPC, 100*base.EmergFrac)
+	fmt.Fprintf(stderr, "baseline: IPC %.4f emerg %.2f%%\n", base.IPC, 100*base.EmergencyFrac())
 	if wall := time.Since(start).Seconds(); cells > 0 && wall > 0 {
 		fmt.Fprintf(stderr, "sweep: %d cells simulated, %d cycles, %.0f cycles/s\n",
 			cells, cycles, float64(cycles)/wall)

@@ -94,8 +94,8 @@ func BenchmarkSweep(b *testing.B) {
 // TestSweepCoresMatchesRef pins the multicore cores sweep at a small
 // budget: its CSV digest and the simulated-cycle count on stderr, for a
 // controller that shares the uncontrolled run's group to the end (PID) and
-// one that leaves it (budget). A second run against the same catalog
-// renders the same CSV from cataloged rows without simulating.
+// one that leaves it (budget). A second run against the same cache
+// directory renders the same CSV from cataloged rows without simulating.
 func TestSweepCoresMatchesRef(t *testing.T) {
 	for _, c := range []struct {
 		policy, sha256, cycles string
@@ -105,10 +105,10 @@ func TestSweepCoresMatchesRef(t *testing.T) {
 	} {
 		dir := t.TempDir()
 		args := []string{"-param", "cores", "-bench", "hotneighbor", "-policy", c.policy,
-			"-insts", "20000", "-cache-dir", dir, "-fill"}
+			"-insts", "20000", "-cache-dir", dir}
 		for pass, want := range []string{
-			"fill: 0/8 cells warm in catalog, dispatching 8 cold cells\n" + c.cycles,
-			"fill: 8/8 cells warm in catalog, dispatching 0 cold cells\n",
+			"cache pre-flight: 0/8 cells warm, 8 cold\n" + c.cycles,
+			"cache pre-flight: 8/8 cells warm, 0 cold\n",
 		} {
 			var stdout, stderr bytes.Buffer
 			if code := run(args, &stdout, &stderr); code != 0 {
@@ -121,6 +121,36 @@ func TestSweepCoresMatchesRef(t *testing.T) {
 			if !strings.HasPrefix(stderr.String(), want) {
 				t.Errorf("%s pass %d: stderr %q, want prefix %q", c.policy, pass, stderr.String(), want)
 			}
+		}
+	}
+}
+
+// TestSweepRepeatFromStore: a solo grid run twice against one cache
+// directory simulates every cell once, and the second pass answers all of
+// them from the store with the CSV of an uncached run.
+func TestSweepRepeatFromStore(t *testing.T) {
+	args := []string{"-param", "trigger", "-policy", "toggle1", "-bench", "gcc", "-insts", "20000"}
+	var plain, stderr bytes.Buffer
+	if code := run(args, &plain, &stderr); code != 0 {
+		t.Fatalf("sweep %v exited %d: %s", args, code, stderr.Bytes())
+	}
+	args = append(args, "-cache-dir", t.TempDir())
+	for pass, want := range []string{
+		"cache pre-flight: 0/7 cells warm, 7 cold\n",
+		"cache pre-flight: 7/7 cells warm, 0 cold\n",
+	} {
+		var stdout, stderr bytes.Buffer
+		if code := run(args, &stdout, &stderr); code != 0 {
+			t.Fatalf("sweep %v exited %d: %s", args, code, stderr.Bytes())
+		}
+		if !bytes.Equal(stdout.Bytes(), plain.Bytes()) {
+			t.Errorf("pass %d CSV differs from the uncached run:\n%s\nwant:\n%s", pass, stdout.Bytes(), plain.Bytes())
+		}
+		if !strings.HasPrefix(stderr.String(), want) {
+			t.Errorf("pass %d: stderr %q, want prefix %q", pass, stderr.String(), want)
+		}
+		if simulated := strings.Contains(stderr.String(), "cells simulated"); simulated != (pass == 0) {
+			t.Errorf("pass %d: stderr %q", pass, stderr.String())
 		}
 	}
 }

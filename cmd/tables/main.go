@@ -12,10 +12,11 @@
 //	tables -workers 4      # bound batch parallelism
 //	tables -metrics m.prom # dump final Prometheus-text metrics
 //	tables -trace t.jsonl  # stream per-run telemetry samples
-//	tables -cache-dir .rc  # reuse identical runs across invocations (pack store)
+//	tables -cache-dir .rc  # reuse identical runs across invocations (pack store + run catalog)
 //
 // Catalog mode renders reports from run history (the dimension-indexed
-// catalog maintained by sweep -fill and cmd/serve) without simulating:
+// catalog every -cache-dir run of tables, sweep and cmd/serve feeds)
+// without simulating:
 //
 //	tables -catalog .rc/catalog                    # per bench/policy rollup
 //	tables -catalog .rc/catalog -pareto            # IPC/emergency frontier
@@ -57,10 +58,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		insts    = fs.Uint64("insts", 2_000_000, "committed instructions per run")
 		workers  = fs.Int("workers", 0, "parallel simulations (0 = GOMAXPROCS)")
 		progress = fs.Bool("progress", true, "report per-job batch progress on stderr (a gang of runs is one job)")
-		trace    = fs.String("trace", "", "write JSONL telemetry samples of the solo tables' runs to this file (\"-\" = stdout); Table 14's multicore runs record none (ROADMAP item 2)")
+		trace    = fs.String("trace", "", "write JSONL telemetry samples of the solo tables' runs to this file (\"-\" = stdout); Table 14's multicore runs record none")
 		metrics  = fs.String("metrics", "", "write a final Prometheus-text metrics dump to this file (\"-\" = stderr)")
-		cacheDir = fs.String("cache-dir", "", "persist run results as pack volumes (pack-*.dat) under this directory and reuse them (disabled with -trace/-metrics)")
-		cacheMem = fs.Int64("cache-mem", 0, "in-memory cache layer cap in MiB (0 = default 256, negative = unlimited)")
+		cacheDir = fs.String("cache-dir", "", "persist run results as pack volumes (pack-*.dat) and a run catalog (<dir>/catalog) under this directory and reuse them (disabled with -trace/-metrics)")
 		catDir   = fs.String("catalog", "", "render reports from the run catalog at this directory instead of simulating")
 		pareto   = fs.Bool("pareto", false, "with -catalog: print the per-benchmark IPC/emergency pareto frontier")
 		sensDim  = fs.String("sensitivity", "", "with -catalog: print mean metrics bucketed by this dimension (trigger|kp|ki|interval|stride|cores|insts)")
@@ -123,23 +123,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 	p.Registry = sinks.Registry
 	p.Trace = sinks.Recorder
 	if *cacheDir != "" {
-		var cm *telemetry.CacheMetrics
-		if sinks.Registry != nil {
-			cm = telemetry.NewCacheMetrics(sinks.Registry)
-		}
-		memBytes := *cacheMem
-		if memBytes > 0 {
-			memBytes <<= 20
-		}
-		p.Cache, err = runner.NewCacheWith[*sim.Result](runner.CacheConfig{
-			Dir:      *cacheDir,
-			MemBytes: memBytes,
-		}, cm)
+		store, err := experiments.OpenStore(*cacheDir, sinks.Registry)
 		if err != nil {
 			fmt.Fprintln(stderr, err)
 			return 1
 		}
-		defer p.Cache.Close()
+		defer store.Close()
+		p.Cache = store.Cache
 	}
 	if *progress {
 		p.Progress = func(pr runner.Progress) {

@@ -138,3 +138,32 @@ func TestTraceRunIDsAreDistinct(t *testing.T) {
 		t.Errorf("trace has %d run IDs, want %d (18 benchmarks x none, proxied none, 6 policies, PI/PID at 110.6)", len(last), want)
 	}
 }
+
+// TestCacheDirFeedsCatalog: tables -cache-dir stores every run in the
+// directory's catalog, so tables -catalog lists them, and a rerun over the
+// same directory prints the same tables from the store.
+func TestCacheDirFeedsCatalog(t *testing.T) {
+	dir := t.TempDir()
+	tables := func(args ...string) (string, string) {
+		t.Helper()
+		var stdout, stderr bytes.Buffer
+		if code := run(args, &stdout, &stderr); code != 0 {
+			t.Fatalf("tables %v exited %d: %s", args, code, stderr.Bytes())
+		}
+		return stdout.String(), stderr.String()
+	}
+	args := []string{"-insts", "3000", "-progress=false", "-table", "4", "-cache-dir", dir}
+	first, _ := tables(args...)
+	if again, _ := tables(args...); again != first {
+		t.Errorf("rerun over the store printed\n%s\nwant\n%s", again, first)
+	}
+	out, errOut := tables("-catalog", filepath.Join(dir, "catalog"))
+	if want := fmt.Sprintf("run catalog: %d records\n", len(bench.Names())); errOut != want {
+		t.Errorf("catalog stderr %q, want %q", errOut, want)
+	}
+	for _, b := range []string{"gcc/none", "art/none"} {
+		if !strings.Contains(out, b) {
+			t.Errorf("catalog rollup has no %s row:\n%s", b, out)
+		}
+	}
+}

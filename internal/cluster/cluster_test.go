@@ -22,6 +22,7 @@ import (
 	"time"
 
 	"repro/internal/bench"
+	"repro/internal/experiments"
 	"repro/internal/runindex"
 	"repro/internal/runner"
 	"repro/internal/sim"
@@ -46,20 +47,12 @@ func newFleetWorker(t *testing.T, withCache bool) *fleetWorker {
 	t.Helper()
 	fw := &fleetWorker{}
 	if withCache {
-		c, err := runner.NewCacheWith[*sim.Result](runner.CacheConfig{Dir: t.TempDir()}, nil)
+		st, err := experiments.OpenStore(t.TempDir(), nil)
 		if err != nil {
-			t.Fatalf("worker cache: %v", err)
+			t.Fatalf("worker store: %v", err)
 		}
-		t.Cleanup(func() { c.Close() })
-		fw.cache = c
-		cat, err := runindex.Open("", runindex.Options{})
-		if err != nil {
-			t.Fatalf("worker catalog: %v", err)
-		}
-		fw.catalog = cat
-		c.SetIngest(func(key string, res *sim.Result) {
-			cat.Ingest(runindex.FromResult(key, res))
-		})
+		t.Cleanup(func() { st.Close() })
+		fw.cache, fw.catalog = st.Cache, st.Catalog
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
@@ -374,7 +367,7 @@ func TestClusterHedgeWinsWithoutDoubleCounting(t *testing.T) {
 		}
 	}
 
-	resp, err := s.Dispatcher().Do(context.Background(), key, "/run?bench=gcc&policy=PI&insts=10000")
+	resp, err := s.Dispatcher().Do(context.Background(), key, "/run?bench=gcc&policy=PI&insts=10000", "")
 	if err != nil {
 		t.Fatalf("Do: %v", err)
 	}
@@ -533,7 +526,7 @@ func TestClusterHedgeInflightBalanced(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			resp, err := s.Dispatcher().Do(context.Background(), key, "/run?bench=gcc&policy=PI&insts=10000")
+			resp, err := s.Dispatcher().Do(context.Background(), key, "/run?bench=gcc&policy=PI&insts=10000", "")
 			if err != nil {
 				t.Errorf("Do: %v", err)
 				return

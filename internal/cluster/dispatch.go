@@ -130,11 +130,13 @@ func retryableStatus(status int) bool {
 
 // Do dispatches pathQuery (e.g. "/run?bench=gcc&policy=PI&insts=50000")
 // to the fleet, routing by the run's cache key and applying the full
-// reliability stack. It returns the winning worker response (which may
-// still carry a non-2xx status if retries were exhausted on a retryable
-// one, or immediately for final 4xx statuses) or an error when transport
-// failed on every attempt, no worker is healthy, or ctx ended.
-func (d *Dispatcher) Do(ctx context.Context, key, pathQuery string) (*Response, error) {
+// reliability stack. Every attempt carries reqID as its X-Request-Id, so
+// the worker answers under the caller's ID. It returns the winning worker
+// response (which may still carry a non-2xx status if retries were
+// exhausted on a retryable one, or immediately for final 4xx statuses) or
+// an error when transport failed on every attempt, no worker is healthy,
+// or ctx ended.
+func (d *Dispatcher) Do(ctx context.Context, key, pathQuery, reqID string) (*Response, error) {
 	var prev *Worker
 	for attempt := 0; ; attempt++ {
 		w, affinity := d.pool.Route(key, prev)
@@ -145,7 +147,7 @@ func (d *Dispatcher) Do(ctx context.Context, key, pathQuery string) (*Response, 
 			return nil, err
 		}
 		d.noteDispatch(w, affinity, attempt > 0 && w != prev)
-		resp, err := d.exchange(ctx, key, w, pathQuery)
+		resp, err := d.exchange(ctx, key, w, pathQuery, reqID)
 		if err == nil && !retryableStatus(resp.Status) {
 			return resp, nil
 		}
@@ -166,9 +168,9 @@ func (d *Dispatcher) Do(ctx context.Context, key, pathQuery string) (*Response, 
 // exchange sends one attempt to w, optionally hedging to a second worker
 // after HedgeAfter. Exactly one Response is returned; the losing request
 // is cancelled and its slot released by its own goroutine.
-func (d *Dispatcher) exchange(ctx context.Context, key string, w *Worker, pathQuery string) (*Response, error) {
+func (d *Dispatcher) exchange(ctx context.Context, key string, w *Worker, pathQuery, reqID string) (*Response, error) {
 	if d.cfg.HedgeAfter <= 0 {
-		resp, err := d.send(ctx, w, pathQuery)
+		resp, err := d.send(ctx, w, pathQuery, reqID)
 		d.reportOutcome(ctx, w, resp, err)
 		return resp, err
 	}
@@ -184,7 +186,7 @@ func (d *Dispatcher) exchange(ctx context.Context, key string, w *Worker, pathQu
 	ch := make(chan outcome, 2) // buffered: the loser must never block
 	launch := func(target *Worker) {
 		go func() {
-			resp, err := d.send(sctx, target, pathQuery)
+			resp, err := d.send(sctx, target, pathQuery, reqID)
 			d.reportOutcome(sctx, target, resp, err)
 			ch <- outcome{resp, err, target}
 		}()
@@ -233,13 +235,14 @@ func (d *Dispatcher) exchange(ctx context.Context, key string, w *Worker, pathQu
 
 // send issues one HTTP round trip to w and reads the full body. The
 // worker's slot is released here, whatever the outcome.
-func (d *Dispatcher) send(ctx context.Context, w *Worker, pathQuery string) (*Response, error) {
+func (d *Dispatcher) send(ctx context.Context, w *Worker, pathQuery, reqID string) (*Response, error) {
 	defer d.release(w)
 	start := time.Now()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, w.URL+pathQuery, nil)
 	if err != nil {
 		return nil, err
 	}
+	req.Header.Set("X-Request-Id", reqID)
 	resp, err := d.client.Do(req)
 	if err != nil {
 		return nil, err

@@ -178,7 +178,7 @@ func makeSpec(rq bench.RunQuery, cfg sim.Config) (runSpec, error) {
 
 // handleRun proxies one simulation to the fleet.
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
-	reqID := s.ids.Next()
+	reqID := s.ids.For(r)
 	w.Header().Set("X-Request-Id", reqID)
 
 	rq, cfg, err := bench.ParseRun(r.URL.Query(), s.cfg.Insts)
@@ -191,7 +191,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	resp, err := s.disp.Do(r.Context(), spec.key, spec.query)
+	resp, err := s.disp.Do(r.Context(), spec.key, spec.query, reqID)
 	if err != nil {
 		serving.WriteError(w, s.logf, reqID, statusForDispatchError(err), err)
 		return
@@ -230,7 +230,7 @@ func statusForDispatchError(err error) int {
 // of how results are spread over the fleet. The filters are validated
 // here first so a malformed query is a 400, not a fleet of them.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	reqID := s.ids.Next()
+	reqID := s.ids.For(r)
 	w.Header().Set("X-Request-Id", reqID)
 
 	q, err := runindex.ParseQuery(r.URL.Query())
@@ -249,7 +249,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		wg.Add(1)
 		go func(i int, wk *Worker) {
 			defer wg.Done()
-			bodies[i], errs[i] = s.queryWorker(r.Context(), wk, r.URL.RawQuery)
+			bodies[i], errs[i] = s.queryWorker(r.Context(), wk, r.URL.RawQuery, reqID)
 		}(i, wk)
 	}
 	wg.Wait()
@@ -305,10 +305,10 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// queryWorker fetches one worker's catalog answer. A worker without a
-// catalog (no cache dir) answers 404; that is an empty contribution, not
-// an error.
-func (s *Server) queryWorker(ctx context.Context, wk *Worker, rawQuery string) ([]byte, error) {
+// queryWorker fetches one worker's catalog answer under the caller's
+// request ID. A worker without a catalog (no cache dir) answers 404; that
+// is an empty contribution, not an error.
+func (s *Server) queryWorker(ctx context.Context, wk *Worker, rawQuery, reqID string) ([]byte, error) {
 	url := wk.URL + "/query"
 	if rawQuery != "" {
 		url += "?" + rawQuery
@@ -317,6 +317,7 @@ func (s *Server) queryWorker(ctx context.Context, wk *Worker, rawQuery string) (
 	if err != nil {
 		return nil, err
 	}
+	req.Header.Set("X-Request-Id", reqID)
 	resp, err := s.disp.client.Do(req)
 	if err != nil {
 		return nil, err
@@ -344,7 +345,7 @@ func (s *Server) queryWorker(ctx context.Context, wk *Worker, rawQuery string) (
 // worker's own rules (bench.ParseBatch), so one worker's /batch and the
 // coordinator's answer one query with one document.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	reqID := s.ids.Next()
+	reqID := s.ids.For(r)
 	w.Header().Set("X-Request-Id", reqID)
 
 	bq, err := bench.ParseBatch(r.URL.Query(), experiments.DefaultParams().Policies, s.cfg.Insts)
@@ -362,7 +363,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	resp := s.runBatch(r.Context(), specs)
+	resp := s.runBatch(r.Context(), specs, reqID)
 	resp.BatchQuery = bq
 	status := http.StatusOK
 	if resp.Failed == len(specs) && len(specs) > 0 {
@@ -377,8 +378,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 // slot semaphores) and merges the results in run-index order. A worker
 // dying mid-batch is absorbed here: its failed dispatches are requeued
 // onto survivors by the dispatcher, and the merge is indifferent to which
-// member finally answered.
-func (s *Server) runBatch(ctx context.Context, specs []runSpec) bench.BatchResponse {
+// member finally answered. Every dispatch carries the batch's reqID.
+func (s *Server) runBatch(ctx context.Context, specs []runSpec, reqID string) bench.BatchResponse {
 	runs := make([]bench.RunResult, len(specs))
 	errs := make([]string, len(specs))
 	var wg sync.WaitGroup
@@ -386,7 +387,7 @@ func (s *Server) runBatch(ctx context.Context, specs []runSpec) bench.BatchRespo
 		wg.Add(1)
 		go func(i int, spec runSpec) {
 			defer wg.Done()
-			resp, err := s.disp.Do(ctx, spec.key, spec.query)
+			resp, err := s.disp.Do(ctx, spec.key, spec.query, reqID)
 			if err != nil {
 				errs[i] = fmt.Sprintf("%s/%s: %v", spec.Bench, spec.Policy, err)
 				return

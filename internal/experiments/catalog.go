@@ -1,19 +1,71 @@
 package experiments
 
-// Catalog-backed report tables. These render from run history (the
-// dimension-indexed catalog that sweep -fill and cmd/serve maintain)
-// instead of fresh simulation, so they are instant and cover every
-// operating point ever executed against the cache — the raw material for
-// the paper's pareto and sensitivity discussions without re-running the
-// grids.
+// A cache directory as one store, and the catalog-backed report tables.
+// The tables render from run history (the dimension-indexed catalog every
+// -cache-dir run feeds) instead of fresh simulation, so they are instant
+// and cover every operating point ever executed against the store — the
+// raw material for the paper's pareto and sensitivity discussions without
+// re-running the grids.
 
 import (
+	"errors"
 	"fmt"
+	"path/filepath"
 	"sort"
 
 	"repro/internal/runindex"
+	"repro/internal/runner"
+	"repro/internal/sim"
 	"repro/internal/stats"
+	"repro/internal/telemetry"
 )
+
+// Store is one cache directory: the run cache over its pack volumes and
+// the run catalog at <dir>/catalog, which indexes every result the cache
+// stores.
+type Store struct {
+	Cache   *runner.Cache[*sim.Result]
+	Catalog *runindex.Catalog
+}
+
+// OpenStore opens the cache directory dir (created if missing). An empty
+// catalog over a populated pack store (a directory written before the
+// catalog existed, or a lost catalog log) is rebuilt from a store scan,
+// and from then on every cache Put is ingested. reg, when non-nil,
+// receives the cache and catalog metrics.
+func OpenStore(dir string, reg *telemetry.Registry) (*Store, error) {
+	var (
+		cm *telemetry.CacheMetrics
+		im *telemetry.IndexMetrics
+	)
+	if reg != nil {
+		cm, im = telemetry.NewCacheMetrics(reg), telemetry.NewIndexMetrics(reg)
+	}
+	cache, err := runner.NewCacheWith[*sim.Result](runner.CacheConfig{Dir: dir}, cm)
+	if err != nil {
+		return nil, err
+	}
+	cat, err := runindex.Open(filepath.Join(dir, "catalog"), runindex.Options{Metrics: im})
+	if err == nil && cat.Len() == 0 {
+		if _, err = cat.RebuildFromStore(cache.Store()); err != nil {
+			cat.Close()
+			err = fmt.Errorf("experiments: rebuilding the run catalog: %w", err)
+		}
+	}
+	if err != nil {
+		cache.Close()
+		return nil, err
+	}
+	cache.SetIngest(func(key string, res *sim.Result) {
+		cat.Ingest(runindex.FromResult(key, res))
+	})
+	return &Store{Cache: cache, Catalog: cat}, nil
+}
+
+// Close closes the cache and the catalog.
+func (s *Store) Close() error {
+	return errors.Join(s.Cache.Close(), s.Catalog.Close())
+}
 
 // catalogRows snapshots every cataloged run.
 func catalogRows(cat *runindex.Catalog) []runindex.Record {

@@ -36,7 +36,7 @@ type Record struct {
 	Cores    float64 `json:"cores,omitempty"`
 	Insts    float64 `json:"insts,omitempty"` // committed-instruction budget
 
-	// Summary metrics (not indexed; rendered by queries and grid-fill).
+	// Summary metrics (not indexed; rendered by queries and the cores sweep).
 	IPC         float64 `json:"ipc"`
 	AvgPower    float64 `json:"avg_power"`
 	AvgDuty     float64 `json:"avg_duty"`

@@ -39,9 +39,32 @@ func NewRequestIDs() *RequestIDs {
 	return &RequestIDs{prefix: fmt.Sprintf("%x-%x", os.Getpid(), time.Now().UnixNano()&0xffffff)}
 }
 
-// Next returns a fresh request ID.
-func (r *RequestIDs) Next() string {
+// next returns a fresh request ID.
+func (r *RequestIDs) next() string {
 	return fmt.Sprintf("%s-%06d", r.prefix, r.n.Add(1))
+}
+
+// For returns the ID that answers req: its own X-Request-Id when that is
+// 1–64 bytes of [A-Za-z0-9._-] (a coordinator forwards its ID to the
+// worker, so both log and answer one ID), else a fresh one.
+func (r *RequestIDs) For(req *http.Request) string {
+	if id := req.Header.Get("X-Request-Id"); validRequestID(id) {
+		return id
+	}
+	return r.next()
+}
+
+func validRequestID(id string) bool {
+	if len(id) == 0 || len(id) > 64 {
+		return false
+	}
+	for i := 0; i < len(id); i++ {
+		c := id[i]
+		if !('a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' || '0' <= c && c <= '9' || c == '.' || c == '_' || c == '-') {
+			return false
+		}
+	}
+	return true
 }
 
 // ErrorResponse is the structured JSON body of every non-2xx response.

@@ -18,11 +18,38 @@ func TestRequestIDsUnique(t *testing.T) {
 	ids := NewRequestIDs()
 	seen := map[string]bool{}
 	for i := 0; i < 1000; i++ {
-		id := ids.Next()
+		id := ids.next()
 		if seen[id] {
 			t.Fatalf("duplicate request ID %q", id)
 		}
 		seen[id] = true
+	}
+}
+
+// TestRequestIDsAdoptValidIncoming: a forwarded X-Request-Id is adopted
+// only when it is 1–64 bytes of [A-Za-z0-9._-]; anything else is replaced
+// by a minted ID, so a client cannot inject log-breaking text.
+func TestRequestIDsAdoptValidIncoming(t *testing.T) {
+	ids := NewRequestIDs()
+	for in, adopt := range map[string]bool{
+		"smoke-1":               true,
+		"a1b2c3-4f5e6-000042":   true,
+		"A.b_C-9":               true,
+		strings.Repeat("x", 64): true,
+		"":                      false,
+		strings.Repeat("x", 65): false,
+		"has space":             false,
+		"new\nline":             false,
+		"semi;colon":            false,
+		"ünïcode":               false,
+	} {
+		req := httptest.NewRequest(http.MethodGet, "/run", nil)
+		if in != "" {
+			req.Header.Set("X-Request-Id", in)
+		}
+		if got := ids.For(req); (got == in) != adopt || got == "" {
+			t.Errorf("For(%q) = %q, adopt = %v", in, got, adopt)
+		}
 	}
 }
 

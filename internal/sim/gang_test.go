@@ -162,18 +162,20 @@ func TestGangSharesClassAcrossSchedules(t *testing.T) {
 // sink, lateral flow, Euler or a shorter fast-path window. Each must finish
 // byte-identical to its instrumented solo run, series included, and, series
 // aside, to its plain solo run. The recorder holds the same samples, and
-// every registry counter the solo runs' total.
+// every registry counter the solo runs' total. Under -race the gang keeps
+// three members (uncontrolled with a series, PI with proxies, DVFS with
+// leakage), which still fork; the six run in CI's non-race gang step.
 func TestGangInstrumentedMatchesSolo(t *testing.T) {
 	insts := raceBudget(150_000, 50_000)
 	mk := func(reg *telemetry.Registry, rec *telemetry.Recorder) []Config {
-		cfgs := []Config{
+		cfgs := raceMembers([]Config{
 			{TraceStride: 500},
 			{Manager: newPIManager(111.1), ProxyWindows: []int{10_000}},
 			{Manager: newPIManager(110.5), CoupleChipSink: true},
 			{Manager: dtm.NewManager(dtm.NewToggle1(110.3, 5)), ThermalStride: 1, TraceStride: 777},
 			{Scaling: dtm.NewFreqScaling(110.3, 0.5, 5), Leakage: power.DefaultLeakage()},
 			{Manager: newPIManager(111.1), Tangential: true, ThermalStride: 128},
-		}
+		}, 0, 1, 4)
 		for i := range cfgs {
 			c := &cfgs[i]
 			c.Workload, c.MaxInsts = hotProfile(), insts

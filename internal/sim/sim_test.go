@@ -87,6 +87,19 @@ func raceBudget(full, short uint64) uint64 {
 	return full
 }
 
+// raceMembers returns all, or only the entries at idx under the race
+// detector (see race_test.go).
+func raceMembers[T any](all []T, idx ...int) []T {
+	if !RaceDetector {
+		return all
+	}
+	sub := make([]T, len(idx))
+	for i, j := range idx {
+		sub[i] = all[j]
+	}
+	return sub
+}
+
 func TestRunRejectsBadConfig(t *testing.T) {
 	if _, err := Run(Config{Workload: hotProfile()}); err == nil {
 		t.Error("zero MaxInsts accepted")

@@ -75,10 +75,9 @@ func NewSimMetrics(r *Registry) *SimMetrics {
 }
 
 // CacheMetrics is the run cache's bundle: lookup outcomes, the volume of
-// stored result payloads, disk-layer retry/failure counts, the bounded
-// memory layer's eviction count, and — when the pack-volume backend is
-// selected — the pack store's shape (volumes, live/dead bytes) and
-// maintenance activity (compactions, CRC-audit quarantines).
+// stored result payloads, disk retry/failure counts, and the pack
+// store's shape (volumes, live/dead bytes) and maintenance activity
+// (compactions, CRC-audit quarantines).
 type CacheMetrics struct {
 	Hits        *Counter
 	Misses      *Counter
@@ -87,12 +86,8 @@ type CacheMetrics struct {
 	DiskRetries *Counter
 	DiskErrors  *Counter
 
-	// MemEvictions counts entries evicted from the size-capped in-memory
-	// layer (the entry usually stays serveable from disk).
-	MemEvictions *Counter
-
 	// Pack-store shape: volume count and live vs dead (reclaimable)
-	// bytes across all volumes. Zero for a memory-only cache.
+	// bytes across all volumes.
 	PackVolumes   *Gauge
 	PackLiveBytes *Gauge
 	PackDeadBytes *Gauge
@@ -112,8 +107,6 @@ func NewCacheMetrics(r *Registry) *CacheMetrics {
 		Bytes:       r.Counter("cache_stored_bytes_total", "Encoded bytes stored into the run cache."),
 		DiskRetries: r.Counter("cache_disk_retries_total", "Disk cache operations retried after a transient I/O failure."),
 		DiskErrors:  r.Counter("cache_disk_errors_total", "Disk cache operations abandoned after exhausting retries."),
-
-		MemEvictions: r.Counter("cache_mem_evictions_total", "Entries evicted from the size-capped in-memory cache layer."),
 
 		PackVolumes:   r.Gauge("cache_pack_volumes", "Pack volumes currently in the result store."),
 		PackLiveBytes: r.Gauge("cache_pack_live_bytes", "Bytes of index-referenced needles across pack volumes."),

@@ -20,7 +20,10 @@
 #     with byte-identical bodies
 #   - the coordinator answers a /query range scan merged across both
 #     workers' catalogs (more rows than either worker holds alone)
-#   - a repeated `sweep -fill` run dispatches zero cold cells
+#   - a coordinator /run sent with X-Request-Id answers under that ID, in
+#     header and body
+#   - a repeated `sweep -cache-dir` run dispatches zero cells with a
+#     byte-identical CSV, for a solo grid and for -param cores
 set -euo pipefail
 
 P0="${CLUSTER_SMOKE_PORT:-8750}"   # coordinator
@@ -85,6 +88,15 @@ curl -fsS "${C}/healthz"
 curl -fsS "${C}/run?bench=gcc&policy=PI&insts=100000" | head -c 400; echo
 curl -fsS "${C}/metrics" | grep -E "^cluster_dispatched_total" || {
   echo "metrics missing cluster family"; exit 1; }
+
+echo "== request ID: the coordinator forwards the caller's X-Request-Id"
+curl -fsS -D "${DIR}/rid.hdr" -H 'X-Request-Id: smoke-1' \
+  "${C}/run?bench=gcc&policy=PI&insts=100000" >"${DIR}/rid.json"
+tr -d '\r' <"${DIR}/rid.hdr" | grep -qix 'X-Request-Id: smoke-1' || {
+  echo "coordinator header lost the request ID:"; cat "${DIR}/rid.hdr"; exit 1; }
+grep -q '"request_id": "smoke-1"' "${DIR}/rid.json" || {
+  echo "worker body lost the request ID:"; head -c 400 "${DIR}/rid.json"; exit 1; }
+echo "header and body both carry smoke-1"
 
 echo "== kill -9 worker 1 mid-batch, batch must still complete"
 curl -fsS "${C}/batch?policies=PI,PID&insts=400000" >"${DIR}/batch.json" &
@@ -222,19 +234,25 @@ QRC=$(curl -s -o /dev/null -w '%{http_code}' "${C}/query?trigger=banana")
 
 kill -INT "${COORD_PID}" "${W3_PID}" "${W4_PID}" 2>/dev/null || true
 
-echo "== sweep -fill: a repeat run dispatches zero cold cells"
+echo "== repeat sweep over one -cache-dir: zero cells dispatched"
 go build -o "${DIR}/sweep" ./cmd/sweep
-"${DIR}/sweep" -param trigger -bench gcc -insts 100000 -fill \
-  -cache-dir "${DIR}/fillcache" >"${DIR}/fill1.csv" 2>"${DIR}/fill1.log"
-grep -q "dispatching 7 cold cells" "${DIR}/fill1.log" || {
-  echo "first fill pass did not dispatch the full grid:"; cat "${DIR}/fill1.log"; exit 1; }
-"${DIR}/sweep" -param trigger -bench gcc -insts 100000 -fill \
-  -cache-dir "${DIR}/fillcache" >"${DIR}/fill2.csv" 2>"${DIR}/fill2.log"
-grep -q "dispatching 0 cold cells" "${DIR}/fill2.log" || {
-  echo "repeat fill pass dispatched cells:"; cat "${DIR}/fill2.log"; exit 1; }
-cmp -s "${DIR}/fill1.csv" "${DIR}/fill2.csv" || {
-  echo "fill CSV not identical across passes:";
-  diff "${DIR}/fill1.csv" "${DIR}/fill2.csv"; exit 1; }
-echo "repeat fill dispatched 0 cells, CSV byte-identical"
+repeat_sweep() { # $1 = tag, $2 = grid cells, rest = sweep arguments
+  local tag=$1 n=$2
+  shift 2
+  for pass in 1 2; do
+    "${DIR}/sweep" "$@" -cache-dir "${DIR}/sweep_${tag}" \
+      >"${DIR}/${tag}${pass}.csv" 2>"${DIR}/${tag}${pass}.log"
+  done
+  grep -q "cache pre-flight: 0/${n} cells warm, ${n} cold" "${DIR}/${tag}1.log" || {
+    echo "first ${tag} pass did not dispatch the full grid:"; cat "${DIR}/${tag}1.log"; exit 1; }
+  grep -q "cache pre-flight: ${n}/${n} cells warm, 0 cold" "${DIR}/${tag}2.log" || {
+    echo "repeat ${tag} pass dispatched cells:"; cat "${DIR}/${tag}2.log"; exit 1; }
+  cmp -s "${DIR}/${tag}1.csv" "${DIR}/${tag}2.csv" || {
+    echo "${tag} CSV not identical across passes:";
+    diff "${DIR}/${tag}1.csv" "${DIR}/${tag}2.csv"; exit 1; }
+  echo "repeat ${tag} sweep dispatched 0 cells, CSV byte-identical"
+}
+repeat_sweep trigger 7 -param trigger -bench gcc -insts 100000
+repeat_sweep cores 8 -param cores -bench hotneighbor -policy PID -insts 20000
 
 echo "cluster smoke OK"
