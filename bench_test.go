@@ -712,7 +712,7 @@ func BenchmarkResultStore(b *testing.B) {
 	const population = 100_000
 
 	open := func(b *testing.B, dir string) *packstore.Store {
-		s, err := packstore.Open(dir, packstore.Options{NoAutoCompact: true})
+		s, err := packstore.Open(dir, packstore.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -753,7 +753,7 @@ func BenchmarkResultStore(b *testing.B) {
 		s.Close()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			s, err := packstore.Open(dir, packstore.Options{NoAutoCompact: true})
+			s, err := packstore.Open(dir, packstore.Options{})
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -57,10 +57,12 @@ var implicitMethods = map[string]bool{
 // accumulating: every exported top-level function and exported method
 // declared under internal/ must be referenced by some non-test .go file in
 // the repository (commands, examples, other packages and perfbench/ all
-// count), or be on the testOnlyExports allowlist with its reason.
-// References are counted syntactically. A function is reached by pkg.Name
-// from a file importing the package, or by Name from another declaration
-// in the same package. A method is reached by any selector of its name
+// count), or be on the testOnlyExports allowlist with its reason. Every
+// unexported function and method in a non-test file outside perfbench/
+// (a module of its own) must be referenced the same way; none may be
+// listed. References are counted syntactically. A function is reached by
+// pkg.Name from a file importing the package, or by Name from another
+// declaration in the same package. A method is reached by any selector of its name
 // outside its own body (x.Method, T.Method), whatever the receiver, or by
 // being one of implicitMethods.
 func TestNoTestOnlyExports(t *testing.T) {
@@ -94,16 +96,18 @@ func TestNoTestOnlyExports(t *testing.T) {
 		pkg := "repro/" + filepath.ToSlash(filepath.Dir(path))
 		files = append(files, f)
 		paths = append(paths, pkg)
-		if !strings.HasPrefix(path, "internal"+string(filepath.Separator)) {
+		if strings.HasPrefix(path, "perfbench"+string(filepath.Separator)) {
 			return nil
 		}
-		short := pkg[len("repro/internal/"):]
+		internal := strings.HasPrefix(path, "internal"+string(filepath.Separator))
+		short := shortPkg(pkg)
 		for _, d := range f.Decls {
 			fd, ok := d.(*ast.FuncDecl)
-			if !ok || !fd.Name.IsExported() {
+			if !ok || (fd.Name.IsExported() && !internal) {
 				continue
 			}
 			switch name := fd.Name.Name; {
+			case fd.Recv == nil && (name == "init" || name == "main" || name == "_"):
 			case fd.Recv == nil:
 				decls = append(decls, decl{key: short + "." + name, use: pkg + "." + name, file: path})
 			case !implicitMethods[name]:
@@ -116,7 +120,7 @@ func TestNoTestOnlyExports(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(decls) == 0 {
-		t.Fatal("found no exported functions under internal/; is the test running from the repository root?")
+		t.Fatal("found no functions under internal/; is the test running from the repository root?")
 	}
 
 	// used[pkg+"."+name] is set by every reference to a function outside
@@ -141,9 +145,7 @@ func TestNoTestOnlyExports(t *testing.T) {
 				if fd.Recv == nil {
 					self = fd.Name.Name
 				} else {
-					if strings.HasPrefix(paths[i], "repro/internal/") {
-						owner = methodKey(paths[i][len("repro/internal/"):], fd)
-					}
+					owner = methodKey(shortPkg(paths[i]), fd)
 					nodes = append(nodes, fd.Recv)
 				}
 				nodes = append(nodes, fd.Type)
@@ -193,7 +195,7 @@ func TestNoTestOnlyExports(t *testing.T) {
 		return false
 	}
 
-	var unused []string
+	var unused, unexported []string
 	declared := make(map[string]bool)
 	for _, d := range decls {
 		declared[d.key] = true
@@ -203,12 +205,15 @@ func TestNoTestOnlyExports(t *testing.T) {
 			}
 			continue
 		}
-		if _, ok := testOnlyExports[d.key]; !ok {
+		name := d.key[strings.LastIndex(d.key, ".")+1:]
+		if !ast.IsExported(name) {
+			unexported = append(unexported, d.key+" ("+d.file+")")
+		} else if _, ok := testOnlyExports[d.key]; !ok {
 			unused = append(unused, d.key+" ("+d.file+")")
 		}
 	}
 	for key := range testOnlyExports {
-		if !declared[key] {
+		if name := key[strings.LastIndex(key, ".")+1:]; !declared[key] || !ast.IsExported(name) {
 			t.Errorf("testOnlyExports lists %s, which is not an exported top-level function or method under internal/", key)
 		}
 	}
@@ -216,6 +221,15 @@ func TestNoTestOnlyExports(t *testing.T) {
 	for _, u := range unused {
 		t.Errorf("%s is exported but only tests reach it: delete it, or list it in testOnlyExports with the paper claim, DESIGN.md §5 extension or README API it backs", u)
 	}
+	sort.Strings(unexported)
+	for _, u := range unexported {
+		t.Errorf("%s is unexported and no program code reaches it: delete it, or move it into the tests that use it", u)
+	}
+}
+
+// shortPkg names a package by its path without "repro/" and "internal/".
+func shortPkg(pkg string) string {
+	return strings.TrimPrefix(strings.TrimPrefix(pkg, "repro/"), "internal/")
 }
 
 // methodKey names the method fd of package pkg as pkg.(Type).Method.

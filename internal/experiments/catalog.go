@@ -28,11 +28,12 @@ type Store struct {
 	Catalog *runindex.Catalog
 }
 
-// OpenStore opens the cache directory dir (created if missing). An empty
-// catalog over a populated pack store (a directory written before the
-// catalog existed, or a lost catalog log) is rebuilt from a store scan,
-// and from then on every cache Put is ingested. reg, when non-nil,
-// receives the cache and catalog metrics.
+// OpenStore opens the cache directory dir (created if missing). The
+// catalog is reconciled with the pack store: every stored result it
+// lacks (a directory written before the catalog existed, a lost catalog
+// log, or a crash between a Put's two appends) is cataloged, and from
+// then on every cache Put is ingested. reg, when non-nil, receives the
+// cache and catalog metrics.
 func OpenStore(dir string, reg *telemetry.Registry) (*Store, error) {
 	var (
 		cm *telemetry.CacheMetrics
@@ -46,10 +47,10 @@ func OpenStore(dir string, reg *telemetry.Registry) (*Store, error) {
 		return nil, err
 	}
 	cat, err := runindex.Open(filepath.Join(dir, "catalog"), runindex.Options{Metrics: im})
-	if err == nil && cat.Len() == 0 {
-		if _, err = cat.RebuildFromStore(cache.Store()); err != nil {
+	if err == nil {
+		if _, err = cat.Reconcile(cache.Store()); err != nil {
 			cat.Close()
-			err = fmt.Errorf("experiments: rebuilding the run catalog: %w", err)
+			err = fmt.Errorf("experiments: reconciling the run catalog: %w", err)
 		}
 	}
 	if err != nil {

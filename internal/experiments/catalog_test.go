@@ -1,15 +1,20 @@
 package experiments
 
 import (
+	"encoding/json"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro/internal/runindex"
+	"repro/internal/sim"
+	"repro/internal/telemetry"
 )
 
 func testCatalog(t *testing.T) *runindex.Catalog {
 	t.Helper()
-	cat, err := runindex.Open("", runindex.Options{})
+	cat, err := runindex.Open(t.TempDir(), runindex.Options{})
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
@@ -75,5 +80,66 @@ func TestCatalogSensitivity(t *testing.T) {
 	}
 	if _, err := runindex.ParseDim("interval"); err != nil {
 		t.Fatalf("ParseDim: %v", err)
+	}
+}
+
+// TestOpenStoreReconcilesCatalog: a crash between a Put's pack append and
+// its catalog append leaves a stored result that a non-empty catalog
+// lacks. The next OpenStore catalogs it, and an open that is already in
+// sync reads no payload (a corrupted needle would be quarantined if it
+// did).
+func TestOpenStoreReconcilesCatalog(t *testing.T) {
+	dir := t.TempDir()
+	st, err := OpenStore(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.Cache.Put("k1", &sim.Result{Benchmark: "gcc", Policy: "PI", IPC: 0.9})
+	orphan, err := json.Marshal(&sim.Result{Benchmark: "art", Policy: "PID", IPC: 0.6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Cache.Store().Put("k2", orphan); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	st, err = OpenStore(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, ok := st.Catalog.Get("k2")
+	if !ok || rec.Bench != "art" || rec.Policy != "PID" {
+		t.Fatalf("reopened catalog row for the orphaned result = %+v, %v", rec, ok)
+	}
+	if st.Catalog.Len() != 2 {
+		t.Errorf("catalog Len = %d, want 2", st.Catalog.Len())
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	vol := filepath.Join(dir, "pack-000000.dat")
+	data, err := os.ReadFile(vol)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)-1] ^= 0xff // k2's payload, the last needle
+	if err := os.WriteFile(vol, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	reg := telemetry.NewRegistry()
+	st, err = OpenStore(dir, reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if n := telemetry.NewCacheMetrics(reg).PackAuditFailures.Value(); n != 0 {
+		t.Errorf("an in-sync open read %d corrupt payloads, want none read", n)
+	}
+	if n := telemetry.NewIndexMetrics(reg).Rebuilds.Value(); n != 0 {
+		t.Errorf("an in-sync open recovered results %d times", n)
 	}
 }

@@ -14,7 +14,7 @@ import (
 // nothing allocated from a length field beyond the bytes present (every
 // indexed needle lies inside the volume, and Get allocates exactly its
 // span); and corrupt bytes become a truncated tail or a quarantined miss,
-// never an Open, Get or Range error or a payload that no whole CRC-valid
+// never an Open or Get error or a payload that no whole CRC-valid
 // needle holds. Seed corpora live in testdata/fuzz.
 func FuzzVolumeScan(f *testing.F) {
 	f.Fuzz(func(t *testing.T, vol []byte) {
@@ -22,7 +22,7 @@ func FuzzVolumeScan(f *testing.F) {
 		if err := os.WriteFile(filepath.Join(dir, "pack-000000.dat"), vol, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		s, err := Open(dir, Options{NoAutoCompact: true})
+		s, err := Open(dir, Options{})
 		if err != nil {
 			t.Fatalf("Open on a corrupt volume: %v", err)
 		}
@@ -59,9 +59,8 @@ func FuzzVolumeScan(f *testing.F) {
 		if s.Len() != served {
 			t.Fatalf("Len = %d after reading every entry, %d served", s.Len(), served)
 		}
-		seen := 0
-		if err := s.Range(func(string, []byte) bool { seen++; return true }); err != nil || seen != served {
-			t.Fatalf("Range saw %d entries, err %v, want %d, nil", seen, err, served)
+		if keys := s.Keys(); len(keys) != served {
+			t.Fatalf("Keys lists %d entries after reading every entry, %d served", len(keys), served)
 		}
 		// The store stays writable after recovery.
 		if err := s.Put("after-recovery", []byte("ok")); err != nil {

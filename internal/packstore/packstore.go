@@ -15,9 +15,16 @@
 // cold-start scan truncates the volume past the last structurally valid
 // needle and every earlier entry is served — and that payload corruption
 // anywhere is caught by the per-needle CRC and degrades to a miss, never
-// a bad payload. Deleted and overwritten needles become dead bytes that
-// background compaction reclaims by rewriting a volume's live needles
-// and atomically swapping the file into place.
+// a bad payload.
+//
+// The store is append-only: nothing is ever deleted or rewritten in
+// place. A second Put of a key appends a needle that supersedes the
+// first, and the superseded and quarantined needles stay in their volume
+// as unreferenced bytes. A key is stored twice only when two requests
+// miss on it at once or a corrupt entry is recomputed, so those bytes
+// stay a few kilobytes and no compactor reclaims them (DESIGN.md, "One
+// store per cache directory"). Volumes written by older builds, which
+// could append tombstones, still open: a tombstone removes its key.
 //
 // The lookup path (key → needle location) is allocation-free and gated
 // by TestZeroAllocNeedleLookup, like the repository's other hot paths.
@@ -42,7 +49,7 @@ import (
 // Needle layout (little-endian), immediately followed by key then data:
 //
 //	magic   uint32  0x4c44454e ("NEDL")
-//	flags   uint8   bit 0 = tombstone
+//	flags   uint8   0 (older builds set bit 0 on a tombstone)
 //	keyLen  uint16
 //	dataLen uint32
 //	crc     uint32  IEEE CRC32 over flags ∥ key ∥ data
@@ -51,17 +58,12 @@ import (
 // cold-start scan can walk a volume without any external index; the CRC
 // covers everything the lengths do not structurally pin down.
 const (
-	needleMagic   = 0x4c44454e
-	headerSize    = 4 + 1 + 2 + 4 + 4
-	flagTombstone = 0x01
+	needleMagic = 0x4c44454e
+	headerSize  = 4 + 1 + 2 + 4 + 4
 
 	// maxDataLen bounds one needle's payload; anything larger than this
 	// during a scan is treated as a torn header rather than followed.
 	maxDataLen = 1 << 30
-
-	// compactBelow is the live-byte ratio under which a sealed volume
-	// becomes a compaction candidate.
-	compactBelow = 0.5
 )
 
 // Options tunes a Store.
@@ -69,11 +71,8 @@ type Options struct {
 	// MaxVolumeBytes seals the active volume and rolls to a new one once
 	// its size passes this bound; <= 0 means 64 MiB.
 	MaxVolumeBytes int64
-	// NoAutoCompact disables the background compaction goroutine; tests
-	// drive CompactOnce deterministically.
-	NoAutoCompact bool
-	// Metrics, when non-nil, receives the pack gauges and counters
-	// (volumes, live/dead bytes, compactions, audit failures).
+	// Metrics, when non-nil, receives the volume gauge and the
+	// audit-failure counter.
 	Metrics *telemetry.CacheMetrics
 }
 
@@ -86,8 +85,8 @@ func (o Options) withDefaults() Options {
 
 // needleLoc is one index entry: where a key's current needle lives.
 type needleLoc struct {
-	vol    uint32
-	off    int64 // offset of the needle header within the volume
+	vol    uint32 // position in Store.vols
+	off    int64  // offset of the needle header within the volume
 	keyLen uint16
 	size   uint32 // payload (data) length
 }
@@ -95,34 +94,26 @@ type needleLoc struct {
 // span is the needle's total on-disk footprint.
 func (l needleLoc) span() int64 { return headerSize + int64(l.keyLen) + int64(l.size) }
 
-// volume is one pack file. live counts the bytes of needles the index
-// currently references; dead counts overwritten, deleted, tombstone and
-// quarantined needle bytes, which only compaction reclaims.
+// volume is one pack file.
 type volume struct {
 	id   uint32
 	f    *os.File
 	size int64
-	live int64
-	dead int64
 }
 
 // Store is the pack-volume store. All methods are safe for concurrent
-// use: lookups share a read lock, appends and compaction serialize on
-// the write lock.
+// use: lookups share a read lock and appends serialize on the write
+// lock. A volume file is never replaced, so a Get reads its needle
+// outside the lock.
 type Store struct {
 	dir  string
 	opts Options
 
 	mu     sync.RWMutex
 	index  map[string]needleLoc
-	vols   map[uint32]*volume
-	order  []uint32 // volume ids, ascending; last is active
-	active *volume
+	vols   []*volume // ascending id; the last is active
 	faults func(op string) error
 	closed bool
-
-	compacting bool
-	wg         sync.WaitGroup
 }
 
 // Open opens (or creates) a pack store in dir, rebuilding the needle
@@ -138,13 +129,11 @@ func Open(dir string, opts Options) (*Store, error) {
 		dir:   dir,
 		opts:  opts,
 		index: make(map[string]needleLoc),
-		vols:  make(map[uint32]*volume),
 	}
 	if err := s.load(); err != nil {
 		s.closeFiles()
 		return nil, err
 	}
-	s.publishGauges()
 	return s, nil
 }
 
@@ -154,17 +143,11 @@ func (s *Store) volumePath(id uint32) string {
 }
 
 // load scans the directory, rebuilds the index, and opens the active
-// volume (creating volume 0 for an empty store). Stray .tmp files from a
-// compaction interrupted before its rename are deleted: the original
-// volume is still intact.
+// volume (creating volume 0 for an empty store).
 func (s *Store) load() error {
 	names, err := filepath.Glob(filepath.Join(s.dir, "pack-*.dat"))
 	if err != nil {
 		return fmt.Errorf("packstore: %w", err)
-	}
-	tmps, _ := filepath.Glob(filepath.Join(s.dir, "pack-*.tmp"))
-	for _, t := range tmps {
-		os.Remove(t)
 	}
 	var ids []uint32
 	for _, n := range names {
@@ -193,12 +176,8 @@ func (s *Store) load() error {
 			return err
 		}
 	}
-	if len(s.order) == 0 {
-		if err := s.rollVolume(0); err != nil {
-			return err
-		}
-	} else {
-		s.active = s.vols[s.order[len(s.order)-1]]
+	if len(s.vols) == 0 {
+		return s.rollVolume(0)
 	}
 	return nil
 }
@@ -207,16 +186,15 @@ func (s *Store) load() error {
 // the index. A structurally invalid header or a short tail truncates the
 // volume at the last valid boundary — the torn-append recovery path.
 // Payload CRCs are deliberately not verified here (cold start over
-// millions of needles must stay fast); Get and Range verify them. The
+// millions of needles must stay fast); Get verifies them. The
 // scan is one buffered sequential read, not per-needle preads.
 func (s *Store) scanVolume(id uint32) error {
 	f, err := os.OpenFile(s.volumePath(id), os.O_RDWR, 0o644)
 	if err != nil {
 		return fmt.Errorf("packstore: %w", err)
 	}
-	v := &volume{id: id, f: f}
-	s.vols[id] = v // registered up front: same-volume overwrites resolve below
-	s.order = append(s.order, id)
+	pos := uint32(len(s.vols))
+	v := s.addVolume(id, f)
 	st, err := f.Stat()
 	if err != nil {
 		return fmt.Errorf("packstore: %w", err)
@@ -248,23 +226,11 @@ func (s *Store) scanVolume(id uint32) error {
 		if _, err := r.Discard(int(dataLen)); err != nil {
 			break
 		}
-		key := string(keyBuf[:keyLen])
-		if flags&flagTombstone != 0 {
-			if old, ok := s.index[key]; ok {
-				ov := s.vols[old.vol]
-				ov.live -= old.span()
-				ov.dead += old.span()
-				delete(s.index, key)
-			}
-			v.dead += span
+		if flags != 0 {
+			// An older build's tombstone: the key was deleted.
+			delete(s.index, string(keyBuf[:keyLen]))
 		} else {
-			if old, ok := s.index[key]; ok {
-				ov := s.vols[old.vol]
-				ov.live -= old.span()
-				ov.dead += old.span()
-			}
-			s.index[key] = needleLoc{vol: id, off: off, keyLen: keyLen, size: dataLen}
-			v.live += span
+			s.index[string(keyBuf[:keyLen])] = needleLoc{vol: pos, off: off, keyLen: keyLen, size: dataLen}
 		}
 		off += span
 	}
@@ -284,15 +250,22 @@ func (s *Store) rollVolume(id uint32) error {
 	if err != nil {
 		return fmt.Errorf("packstore: %w", err)
 	}
-	v := &volume{id: id, f: f}
-	s.vols[id] = v
-	s.order = append(s.order, id)
-	s.active = v
+	s.addVolume(id, f)
 	return nil
 }
 
+// addVolume registers f as the newest volume, the one appends go to.
+func (s *Store) addVolume(id uint32, f *os.File) *volume {
+	v := &volume{id: id, f: f}
+	s.vols = append(s.vols, v)
+	if m := s.opts.Metrics; m != nil {
+		m.PackVolumes.Set(float64(len(s.vols)))
+	}
+	return v
+}
+
 // SetFaultHook installs a fault injector consulted before each disk
-// operation ("read", "write", "rename"); a non-nil return is surfaced as
+// operation ("read", "write"); a non-nil return is surfaced as
 // that operation's I/O failure. Used by chaos testing; nil disables. Not
 // safe to call concurrently with store use.
 func (s *Store) SetFaultHook(f func(op string) error) {
@@ -308,35 +281,33 @@ func (s *Store) fault(op string) error {
 	return nil
 }
 
-// locate is the allocation-free lookup path: key → needle location.
-func (s *Store) locate(key string) (needleLoc, bool) {
+// locate is the allocation-free lookup path: key → needle location and
+// the volume file holding it.
+func (s *Store) locate(key string) (needleLoc, *os.File, bool) {
 	s.mu.RLock()
+	defer s.mu.RUnlock()
 	loc, ok := s.index[key]
-	s.mu.RUnlock()
-	return loc, ok
+	if !ok {
+		return needleLoc{}, nil, false
+	}
+	return loc, s.vols[loc.vol].f, true
 }
 
 // Get returns key's payload. A missing key returns fs.ErrNotExist. A
 // needle whose CRC no longer matches is quarantined — dropped from the
-// index, its bytes marked dead, the audit-failure counter bumped — and
-// reported as fs.ErrNotExist, so callers see a recomputable miss rather
-// than a corrupt payload or a batch failure.
+// index, the audit-failure counter bumped — and reported as
+// fs.ErrNotExist, so callers see a recomputable miss rather than a
+// corrupt payload or a batch failure.
 func (s *Store) Get(key string) ([]byte, error) {
-	s.mu.RLock()
-	loc, ok := s.index[key]
+	loc, f, ok := s.locate(key)
 	if !ok {
-		s.mu.RUnlock()
 		return nil, fs.ErrNotExist
 	}
 	if err := s.fault("read"); err != nil {
-		s.mu.RUnlock()
 		return nil, err
 	}
-	v := s.vols[loc.vol]
 	buf := make([]byte, loc.span())
-	_, err := v.f.ReadAt(buf, loc.off)
-	s.mu.RUnlock()
-	if err != nil {
+	if _, err := f.ReadAt(buf, loc.off); err != nil {
 		return nil, err
 	}
 	data, ok := verifyNeedle(buf, key)
@@ -359,7 +330,7 @@ func verifyNeedle(buf []byte, key string) ([]byte, bool) {
 	keyLen := binary.LittleEndian.Uint16(buf[5:7])
 	dataLen := binary.LittleEndian.Uint32(buf[7:11])
 	crc := binary.LittleEndian.Uint32(buf[11:15])
-	if magic != needleMagic || flags&flagTombstone != 0 ||
+	if magic != needleMagic || flags != 0 ||
 		int(keyLen) != len(key) || int64(len(buf)) != headerSize+int64(keyLen)+int64(dataLen) {
 		return nil, false
 	}
@@ -376,27 +347,21 @@ func verifyNeedle(buf []byte, key string) ([]byte, bool) {
 }
 
 // quarantine drops a corrupt needle from the index so it reads as a
-// miss; the bytes stay dead until compaction rewrites the volume.
+// miss; its bytes stay in the volume.
 func (s *Store) quarantine(key string, loc needleLoc) {
 	s.mu.Lock()
 	if cur, ok := s.index[key]; ok && cur == loc {
 		delete(s.index, key)
-		if v := s.vols[loc.vol]; v != nil {
-			v.live -= loc.span()
-			v.dead += loc.span()
-		}
 	}
 	s.mu.Unlock()
 	if m := s.opts.Metrics; m != nil {
 		m.PackAuditFailures.Inc()
 	}
-	s.publishGauges()
 }
 
 // Put appends key's payload as a new needle, superseding any previous
-// one (whose bytes become dead). The write is a single buffered append;
-// readers only see the entry once the index points at it, so a torn
-// write is never served.
+// one. The write is a single buffered append; readers only see the entry
+// once the index points at it, so a torn write is never served.
 func (s *Store) Put(key string, data []byte) error {
 	if len(key) == 0 || len(key) > 0xffff {
 		return fmt.Errorf("packstore: key length %d out of range", len(key))
@@ -409,69 +374,34 @@ func (s *Store) Put(key string, data []byte) error {
 	if s.closed {
 		return errors.New("packstore: store closed")
 	}
-	loc, err := s.append(0, key, data)
+	loc, err := s.append(key, data)
 	if err != nil {
 		return err
-	}
-	if old, ok := s.index[key]; ok {
-		ov := s.vols[old.vol]
-		ov.live -= old.span()
-		ov.dead += old.span()
 	}
 	s.index[key] = loc
-	s.vols[loc.vol].live += loc.span()
-	s.publishGaugesLocked()
-	s.maybeCompactLocked()
-	return nil
-}
-
-// Delete appends a tombstone so the deletion survives a cold-start
-// rebuild, and drops the key from the index. Deleting an absent key is a
-// no-op.
-func (s *Store) Delete(key string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return errors.New("packstore: store closed")
-	}
-	old, ok := s.index[key]
-	if !ok {
-		return nil
-	}
-	loc, err := s.append(flagTombstone, key, nil)
-	if err != nil {
-		return err
-	}
-	delete(s.index, key)
-	ov := s.vols[old.vol]
-	ov.live -= old.span()
-	ov.dead += old.span()
-	s.vols[loc.vol].dead += loc.span() // the tombstone itself is dead weight
-	s.publishGaugesLocked()
-	s.maybeCompactLocked()
 	return nil
 }
 
 // append writes one needle at the active volume's tail, rolling to a new
 // volume first if the active one is full. Caller holds the write lock.
-func (s *Store) append(flags byte, key string, data []byte) (needleLoc, error) {
-	if s.active.size >= s.opts.MaxVolumeBytes {
-		if err := s.rollVolume(s.active.id + 1); err != nil {
+func (s *Store) append(key string, data []byte) (needleLoc, error) {
+	if v := s.vols[len(s.vols)-1]; v.size >= s.opts.MaxVolumeBytes {
+		if err := s.rollVolume(v.id + 1); err != nil {
 			return needleLoc{}, err
 		}
 	}
 	if err := s.fault("write"); err != nil {
 		return needleLoc{}, err
 	}
-	buf := encodeNeedle(flags, key, data)
-	v := s.active
+	buf := encodeNeedle(0, key, data)
+	v := s.vols[len(s.vols)-1]
 	if _, err := v.f.WriteAt(buf, v.size); err != nil {
 		// The tail past v.size is now undefined; drop it so the next
 		// append does not build on torn bytes.
 		v.f.Truncate(v.size)
 		return needleLoc{}, err
 	}
-	loc := needleLoc{vol: v.id, off: v.size, keyLen: uint16(len(key)), size: uint32(len(data))}
+	loc := needleLoc{vol: uint32(len(s.vols) - 1), off: v.size, keyLen: uint16(len(key)), size: uint32(len(data))}
 	v.size += loc.span()
 	return loc, nil
 }
@@ -492,32 +422,17 @@ func encodeNeedle(flags byte, key string, data []byte) []byte {
 	return buf
 }
 
-// Range calls fn for every live entry, verifying each needle as it is
-// read; fn returning false stops the iteration. A needle whose CRC no
-// longer matches is quarantined and skipped, exactly like a Get miss, so
-// derived-state rebuilds (the run catalog) never see corrupt payloads.
-// Keys are snapshotted up front: fn may call back into the store.
-func (s *Store) Range(fn func(key string, data []byte) bool) error {
+// Keys returns every stored key, in no particular order, without reading
+// a payload. A key whose needle turns out corrupt is listed until a Get
+// quarantines it.
+func (s *Store) Keys() []string {
 	s.mu.RLock()
+	defer s.mu.RUnlock()
 	keys := make([]string, 0, len(s.index))
 	for key := range s.index {
 		keys = append(keys, key)
 	}
-	s.mu.RUnlock()
-	sort.Strings(keys)
-	for _, key := range keys {
-		data, err := s.Get(key)
-		if errors.Is(err, fs.ErrNotExist) {
-			continue // deleted or quarantined since the snapshot
-		}
-		if err != nil {
-			return err
-		}
-		if !fn(key, data) {
-			return nil
-		}
-	}
-	return nil
+	return keys
 }
 
 // Len returns the number of live entries.
@@ -527,14 +442,11 @@ func (s *Store) Len() int {
 	return len(s.index)
 }
 
-// Close waits for background compaction and closes every volume file.
+// Close closes every volume file.
 func (s *Store) Close() error {
 	s.mu.Lock()
-	s.closed = true
-	s.mu.Unlock()
-	s.wg.Wait()
-	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.closed = true
 	return s.closeFiles()
 }
 
@@ -549,29 +461,4 @@ func (s *Store) closeFiles() error {
 		}
 	}
 	return first
-}
-
-// publishGauges pushes the volume/byte shape into the metrics bundle.
-func (s *Store) publishGauges() {
-	if s.opts.Metrics == nil {
-		return
-	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	s.publishGaugesLocked()
-}
-
-func (s *Store) publishGaugesLocked() {
-	m := s.opts.Metrics
-	if m == nil {
-		return
-	}
-	var live, dead int64
-	for _, v := range s.vols {
-		live += v.live
-		dead += v.dead
-	}
-	m.PackVolumes.Set(float64(len(s.order)))
-	m.PackLiveBytes.Set(float64(live))
-	m.PackDeadBytes.Set(float64(dead))
 }

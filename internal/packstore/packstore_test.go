@@ -14,10 +14,9 @@ import (
 	"repro/internal/telemetry"
 )
 
-// openTest opens a store with deterministic (manual) compaction.
 func openTest(t *testing.T, dir string, mutate func(*Options)) *Store {
 	t.Helper()
-	opts := Options{NoAutoCompact: true}
+	var opts Options
 	if mutate != nil {
 		mutate(&opts)
 	}
@@ -62,30 +61,38 @@ func TestPackRoundTrip(t *testing.T) {
 	if s.Len() != 100 {
 		t.Errorf("Len = %d, want 100", s.Len())
 	}
-	// Overwrite supersedes; old bytes become dead.
+	// Overwrite supersedes.
 	mustPut(t, s, "key-007", []byte("rewritten"))
 	if got := mustGet(t, s, "key-007"); string(got) != "rewritten" {
 		t.Errorf("overwrite returned %q", got)
 	}
-	if dead := deadBytes(s); dead == 0 || s.Len() != 100 {
-		t.Errorf("after overwrite: %d dead bytes, %d entries, want dead bytes > 0 and 100 entries", dead, s.Len())
+	if s.Len() != 100 {
+		t.Errorf("after overwrite: %d entries, want 100", s.Len())
 	}
 }
 
+// TestPackDeleteAndTombstoneSurvivesReopen opens a volume as older builds
+// wrote it, with an overwrite and a tombstone (flags bit 0) that deletes
+// a key: the deleted key is a miss, the overwritten key serves its last
+// value, and a later Put of the deleted key serves across a reopen.
 func TestPackDeleteAndTombstoneSurvivesReopen(t *testing.T) {
 	dir := t.TempDir()
 	s := openTest(t, dir, nil)
 	mustPut(t, s, "kept", []byte("a"))
 	mustPut(t, s, "gone", []byte("b"))
-	if err := s.Delete("gone"); err != nil {
+	mustPut(t, s, "over", []byte("first"))
+	mustPut(t, s, "over", []byte("last"))
+	s.Close()
+	const flagTombstone = 0x01
+	f, err := os.OpenFile(filepath.Join(dir, "pack-000000.dat"), os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Get("gone"); !errors.Is(err, fs.ErrNotExist) {
-		t.Fatalf("deleted key err = %v", err)
+	if _, err := f.Write(encodeNeedle(flagTombstone, "gone", nil)); err != nil {
+		t.Fatal(err)
 	}
-	s.Close()
+	f.Close()
 
-	// The tombstone must hold across a cold-start rebuild.
 	s2 := openTest(t, dir, nil)
 	if _, err := s2.Get("gone"); !errors.Is(err, fs.ErrNotExist) {
 		t.Fatalf("deleted key resurrected after reopen: err = %v", err)
@@ -93,8 +100,18 @@ func TestPackDeleteAndTombstoneSurvivesReopen(t *testing.T) {
 	if got := mustGet(t, s2, "kept"); string(got) != "a" {
 		t.Fatalf("kept = %q", got)
 	}
-	if s2.Len() != 1 {
-		t.Errorf("Len after reopen = %d, want 1", s2.Len())
+	if got := mustGet(t, s2, "over"); string(got) != "last" {
+		t.Fatalf("over = %q, want its last value", got)
+	}
+	if s2.Len() != 2 {
+		t.Errorf("Len after reopen = %d, want 2", s2.Len())
+	}
+	mustPut(t, s2, "gone", []byte("again"))
+	s2.Close()
+
+	s3 := openTest(t, dir, nil)
+	if got := mustGet(t, s3, "gone"); string(got) != "again" {
+		t.Fatalf("key stored after its tombstone = %q", got)
 	}
 }
 
@@ -105,8 +122,8 @@ func TestPackReopenRebuildsIndex(t *testing.T) {
 	for i := 0; i < n; i++ {
 		mustPut(t, s, fmt.Sprintf("k%04d", i), bytes.Repeat([]byte{byte(i)}, 64))
 	}
-	if len(s.order) < 2 {
-		t.Fatalf("expected multiple volumes, got %d", len(s.order))
+	if len(s.vols) < 2 {
+		t.Fatalf("expected multiple volumes, got %d", len(s.vols))
 	}
 	s.Close()
 
@@ -187,12 +204,11 @@ func TestPackCorruptNeedleQuarantinedAsMiss(t *testing.T) {
 	mustPut(t, s, "victim", []byte("soon to be flipped"))
 
 	// Flip one payload byte of the victim's needle on disk.
-	loc, ok := s.locate("victim")
+	loc, _, ok := s.locate("victim")
 	if !ok {
 		t.Fatal("victim not indexed")
 	}
-	vol := filepath.Join(dir, fmt.Sprintf("pack-%06d.dat", loc.vol))
-	f, err := os.OpenFile(vol, os.O_RDWR, 0o644)
+	f, err := os.OpenFile(s.volumePath(s.vols[loc.vol].id), os.O_RDWR, 0o644)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,9 +236,9 @@ func TestPackCorruptNeedleQuarantinedAsMiss(t *testing.T) {
 	}
 }
 
-// Range verifies every needle it reads: corrupt ones are quarantined and
-// skipped, never handed to fn.
-func TestPackRangeQuarantinesCorruptNeedles(t *testing.T) {
+// Reading every listed key quarantines the corrupt needles, which then
+// drop out of Keys and Len.
+func TestPackKeysDropQuarantinedNeedles(t *testing.T) {
 	dir := t.TempDir()
 	m := telemetry.NewCacheMetrics(telemetry.NewRegistry())
 	s := openTest(t, dir, func(o *Options) { o.Metrics = m })
@@ -230,135 +246,40 @@ func TestPackRangeQuarantinesCorruptNeedles(t *testing.T) {
 		mustPut(t, s, fmt.Sprintf("k%02d", i), bytes.Repeat([]byte("x"), 32))
 	}
 	for _, victim := range []string{"k03", "k11"} {
-		loc, _ := s.locate(victim)
-		f, err := os.OpenFile(filepath.Join(dir, fmt.Sprintf("pack-%06d.dat", loc.vol)), os.O_RDWR, 0o644)
+		loc, _, _ := s.locate(victim)
+		f, err := os.OpenFile(s.volumePath(s.vols[loc.vol].id), os.O_RDWR, 0o644)
 		if err != nil {
 			t.Fatal(err)
 		}
 		f.WriteAt([]byte{0xee}, loc.off+headerSize+int64(loc.keyLen)+1)
 		f.Close()
 	}
-	for pass := 0; pass < 2; pass++ {
-		seen := 0
-		err := s.Range(func(key string, data []byte) bool {
-			if key == "k03" || key == "k11" {
-				t.Errorf("pass %d: Range served corrupt needle %s", pass, key)
+	for pass, listed := range []int{20, 18} {
+		keys := s.Keys()
+		if len(keys) != listed {
+			t.Errorf("pass %d: Keys listed %d entries, want %d", pass, len(keys), listed)
+		}
+		served := 0
+		for _, key := range keys {
+			_, err := s.Get(key)
+			if err == nil {
+				served++
+				if key == "k03" || key == "k11" {
+					t.Errorf("pass %d: Get served corrupt needle %s", pass, key)
+				}
+			} else if !errors.Is(err, fs.ErrNotExist) {
+				t.Fatalf("pass %d: Get(%s): %v", pass, key, err)
 			}
-			seen++
-			return true
-		})
-		if err != nil || seen != 18 {
-			t.Errorf("pass %d: Range saw %d entries, err %v, want 18, nil", pass, seen, err)
+		}
+		if served != 18 {
+			t.Errorf("pass %d: served %d entries, want 18", pass, served)
 		}
 		if m.PackAuditFailures.Value() != 2 {
 			t.Errorf("pass %d: PackAuditFailures = %d, want 2", pass, m.PackAuditFailures.Value())
 		}
 	}
 	if s.Len() != 18 {
-		t.Errorf("Len after Range = %d, want 18", s.Len())
-	}
-}
-
-func TestPackCompactionReclaimsDeadBytes(t *testing.T) {
-	dir := t.TempDir()
-	m := telemetry.NewCacheMetrics(telemetry.NewRegistry())
-	s := openTest(t, dir, func(o *Options) {
-		o.MaxVolumeBytes = 2048
-		o.Metrics = m
-	})
-	// Fill several volumes, then overwrite most keys so early volumes
-	// decay below the live-ratio threshold.
-	const n = 60
-	for round := 0; round < 3; round++ {
-		for i := 0; i < n; i++ {
-			mustPut(t, s, fmt.Sprintf("k%02d", i), []byte(fmt.Sprintf("round %d value %02d", round, i)))
-		}
-	}
-	if err := s.Delete("k00"); err != nil {
-		t.Fatal(err)
-	}
-	pre := deadBytes(s)
-	if pre == 0 {
-		t.Fatal("no dead bytes to reclaim")
-	}
-	compactions := 0
-	for {
-		did, err := s.CompactOnce()
-		if err != nil {
-			t.Fatalf("CompactOnce: %v", err)
-		}
-		if !did {
-			break
-		}
-		compactions++
-	}
-	if compactions == 0 {
-		t.Fatal("no volume compacted")
-	}
-	if post := deadBytes(s); post >= pre {
-		t.Errorf("dead bytes %d -> %d, want reclaimed", pre, post)
-	}
-	if m.PackCompactions.Value() != int64(compactions) {
-		t.Errorf("PackCompactions = %d, want %d", m.PackCompactions.Value(), compactions)
-	}
-	// Every surviving entry still serves its latest value.
-	for i := 1; i < n; i++ {
-		got := mustGet(t, s, fmt.Sprintf("k%02d", i))
-		if want := fmt.Sprintf("round 2 value %02d", i); string(got) != want {
-			t.Fatalf("k%02d = %q, want %q", i, got, want)
-		}
-	}
-	if _, err := s.Get("k00"); !errors.Is(err, fs.ErrNotExist) {
-		t.Fatalf("deleted key after compaction: err = %v", err)
-	}
-	s.Close()
-
-	// And the compacted volumes rebuild identically.
-	s2 := openTest(t, dir, nil)
-	if s2.Len() != n-1 {
-		t.Fatalf("Len after compacted reopen = %d, want %d", s2.Len(), n-1)
-	}
-	if _, err := s2.Get("k00"); !errors.Is(err, fs.ErrNotExist) {
-		t.Fatal("deleted key resurrected after compaction + reopen")
-	}
-	for i := 1; i < n; i++ {
-		got := mustGet(t, s2, fmt.Sprintf("k%02d", i))
-		if want := fmt.Sprintf("round 2 value %02d", i); string(got) != want {
-			t.Fatalf("reopened k%02d = %q, want %q", i, got, want)
-		}
-	}
-}
-
-func TestPackCompactionFaultLeavesVolumeIntact(t *testing.T) {
-	s := openTest(t, t.TempDir(), func(o *Options) { o.MaxVolumeBytes = 1024 })
-	for round := 0; round < 3; round++ {
-		for i := 0; i < 30; i++ {
-			mustPut(t, s, fmt.Sprintf("k%02d", i), bytes.Repeat([]byte("y"), 48))
-		}
-	}
-	for _, op := range []string{"write", "rename"} {
-		s.SetFaultHook(func(got string) error {
-			if got == op {
-				return errors.New("injected " + got + " fault")
-			}
-			return nil
-		})
-		if _, err := s.CompactOnce(); err == nil {
-			t.Fatalf("CompactOnce with %s fault: no error", op)
-		}
-		s.SetFaultHook(nil)
-		// Nothing lost: every key still serves, and no stray temp files.
-		for i := 0; i < 30; i++ {
-			mustGet(t, s, fmt.Sprintf("k%02d", i))
-		}
-		tmps, _ := filepath.Glob(filepath.Join(s.dir, "*.tmp"))
-		if len(tmps) != 0 {
-			t.Fatalf("%s fault left temp files: %v", op, tmps)
-		}
-	}
-	// With the hook cleared the postponed compaction succeeds.
-	if did, err := s.CompactOnce(); err != nil || !did {
-		t.Fatalf("post-fault CompactOnce = %v, %v", did, err)
+		t.Errorf("Len after reading every key = %d, want 18", s.Len())
 	}
 }
 
@@ -383,9 +304,9 @@ func TestPackAppendFaultSurfaces(t *testing.T) {
 	}
 }
 
-// TestZeroAllocNeedleLookup gates the lookup path (key → volume, offset,
-// length): like the sim hot loop and the cluster routing decision, it
-// must not allocate.
+// TestZeroAllocNeedleLookup gates the lookup path Get takes (key →
+// volume file, offset, length): like the sim hot loop and the cluster
+// routing decision, it must not allocate.
 func TestZeroAllocNeedleLookup(t *testing.T) {
 	s := openTest(t, t.TempDir(), nil)
 	key := "sha256:cafef00dcafef00dcafef00dcafef00dcafef00dcafef00dcafef00dcafef00d"
@@ -394,11 +315,11 @@ func TestZeroAllocNeedleLookup(t *testing.T) {
 		mustPut(t, s, fmt.Sprintf("filler-%02d", i), []byte("x"))
 	}
 	allocs := testing.AllocsPerRun(1000, func() {
-		loc, ok := s.locate(key)
-		if !ok || loc.size == 0 {
+		loc, f, ok := s.locate(key)
+		if !ok || loc.size == 0 || f == nil {
 			panic("lookup failed")
 		}
-		if _, ok := s.locate("absent-key"); ok {
+		if _, _, ok := s.locate("absent-key"); ok {
 			panic("phantom")
 		}
 	})
@@ -436,15 +357,4 @@ func TestPackKeyAndPayloadBounds(t *testing.T) {
 	if err := s.Put(long, []byte("v")); err == nil {
 		t.Error("oversized key accepted")
 	}
-}
-
-// deadBytes sums the dead bytes of every volume.
-func deadBytes(s *Store) int64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	var n int64
-	for _, v := range s.vols {
-		n += v.dead
-	}
-	return n
 }

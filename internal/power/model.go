@@ -184,8 +184,9 @@ type Model struct {
 	otherDynW  float64 // icache/L2/front-end dynamic share at full tilt
 }
 
-// termsFor flattens the events() mapping for one block into slot/energy
-// pairs ordered by event kind, preserving the original accumulation order.
+// termsFor maps one block's per-kind event energies onto activity slots as
+// slot/energy pairs ordered by event kind, preserving the original
+// accumulation order.
 func termsFor(id floorplan.BlockID, energy [numEventKinds]float64) blockTerms {
 	type se struct {
 		s actSlot
@@ -334,33 +335,6 @@ func (m *Model) Clone() *Model {
 // NumBlocks returns the number of modeled blocks.
 func (m *Model) NumBlocks() int { return len(m.blocks) }
 
-// events extracts the per-kind event counts of block id from an activity
-// record.
-func events(id floorplan.BlockID, act *pipeline.Activity) [numEventKinds]int {
-	var ev [numEventKinds]int
-	switch id {
-	case floorplan.LSQ:
-		ev[evWrite] = act.LSQInserts
-		ev[evMatch] = act.LSQSearches
-	case floorplan.Window:
-		ev[evWrite] = act.WindowInserts
-		ev[evRead] = act.WindowIssues
-		ev[evMatch] = act.WindowWakeups
-	case floorplan.RegFile:
-		ev[evRead] = act.RegReads
-		ev[evWrite] = act.RegWrites
-	case floorplan.BPred:
-		ev[evRead] = act.BPredAccess
-	case floorplan.DCache:
-		ev[evRead] = act.DCacheAccess
-	case floorplan.IntExec:
-		ev[evOp] = act.IntOps
-	case floorplan.FPExec:
-		ev[evOp] = act.FPOps
-	}
-	return ev
-}
-
 // BlockPower fills out with this cycle's per-block power in watts, indexed
 // in the model's block order (matching the floorplan order used to build
 // the thermal network). out must have NumBlocks entries.
@@ -434,11 +408,4 @@ func (m *Model) ChipOverhead(act *pipeline.Activity) float64 {
 		util = 1
 	}
 	return m.otherBaseW + m.otherDynW*util
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

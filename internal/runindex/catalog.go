@@ -10,19 +10,23 @@
 //
 // The index is derived state. On cold start it replays catalog.log
 // (torn tails truncated at the last valid frame, CRC-failing frames
-// quarantined as misses, exactly like the packstore needle index), and a
-// catalog that lost its log entirely is rebuilt from a packstore scan of
-// the run cache itself. Ingest and lookup hot paths are allocation-free
-// in the steady state and gated by TestZeroAllocIndex*.
+// quarantined as misses, exactly like the packstore needle index), and
+// Reconcile then catalogs every result the run cache's pack store holds
+// that the log lacks — all of them for a catalog that lost its log.
+// Ingest and lookup hot paths are allocation-free in the steady state and
+// gated by TestZeroAllocIndex*.
 package runindex
 
 import (
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/crc32"
+	"io/fs"
 	"os"
 	"path/filepath"
+	"sort"
 	"sync"
 
 	"repro/internal/packstore"
@@ -65,16 +69,14 @@ type Catalog struct {
 	// record itself.
 	sids []sidPair
 
-	dir         string   // "" = memory-only
-	logf        *os.File // nil when memory-only
-	logSize     int64    // append offset (end of the last valid frame)
+	logf        *os.File
+	logSize     int64 // append offset (end of the last valid frame)
 	encBuf      []byte
 	quarantined int
 }
 
-// Open opens (or creates) a catalog. dir == "" builds a memory-only
-// catalog (tests, benchmarks); otherwise dir holds catalog.log, replayed
-// here with torn-tail truncation and per-frame CRC quarantine.
+// Open opens (or creates) the catalog in dir, whose catalog.log is
+// replayed here with torn-tail truncation and per-frame CRC quarantine.
 func Open(dir string, opts Options) (*Catalog, error) {
 	capn := opts.Capacity
 	if capn < 1024 {
@@ -82,7 +84,6 @@ func Open(dir string, opts Options) (*Catalog, error) {
 	}
 	c := &Catalog{
 		opts:      opts,
-		dir:       dir,
 		recs:      make([]Record, 0, capn),
 		sids:      make([]sidPair, 0, capn),
 		benchIDs:  make(map[string]uint64, 64),
@@ -101,9 +102,6 @@ func Open(dir string, opts Options) (*Catalog, error) {
 	c.policyTree = newBtree()
 	c.policyTree.reserve(capn)
 
-	if dir == "" {
-		return c, nil
-	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("runindex: %w", err)
 	}
@@ -189,7 +187,7 @@ func (c *Catalog) replayLog() error {
 
 // Close releases the log handle. Nil-safe.
 func (c *Catalog) Close() error {
-	if c == nil || c.logf == nil {
+	if c == nil {
 		return nil
 	}
 	return c.logf.Close()
@@ -275,13 +273,11 @@ func (c *Catalog) Ingest(rec Record) bool {
 		}
 		return false
 	}
-	if c.logf != nil {
-		// A failed append is swallowed: the record still serves queries
-		// from memory, and a cold start recovers it from the pack store.
-		c.encBuf = appendRecord(c.encBuf[:0], &rec)
-		if _, err := c.logf.WriteAt(c.encBuf, c.logSize); err == nil {
-			c.logSize += int64(len(c.encBuf))
-		}
+	// A failed append is swallowed: the record still serves queries from
+	// memory, and a cold start recovers it from the pack store.
+	c.encBuf = appendRecord(c.encBuf[:0], &rec)
+	if _, err := c.logf.WriteAt(c.encBuf, c.logSize); err == nil {
+		c.logSize += int64(len(c.encBuf))
 	}
 	newID := int32(len(c.recs))
 	c.recs = append(c.recs, rec)
@@ -344,31 +340,46 @@ func (c *Catalog) Get(key string) (Record, bool) {
 	return rec, true
 }
 
-// RebuildFromStore scans the run cache's pack store and re-ingests every
-// decodable *sim.Result the catalog does not already hold — the recovery
-// path for a catalog whose log was lost or torn while the cache survived.
-// Recovered records are appended to the log (via the normal ingest path)
-// so the next cold start replays them directly. Returns the number of
-// records recovered. Entries that do not decode as results are skipped.
-func (c *Catalog) RebuildFromStore(store *packstore.Store) (int, error) {
+// Reconcile catalogs every result the run cache's pack store holds and
+// the catalog lacks: the whole store for a catalog whose log was lost,
+// or a result a crash stored between the pack append and the log append.
+// Only the missing keys' payloads are read and decoded, so a reopen that
+// is already in sync reads none. Recovered records go through Ingest, so
+// the log holds them for the next cold start; they are ingested in key
+// order. Entries that do not decode as results are skipped. Returns the
+// number of records recovered.
+func (c *Catalog) Reconcile(store *packstore.Store) (int, error) {
 	if c == nil || store == nil {
 		return 0, nil
 	}
+	var missing []string
+	for _, key := range store.Keys() {
+		if _, ok := c.Get(key); !ok {
+			missing = append(missing, key)
+		}
+	}
+	sort.Strings(missing)
 	added := 0
-	err := store.Range(func(key string, data []byte) bool {
+	for _, key := range missing {
+		data, err := store.Get(key)
+		if errors.Is(err, fs.ErrNotExist) {
+			continue // quarantined by its CRC
+		}
+		if err != nil {
+			return added, err
+		}
 		var res sim.Result
 		if json.Unmarshal(data, &res) != nil || res.Benchmark == "" {
-			return true
+			continue
 		}
 		if c.Ingest(FromResult(key, &res)) {
 			added++
 		}
-		return true
-	})
-	if m := c.opts.Metrics; m != nil {
+	}
+	if m := c.opts.Metrics; m != nil && added > 0 {
 		m.Rebuilds.Inc()
 	}
-	return added, err
+	return added, nil
 }
 
 func (c *Catalog) publishGauge() {

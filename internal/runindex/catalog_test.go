@@ -32,10 +32,11 @@ func testRecord(i int) Record {
 }
 
 func TestCatalogIngestAndGet(t *testing.T) {
-	c, err := Open("", Options{})
+	c, err := Open(t.TempDir(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer c.Close()
 	const n = 5000
 	for i := 0; i < n; i++ {
 		if !c.Ingest(testRecord(i)) {
@@ -84,10 +85,11 @@ func fullScanCount(c *Catalog, q *Query) int {
 }
 
 func TestCatalogRangeQueries(t *testing.T) {
-	c, err := Open("", Options{})
+	c, err := Open(t.TempDir(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer c.Close()
 	const n = 10000
 	for i := 0; i < n; i++ {
 		c.Ingest(testRecord(i))
@@ -141,10 +143,11 @@ func TestCatalogRangeQueries(t *testing.T) {
 // TestPlannerDrivesByFewestRows checks that the driving filter is the
 // one with the fewest estimated rows, not the first one set.
 func TestPlannerDrivesByFewestRows(t *testing.T) {
-	c, err := Open("", Options{})
+	c, err := Open(t.TempDir(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer c.Close()
 	for i := 0; i < 10000; i++ {
 		c.Ingest(testRecord(i))
 	}
@@ -263,10 +266,11 @@ func TestCatalogPersistence(t *testing.T) {
 func TestCatalogMetrics(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	m := telemetry.NewIndexMetrics(reg)
-	c, err := Open("", Options{Metrics: m})
+	c, err := Open(t.TempDir(), Options{Metrics: m})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer c.Close()
 	for i := 0; i < 100; i++ {
 		c.Ingest(testRecord(i))
 	}

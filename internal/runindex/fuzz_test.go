@@ -85,10 +85,11 @@ func FuzzCatalogReplay(f *testing.F) {
 // FuzzParseQuery: ParseQuery on arbitrary URL parameters either fails or
 // yields a query whose every returned row satisfies every filter.
 func FuzzParseQuery(f *testing.F) {
-	c, err := Open("", Options{})
+	c, err := Open(f.TempDir(), Options{})
 	if err != nil {
 		f.Fatal(err)
 	}
+	defer c.Close()
 	for i := 0; i < 64; i++ {
 		c.Ingest(testRecord(i))
 	}

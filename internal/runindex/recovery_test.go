@@ -138,12 +138,12 @@ func TestCrashRecoveryTornLog(t *testing.T) {
 	}
 
 	// Cold rebuild from the pack store recovers both lost records.
-	added, err := reopened.RebuildFromStore(store)
+	added, err := reopened.Reconcile(store)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if added != 2 {
-		t.Fatalf("RebuildFromStore recovered %d records, want 2", added)
+		t.Fatalf("Reconcile recovered %d records, want 2", added)
 	}
 	if reopened.Len() != n {
 		t.Fatalf("Len = %d after rebuild, want %d", reopened.Len(), n)
@@ -188,11 +188,12 @@ func TestRebuildSkipsForeignBlobs(t *testing.T) {
 	blob, _ := json.Marshal(&res)
 	store.Put(rec.Key, blob)
 
-	c, err := Open("", Options{})
+	c, err := Open(t.TempDir(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	added, err := c.RebuildFromStore(store)
+	defer c.Close()
+	added, err := c.Reconcile(store)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -47,10 +47,11 @@ func TestZeroAllocIndexIngest(t *testing.T) {
 func TestZeroAllocIndexLookup(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	m := telemetry.NewIndexMetrics(reg)
-	c, err := Open("", Options{Capacity: 8192, Metrics: m})
+	c, err := Open(t.TempDir(), Options{Capacity: 8192, Metrics: m})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer c.Close()
 	const n = 8000
 	for i := 0; i < n; i++ {
 		c.Ingest(testRecord(i))

@@ -8,9 +8,10 @@ package runner
 // can be mutated freely without poisoning later hits.
 //
 // The store is the pack store (internal/packstore): entries are appended
-// as CRC-checked needles into bounded pack volumes. It is crash-safe and
-// self-healing: a corrupted or undecodable entry is dropped and treated
-// as a miss, so the batch recomputes it instead of failing. Files in the
+// as CRC-checked needles into bounded pack volumes, append-only. It is
+// crash-safe and self-healing: a corrupted or undecodable entry reads as
+// a miss, so the batch recomputes it instead of failing, and the
+// recompute's Put supersedes the bad entry. Files in the
 // directory that are not pack volumes — such as the per-entry <key>.json
 // files older builds wrote — are ignored, so a directory from such a
 // build opens as an empty store and its results recompute. Transient
@@ -72,7 +73,7 @@ func NewCacheWith[R any](cfg CacheConfig, metrics *telemetry.CacheMetrics) (*Cac
 }
 
 // SetFaultHook installs a fault injector called before every disk
-// operation attempt ("read", "write", "rename"); a non-nil return counts
+// operation attempt ("read", "write"); a non-nil return counts
 // as that attempt's I/O failure and is retried like a real one. Used by
 // chaos testing; nil disables injection. Not safe to call concurrently
 // with cache use.
@@ -101,8 +102,7 @@ func (c *Cache[R]) Store() *packstore.Store {
 	return c.store
 }
 
-// Close releases the pack store (waits for pack compaction to settle).
-// Nil-safe.
+// Close releases the pack store. Nil-safe.
 func (c *Cache[R]) Close() error {
 	if c == nil {
 		return nil
@@ -142,12 +142,10 @@ func (c *Cache[R]) Get(key string) (R, bool) {
 	})
 	var v R
 	if err == nil {
-		if err = json.Unmarshal(data, &v); err != nil {
-			// Undecodable entry (its CRC holds but the bytes are not an R,
-			// e.g. written by a build with another result type): drop it
-			// and recompute.
-			_ = c.store.Delete(key)
-		}
+		// An undecodable entry (its CRC holds but the bytes are not an R,
+		// e.g. written by a build with another result type) is a miss too;
+		// the recompute's Put supersedes it.
+		err = json.Unmarshal(data, &v)
 	}
 	if err != nil {
 		c.count(func(m *telemetry.CacheMetrics) { m.Misses.Inc() })

@@ -2,9 +2,9 @@ package runner
 
 import (
 	"errors"
-	"io/fs"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -90,7 +90,7 @@ func TestCacheDiskRoundTrip(t *testing.T) {
 // TestCacheCorruptedEntryRecovers covers the decode half of
 // self-healing: a stored entry whose CRC holds but whose bytes are not a
 // valid result (written by a build with another result type, say) reads
-// as a miss, is dropped from the store, and a recompute re-stores it.
+// as a miss, and a recompute's Put supersedes it.
 // TestCachePackCorruptedEntryRecovers covers the CRC half.
 func TestCacheCorruptedEntryRecovers(t *testing.T) {
 	dir := t.TempDir()
@@ -105,12 +105,12 @@ func TestCacheCorruptedEntryRecovers(t *testing.T) {
 	if _, ok := c.Get("deadbeef"); ok {
 		t.Fatal("undecodable entry served as a hit")
 	}
-	if _, err := c.Store().Get("deadbeef"); !errors.Is(err, fs.ErrNotExist) {
-		t.Error("undecodable entry not deleted from the store")
-	}
 	c.Put("deadbeef", samplePayload())
-	if _, ok := c.Get("deadbeef"); !ok {
-		t.Error("re-stored entry missed")
+	if got, ok := c.Get("deadbeef"); !ok || !reflect.DeepEqual(got, samplePayload()) {
+		t.Errorf("re-stored entry = %+v, %v; want the recomputed payload", got, ok)
+	}
+	if c.Len() != 1 {
+		t.Errorf("Len() = %d after the re-store, want 1", c.Len())
 	}
 }
 

@@ -75,9 +75,8 @@ func NewSimMetrics(r *Registry) *SimMetrics {
 }
 
 // CacheMetrics is the run cache's bundle: lookup outcomes, the volume of
-// stored result payloads, disk retry/failure counts, and the pack
-// store's shape (volumes, live/dead bytes) and maintenance activity
-// (compactions, CRC-audit quarantines).
+// stored result payloads, disk retry/failure counts, the pack store's
+// volume count and its CRC-audit quarantines.
 type CacheMetrics struct {
 	Hits        *Counter
 	Misses      *Counter
@@ -86,15 +85,9 @@ type CacheMetrics struct {
 	DiskRetries *Counter
 	DiskErrors  *Counter
 
-	// Pack-store shape: volume count and live vs dead (reclaimable)
-	// bytes across all volumes.
-	PackVolumes   *Gauge
-	PackLiveBytes *Gauge
-	PackDeadBytes *Gauge
-
-	// Pack-store maintenance: volumes rewritten by compaction, and
-	// needles quarantined as misses after a CRC mismatch.
-	PackCompactions   *Counter
+	// Pack store: volumes on disk, and needles quarantined as misses
+	// after a CRC mismatch.
+	PackVolumes       *Gauge
 	PackAuditFailures *Counter
 }
 
@@ -108,11 +101,7 @@ func NewCacheMetrics(r *Registry) *CacheMetrics {
 		DiskRetries: r.Counter("cache_disk_retries_total", "Disk cache operations retried after a transient I/O failure."),
 		DiskErrors:  r.Counter("cache_disk_errors_total", "Disk cache operations abandoned after exhausting retries."),
 
-		PackVolumes:   r.Gauge("cache_pack_volumes", "Pack volumes currently in the result store."),
-		PackLiveBytes: r.Gauge("cache_pack_live_bytes", "Bytes of index-referenced needles across pack volumes."),
-		PackDeadBytes: r.Gauge("cache_pack_dead_bytes", "Bytes of overwritten, deleted or quarantined needles awaiting compaction."),
-
-		PackCompactions:   r.Counter("cache_pack_compactions_total", "Pack volumes rewritten by compaction."),
+		PackVolumes:       r.Gauge("cache_pack_volumes", "Pack volumes currently in the result store."),
 		PackAuditFailures: r.Counter("cache_pack_audit_failures_total", "Needles quarantined as misses after a CRC mismatch."),
 	}
 }
@@ -292,7 +281,7 @@ func NewIndexMetrics(r *Registry) *IndexMetrics {
 		Duplicates:  r.Counter("runindex_duplicates_total", "Ingests skipped because the key was already cataloged."),
 		Queries:     r.Counter("runindex_queries_total", "Catalog queries executed."),
 		RangeScans:  r.Counter("runindex_range_scans_total", "Queries answered by a B+-tree range scan."),
-		Rebuilds:    r.Counter("runindex_rebuilds_total", "Cold rebuilds of the catalog from a pack-store scan."),
+		Rebuilds:    r.Counter("runindex_rebuilds_total", "Catalog opens that recovered results from the pack store."),
 		Quarantined: r.Counter("runindex_quarantined_total", "Catalog log frames dropped as corrupt during replay."),
 		Records:     r.Gauge("runindex_records", "Records currently held by the catalog."),
 	}

@@ -16,6 +16,8 @@
 #     worker list (multi-target round-robin)
 #   - a second fleet's batch merge is byte-identical across a worker
 #     SIGKILL, and the killed worker restarts on its pack volumes
+#   - the restarted worker's /query lists every batch cell its /run
+#     answers from its store
 #   - one worker's own /batch and the coordinator's answer the same grid
 #     with byte-identical bodies
 #   - the coordinator answers a /query range scan merged across both
@@ -231,6 +233,25 @@ echo "range query merged ${CN} rows from workers holding ${C3} and ${C4}"
 # Malformed filters must fail fast at the coordinator, not fan out.
 QRC=$(curl -s -o /dev/null -w '%{http_code}' "${C}/query?trigger=banana")
 [ "${QRC}" = 400 ] || { echo "bad filter got ${QRC}, want 400"; exit 1; }
+
+echo "== restarted pack worker catalogs every result it serves from its store"
+# Each cell is queried before it is run: a /run that misses simulates and
+# catalogs the cell, so only a "cached": true answer is checked.
+CELLS=$(tr -d ' \n' <"${DIR}/pack_ref.json" |
+  grep -o '"benchmark":"[^"]*","policy":"[^"]*"' |
+  sed 's/"benchmark":"\([^"]*\)","policy":"\([^"]*\)"/\1:\2/')
+STORED=0
+for cell in ${CELLS}; do
+  q="bench=${cell%%:*}&policy=${cell#*:}&insts=400000"
+  curl -fsS "${W3}/query?${q}" >"${DIR}/cell_query.json"
+  curl -fsS "${W3}/run?${q}" >"${DIR}/cell_run.json"
+  grep -q '"cached": true' "${DIR}/cell_run.json" || continue
+  STORED=$((STORED + 1))
+  [ "$(count_of "${DIR}/cell_query.json")" -gt 0 ] || {
+    echo "restarted worker serves ${cell} from its store, but /query does not list it"; exit 1; }
+done
+[ "${STORED}" -gt 0 ] || { echo "restarted worker served no batch cell from its store"; exit 1; }
+echo "restarted worker's /query lists all ${STORED} batch cells it serves from its store"
 
 kill -INT "${COORD_PID}" "${W3_PID}" "${W4_PID}" 2>/dev/null || true
 
