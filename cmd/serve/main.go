@@ -114,8 +114,8 @@ func newServer(parent context.Context, cfg serverConfig, logf func(format string
 		start: time.Now(),
 	}
 	if cfg.cacheDir != "" {
-		// The run catalog rides next to the cache: every stored result is
-		// indexed for /query.
+		// The run catalog rides in the cache's needles: every stored
+		// result is indexed for /query.
 		st, err := experiments.OpenStore(cfg.cacheDir, reg)
 		if err != nil {
 			return nil, nil, err
@@ -238,14 +238,14 @@ func main() {
 // drain shuts srv down once the server's lifetime has ended, which has
 // already cancelled every running /run and /batch: it stops accepting,
 // waits up to timeout for every handler to return, and only then closes
-// the cache and the catalog.
+// the pack store the cache and the catalog share.
 func (s *server) drain(srv *http.Server, timeout time.Duration) error {
 	ctx, cancel := context.WithTimeout(context.Background(), timeout)
 	defer cancel()
 	if err := srv.Shutdown(ctx); err != nil {
 		return fmt.Errorf("drain timed out after %s: %w", timeout, err)
 	}
-	return errors.Join(s.cache.Close(), s.catalog.Close())
+	return s.catalog.Close()
 }
 
 // runCoordinator boots the cluster coordinator: the same HTTP surface,

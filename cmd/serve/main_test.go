@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -701,6 +702,9 @@ func TestQueryWithoutCacheIs404(t *testing.T) {
 	}
 }
 
+// TestCatalogRebuildOnColdStart: the catalog lives in the pack store's
+// needles, not beside them, so a new server over the directory rebuilds
+// it from the store's open-time scan.
 func TestCatalogRebuildOnColdStart(t *testing.T) {
 	dir := t.TempDir()
 	s1, ts1 := testServer(t, serverConfig{cacheDir: dir, runTimeout: 30 * time.Second})
@@ -710,10 +714,8 @@ func TestCatalogRebuildOnColdStart(t *testing.T) {
 	ts1.Close()
 	s1.cache.Close()
 	s1.catalog.Close()
-	// Lose the catalog but keep the pack store: a new server rebuilds the
-	// index from the store scan.
-	if err := os.RemoveAll(filepath.Join(dir, "catalog")); err != nil {
-		t.Fatal(err)
+	if _, err := os.Stat(filepath.Join(dir, "catalog")); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("the cache directory holds a catalog/ beside its pack volumes: %v", err)
 	}
 	_, ts2 := testServer(t, serverConfig{cacheDir: dir, runTimeout: 30 * time.Second})
 	var resp struct {

@@ -58,7 +58,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		workers   = fs.Int("workers", 0, "parallel simulations (0 = GOMAXPROCS)")
 		trace     = fs.String("trace", "", "write JSONL telemetry samples to this file")
 		metrics   = fs.String("metrics", "", "write a final Prometheus-text metrics dump to this file (\"-\" = stderr)")
-		cacheDir  = fs.String("cache-dir", "", "persist run results as pack volumes (pack-*.dat) and a run catalog under this directory and reuse them (solo runs with -trace/-metrics always simulate)")
+		cacheDir  = fs.String("cache-dir", "", "persist run results and their run-catalog rows as pack volumes (pack-*.dat) under this directory and reuse them (solo runs with -trace/-metrics always simulate)")
 	)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -168,7 +168,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 				cycles += outs[j].Cycles
 				recs[i] = runindex.FromMulticore(keys[i], *insts, outs[j])
 				if store != nil {
-					store.Catalog.Ingest(recs[i])
+					store.Catalog.Put(recs[i])
 				}
 			}
 		}

@@ -15,12 +15,13 @@
 //	tables -cache-dir .rc  # reuse identical runs across invocations (pack store + run catalog)
 //
 // Catalog mode renders reports from run history (the dimension-indexed
-// catalog every -cache-dir run of tables, sweep and cmd/serve feeds)
-// without simulating:
+// catalog of a cache directory, which every -cache-dir run of tables,
+// sweep and cmd/serve feeds) without simulating; it lists what a worker's
+// /query over the same directory lists:
 //
-//	tables -catalog .rc/catalog                    # per bench/policy rollup
-//	tables -catalog .rc/catalog -pareto            # IPC/emergency frontier
-//	tables -catalog .rc/catalog -sensitivity kp    # mean metrics per kp value
+//	tables -catalog .rc                    # per bench/policy rollup
+//	tables -catalog .rc -pareto            # IPC/emergency frontier
+//	tables -catalog .rc -sensitivity kp    # mean metrics per kp value
 package main
 
 import (
@@ -60,8 +61,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		progress = fs.Bool("progress", true, "report per-job batch progress on stderr (a gang of runs is one job)")
 		trace    = fs.String("trace", "", "write JSONL telemetry samples of the solo tables' runs to this file (\"-\" = stdout); Table 14's multicore runs record none")
 		metrics  = fs.String("metrics", "", "write a final Prometheus-text metrics dump to this file (\"-\" = stderr)")
-		cacheDir = fs.String("cache-dir", "", "persist run results as pack volumes (pack-*.dat) and a run catalog (<dir>/catalog) under this directory and reuse them (disabled with -trace/-metrics)")
-		catDir   = fs.String("catalog", "", "render reports from the run catalog at this directory instead of simulating")
+		cacheDir = fs.String("cache-dir", "", "persist run results and their run-catalog rows as pack volumes (pack-*.dat) under this directory and reuse them (disabled with -trace/-metrics)")
+		catDir   = fs.String("catalog", "", "render reports from the run catalog of this cache directory instead of simulating")
 		pareto   = fs.Bool("pareto", false, "with -catalog: print the per-benchmark IPC/emergency pareto frontier")
 		sensDim  = fs.String("sensitivity", "", "with -catalog: print mean metrics bucketed by this dimension (trigger|kp|ki|interval|stride|cores|insts)")
 	)
@@ -72,7 +73,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	// Catalog mode never simulates: open the history, print the requested
+	// Catalog mode never simulates: open the cache directory's catalog
+	// (the pack store's open-time scan builds it), print the requested
 	// reports (the rollup when neither -pareto nor -sensitivity asks for
 	// something sharper), and exit.
 	if *catDir != "" {

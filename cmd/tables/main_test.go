@@ -157,7 +157,7 @@ func TestCacheDirFeedsCatalog(t *testing.T) {
 	if again, _ := tables(args...); again != first {
 		t.Errorf("rerun over the store printed\n%s\nwant\n%s", again, first)
 	}
-	out, errOut := tables("-catalog", filepath.Join(dir, "catalog"))
+	out, errOut := tables("-catalog", dir)
 	if want := fmt.Sprintf("run catalog: %d records\n", len(bench.Names())); errOut != want {
 		t.Errorf("catalog stderr %q, want %q", errOut, want)
 	}

@@ -8,9 +8,7 @@ package experiments
 // re-running the grids.
 
 import (
-	"errors"
 	"fmt"
-	"path/filepath"
 	"sort"
 
 	"repro/internal/runindex"
@@ -20,20 +18,18 @@ import (
 	"repro/internal/telemetry"
 )
 
-// Store is one cache directory: the run cache over its pack volumes and
-// the run catalog at <dir>/catalog, which indexes every result the cache
-// stores.
+// Store is one cache directory: the run catalog derived from its pack
+// volumes, and the run cache over the same pack store, whose every Put
+// stores a result and its catalog row as one append.
 type Store struct {
 	Cache   *runner.Cache[*sim.Result]
 	Catalog *runindex.Catalog
 }
 
-// OpenStore opens the cache directory dir (created if missing). The
-// catalog is reconciled with the pack store: every stored result it
-// lacks (a directory written before the catalog existed, a lost catalog
-// log, or a crash between a Put's two appends) is cataloged, and from
-// then on every cache Put is ingested. reg, when non-nil, receives the
-// cache and catalog metrics.
+// OpenStore opens the cache directory dir (created if missing): the pack
+// store's open-time scan builds the catalog (runindex.Open), and the
+// cache over that store frames each result's row into its needle. reg,
+// when non-nil, receives the cache and catalog metrics.
 func OpenStore(dir string, reg *telemetry.Registry) (*Store, error) {
 	var (
 		cm *telemetry.CacheMetrics
@@ -42,30 +38,16 @@ func OpenStore(dir string, reg *telemetry.Registry) (*Store, error) {
 	if reg != nil {
 		cm, im = telemetry.NewCacheMetrics(reg), telemetry.NewIndexMetrics(reg)
 	}
-	cache, err := runner.NewCacheWith[*sim.Result](runner.CacheConfig{Dir: dir}, cm)
+	cat, err := runindex.Open(dir, runindex.Options{Metrics: im})
 	if err != nil {
 		return nil, err
 	}
-	cat, err := runindex.Open(filepath.Join(dir, "catalog"), runindex.Options{Metrics: im})
-	if err == nil {
-		if _, err = cat.Reconcile(cache.Store()); err != nil {
-			cat.Close()
-			err = fmt.Errorf("experiments: reconciling the run catalog: %w", err)
-		}
-	}
-	if err != nil {
-		cache.Close()
-		return nil, err
-	}
-	cache.SetIngest(func(key string, res *sim.Result) {
-		cat.Ingest(runindex.FromResult(key, res))
-	})
-	return &Store{Cache: cache, Catalog: cat}, nil
+	return &Store{Cache: runner.NewCache(cat.Store(), cm, runindex.FromResult), Catalog: cat}, nil
 }
 
-// Close closes the cache and the catalog.
+// Close closes the pack store the cache and the catalog share.
 func (s *Store) Close() error {
-	return errors.Join(s.Cache.Close(), s.Catalog.Close())
+	return s.Catalog.Close()
 }
 
 // catalogRows snapshots every cataloged run.

@@ -1,12 +1,15 @@
 package experiments
 
 import (
+	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"repro/internal/packstore"
 	"repro/internal/runindex"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
@@ -83,40 +86,106 @@ func TestCatalogSensitivity(t *testing.T) {
 	}
 }
 
-// TestOpenStoreReconcilesCatalog: a crash between a Put's pack append and
-// its catalog append leaves a stored result that a non-empty catalog
-// lacks. The next OpenStore catalogs it, and an open that is already in
-// sync reads no payload (a corrupted needle would be quarantined if it
-// did).
-func TestOpenStoreReconcilesCatalog(t *testing.T) {
+// TestOpenStoreMigratesParentLayout: a directory an older build wrote —
+// results as bare JSON needles, their rows in catalog/catalog.log — opens
+// with a row for every stored result. The results are stored again
+// framed, so the second open reads no payload: with every framed result's
+// JSON corrupted in place, it still lists every row and quarantines
+// nothing. The log's multicore row is not migrated, and the log is left
+// as it was.
+func TestOpenStoreMigratesParentLayout(t *testing.T) {
+	dir := t.TempDir()
+	store, err := packstore.Open(dir, packstore.Options{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	results := map[string]*sim.Result{
+		"k1": {Benchmark: "gcc", Policy: "PI", IPC: 0.9},
+		"k2": {Benchmark: "art", Policy: "PID", IPC: 0.6},
+		"k3": {Benchmark: "gcc", Policy: "toggle1", IPC: 0.7},
+	}
+	blobs := map[string][]byte{}
+	for _, key := range []string{"k1", "k2", "k3"} {
+		if blobs[key], err = json.Marshal(results[key]); err != nil {
+			t.Fatal(err)
+		}
+		if err := store.Put(key, blobs[key]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	store.Close()
+	logPath := filepath.Join(dir, "catalog", "catalog.log")
+	if err := os.MkdirAll(filepath.Dir(logPath), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	// The older build's log frame is the row frame, laid end to end.
+	log := runindex.Frame(runindex.Record{Key: "mc", Bench: "hotneighbor", Policy: "PID", Cores: 4}, nil)
+	if err := os.WriteFile(logPath, log, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	st, err := OpenStore(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for key, res := range results {
+		if rec, ok := st.Catalog.Get(key); !ok || rec != runindex.FromResult(key, res) {
+			t.Errorf("row for %s = %+v, %v", key, rec, ok)
+		}
+	}
+	if _, ok := st.Catalog.Get("mc"); ok || st.Catalog.Len() != 3 {
+		t.Errorf("catalog lists %d rows, mc among them %v; want the 3 solo rows", st.Catalog.Len(), ok)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := os.ReadFile(logPath); err != nil || !bytes.Equal(got, log) {
+		t.Errorf("catalog.log changed: %q, %v", got, err)
+	}
+
+	vol := filepath.Join(dir, "pack-000000.dat")
+	data, err := os.ReadFile(vol)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for key, res := range results {
+		frame := runindex.Frame(runindex.FromResult(key, res), blobs[key])
+		at := bytes.Index(data, frame)
+		if at < 0 {
+			t.Fatalf("%s not stored again as its row frame and JSON", key)
+		}
+		data[at+len(frame)-2] ^= 0xff
+	}
+	if err := os.WriteFile(vol, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st, err = OpenStore(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if st.Catalog.Len() != 3 || st.Cache.Len() != 3 {
+		t.Errorf("second open: %d rows over %d entries, want 3 over 3 (no payload read)", st.Catalog.Len(), st.Cache.Len())
+	}
+	if _, ok := st.Cache.Get("k1"); ok {
+		t.Error("a corrupted result served")
+	}
+}
+
+// TestOpenStoreDropsCorruptRow: a flipped byte in one result's row frame
+// drops that row alone at the next open, counted as quarantined; the
+// cache misses on the entry, and the recompute's Put — one append —
+// restores the row.
+func TestOpenStoreDropsCorruptRow(t *testing.T) {
 	dir := t.TempDir()
 	st, err := OpenStore(dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	victim := &sim.Result{Benchmark: "art", Policy: "PID", IPC: 0.6}
 	st.Cache.Put("k1", &sim.Result{Benchmark: "gcc", Policy: "PI", IPC: 0.9})
-	orphan, err := json.Marshal(&sim.Result{Benchmark: "art", Policy: "PID", IPC: 0.6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Cache.Store().Put("k2", orphan); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	st, err = OpenStore(dir, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec, ok := st.Catalog.Get("k2")
-	if !ok || rec.Bench != "art" || rec.Policy != "PID" {
-		t.Fatalf("reopened catalog row for the orphaned result = %+v, %v", rec, ok)
-	}
-	if st.Catalog.Len() != 2 {
-		t.Errorf("catalog Len = %d, want 2", st.Catalog.Len())
-	}
+	st.Cache.Put("k2", victim)
+	st.Cache.Put("k3", &sim.Result{Benchmark: "gcc", Policy: "toggle1", IPC: 0.7})
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -126,20 +195,40 @@ func TestOpenStoreReconcilesCatalog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data[len(data)-1] ^= 0xff // k2's payload, the last needle
+	at := bytes.Index(data, runindex.Frame(runindex.FromResult("k2", victim), nil))
+	if at < 0 {
+		t.Fatal("k2's row frame not found")
+	}
+	data[at+20] ^= 0xff
 	if err := os.WriteFile(vol, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
+
 	reg := telemetry.NewRegistry()
 	st, err = OpenStore(dir, reg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	if n := telemetry.NewCacheMetrics(reg).PackAuditFailures.Value(); n != 0 {
-		t.Errorf("an in-sync open read %d corrupt payloads, want none read", n)
+	if _, ok := st.Catalog.Get("k2"); ok || st.Catalog.Len() != 2 {
+		t.Fatalf("catalog lists %d rows, k2 among them %v; want k1 and k3", st.Catalog.Len(), ok)
 	}
-	if n := telemetry.NewIndexMetrics(reg).Rebuilds.Value(); n != 0 {
-		t.Errorf("an in-sync open recovered results %d times", n)
+	if n := telemetry.NewIndexMetrics(reg).Quarantined.Value(); n != 1 {
+		t.Errorf("runindex_quarantined_total = %d, want 1", n)
+	}
+	if _, ok := st.Cache.Get("k2"); ok {
+		t.Fatal("the entry with the corrupt row served")
+	}
+	var ops []string
+	st.Cache.SetFaultHook(func(op string) error {
+		ops = append(ops, op)
+		return nil
+	})
+	st.Cache.Put("k2", victim)
+	if fmt.Sprint(ops) != "[write]" {
+		t.Errorf("the recompute's Put made disk operations %q, want one write", ops)
+	}
+	if rec, ok := st.Catalog.Get("k2"); !ok || rec != runindex.FromResult("k2", victim) {
+		t.Errorf("recomputed row = %+v, %v", rec, ok)
 	}
 }

@@ -2,12 +2,14 @@
 // pack-volume blob store for millions of small cached runs. Entries are
 // appended as CRC-checked needles into bounded-size pack volumes and
 // located through an in-memory needle index (key → volume, offset,
-// length) that is rebuilt by scanning volume headers on cold start. One
-// cached DTM run costs one buffered write on store and one pread on
-// load, rather than a create+write+rename and an open+read+close per
-// entry. Only pack-%06d.dat volumes are read; any other file in the
-// directory (such as the per-entry <key>.json files older builds wrote)
-// is left untouched.
+// length) that is rebuilt by scanning the volumes on open. One cached
+// DTM run costs one buffered write on store and one pread on load,
+// rather than a create+write+rename and an open+read+close per entry.
+// A scan function sees every needle, at open and on Put: that is how the
+// run catalog (internal/runindex), whose rows ride at the head of the
+// needles, stays derived state of the store. Only pack-%06d.dat volumes
+// are read; any other file in the directory (such as the per-entry
+// <key>.json files older builds wrote) is left untouched.
 //
 // Durability follows the run cache's contract, not a database's: there
 // is no fsync, and a crash may lose the tail of the active volume. What
@@ -64,6 +66,10 @@ const (
 	// maxDataLen bounds one needle's payload; anything larger than this
 	// during a scan is treated as a torn header rather than followed.
 	maxDataLen = 1 << 30
+
+	// scanBuf is the open-time scan's read buffer, and so the most of a
+	// payload's head the scan function is handed.
+	scanBuf = 1 << 20
 )
 
 // Options tunes a Store.
@@ -71,9 +77,6 @@ type Options struct {
 	// MaxVolumeBytes seals the active volume and rolls to a new one once
 	// its size passes this bound; <= 0 means 64 MiB.
 	MaxVolumeBytes int64
-	// Metrics, when non-nil, receives the volume gauge and the
-	// audit-failure counter.
-	Metrics *telemetry.CacheMetrics
 }
 
 func (o Options) withDefaults() Options {
@@ -108,27 +111,33 @@ type volume struct {
 type Store struct {
 	dir  string
 	opts Options
+	scan func(key string, head []byte)
 
-	mu     sync.RWMutex
-	index  map[string]needleLoc
-	vols   []*volume // ascending id; the last is active
-	faults func(op string) error
-	closed bool
+	mu      sync.RWMutex
+	index   map[string]needleLoc
+	vols    []*volume // ascending id; the last is active
+	faults  func(op string) error
+	metrics *telemetry.CacheMetrics
+	closed  bool
 }
 
 // Open opens (or creates) a pack store in dir, rebuilding the needle
-// index by scanning every volume's needle headers in volume order. A
-// torn tail — a crash mid-append — is truncated at the last structurally
-// valid needle boundary; every earlier entry is served.
-func Open(dir string, opts Options) (*Store, error) {
+// index by scanning every volume's needles in volume order. A torn tail
+// — a crash mid-append — is truncated at the last structurally valid
+// needle boundary; every earlier entry is served. scan, when non-nil, is
+// handed the key and payload head (up to 1 MiB at open, all of it on
+// Put) of every needle the scan keeps, in append order and superseded
+// ones included, then of every needle Put appends. The head is borrowed
+// and its CRC unchecked.
+func Open(dir string, opts Options, scan func(key string, head []byte)) (*Store, error) {
 	opts = opts.withDefaults()
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("packstore: %w", err)
 	}
 	s := &Store{
-		dir:   dir,
-		opts:  opts,
-		index: make(map[string]needleLoc),
+		dir:  dir,
+		opts: opts,
+		scan: scan,
 	}
 	if err := s.load(); err != nil {
 		s.closeFiles()
@@ -158,19 +167,7 @@ func (s *Store) load() error {
 		ids = append(ids, id)
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	// Pre-size the index from the on-disk byte total so a million-entry
-	// rebuild is not dominated by incremental map rehashing. Entries are a
-	// few hundred bytes each; a low per-needle estimate only overshoots
-	// capacity, never correctness.
-	var totalBytes int64
-	for _, id := range ids {
-		if st, err := os.Stat(s.volumePath(id)); err == nil {
-			totalBytes += st.Size()
-		}
-	}
-	if est := totalBytes / 128; est > int64(len(s.index)) {
-		s.index = make(map[string]needleLoc, est)
-	}
+	s.index = make(map[string]needleLoc, EstimateNeedles(s.dir))
 	for _, id := range ids {
 		if err := s.scanVolume(id); err != nil {
 			return err
@@ -182,12 +179,27 @@ func (s *Store) load() error {
 	return nil
 }
 
+// EstimateNeedles estimates how many needles the pack volumes in dir
+// hold at about 1.5 KB each, one cached result's size, so a million-entry
+// open pre-sizes its indexes; a low estimate only leaves room to grow.
+func EstimateNeedles(dir string) int {
+	names, _ := filepath.Glob(filepath.Join(dir, "pack-*.dat"))
+	var total int64
+	for _, name := range names {
+		if st, err := os.Stat(name); err == nil {
+			total += st.Size()
+		}
+	}
+	return int(total / 1500)
+}
+
 // scanVolume walks one volume's needles in order, replaying them into
-// the index. A structurally invalid header or a short tail truncates the
-// volume at the last valid boundary — the torn-append recovery path.
-// Payload CRCs are deliberately not verified here (cold start over
-// millions of needles must stay fast); Get verifies them. The
-// scan is one buffered sequential read, not per-needle preads.
+// the index and handing each payload's head to s.scan. A structurally
+// invalid header or a short tail truncates the volume at the last valid
+// boundary — the torn-append recovery path. Payload CRCs are
+// deliberately not verified here (cold start over millions of needles
+// must stay fast); Get verifies them. The scan is one buffered
+// sequential read, not per-needle preads.
 func (s *Store) scanVolume(id uint32) error {
 	f, err := os.OpenFile(s.volumePath(id), os.O_RDWR, 0o644)
 	if err != nil {
@@ -201,7 +213,7 @@ func (s *Store) scanVolume(id uint32) error {
 	}
 	fileSize := st.Size()
 
-	r := bufio.NewReaderSize(f, 1<<20)
+	r := bufio.NewReaderSize(f, scanBuf)
 	var hdr [headerSize]byte
 	keyBuf := make([]byte, 0xffff+1)
 	off := int64(0)
@@ -223,14 +235,22 @@ func (s *Store) scanVolume(id uint32) error {
 		if _, err := io.ReadFull(r, keyBuf[:keyLen]); err != nil {
 			break
 		}
-		if _, err := r.Discard(int(dataLen)); err != nil {
+		head, err := r.Peek(int(min(dataLen, scanBuf)))
+		if err != nil {
 			break
 		}
 		if flags != 0 {
 			// An older build's tombstone: the key was deleted.
 			delete(s.index, string(keyBuf[:keyLen]))
 		} else {
-			s.index[string(keyBuf[:keyLen])] = needleLoc{vol: pos, off: off, keyLen: keyLen, size: dataLen}
+			key := string(keyBuf[:keyLen])
+			s.index[key] = needleLoc{vol: pos, off: off, keyLen: keyLen, size: dataLen}
+			if s.scan != nil {
+				s.scan(key, head)
+			}
+		}
+		if _, err := r.Discard(int(dataLen)); err != nil {
+			break
 		}
 		off += span
 	}
@@ -258,10 +278,17 @@ func (s *Store) rollVolume(id uint32) error {
 func (s *Store) addVolume(id uint32, f *os.File) *volume {
 	v := &volume{id: id, f: f}
 	s.vols = append(s.vols, v)
-	if m := s.opts.Metrics; m != nil {
+	if m := s.metrics; m != nil {
 		m.PackVolumes.Set(float64(len(s.vols)))
 	}
 	return v
+}
+
+// SetMetrics routes the volume gauge and the audit-failure counter to
+// m. Not safe to call concurrently with store use.
+func (s *Store) SetMetrics(m *telemetry.CacheMetrics) {
+	s.metrics = m
+	m.PackVolumes.Set(float64(len(s.vols)))
 }
 
 // SetFaultHook installs a fault injector consulted before each disk
@@ -354,14 +381,15 @@ func (s *Store) quarantine(key string, loc needleLoc) {
 		delete(s.index, key)
 	}
 	s.mu.Unlock()
-	if m := s.opts.Metrics; m != nil {
+	if m := s.metrics; m != nil {
 		m.PackAuditFailures.Inc()
 	}
 }
 
 // Put appends key's payload as a new needle, superseding any previous
-// one. The write is a single buffered append; readers only see the entry
-// once the index points at it, so a torn write is never served.
+// one, and hands it to the scan function. The write is a single buffered
+// append; readers only see the entry once the index points at it, so a
+// torn write is never served.
 func (s *Store) Put(key string, data []byte) error {
 	if len(key) == 0 || len(key) > 0xffff {
 		return fmt.Errorf("packstore: key length %d out of range", len(key))
@@ -379,6 +407,9 @@ func (s *Store) Put(key string, data []byte) error {
 		return err
 	}
 	s.index[key] = loc
+	if s.scan != nil {
+		s.scan(key, data)
+	}
 	return nil
 }
 
@@ -422,19 +453,6 @@ func encodeNeedle(flags byte, key string, data []byte) []byte {
 	return buf
 }
 
-// Keys returns every stored key, in no particular order, without reading
-// a payload. A key whose needle turns out corrupt is listed until a Get
-// quarantines it.
-func (s *Store) Keys() []string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	keys := make([]string, 0, len(s.index))
-	for key := range s.index {
-		keys = append(keys, key)
-	}
-	return keys
-}
-
 // Len returns the number of live entries.
 func (s *Store) Len() int {
 	s.mu.RLock()
@@ -442,10 +460,14 @@ func (s *Store) Len() int {
 	return len(s.index)
 }
 
-// Close closes every volume file.
+// Close closes every volume file. Closing a closed store returns
+// os.ErrClosed.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.closed {
+		return os.ErrClosed
+	}
 	s.closed = true
 	return s.closeFiles()
 }

@@ -20,7 +20,7 @@ func openTest(t *testing.T, dir string, mutate func(*Options)) *Store {
 	if mutate != nil {
 		mutate(&opts)
 	}
-	s, err := Open(dir, opts)
+	s, err := Open(dir, opts, nil)
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
@@ -199,7 +199,8 @@ func TestPackTornTailTruncatedOnReopen(t *testing.T) {
 func TestPackCorruptNeedleQuarantinedAsMiss(t *testing.T) {
 	dir := t.TempDir()
 	m := telemetry.NewCacheMetrics(telemetry.NewRegistry())
-	s := openTest(t, dir, func(o *Options) { o.Metrics = m })
+	s := openTest(t, dir, nil)
+	s.SetMetrics(m)
 	mustPut(t, s, "healthy", []byte("fine"))
 	mustPut(t, s, "victim", []byte("soon to be flipped"))
 
@@ -236,12 +237,13 @@ func TestPackCorruptNeedleQuarantinedAsMiss(t *testing.T) {
 	}
 }
 
-// Reading every listed key quarantines the corrupt needles, which then
-// drop out of Keys and Len.
+// Reading every key quarantines the corrupt needles, whose keys then
+// drop out of Len and stay misses on a second pass.
 func TestPackKeysDropQuarantinedNeedles(t *testing.T) {
 	dir := t.TempDir()
 	m := telemetry.NewCacheMetrics(telemetry.NewRegistry())
-	s := openTest(t, dir, func(o *Options) { o.Metrics = m })
+	s := openTest(t, dir, nil)
+	s.SetMetrics(m)
 	for i := 0; i < 20; i++ {
 		mustPut(t, s, fmt.Sprintf("k%02d", i), bytes.Repeat([]byte("x"), 32))
 	}
@@ -255,12 +257,12 @@ func TestPackKeysDropQuarantinedNeedles(t *testing.T) {
 		f.Close()
 	}
 	for pass, listed := range []int{20, 18} {
-		keys := s.Keys()
-		if len(keys) != listed {
-			t.Errorf("pass %d: Keys listed %d entries, want %d", pass, len(keys), listed)
+		if s.Len() != listed {
+			t.Errorf("pass %d: Len = %d entries, want %d", pass, s.Len(), listed)
 		}
 		served := 0
-		for _, key := range keys {
+		for i := 0; i < 20; i++ {
+			key := fmt.Sprintf("k%02d", i)
 			_, err := s.Get(key)
 			if err == nil {
 				served++
@@ -278,8 +280,39 @@ func TestPackKeysDropQuarantinedNeedles(t *testing.T) {
 			t.Errorf("pass %d: PackAuditFailures = %d, want 2", pass, m.PackAuditFailures.Value())
 		}
 	}
-	if s.Len() != 18 {
-		t.Errorf("Len after reading every key = %d, want 18", s.Len())
+}
+
+// TestPackScanHandsEveryNeedle: the scan function sees every needle the
+// open-time scan keeps, superseded ones included, in append order and
+// not tombstones, each with its payload head; then every Put's needle.
+func TestPackScanHandsEveryNeedle(t *testing.T) {
+	dir := t.TempDir()
+	s := openTest(t, dir, nil)
+	mustPut(t, s, "a", []byte("first"))
+	mustPut(t, s, "b", bytes.Repeat([]byte("b"), scanBuf+10))
+	mustPut(t, s, "a", []byte("second"))
+	s.Close()
+	f, err := os.OpenFile(filepath.Join(dir, "pack-000000.dat"), os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(encodeNeedle(0x01, "b", nil)); err != nil { // an older build's tombstone
+		t.Fatal(err)
+	}
+	f.Close()
+
+	var got []string
+	s2, err := Open(dir, Options{}, func(key string, head []byte) {
+		got = append(got, fmt.Sprintf("%s:%d:%.6s", key, len(head), head))
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	mustPut(t, s2, "c", []byte("third"))
+	want := []string{"a:5:first", fmt.Sprintf("b:%d:bbbbbb", scanBuf), "a:6:second", "c:5:third"}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("scan handed %q, want %q", got, want)
 	}
 }
 

@@ -1,31 +1,30 @@
 // Package runindex is the queryable run catalog: a dimension-indexed
 // layer over completed simulation runs. The run cache (runner.Cache over
-// the pack store) answers exact-key lookups only; the catalog
-// ingests every stored result into a compact append-only record log plus
-// in-memory B+-tree secondary indexes keyed by config dimensions (policy,
-// trigger temperature, controller gains, workload, thermal stride, cores,
-// instruction budget), so sweeps and the cluster coordinator can answer
-// point, range and composite grid queries — "all runs with trigger in
-// [81,83) under PI" — without recomputing or touching workers.
+// the pack store) answers exact-key lookups only; the catalog indexes
+// every stored result by config dimensions (policy, trigger temperature,
+// controller gains, workload, thermal stride, cores, instruction budget)
+// in in-memory B+-tree secondary indexes, so sweeps and the cluster
+// coordinator can answer point, range and composite grid queries — "all
+// runs with trigger in [81,83) under PI" — without recomputing or
+// touching workers.
 //
-// The index is derived state. On cold start it replays catalog.log
-// (torn tails truncated at the last valid frame, CRC-failing frames
-// quarantined as misses, exactly like the packstore needle index), and
-// Reconcile then catalogs every result the run cache's pack store holds
-// that the log lacks — all of them for a catalog that lost its log.
-// Ingest and lookup hot paths are allocation-free in the steady state and
-// gated by TestZeroAllocIndex*.
+// The catalog is derived state of the pack store. Each stored result's
+// row is a CRC-framed record at the head of the result's own needle
+// (Frame), so the result and its row are one append, and Open builds the
+// catalog during the pack store's own open-time scan: the scan hands
+// every needle's head to the catalog, which decodes the frame and
+// indexes the row, and every later Put reaches it the same way. A frame
+// that fails its CRC is dropped as a miss; a needle without one, written
+// by a build that kept the rows in a separate log, is decoded once as a
+// result and stored again with its row. Ingest and lookup hot paths are
+// allocation-free in the steady state and gated by TestZeroAllocIndex*.
 package runindex
 
 import (
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io/fs"
-	"os"
-	"path/filepath"
 	"sort"
 	"sync"
 
@@ -69,26 +68,29 @@ type Catalog struct {
 	// record itself.
 	sids []sidPair
 
-	logf        *os.File
-	logSize     int64 // append offset (end of the last valid frame)
-	encBuf      []byte
-	quarantined int
+	// store is the pack store the rows live in; nil while Open scans it.
+	store *packstore.Store
+	// unframed holds, during that scan, the keys whose latest needle
+	// carries no row frame.
+	unframed map[string]bool
 }
 
-// Open opens (or creates) the catalog in dir, whose catalog.log is
-// replayed here with torn-tail truncation and per-frame CRC quarantine.
+// Open opens (or creates) the pack store in dir and returns its catalog:
+// one row for every needle whose row frame holds its CRC, built during
+// the store's open-time scan. Needles with no frame (stored by a build
+// that kept the rows in a separate log) are read once and stored again
+// framed: a result with its row, anything else with an empty frame, so a
+// later open reads no payload. The catalog owns the store; Close closes
+// it.
 func Open(dir string, opts Options) (*Catalog, error) {
-	capn := opts.Capacity
-	if capn < 1024 {
-		capn = 1024
-	}
+	capn := max(opts.Capacity, packstore.EstimateNeedles(dir), 1024)
 	c := &Catalog{
 		opts:      opts,
 		recs:      make([]Record, 0, capn),
 		sids:      make([]sidPair, 0, capn),
 		benchIDs:  make(map[string]uint64, 64),
 		policyIDs: make(map[string]uint64, 64),
-		encBuf:    make([]byte, 0, 4096),
+		unframed:  make(map[string]bool),
 	}
 	tableSize := nextPow2(uint64(capn) * 2)
 	c.keyTable = make([]int32, tableSize)
@@ -102,21 +104,82 @@ func Open(dir string, opts Options) (*Catalog, error) {
 	c.policyTree = newBtree()
 	c.policyTree.reserve(capn)
 
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("runindex: %w", err)
-	}
-	path := filepath.Join(dir, "catalog.log")
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
+	store, err := packstore.Open(dir, packstore.Options{}, c.scan)
 	if err != nil {
 		return nil, fmt.Errorf("runindex: %w", err)
 	}
-	c.logf = f
-	if err := c.replayLog(); err != nil {
-		f.Close()
+	c.store = store
+	if err := c.frameUnframed(); err != nil {
+		store.Close()
 		return nil, err
 	}
 	c.publishGauge()
 	return c, nil
+}
+
+// scan is the pack store's scan function: it indexes the row framed at
+// the head of a needle, counts a frame that fails its check as
+// quarantined, and during Open's scan tracks which keys' latest needle
+// has no frame.
+func (c *Catalog) scan(key string, head []byte) {
+	rec, framed, ok := decodeFrame(key, head)
+	if c.store == nil {
+		if framed {
+			delete(c.unframed, key)
+		} else {
+			c.unframed[key] = true
+		}
+	}
+	if ok {
+		c.Ingest(rec)
+	} else if framed {
+		if m := c.opts.Metrics; m != nil {
+			m.Quarantined.Inc()
+		}
+	}
+}
+
+// frameUnframed stores again, framed, each needle the open-time scan
+// found without a frame, in key order: a result with its row, which the
+// scan function then indexes, anything else with the empty frame. A
+// needle that fails its CRC is skipped.
+func (c *Catalog) frameUnframed() error {
+	keys := make([]string, 0, len(c.unframed))
+	for key := range c.unframed {
+		keys = append(keys, key)
+	}
+	sort.Strings(keys)
+	for _, key := range keys {
+		data, err := c.store.Get(key)
+		if errors.Is(err, fs.ErrNotExist) {
+			continue
+		}
+		if err != nil {
+			return fmt.Errorf("runindex: %w", err)
+		}
+		var rec Record
+		var res sim.Result
+		if json.Unmarshal(data, &res) == nil && res.Benchmark != "" {
+			rec = FromResult(key, &res)
+		}
+		if err := c.store.Put(key, Frame(rec, data)); err != nil {
+			return fmt.Errorf("runindex: %w", err)
+		}
+	}
+	c.unframed = nil
+	return nil
+}
+
+// Store returns the pack store the catalog is derived from.
+func (c *Catalog) Store() *packstore.Store { return c.store }
+
+// Put stores rec as a row-only needle under its key — for a run with no
+// cached result, such as a multicore run — and catalogs it. A row the
+// store cannot take is dropped: the run is recomputed next time.
+func (c *Catalog) Put(rec Record) {
+	if c != nil && rec.Key != "" {
+		c.store.Put(rec.Key, Frame(rec, nil))
+	}
 }
 
 func nextPow2(n uint64) uint64 {
@@ -127,70 +190,12 @@ func nextPow2(n uint64) uint64 {
 	return p
 }
 
-// replayLog rebuilds the in-memory index from catalog.log. A structural
-// break (bad magic, impossible length, frame past EOF) is a torn append:
-// the log is truncated there and everything earlier is served. A frame
-// that is structurally whole but fails its CRC or does not decode is
-// quarantined — skipped and counted — and the scan continues, so one
-// corrupt record degrades to one miss, not a lost catalog.
-func (c *Catalog) replayLog() error {
-	st, err := c.logf.Stat()
-	if err != nil {
-		return fmt.Errorf("runindex: %w", err)
-	}
-	size := st.Size()
-	if size == 0 {
-		return nil
-	}
-	buf := make([]byte, size)
-	if _, err := c.logf.ReadAt(buf, 0); err != nil {
-		return fmt.Errorf("runindex: reading log: %w", err)
-	}
-	off := int64(0)
-	for off+frameHeader <= size {
-		b := buf[off:]
-		magic := binary.LittleEndian.Uint32(b[0:4])
-		payloadLen := int64(binary.LittleEndian.Uint32(b[4:8]))
-		if magic != frameMagic || payloadLen == 0 || payloadLen > maxPayloadLen {
-			break // torn or foreign bytes: truncate here
-		}
-		if off+frameHeader+payloadLen > size {
-			break // frame extends past EOF: torn append
-		}
-		crc := binary.LittleEndian.Uint32(b[8:12])
-		payload := b[frameHeader : frameHeader+payloadLen]
-		if crc32.ChecksumIEEE(payload) != crc {
-			c.quarantined++
-			off += frameHeader + payloadLen
-			continue
-		}
-		rec, ok := decodeRecord(payload)
-		if !ok {
-			c.quarantined++
-			off += frameHeader + payloadLen
-			continue
-		}
-		c.addLocked(&rec)
-		off += frameHeader + payloadLen
-	}
-	if off < size {
-		if err := c.logf.Truncate(off); err != nil {
-			return fmt.Errorf("runindex: truncating torn log tail: %w", err)
-		}
-	}
-	c.logSize = off
-	if m := c.opts.Metrics; m != nil && c.quarantined > 0 {
-		m.Quarantined.Add(int64(c.quarantined))
-	}
-	return nil
-}
-
-// Close releases the log handle. Nil-safe.
+// Close closes the pack store. Nil-safe.
 func (c *Catalog) Close() error {
 	if c == nil {
 		return nil
 	}
-	return c.logf.Close()
+	return c.store.Close()
 }
 
 // Len returns the number of cataloged records.
@@ -256,10 +261,9 @@ func intern(table map[string]uint64, s string) uint64 {
 	return id
 }
 
-// Ingest adds one record, appending it to the log and every index.
-// Re-ingesting a key already cataloged is a cheap no-op (false). Log
-// write failures are swallowed after the append-or-nothing attempt — a
-// catalog that cannot persist still serves queries this process.
+// Ingest adds one record to every index, in memory only: Put and the
+// cache's Put are what store a row. Re-ingesting a key already
+// cataloged is a cheap no-op (false).
 func (c *Catalog) Ingest(rec Record) bool {
 	if c == nil || rec.Key == "" {
 		return false
@@ -273,12 +277,6 @@ func (c *Catalog) Ingest(rec Record) bool {
 		}
 		return false
 	}
-	// A failed append is swallowed: the record still serves queries from
-	// memory, and a cold start recovers it from the pack store.
-	c.encBuf = appendRecord(c.encBuf[:0], &rec)
-	if _, err := c.logf.WriteAt(c.encBuf, c.logSize); err == nil {
-		c.logSize += int64(len(c.encBuf))
-	}
 	newID := int32(len(c.recs))
 	c.recs = append(c.recs, rec)
 	c.keyTable[slot] = newID + 1
@@ -291,22 +289,6 @@ func (c *Catalog) Ingest(rec Record) bool {
 		m.Ingested.Inc()
 		m.Records.Set(float64(newID + 1))
 	}
-	return true
-}
-
-// addLocked inserts one replayed/rebuilt record without touching the log.
-func (c *Catalog) addLocked(rec *Record) bool {
-	slot, id := c.findSlot(rec.Key)
-	if id >= 0 {
-		return false
-	}
-	newID := int32(len(c.recs))
-	c.recs = append(c.recs, *rec)
-	c.keyTable[slot] = newID + 1
-	if uint64(len(c.recs))*3 > (c.keyMask+1)*2 {
-		c.growTable()
-	}
-	c.indexLocked(&c.recs[newID], newID)
 	return true
 }
 
@@ -338,48 +320,6 @@ func (c *Catalog) Get(key string) (Record, bool) {
 	rec := c.recs[id]
 	c.mu.RUnlock()
 	return rec, true
-}
-
-// Reconcile catalogs every result the run cache's pack store holds and
-// the catalog lacks: the whole store for a catalog whose log was lost,
-// or a result a crash stored between the pack append and the log append.
-// Only the missing keys' payloads are read and decoded, so a reopen that
-// is already in sync reads none. Recovered records go through Ingest, so
-// the log holds them for the next cold start; they are ingested in key
-// order. Entries that do not decode as results are skipped. Returns the
-// number of records recovered.
-func (c *Catalog) Reconcile(store *packstore.Store) (int, error) {
-	if c == nil || store == nil {
-		return 0, nil
-	}
-	var missing []string
-	for _, key := range store.Keys() {
-		if _, ok := c.Get(key); !ok {
-			missing = append(missing, key)
-		}
-	}
-	sort.Strings(missing)
-	added := 0
-	for _, key := range missing {
-		data, err := store.Get(key)
-		if errors.Is(err, fs.ErrNotExist) {
-			continue // quarantined by its CRC
-		}
-		if err != nil {
-			return added, err
-		}
-		var res sim.Result
-		if json.Unmarshal(data, &res) != nil || res.Benchmark == "" {
-			continue
-		}
-		if c.Ingest(FromResult(key, &res)) {
-			added++
-		}
-	}
-	if m := c.opts.Metrics; m != nil && added > 0 {
-		m.Rebuilds.Inc()
-	}
-	return added, nil
 }
 
 func (c *Catalog) publishGauge() {

@@ -207,6 +207,9 @@ func TestParseDim(t *testing.T) {
 	}
 }
 
+// TestCatalogPersistence: rows stored with Put come back, with the same
+// index answers, from the pack store's scan on reopen, and Puts continue
+// past them.
 func TestCatalogPersistence(t *testing.T) {
 	dir := t.TempDir()
 	c, err := Open(dir, Options{})
@@ -215,13 +218,17 @@ func TestCatalogPersistence(t *testing.T) {
 	}
 	const n = 1000
 	for i := 0; i < n; i++ {
-		c.Ingest(testRecord(i))
+		c.Put(testRecord(i))
+	}
+	if c.Len() != n {
+		t.Fatalf("Len = %d after %d Puts", c.Len(), n)
 	}
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	reopened, err := Open(dir, Options{})
+	m := telemetry.NewIndexMetrics(telemetry.NewRegistry())
+	reopened, err := Open(dir, Options{Metrics: m})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,8 +236,8 @@ func TestCatalogPersistence(t *testing.T) {
 	if reopened.Len() != n {
 		t.Fatalf("reopened Len = %d, want %d", reopened.Len(), n)
 	}
-	if reopened.quarantined != 0 {
-		t.Fatalf("clean log quarantined %d frames", reopened.quarantined)
+	if q := m.Quarantined.Value(); q != 0 {
+		t.Fatalf("clean store quarantined %d frames", q)
 	}
 	for _, i := range []int{0, n / 2, n - 1} {
 		want := testRecord(i)
@@ -244,11 +251,8 @@ func TestCatalogPersistence(t *testing.T) {
 	if got, want := reopened.Run(&q).Count, fullScanCount(reopened, &q); got != want || got == 0 {
 		t.Fatalf("reopened range query: %d rows, full scan %d", got, want)
 	}
-	// Appends continue past the replayed tail.
 	extra := testRecord(n)
-	if !reopened.Ingest(extra) {
-		t.Fatal("ingest after reopen failed")
-	}
+	reopened.Put(extra)
 	reopened.Close()
 	third, err := Open(dir, Options{})
 	if err != nil {
@@ -259,7 +263,7 @@ func TestCatalogPersistence(t *testing.T) {
 		t.Fatalf("third open Len = %d, want %d", third.Len(), n+1)
 	}
 	if _, ok := third.Get(extra.Key); !ok {
-		t.Fatal("record appended after reopen was lost")
+		t.Fatal("record stored after reopen was lost")
 	}
 }
 

@@ -12,7 +12,7 @@ import (
 // panic; nothing allocated from a length field beyond the bytes actually
 // present (every decoded string fits inside its input); and corrupt input
 // becomes a quarantined frame, a truncated tail or a parse error, never an
-// Open error or a row that no whole frame encoded. Seed corpora live in
+// Open error or a row that no whole CRC-valid frame encodes. Seed corpora live in
 // testdata/fuzz; `go test -fuzz FuzzX -fuzztime 10s` explores further.
 
 // FuzzDecodeRecord: a payload decodeRecord accepts is exactly the
@@ -33,40 +33,42 @@ func FuzzDecodeRecord(f *testing.F) {
 	})
 }
 
-// FuzzCatalogReplay: Open on arbitrary catalog.log bytes succeeds, serves
-// only rows that whole CRC-valid frames encode, and leaves a log that
-// replays to the same rows and accepts new appends.
-func FuzzCatalogReplay(f *testing.F) {
-	f.Fuzz(func(t *testing.T, log []byte) {
+// FuzzCatalogScan: Open on arbitrary pack volume bytes succeeds, lists
+// only rows whose whole CRC-valid frame the volume holds, and leaves a
+// store that takes a new row and lists it after a reopen.
+func FuzzCatalogScan(f *testing.F) {
+	f.Fuzz(func(t *testing.T, vol []byte) {
 		dir := t.TempDir()
-		path := filepath.Join(dir, "catalog.log")
-		if err := os.WriteFile(path, log, 0o644); err != nil {
+		path := filepath.Join(dir, "pack-000000.dat")
+		if err := os.WriteFile(path, vol, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		c, err := Open(dir, Options{})
 		if err != nil {
-			t.Fatalf("Open on a corrupt log: %v", err)
+			t.Fatalf("Open on a corrupt volume: %v", err)
 		}
-		if c.logSize > int64(len(log)) {
-			t.Fatalf("kept %d log bytes of %d", c.logSize, len(log))
+		kept, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
 		}
 		strBytes := 0
 		for i := range c.recs {
 			r := &c.recs[i]
 			strBytes += len(r.Key) + len(r.Bench) + len(r.Policy)
-			if !bytes.Contains(log[:c.logSize], appendRecord(nil, r)) {
-				t.Fatalf("row %d (%q) is not the decoding of a whole frame in the kept log", i, r.Key)
+			if !bytes.Contains(kept, appendRecord(nil, r)) {
+				t.Fatalf("row %d (%q) is not the decoding of a whole frame in the volume", i, r.Key)
 			}
 			if got, ok := c.Get(r.Key); !ok || got.Key != r.Key {
 				t.Fatalf("row %d (%q) not found by its key", i, r.Key)
 			}
 		}
-		if strBytes > len(log) {
-			t.Fatalf("decoded %d string bytes from a %d-byte log", strBytes, len(log))
+		if strBytes > len(kept) {
+			t.Fatalf("decoded %d string bytes from a %d-byte volume", strBytes, len(kept))
 		}
 		n := c.Len() + 1
-		if !c.Ingest(testRecord(1 << 20)) {
-			t.Fatal("Ingest after replay refused a new key")
+		c.Put(testRecord(1 << 20))
+		if c.Len() != n {
+			t.Fatal("Put after the scan did not catalog a new key")
 		}
 		if err := c.Close(); err != nil {
 			t.Fatal(err)
@@ -77,7 +79,7 @@ func FuzzCatalogReplay(f *testing.F) {
 		}
 		defer again.Close()
 		if again.Len() != n {
-			t.Fatalf("reopen serves %d rows, want %d", again.Len(), n)
+			t.Fatalf("reopen lists %d rows, want %d", again.Len(), n)
 		}
 	})
 }

@@ -3,13 +3,13 @@ package runindex
 // Record is one cataloged run: the cache key that names it, the config
 // dimensions sweeps vary (the indexed columns), and the summary metrics
 // pareto/sensitivity queries read. Records are intentionally flat and
-// fixed-size apart from the three strings, so the on-disk log frame and
+// fixed-size apart from the three strings, so the on-disk row frame and
 // the in-memory arena copy are both cheap.
 //
-// The log frame format follows the packstore needle idiom: a magic and
-// length make the stream self-framing for torn-tail truncation, and a CRC
-// over the payload catches corruption anywhere else, which quarantines
-// the frame as a miss instead of serving bad dimensions.
+// The row frame follows the packstore needle idiom: a magic and length
+// delimit it at the head of a needle's payload, and a CRC over the
+// record catches corruption, which drops the row as a miss instead of
+// serving bad dimensions.
 
 import (
 	"encoding/binary"
@@ -151,21 +151,73 @@ func FromMulticore(key string, insts uint64, res *sim.MulticoreResult) Record {
 	}
 }
 
-// Log frame layout (little-endian):
+// Row frame layout (little-endian), at the head of a needle's payload
+// and followed there by the result's JSON, if any:
 //
 //	magic      uint32  0x54414352 ("RCAT")
 //	payloadLen uint32
 //	crc        uint32  IEEE CRC32 over the payload
 //	payload    version byte, three length-prefixed strings, fixed numerics
+//
+// JSON never starts with the magic's first byte 'R', so a payload with
+// no frame (stored by an older build) is told apart by its first four
+// bytes.
 const (
 	frameMagic     = 0x54414352
 	frameHeader    = 4 + 4 + 4
 	recordVersion  = 1
-	maxPayloadLen  = 1 << 20
 	numFixedFields = 15 // 13 float64 + 2 uint64
 )
 
-// appendRecord encodes r's log frame onto buf.
+// Frame returns the needle payload that stores rec's row and body, the
+// result's JSON, as one append: rec's row frame followed by body. A rec
+// with no key gets the empty frame, which carries no row: it marks a
+// body that is not a result.
+func Frame(rec Record, body []byte) []byte {
+	buf := make([]byte, frameHeader, frameHeader+256+len(rec.Key)+len(body))
+	binary.LittleEndian.PutUint32(buf, frameMagic) // length 0, CRC 0
+	if rec.Key != "" {
+		buf = appendRecord(buf[:0], &rec)
+	}
+	return append(buf, body...)
+}
+
+// Body returns the result bytes of a needle payload: what follows its
+// row frame, or the whole payload if it has none.
+func Body(payload []byte) []byte {
+	if len(payload) >= frameHeader && binary.LittleEndian.Uint32(payload) == frameMagic {
+		if n := int64(binary.LittleEndian.Uint32(payload[4:8])); n <= int64(len(payload)-frameHeader) {
+			return payload[frameHeader+n:]
+		}
+	}
+	return payload
+}
+
+// decodeFrame reads the row framed at the head of key's needle payload.
+// framed reports that head starts with the frame magic; ok that the
+// frame is whole, holds its CRC and is empty (rec has no key) or
+// encodes a row for key.
+func decodeFrame(key string, head []byte) (rec Record, framed, ok bool) {
+	if len(head) < 4 || binary.LittleEndian.Uint32(head) != frameMagic {
+		return rec, false, false
+	}
+	body := Body(head)
+	if len(body) == len(head) { // cut short
+		return rec, true, false
+	}
+	p := head[frameHeader : len(head)-len(body)]
+	if crc32.ChecksumIEEE(p) != binary.LittleEndian.Uint32(head[8:12]) {
+		return rec, true, false
+	}
+	if len(p) == 0 {
+		return rec, true, true
+	}
+	// A frame copied under another key is not this needle's row.
+	rec, ok = decodeRecord(p)
+	return rec, true, ok && rec.Key == key
+}
+
+// appendRecord encodes r's row frame onto buf.
 func appendRecord(buf []byte, r *Record) []byte {
 	payloadLen := 1 + 3*2 + len(r.Key) + len(r.Bench) + len(r.Policy) + numFixedFields*8
 	start := len(buf)

@@ -8,14 +8,15 @@ package runner
 // can be mutated freely without poisoning later hits.
 //
 // The store is the pack store (internal/packstore): entries are appended
-// as CRC-checked needles into bounded pack volumes, append-only. It is
-// crash-safe and self-healing: a corrupted or undecodable entry reads as
-// a miss, so the batch recomputes it instead of failing, and the
-// recompute's Put supersedes the bad entry. Files in the
-// directory that are not pack volumes — such as the per-entry <key>.json
-// files older builds wrote — are ignored, so a directory from such a
-// build opens as an empty store and its results recompute. Transient
-// disk I/O failures are retried with exponential backoff before the
+// as CRC-checked needles into bounded pack volumes, append-only; with a
+// row function (NewCache) each needle starts with its result's
+// run-catalog row (runindex.Frame), which Get skips. It is crash-safe and
+// self-healing: a corrupted or undecodable entry reads as a miss, so the
+// batch recomputes it instead of failing, and the recompute's Put
+// supersedes the bad entry. Files in the directory that are not pack
+// volumes — such as the per-entry <key>.json files older builds wrote —
+// are ignored, so a directory from such a build opens as an empty store
+// and its results recompute. Transient disk I/O failures are retried with exponential backoff before the
 // cache degrades to a miss (reads) or drops the entry (writes); an
 // injectable per-op fault hook (SetFaultHook) lets cmd/serve's chaos mode
 // prove that degradation stays graceful under probabilistic disk failure.
@@ -33,6 +34,7 @@ import (
 	"time"
 
 	"repro/internal/packstore"
+	"repro/internal/runindex"
 	"repro/internal/telemetry"
 )
 
@@ -55,21 +57,34 @@ type CacheConfig struct {
 type Cache[R any] struct {
 	store   *packstore.Store
 	metrics *telemetry.CacheMetrics
-	ingest  func(key string, v R) // optional Put observer (run catalog)
+	row     func(key string, v R) runindex.Record // nil: no row frame
 }
 
 // NewCacheWith opens the run cache over the pack store in cfg.Dir;
 // entries there survive across processes. metrics, when non-nil,
-// receives hit/miss/store/byte and pack counters.
+// receives hit/miss/store/byte and pack counters. Its entries carry no
+// catalog row.
 func NewCacheWith[R any](cfg CacheConfig, metrics *telemetry.CacheMetrics) (*Cache[R], error) {
 	if cfg.Dir == "" {
 		return nil, errors.New("runner: cache: no directory")
 	}
-	s, err := packstore.Open(cfg.Dir, packstore.Options{Metrics: metrics})
+	s, err := packstore.Open(cfg.Dir, packstore.Options{}, nil)
 	if err != nil {
 		return nil, fmt.Errorf("runner: cache: %w", err)
 	}
-	return &Cache[R]{store: s, metrics: metrics}, nil
+	return NewCache[R](s, metrics, nil), nil
+}
+
+// NewCache returns the run cache over an open pack store, such as the
+// one a run catalog is derived from (runindex.Catalog.Store). row, when
+// non-nil, flattens each stored result into the catalog row its Put
+// frames into the same needle. metrics, when non-nil, receives
+// hit/miss/store/byte and pack counters.
+func NewCache[R any](store *packstore.Store, metrics *telemetry.CacheMetrics, row func(key string, v R) runindex.Record) *Cache[R] {
+	if metrics != nil {
+		store.SetMetrics(metrics)
+	}
+	return &Cache[R]{store: store, metrics: metrics, row: row}
 }
 
 // SetFaultHook installs a fault injector called before every disk
@@ -81,25 +96,6 @@ func (c *Cache[R]) SetFaultHook(f func(op string) error) {
 	if c != nil {
 		c.store.SetFaultHook(f)
 	}
-}
-
-// SetIngest installs an observer called after every Put that reaches
-// the store — the hook the run catalog uses to index completed results
-// as they are stored. Not safe to call concurrently with cache use; nil
-// disables.
-func (c *Cache[R]) SetIngest(f func(key string, v R)) {
-	if c != nil {
-		c.ingest = f
-	}
-}
-
-// Store exposes the pack store so derived state — the run catalog — can
-// rebuild itself from a store scan. Nil for a nil cache.
-func (c *Cache[R]) Store() *packstore.Store {
-	if c == nil {
-		return nil
-	}
-	return c.store
 }
 
 // Close releases the pack store. Nil-safe.
@@ -145,7 +141,7 @@ func (c *Cache[R]) Get(key string) (R, bool) {
 		// An undecodable entry (its CRC holds but the bytes are not an R,
 		// e.g. written by a build with another result type) is a miss too;
 		// the recompute's Put supersedes it.
-		err = json.Unmarshal(data, &v)
+		err = json.Unmarshal(runindex.Body(data), &v)
 	}
 	if err != nil {
 		c.count(func(m *telemetry.CacheMetrics) { m.Misses.Inc() })
@@ -165,18 +161,19 @@ func (c *Cache[R]) Put(key string, v R) {
 	if err != nil {
 		return
 	}
+	if c.row != nil {
+		data = runindex.Frame(c.row(key, v), data)
+	}
 	c.count(func(m *telemetry.CacheMetrics) {
 		m.Stores.Inc()
 		m.Bytes.Add(int64(len(data)))
 	})
-	// CRC-framed append, published to readers only once the needle index
-	// points at it, so concurrent readers and future processes only ever
-	// see complete entries. Errors after the retry budget are swallowed by
-	// design — see the function comment — and the entry is not ingested:
-	// the catalog lists only what the cache can serve.
-	if c.withRetry(func() error { return c.store.Put(key, data) }) == nil && c.ingest != nil {
-		c.ingest(key, v)
-	}
+	// One CRC-framed append, published to readers only once the needle
+	// index points at it, so concurrent readers and future processes only
+	// ever see complete entries, and the catalog sees the row only if the
+	// store took it. Errors after the retry budget are swallowed by design
+	// — see the function comment.
+	c.withRetry(func() error { return c.store.Put(key, data) })
 }
 
 // Len returns the number of stored entries.

@@ -1,7 +1,10 @@
 package runner
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -9,6 +12,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/packstore"
+	"repro/internal/runindex"
 	"repro/internal/telemetry"
 )
 
@@ -93,13 +98,9 @@ func TestCacheDiskRoundTrip(t *testing.T) {
 // as a miss, and a recompute's Put supersedes it.
 // TestCachePackCorruptedEntryRecovers covers the CRC half.
 func TestCacheCorruptedEntryRecovers(t *testing.T) {
-	dir := t.TempDir()
-	c, err := NewCacheWith[payload](CacheConfig{Dir: dir}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if err := c.Store().Put("deadbeef", []byte("{torn write")); err != nil {
+	store := openStore(t, nil)
+	c := NewCache[payload](store, nil, nil)
+	if err := store.Put("deadbeef", []byte("{torn write")); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := c.Get("deadbeef"); ok {
@@ -292,35 +293,46 @@ func TestCacheMissingEntryIsNotRetried(t *testing.T) {
 	}
 }
 
-func TestCacheIngestHook(t *testing.T) {
-	c, err := NewCacheWith[payload](CacheConfig{Dir: t.TempDir()}, nil)
+// openStore opens a pack store in a fresh directory, closed with the
+// test; scan is handed every needle (packstore.Open).
+func openStore(t *testing.T, scan func(key string, head []byte)) *packstore.Store {
+	t.Helper()
+	s, err := packstore.Open(t.TempDir(), packstore.Options{}, scan)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.Close()
-	if c.Store() == nil {
-		t.Fatal("disk-backed cache reports a nil store")
-	}
-	var gotKey string
-	var gotVal payload
-	calls := 0
-	c.SetIngest(func(key string, v payload) {
-		gotKey, gotVal, calls = key, v, calls+1
+	t.Cleanup(func() { s.Close() })
+	return s
+}
+
+// TestCacheRowFrame: a cache with a row function stores each result's
+// catalog row at the head of its own needle in one append — one "write"
+// on the fault hook, one needle handed to the store's scan function —
+// and Get skips the row.
+func TestCacheRowFrame(t *testing.T) {
+	var heads [][]byte
+	store := openStore(t, func(key string, head []byte) {
+		heads = append(heads, append([]byte(nil), head...))
+	})
+	c := NewCache(store, nil, func(key string, v payload) runindex.Record {
+		return runindex.Record{Key: key, Bench: v.Name, IPC: v.Score}
+	})
+	var ops []string
+	c.SetFaultHook(func(op string) error {
+		ops = append(ops, op)
+		return nil
 	})
 	want := samplePayload()
-	c.Put("k-ingest", want)
-	if calls != 1 || gotKey != "k-ingest" || gotVal.Name != want.Name {
-		t.Fatalf("ingest hook: calls=%d key=%q val=%+v", calls, gotKey, gotVal)
+	c.Put("k-row", want)
+	if fmt.Sprint(ops) != "[write]" {
+		t.Errorf("Put made disk operations %q, want one write", ops)
 	}
-	// The hook observes every Put, including overwrites.
-	c.Put("k-ingest", want)
-	if calls != 2 {
-		t.Fatalf("ingest hook after overwrite: calls=%d, want 2", calls)
+	body, _ := json.Marshal(want)
+	row := runindex.Record{Key: "k-row", Bench: want.Name, IPC: want.Score}
+	if len(heads) != 1 || !bytes.Equal(heads[0], runindex.Frame(row, body)) {
+		t.Fatalf("Put appended %d needles; want one holding the row frame and then the JSON", len(heads))
 	}
-	// Nil-safety: a nil cache accepts both without dereferencing.
-	var nilCache *Cache[payload]
-	nilCache.SetIngest(func(string, payload) {})
-	if nilCache.Store() != nil {
-		t.Fatal("nil cache returned a store")
+	if got, ok := c.Get("k-row"); !ok || !reflect.DeepEqual(got, want) {
+		t.Fatalf("Get past the row frame = %+v, %v", got, ok)
 	}
 }

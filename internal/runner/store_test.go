@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/packstore"
 	"repro/internal/telemetry"
 )
 
@@ -14,11 +15,8 @@ import (
 // counting stored entries. TestCacheMemoryHitMiss covers in-process
 // hits and TestCacheDiskRoundTrip the later-process half.
 func TestCachePackBackendContract(t *testing.T) {
-	c, err := NewCacheWith[payload](CacheConfig{Dir: t.TempDir()}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	store := openStore(t, nil)
+	c := NewCache[payload](store, nil, nil)
 	if _, ok := c.Get("k1"); ok {
 		t.Fatal("empty pack cache reported a hit")
 	}
@@ -26,7 +24,7 @@ func TestCachePackBackendContract(t *testing.T) {
 	if got, ok := c.Get("k1"); !ok || got.Name != "gcc/PI" {
 		t.Fatalf("pack hit = %+v, %v", got, ok)
 	}
-	if _, err := c.Store().Get("k1"); err != nil {
+	if _, err := store.Get("k1"); err != nil {
 		t.Error("Put did not write through to the pack store")
 	}
 	c.Put("k1", samplePayload()) // an overwrite is still one entry
@@ -80,17 +78,17 @@ func TestCachePackCorruptedEntryRecovers(t *testing.T) {
 
 // TestCachePackWriteFaultDegradesToMiss: a pack append fault past the
 // retry budget degrades to a clean miss, now and for a later process, and
-// the entry is not ingested.
+// the store hands no needle to its scan function, so no catalog row.
 func TestCachePackWriteFaultDegradesToMiss(t *testing.T) {
 	shrinkBackoff(t)
 	dir := t.TempDir()
 	m := telemetry.NewCacheMetrics(telemetry.NewRegistry())
-	c, err := NewCacheWith[payload](CacheConfig{Dir: dir}, m)
+	ingested := 0
+	store, err := packstore.Open(dir, packstore.Options{}, func(string, []byte) { ingested++ })
 	if err != nil {
 		t.Fatal(err)
 	}
-	ingested := 0
-	c.SetIngest(func(string, payload) { ingested++ })
+	c := NewCache[payload](store, m, nil)
 	c.SetFaultHook(func(op string) error {
 		if op == "write" {
 			return errors.New("injected append fault")

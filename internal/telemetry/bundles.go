@@ -260,16 +260,14 @@ func NewRunnerMetrics(r *Registry) *RunnerMetrics {
 }
 
 // IndexMetrics is the run catalog's bundle: ingest and query activity
-// counters, recovery accounting (cold rebuilds and quarantined log
-// frames), and the live record-count gauge. All handles are
-// pre-registered so catalog hot paths stay allocation-free per the
-// repository gate.
+// counters, the row frames the pack scan dropped as corrupt, and the
+// live record-count gauge. All handles are pre-registered so catalog hot
+// paths stay allocation-free per the repository gate.
 type IndexMetrics struct {
 	Ingested    *Counter
 	Duplicates  *Counter
 	Queries     *Counter
 	RangeScans  *Counter
-	Rebuilds    *Counter
 	Quarantined *Counter
 	Records     *Gauge
 }
@@ -281,8 +279,7 @@ func NewIndexMetrics(r *Registry) *IndexMetrics {
 		Duplicates:  r.Counter("runindex_duplicates_total", "Ingests skipped because the key was already cataloged."),
 		Queries:     r.Counter("runindex_queries_total", "Catalog queries executed."),
 		RangeScans:  r.Counter("runindex_range_scans_total", "Queries answered by a B+-tree range scan."),
-		Rebuilds:    r.Counter("runindex_rebuilds_total", "Catalog opens that recovered results from the pack store."),
-		Quarantined: r.Counter("runindex_quarantined_total", "Catalog log frames dropped as corrupt during replay."),
+		Quarantined: r.Counter("runindex_quarantined_total", "Row frames dropped as corrupt during the pack scan."),
 		Records:     r.Gauge("runindex_records", "Records currently held by the catalog."),
 	}
 }

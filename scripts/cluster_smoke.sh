@@ -17,7 +17,9 @@
 #   - a second fleet's batch merge is byte-identical across a worker
 #     SIGKILL, and the killed worker restarts on its pack volumes
 #   - the restarted worker's /query lists every batch cell its /run
-#     answers from its store
+#     answers from its store; its directory holds no catalog/ beside the
+#     pack volumes, and `tables -catalog` over it counts the records its
+#     /query counted
 #   - one worker's own /batch and the coordinator's answer the same grid
 #     with byte-identical bodies
 #   - the coordinator answers a /query range scan merged across both
@@ -57,6 +59,7 @@ trap cleanup EXIT
 
 go build -o "${DIR}/serve" ./cmd/serve
 go build -o "${DIR}/loadgen" ./cmd/loadgen
+go build -o "${DIR}/tables" ./cmd/tables
 
 start_worker() { # $1 = port, $2 = log path, $3 = cache dir
   "${DIR}/serve" -addr "127.0.0.1:$1" -insts 200000 -cache-dir "$3" \
@@ -200,6 +203,8 @@ echo "pack batch merge byte-identical across SIGKILL"
 echo "== killed pack worker restarts on its pack directory (cold index rebuild)"
 ls "${DIR}/pack1"/pack-*.dat >/dev/null 2>&1 || {
   echo "pack worker wrote no pack volumes"; ls -la "${DIR}/pack1"; exit 1; }
+[ ! -e "${DIR}/pack1/catalog" ] || {
+  echo "pack worker keeps a catalog/ beside its pack volumes"; ls -la "${DIR}/pack1"; exit 1; }
 start_worker "${P3}" "${DIR}/w3b.log" "${DIR}/pack1"
 W3_PID=$!
 wait_healthy "${W3}" "rebuilt pack worker"
@@ -253,7 +258,18 @@ done
 [ "${STORED}" -gt 0 ] || { echo "restarted worker served no batch cell from its store"; exit 1; }
 echo "restarted worker's /query lists all ${STORED} batch cells it serves from its store"
 
+echo "== tables -catalog over the restarted worker's directory lists what its /query lists"
+records_of() { grep -m1 '"records"' "$1" | tr -dc '0-9'; }
+curl -fsS "${W3}/query?limit=1" >"${DIR}/query_all_w3.json"
+QN=$(records_of "${DIR}/query_all_w3.json")
 kill -INT "${COORD_PID}" "${W3_PID}" "${W4_PID}" 2>/dev/null || true
+# The catalog opens the worker's pack store, so the worker must be gone.
+wait "${W3_PID}" 2>/dev/null || true
+"${DIR}/tables" -catalog "${DIR}/pack1" >/dev/null 2>"${DIR}/tables_catalog.log"
+TN=$(grep -m1 'run catalog:' "${DIR}/tables_catalog.log" | tr -dc '0-9')
+[ -n "${QN}" ] && [ "${QN}" = "${TN}" ] || {
+  echo "tables -catalog counts ${TN} records, the worker's /query ${QN}"; exit 1; }
+echo "tables -catalog and /query both count ${QN} records"
 
 echo "== repeat sweep over one -cache-dir: zero cells dispatched"
 go build -o "${DIR}/sweep" ./cmd/sweep
